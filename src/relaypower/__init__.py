@@ -1,6 +1,6 @@
 """Power allocation and Monte Carlo simulation for amplify-and-forward relay networks."""
 
-from .codebook import LdCodebook, generate_codebook, load_codebook, save_codebook
+from .codebook import LdCodebook, generate_codebook, is_full_diversity, load_codebook, save_codebook
 from .model import (
     ChannelRealization,
     ConstraintKind,
@@ -16,6 +16,7 @@ from .objectives import (
     PerfectCsitObjective,
     StatisticalCsitObjective,
     exp_integral_e1,
+    exp_integral_e1_scaled,
     f0_gradient,
     f0_value,
     log_objective_J,
@@ -57,9 +58,11 @@ __all__ = [
     "amplifier_caps",
     "effective_relay_count",
     "exp_integral_e1",
+    "exp_integral_e1_scaled",
     "f0_gradient",
     "f0_value",
     "generate_codebook",
+    "is_full_diversity",
     "load_codebook",
     "log_objective_J",
     "ml_decode",

@@ -8,23 +8,37 @@ dispersion matrices. The diversity-governing constant of a codebook is
     lambda_min = min_{k != l} eigmin((S_k - S_l)^H (S_k - S_l)),
 
 the worst-case pairwise Gram eigenvalue over all 2^T (2^T - 1) / 2
-codeword pairs.
+codeword pairs. It is computed lazily, on first read: nothing in the
+simulation needs its value (statistical waterfilling runs with eta = 1,
+since eta only shifts its objective by a constant). Generation only needs
+to know that lambda_min clears a small floor, which a batched Cholesky
+test of the same pattern Grams decides (`is_full_diversity`). Codebooks
+are cached per (T, seed) within the process, so schemes that share a seed
+share one instance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .rng import STREAM_CODEBOOK, derive_rng
 
-# Exhaustive ML decoding scans all 2^T codewords; past this block length
-# the enumeration (and the pairwise lambda_min scan) is intractable.
+# Exhaustive ML decoding scans all 2^T codewords, and the generation guard
+# checks all (3^T - 1)/2 difference patterns; past this block length both
+# are intractable.
 MAX_BLOCK = 12
 
 _UNITARY_TOL = 1e-10
 _REGEN_ATTEMPTS = 8
+# A drawn codebook is kept only if every pattern Gram has lambda_min above this.
+_DIVERSITY_FLOOR = 1e-9
+_GUARD_CHUNK = 1024
+_CACHE_SIZE = 64
+_CACHE: OrderedDict[tuple[int, int], LdCodebook] = OrderedDict()
 
 
 def codeword_signs(T: int) -> np.ndarray:
@@ -48,19 +62,28 @@ def _difference_patterns(T: int) -> np.ndarray:
     global sign, which leaves the Gram matrix unchanged), so scanning
     these (3^T - 1)/2 patterns covers all codeword pairs exactly.
     """
-    grids = np.stack(np.meshgrid(*([[-1, 0, 1]] * T), indexing="ij"), axis=-1)
-    e = grids.reshape(-1, T)
-    nonzero = np.any(e != 0, axis=1)
-    e = e[nonzero]
-    first = np.argmax(e != 0, axis=1)
-    return e[e[np.arange(e.shape[0]), first] > 0]
+    blocks = []
+    # leading +1 at position `lead`, any tail after it; the blocks run from
+    # the last lead to the first so the rows come out in lexicographic order
+    for lead in range(T - 1, -1, -1):
+        k = T - lead - 1
+        block = np.zeros((3**k, T), dtype=np.int8)
+        block[:, lead] = 1
+        block[:, lead + 1:] = np.indices((3,) * k, dtype=np.int8).reshape(k, 3**k).T - 1
+        blocks.append(block)
+    return np.concatenate(blocks)
+
+
+def _check_stack(matrices: np.ndarray) -> int:
+    m, t, t2 = matrices.shape
+    if t != t2 or m != t:
+        raise ValueError("dispersion stack must have shape (T, T, T)")
+    return t
 
 
 def min_pairwise_eigenvalue(matrices: np.ndarray) -> float:
     """lambda_min of the codebook built from the given dispersion stack."""
-    m, t, t2 = matrices.shape
-    if t != t2 or m != t:
-        raise ValueError("dispersion stack must have shape (T, T, T)")
+    t = _check_stack(matrices)
     d = 2.0 * _difference_patterns(t).astype(np.float64)
     smallest = np.inf
     chunk = 8192
@@ -74,12 +97,40 @@ def min_pairwise_eigenvalue(matrices: np.ndarray) -> float:
     return smallest
 
 
+def is_full_diversity(matrices: np.ndarray) -> bool:
+    """True when min_pairwise_eigenvalue(matrices) exceeds the 1e-9 floor.
+
+    Decided without eigenvalues: lambda_min(G) > eps exactly when
+    G - eps*I is positive definite, i.e. has a Cholesky factor. For a real
+    pattern d, G(d)[i, j] = sum_{u,v} d_u d_v (A_i^H A_j)[u, v] is a
+    quadratic form in d, so each chunk of pattern Grams is one real GEMM
+    of the pair products d_u d_v (u <= v) against the symmetrized
+    coefficients.
+    """
+    t = _check_stack(matrices)
+    # b[u, v, i, j] = (A_i^H A_j)[u, v]
+    b = np.einsum("itu,jtv->uvij", matrices.conj(), matrices)
+    iu, iv = np.triu_indices(t)
+    coeff = b[iu, iv] + np.where((iu != iv)[:, None, None], b[iv, iu], 0.0)
+    # interleaved real/imaginary columns: the GEMM output is a complex view
+    coeff = np.ascontiguousarray(coeff.reshape(iu.shape[0], t * t)).view(np.float64)
+    patterns = _difference_patterns(t)
+    for lo in range(0, patterns.shape[0], _GUARD_CHUNK):
+        dc = 2.0 * patterns[lo:lo + _GUARD_CHUNK].astype(np.float64)
+        gram = ((dc[:, iu] * dc[:, iv]) @ coeff).view(np.complex128).reshape(-1, t, t)
+        gram.reshape(-1, t * t)[:, ::t + 1] -= _DIVERSITY_FLOOR
+        try:
+            np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class LdCodebook:
-    """Unitary dispersion stack with its cached worst-pair eigenvalue."""
+    """Unitary dispersion stack; its worst-pair eigenvalue is computed on first read."""
 
     matrices: np.ndarray
-    lambda_min: float = field(init=False)
 
     def __post_init__(self):
         a = np.asarray(self.matrices, dtype=np.complex128).copy()
@@ -94,7 +145,10 @@ class LdCodebook:
                 raise ValueError(f"dispersion matrix {i} is not unitary")
         a.setflags(write=False)
         object.__setattr__(self, "matrices", a)
-        object.__setattr__(self, "lambda_min", min_pairwise_eigenvalue(a))
+
+    @cached_property
+    def lambda_min(self) -> float:
+        return min_pairwise_eigenvalue(self.matrices)
 
     @property
     def T(self) -> int:
@@ -118,23 +172,40 @@ def generate_codebook(T: int, seed: int) -> LdCodebook:
 
     Each matrix is the Q factor of a complex Gaussian sample with the R
     diagonal's phases divided out, which makes the distribution exactly
-    Haar. A rank-deficient codebook (measure zero) is redrawn from a
-    fresh derived stream.
+    Haar. A codebook that fails the full-diversity guard is redrawn from
+    a fresh derived stream. The result is a pure function of (T, seed)
+    and immutable, so the last few codebooks are cached and shared.
     """
     if not 1 <= T <= MAX_BLOCK:
         raise ValueError(f"T must be in [1, {MAX_BLOCK}]")
+    key = (T, seed)
+    code = _CACHE.get(key)
+    if code is None:
+        code = _draw_codebook(*key)
+        _CACHE[key] = code
+        if len(_CACHE) > _CACHE_SIZE:
+            _CACHE.popitem(last=False)
+    else:
+        _CACHE.move_to_end(key)
+    return code
+
+
+def _draw_codebook(T: int, seed: int) -> LdCodebook:
     for attempt in range(_REGEN_ATTEMPTS):
-        rng = derive_rng(seed, STREAM_CODEBOOK, attempt)
-        mats = np.empty((T, T, T), dtype=np.complex128)
-        for i in range(T):
-            z = (rng.standard_normal((T, T)) + 1j * rng.standard_normal((T, T))) / np.sqrt(2.0)
-            q, r = np.linalg.qr(z)
-            phases = np.diagonal(r) / np.abs(np.diagonal(r))
-            mats[i] = q * phases
-        code = LdCodebook(matrices=mats)
-        if code.lambda_min > 1e-9:
+        code = LdCodebook(matrices=_haar_stack(T, derive_rng(seed, STREAM_CODEBOOK, attempt)))
+        if is_full_diversity(code.matrices):
             return code
     raise RuntimeError("failed to draw a full-diversity codebook")
+
+
+def _haar_stack(T: int, rng: np.random.Generator) -> np.ndarray:
+    mats = np.empty((T, T, T), dtype=np.complex128)
+    for i in range(T):
+        z = (rng.standard_normal((T, T)) + 1j * rng.standard_normal((T, T))) / np.sqrt(2.0)
+        q, r = np.linalg.qr(z)
+        phases = np.diagonal(r) / np.abs(np.diagonal(r))
+        mats[i] = q * phases
+    return mats
 
 
 def save_codebook(path, code: LdCodebook) -> None:
@@ -142,7 +213,8 @@ def save_codebook(path, code: LdCodebook) -> None:
 
     First line is "T"; each matrix follows as T rows of interleaved
     real/imaginary pairs with 17 significant digits, which round-trips
-    IEEE doubles exactly. lambda_min is recomputed on load, never stored.
+    IEEE doubles exactly. lambda_min is never stored; a loaded codebook
+    computes it on first read.
     """
     lines = [str(code.T)]
     for mat in code.matrices:

@@ -40,20 +40,22 @@ def exp_integral_e1(x: float) -> float:
     both are pushed to ~1e-15 relative so downstream bounds keep 1e-12
     absolute accuracy.
     """
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError("E1 requires x > 0")
+    x = _check_e1_arg(x)
     if x <= 1.0:
-        # E1(x) = -gamma - ln x + sum_k (-1)^{k+1} x^k / (k * k!)
-        total = -_EULER_GAMMA - math.log(x)
-        term = x
-        k = 1
-        while abs(term) > 1e-17 * max(abs(total), 1.0):
-            total += term
-            k += 1
-            term *= -x * (k - 1) / (k * k)
-        return total
-    # Lentz evaluation of E1(x) = e^-x / (x + 1 - 1/(x + 3 - 4/(x + 5 - ...)))
+        return _e1_series(x)
+    return exp_integral_e1_scaled(x) * math.exp(-x)
+
+
+def exp_integral_e1_scaled(x: float) -> float:
+    """exp(x) * E1(x) for x > 0, finite where exp(x) alone overflows.
+
+    Same two branches as exp_integral_e1: the series times exp(x) up to
+    x = 1, and the continued fraction without its exp(-x) factor above.
+    """
+    x = _check_e1_arg(x)
+    if x <= 1.0:
+        return _e1_series(x) * math.exp(x)
+    # Lentz evaluation of e^x E1(x) = 1 / (x + 1 - 1/(x + 3 - 4/(x + 5 - ...)))
     tiny = 1e-300
     b = x + 1.0
     c = 1.0 / tiny
@@ -68,7 +70,26 @@ def exp_integral_e1(x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < 1e-16:
             break
-    return h * math.exp(-x)
+    return h
+
+
+def _check_e1_arg(x) -> float:
+    x = float(x)
+    if not math.isfinite(x) or x <= 0.0:
+        raise ValueError("E1 requires x > 0")
+    return x
+
+
+def _e1_series(x: float) -> float:
+    # E1(x) = -gamma - ln x + sum_k (-1)^{k+1} x^k / (k * k!)
+    total = -_EULER_GAMMA - math.log(x)
+    term = x
+    k = 1
+    while abs(term) > 1e-17 * max(abs(total), 1.0):
+        total += term
+        k += 1
+        term *= -x * (k - 1) / (k * k)
+    return total
 
 
 def _nonnegative_vector(x, name: str) -> np.ndarray:
@@ -236,7 +257,7 @@ def pep_bound_statistical_exact(obj: StatisticalCsitObjective, p) -> float:
     out = 1.0
     for r in rho:
         inv = 1.0 / r
-        out *= inv * math.exp(inv) * exp_integral_e1(inv)
+        out *= inv * exp_integral_e1_scaled(inv)
     return out
 
 

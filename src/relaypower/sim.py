@@ -184,9 +184,10 @@ def _point_powers(cfg: NetworkConfig, snr_db: float, network_power_sweep: bool):
     return lin, lin, (cfg.M + 1) * lin
 
 
-def _statistical_allocation(cfg: NetworkConfig, p_s: float, p_r: float, eta: float) -> np.ndarray:
+def _statistical_allocation(cfg: NetworkConfig, p_s: float, p_r: float) -> np.ndarray:
+    # eta only adds M ln(eta) to every candidate's J, so eta = 1 picks the same optimum
     caps = p_r / (p_s * cfg.gamma_h + cfg.N0)
-    obj = StatisticalCsitObjective.from_variances(cfg.gamma_h, cfg.gamma_g, eta)
+    obj = StatisticalCsitObjective.from_variances(cfg.gamma_h, cfg.gamma_g, 1.0)
     return solve_waterfill(obj, caps).allocation.p
 
 
@@ -219,12 +220,33 @@ def _batch_caps(cfg: NetworkConfig, h: np.ndarray, p_s: float, p_r: float) -> np
     return np.broadcast_to(p_r / (p_s * cfg.gamma_h + cfg.N0), h.shape)
 
 
+@dataclass(frozen=True)
+class _DecodeTables:
+    """Per-run constants of the exhaustive ML decoder over all 2^T codewords.
+
+    basis row k is [s_i s_j for i < j in triu order, s] for the signs s of
+    codeword k; pairs holds that (i, j) order.
+    """
+
+    signs: np.ndarray
+    popcounts: np.ndarray
+    pairs: tuple[np.ndarray, np.ndarray]
+    basis: np.ndarray
+
+    @classmethod
+    def for_block(cls, t: int) -> "_DecodeTables":
+        signs = codeword_signs(t)
+        popcounts = np.array([bin(v).count("1") for v in range(2**t)], dtype=np.int64)
+        iu, ju = np.triu_indices(t, k=1)
+        basis = np.concatenate([signs[:, iu] * signs[:, ju], signs], axis=1)
+        return cls(signs=signs, popcounts=popcounts, pairs=(iu, ju), basis=basis)
+
+
 def _relay_batch_tallies(
     cfg: NetworkConfig,
     scheme: Scheme,
     code: LdCodebook,
-    signs: np.ndarray,
-    popcounts: np.ndarray,
+    tables: _DecodeTables,
     p_s: float,
     p_r: float,
     stat_alloc: np.ndarray | None,
@@ -237,18 +259,30 @@ def _relay_batch_tallies(
 
     k = rng.integers(0, code.n_codewords, size=n)
     c = math.sqrt(p_s) * np.einsum("bm,mtj->btj", q * h * g, code.matrices)
-    cands = np.einsum("btj,kj->bkt", c, signs)
-    noiseless = cands[np.arange(n), k]
+    noiseless = np.einsum("btj,bj->bt", c, tables.signs[k])
 
     scale = math.sqrt(cfg.N0 / 2.0)
     relay_noise = scale * (rng.standard_normal((n, cfg.M, code.T)) + 1j * rng.standard_normal((n, cfg.M, code.T)))
     w = scale * (rng.standard_normal((n, code.T)) + 1j * rng.standard_normal((n, code.T)))
     r = noiseless + np.einsum("bm,mtj,bmj->bt", q * g, code.matrices, relay_noise) + w
 
-    diff = cands - r[:, None, :]
-    d2 = np.sum(diff.real**2 + diff.imag**2, axis=2)
-    k_hat = np.argmin(d2, axis=1)
-    return int(np.count_nonzero(k_hat != k)), int(popcounts[k ^ k_hat].sum())
+    k_hat = _ml_decode_batch(c, r, tables)
+    return int(np.count_nonzero(k_hat != k)), int(tables.popcounts[k ^ k_hat].sum())
+
+
+def _ml_decode_batch(c: np.ndarray, r: np.ndarray, tables: _DecodeTables) -> np.ndarray:
+    """Exhaustive ML indices for effective matrices c (n, T, T) and receives r (n, T).
+
+    BPSK symbols are real, so ||r - C s||^2 = ||r||^2 + tr Re(C^H C)
+    + 2 sum_{i<j} s_i s_j Re(C^H C)_ij - 2 s . Re(C^H r). Dropping the
+    terms every candidate shares and the factor 2 leaves one real GEMM
+    of [Re(C^H C)_{i<j}, -Re(C^H r)] against tables.basis. Ties go to
+    the smallest index.
+    """
+    iu, ju = tables.pairs
+    gram = np.einsum("bti,btj->bij", c.conj(), c).real
+    y = np.einsum("bti,bt->bi", c.conj(), r).real
+    return np.argmin(np.concatenate([gram[:, iu, ju], -y], axis=1) @ tables.basis.T, axis=1)
 
 
 def _direct_batch_tallies(
@@ -299,12 +333,10 @@ def run_monte_carlo(
     direct = scheme is Scheme.DIRECT_LINK
     if direct:
         code = None
-        signs = None
-        popcounts = None
+        tables = None
     else:
         code = generate_codebook(cfg.T, seed)
-        signs = codeword_signs(cfg.T)
-        popcounts = np.array([bin(v).count("1") for v in range(code.n_codewords)], dtype=np.int64)
+        tables = _DecodeTables.for_block(cfg.T)
 
     batch = _batch_size(cfg.T)
     n_batches = -(-frames // batch)
@@ -315,7 +347,7 @@ def run_monte_carlo(
         p_s, p_r, net_power = _point_powers(cfg, float(snr), network_power_sweep)
         stat_alloc = None
         if scheme is Scheme.WATERFILL and cfg.csit_mode is CsitMode.STATISTICAL:
-            stat_alloc = _statistical_allocation(cfg, p_s, p_r, code.eta(p_s, cfg.N0))
+            stat_alloc = _statistical_allocation(cfg, p_s, p_r)
         for shard in range(shards):
             for bi in range(shard, n_batches, shards):
                 n = min(batch, frames - bi * batch)
@@ -324,7 +356,7 @@ def run_monte_carlo(
                     blk, bits = _direct_batch_tallies(cfg.T, net_power, cfg.N0, n, rng)
                 else:
                     blk, bits = _relay_batch_tallies(
-                        cfg, scheme, code, signs, popcounts, p_s, p_r, stat_alloc, n, rng
+                        cfg, scheme, code, tables, p_s, p_r, stat_alloc, n, rng
                     )
                 block_errors[pi] += blk
                 bit_errors[pi] += bits

@@ -1,16 +1,22 @@
-"""Dispersion-matrix codebooks and their worst-pair eigenvalue."""
+"""Dispersion-matrix codebooks, their worst-pair eigenvalue and generation guard."""
+
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
+from relaypower import codebook
 from relaypower.codebook import (
     LdCodebook,
     codeword_signs,
     generate_codebook,
+    is_full_diversity,
     load_codebook,
     min_pairwise_eigenvalue,
     save_codebook,
 )
+from relaypower.experiments import load_spec, run_experiment
+from relaypower.rng import STREAM_CODEBOOK, derive_rng
 
 
 def _all_pairs_lambda_min(matrices: np.ndarray) -> float:
@@ -112,6 +118,152 @@ class TestGenerate:
         mats = np.stack([np.eye(2, dtype=complex), 2 * np.eye(2, dtype=complex)])
         with pytest.raises(ValueError, match="unitary"):
             LdCodebook(matrices=mats)
+
+
+@pytest.fixture
+def empty_cache(monkeypatch):
+    """A fresh codebook cache, so every generate_codebook call below draws anew."""
+    monkeypatch.setattr(codebook, "_CACHE", OrderedDict())
+
+
+class TestDifferencePatterns:
+    @pytest.mark.parametrize("t", [1, 2, 3, 6])
+    def test_lexicographic_rows_with_positive_lead(self, t):
+        grid = np.stack(np.meshgrid(*([[-1, 0, 1]] * t), indexing="ij"), axis=-1).reshape(-1, t)
+        nonzero = grid[np.any(grid != 0, axis=1)]
+        lead = nonzero[np.arange(nonzero.shape[0]), np.argmax(nonzero != 0, axis=1)]
+        expected = nonzero[lead > 0]
+        got = codebook._difference_patterns(t)
+        assert got.shape == ((3**t - 1) // 2, t)
+        np.testing.assert_array_equal(got, expected)
+
+
+class TestDiversityGuard:
+    def test_agrees_with_eigenvalue_floor(self):
+        # Haar stacks plus degenerate ones: a repeated matrix, and one
+        # matrix reused with a global phase, which also collapses a pair
+        rng = np.random.default_rng(0)
+        stacks = []
+        for t in range(1, 7):
+            for seed in range(12):
+                mats = codebook._haar_stack(t, derive_rng(seed, STREAM_CODEBOOK, 0))
+                stacks.append(mats)
+                if t >= 2:
+                    bad = mats.copy()
+                    i, j = rng.choice(t, size=2, replace=False)
+                    bad[j] = bad[i] * np.exp(1j * rng.uniform(0, 2 * np.pi))
+                    stacks.append(bad)
+        verdicts = [is_full_diversity(m) for m in stacks]
+        assert verdicts == [min_pairwise_eigenvalue(m) > 1e-9 for m in stacks]
+        assert True in verdicts and False in verdicts
+
+    def test_agrees_near_the_floor(self):
+        # perturbing a repeated matrix by delta puts lambda_min near delta^2,
+        # so the sweep straddles the 1e-9 floor from both sides
+        rng = np.random.default_rng(1)
+        base = codebook._haar_stack(3, rng)
+        noise = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        stacks = []
+        for delta in np.logspace(-7, -2, 21):
+            mats = base.copy()
+            mats[1] = mats[0] + delta * noise
+            stacks.append(mats)
+        lams = np.array([min_pairwise_eigenvalue(m) for m in stacks])
+        assert np.any((lams > 1e-11) & (lams < 1e-9)) and np.any((lams > 1e-9) & (lams < 1e-7))
+        assert [is_full_diversity(m) for m in stacks] == list(lams > 1e-9)
+
+    def test_rejects_a_stack_singular_on_one_pattern(self):
+        # A_1 = A_0 R with R a reflection that fixes one pattern d, so G(d)
+        # has two equal columns; T = 7 has more patterns than one guard chunk
+        t = 7
+        patterns = codebook._difference_patterns(t)
+        n, chunk = patterns.shape[0], codebook._GUARD_CHUNK
+        rng = np.random.default_rng(2)
+        for index in sorted({0, min(chunk, n) - 1, min(chunk, n - 1), n - 1}):
+            d = patterns[index].astype(np.float64)
+            v = rng.standard_normal(t)
+            v -= (v @ d) / (d @ d) * d
+            v /= np.linalg.norm(v)
+            mats = codebook._haar_stack(t, rng)
+            assert is_full_diversity(mats)
+            mats[1] = mats[0] @ (np.eye(t) - 2.0 * np.outer(v, v))
+            assert not is_full_diversity(mats), index
+
+    def test_equal_dispersion_matrices_rejected(self):
+        mats = codebook._haar_stack(3, np.random.default_rng(4))
+        mats[2] = mats[0]
+        assert not is_full_diversity(mats)
+
+    def test_shape_validation(self):
+        with pytest.raises(ValueError):
+            is_full_diversity(np.zeros((2, 3, 3), dtype=complex))
+
+    def test_failed_guard_redraws_from_next_attempt(self, monkeypatch, empty_cache):
+        verdicts = iter([False, True])
+        monkeypatch.setattr(codebook, "is_full_diversity", lambda m: next(verdicts))
+        code = generate_codebook(3, seed=5)
+        first = codebook._haar_stack(3, derive_rng(5, STREAM_CODEBOOK, 0))
+        second = codebook._haar_stack(3, derive_rng(5, STREAM_CODEBOOK, 1))
+        np.testing.assert_array_equal(code.matrices, second)
+        assert np.max(np.abs(code.matrices - first)) > 1e-3
+
+    def test_eight_failures_raise(self, monkeypatch, empty_cache):
+        calls = []
+        monkeypatch.setattr(codebook, "is_full_diversity", lambda m: calls.append(m) or False)
+        with pytest.raises(RuntimeError, match="full-diversity"):
+            generate_codebook(3, seed=5)
+        assert len(calls) == 8
+
+
+class TestCache:
+    def test_same_key_shares_one_instance(self, empty_cache):
+        a = generate_codebook(4, seed=11)
+        assert generate_codebook(4, seed=11) is a
+        assert generate_codebook(4, seed=12) is not a
+        assert generate_codebook(3, seed=11) is not a
+
+    def test_cache_is_bounded(self, empty_cache):
+        for seed in range(codebook._CACHE_SIZE + 5):
+            generate_codebook(1, seed=seed)
+        assert len(codebook._CACHE) == codebook._CACHE_SIZE
+        assert (1, 0) not in codebook._CACHE
+
+    def test_two_schemes_build_each_codebook_once(self, tmp_path, monkeypatch, empty_cache):
+        builds = []
+        draw = codebook._draw_codebook
+
+        def counting_draw(T, seed):
+            builds.append((T, seed))
+            return draw(T, seed)
+
+        monkeypatch.setattr(codebook, "_draw_codebook", counting_draw)
+        path = tmp_path / "scenario.yaml"
+        path.write_text(
+            "kind: ber_vs_network_power\n"
+            "schemes: [onoff, waterfill_statistical]\n"
+            "m_grid: [2, 3]\n"
+            "snr_db: [10.0]\n"
+            "frames: 1000\n"
+            "network: {}\n"
+        )
+        run_experiment(load_spec(path), tmp_path / "out")
+        assert sorted(t for t, _ in builds) == [2, 3]
+        assert len(set(builds)) == 2
+
+    def test_lambda_min_is_lazy(self, monkeypatch, empty_cache):
+        calls = []
+        scan = codebook.min_pairwise_eigenvalue
+
+        def counting_scan(matrices):
+            calls.append(matrices.shape)
+            return scan(matrices)
+
+        monkeypatch.setattr(codebook, "min_pairwise_eigenvalue", counting_scan)
+        code = generate_codebook(4, seed=2)
+        assert calls == []
+        value = code.lambda_min
+        assert code.lambda_min == value
+        assert calls == [(4, 4, 4)]
 
 
 class TestSerialization:

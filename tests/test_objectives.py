@@ -10,6 +10,7 @@ from relaypower.objectives import (
     PerfectCsitObjective,
     StatisticalCsitObjective,
     exp_integral_e1,
+    exp_integral_e1_scaled,
     f0_gradient,
     f0_value,
     f1_value,
@@ -75,6 +76,30 @@ def _perfect_m3():
     h = np.array([2.0, 0.1, 1.0])
     g = np.ones(3, dtype=complex)
     return PerfectCsitObjective.from_channels(h, g, eta=1.0)
+
+
+class TestScaledExpIntegralE1:
+    def test_against_mpmath_out_to_a_million(self):
+        mpmath = pytest.importorskip("mpmath")
+        for x in np.logspace(-6, 6, 500):
+            ref = float(mpmath.exp(mpmath.mpf(float(x))) * mpmath.e1(mpmath.mpf(float(x))))
+            assert exp_integral_e1_scaled(float(x)) == pytest.approx(ref, rel=5e-14)
+
+    def test_consistent_with_unscaled_where_both_are_finite(self):
+        for x in np.logspace(-6, math.log10(700.0), 300):
+            x = float(x)
+            assert exp_integral_e1_scaled(x) == pytest.approx(
+                math.exp(x) * exp_integral_e1(x), rel=1e-13)
+
+    def test_large_argument_asymptote(self):
+        # e^x E1(x) = 1/x - 1/x^2 + 2/x^3 - ...
+        x = 1e8
+        assert exp_integral_e1_scaled(x) == pytest.approx(1 / x - 1 / x**2, rel=1e-15)
+
+    @pytest.mark.parametrize("x", [0.0, -1.0, math.inf, math.nan])
+    def test_domain(self, x):
+        with pytest.raises(ValueError):
+            exp_integral_e1_scaled(x)
 
 
 class TestPerfectObjective:
@@ -168,6 +193,16 @@ class TestAveragedObjectives:
         assert rho_values(obj, p)[0] == pytest.approx(1.0, rel=1e-15)
         assert pep_bound_statistical_exact(obj, p) == pytest.approx(
             0.59634736232319407434, rel=1e-13)
+
+    def test_statistical_exact_tiny_rho_does_not_overflow(self):
+        # eta = 1e-4 puts 1/rho_i near 3e4, far past exp overflow at ~709;
+        # each factor (1/rho) e^(1/rho) E1(1/rho) tends to 1 - rho
+        obj = StatisticalCsitObjective.from_variances(np.ones(2), np.ones(2), 1e-4)
+        p = np.array([1.0, 1.0])
+        rho = rho_values(obj, p)
+        assert 1.0 / rho[0] > 709.0
+        expected = np.prod(1.0 - rho + 2.0 * rho**2 - 6.0 * rho**3)
+        assert pep_bound_statistical_exact(obj, p) == pytest.approx(expected, rel=1e-12)
 
     def test_statistical_exact_rejects_silent_relay(self):
         obj = StatisticalCsitObjective(a=np.array([1.0, 1.0]), gamma_g=np.array([1.0, 1.0]))

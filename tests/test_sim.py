@@ -4,19 +4,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from relaypower.codebook import generate_codebook
+from relaypower.codebook import codeword_signs, generate_codebook
 from relaypower.model import (
     ChannelRealization,
     NetworkConfig,
     PowerAllocation,
     amplifier_caps,
     overall_noise_variance,
+    sample_channel_batch,
     sample_channels,
 )
+from relaypower.rng import STREAM_FRAMES, derive_rng
 from relaypower.sim import (
     Scheme,
     SimResult,
+    _allocate_batch,
+    _DecodeTables,
+    _ml_decode_batch,
+    _relay_batch_tallies,
     effective_code_matrix,
     effective_relay_count,
     ml_decode,
@@ -94,6 +102,84 @@ class TestPhysicalChain:
         alloc = PowerAllocation(p=np.ones(2), caps=np.ones(2))
         with pytest.raises(ValueError, match="match"):
             transmit_frame(code, chan, alloc, 1.0, 1.0, 0, np.random.default_rng(0))
+
+
+def _direct_distance_tallies(cfg, scheme, code, p_s, p_r, n, rng):
+    """_relay_batch_tallies with every candidate's receive built and measured directly."""
+    h, g = sample_channel_batch(cfg, n, rng)
+    q = np.sqrt(_allocate_batch(cfg, scheme, h, g, p_s, p_r, None))
+    k = rng.integers(0, code.n_codewords, size=n)
+    c = math.sqrt(p_s) * np.einsum("bm,mtj->btj", q * h * g, code.matrices)
+    cands = np.einsum("btj,kj->bkt", c, codeword_signs(code.T))
+    scale = math.sqrt(cfg.N0 / 2.0)
+    relay_noise = scale * (rng.standard_normal((n, cfg.M, code.T))
+                           + 1j * rng.standard_normal((n, cfg.M, code.T)))
+    w = scale * (rng.standard_normal((n, code.T)) + 1j * rng.standard_normal((n, code.T)))
+    r = cands[np.arange(n), k] + np.einsum("bm,mtj,bmj->bt", q * g, code.matrices, relay_noise) + w
+    k_hat = np.argmin(np.sum(np.abs(cands - r[:, None, :]) ** 2, axis=2), axis=1)
+    bits = sum(bin(int(v)).count("1") for v in k ^ k_hat)
+    return int(np.count_nonzero(k_hat != k)), bits
+
+
+class TestBatchDecoder:
+    @settings(max_examples=60, deadline=None)
+    @given(t=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+           snr_db=st.floats(-20.0, 40.0), frames=st.integers(1, 6))
+    def test_matches_scalar_ml_decode(self, t, seed, snr_db, frames):
+        # random channels, allocations (some relays silent) and noisy receives
+        code = generate_codebook(t, seed=seed % 7)
+        rng = np.random.default_rng(seed)
+        p_s = 10.0 ** (snr_db / 10.0)
+        chans, allocs, c, r = [], [], [], []
+        for _ in range(frames):
+            h = (rng.standard_normal(t) + 1j * rng.standard_normal(t)) / math.sqrt(2.0)
+            g = (rng.standard_normal(t) + 1j * rng.standard_normal(t)) / math.sqrt(2.0)
+            caps = rng.uniform(0.1, 2.0, t)
+            p = np.where(rng.random(t) < 0.25, 0.0, rng.uniform(0.0, 1.0, t) * caps)
+            chan = ChannelRealization(h=h, g=g)
+            alloc = PowerAllocation(p=p, caps=caps)
+            k = int(rng.integers(0, 2**t))
+            chans.append(chan)
+            allocs.append(alloc)
+            c.append(effective_code_matrix(code, chan.f, np.sqrt(p), p_s))
+            r.append(transmit_frame(code, chan, alloc, p_s, 1.0, k, rng))
+        got = _ml_decode_batch(np.stack(c), np.stack(r), _DecodeTables.for_block(t))
+        want = [ml_decode(code, chan, alloc, p_s, rx) for chan, alloc, rx in zip(chans, allocs, r)]
+        assert got.tolist() == want
+
+    def test_noiseless_receives_decode_exactly(self):
+        t = 5
+        code = generate_codebook(t, seed=1)
+        cfg = _cfg(t, t)
+        chan = sample_channels(cfg, 2)
+        caps = amplifier_caps(cfg, chan.h)
+        c = effective_code_matrix(code, chan.f, np.sqrt(caps), cfg.p_s)
+        tables = _DecodeTables.for_block(t)
+        r = tables.signs @ c.T
+        cs = np.broadcast_to(c, (2**t, t, t))
+        np.testing.assert_array_equal(_ml_decode_batch(cs, r, tables), np.arange(2**t))
+
+    def test_silent_network_ties_to_index_zero(self):
+        tables = _DecodeTables.for_block(3)
+        c = np.zeros((2, 3, 3), dtype=complex)
+        r = np.array([[1.0, -2.0, 0.5j], [0.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(_ml_decode_batch(c, r, tables), [0, 0])
+
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    @pytest.mark.parametrize("scheme,mode", [
+        (Scheme.ONOFF, "perfect"), (Scheme.MAX_POWER, "perfect"), (Scheme.WATERFILL, "partial"),
+    ])
+    def test_relay_tallies_match_direct_distances(self, m, scheme, mode):
+        cfg = _cfg(m, m, csit_mode=mode, p_s=3.0, p_r=3.0)
+        code = generate_codebook(m, seed=m)
+        tables = _DecodeTables.for_block(m)
+        for bi in range(3):
+            got = _relay_batch_tallies(cfg, scheme, code, tables, 3.0, 3.0, None, 200,
+                                       derive_rng(9, STREAM_FRAMES, 0, bi))
+            want = _direct_distance_tallies(cfg, scheme, code, 3.0, 3.0, 200,
+                                            derive_rng(9, STREAM_FRAMES, 0, bi))
+            assert got == want
+            assert got[0] > 0
 
 
 class TestSchemeLabel:

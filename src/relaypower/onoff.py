@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import PowerAllocation
+from .model import PowerAllocation, _positive_batch
 from .objectives import PerfectCsitObjective, f0_gradient, f0_value
 
 MAX_ITERATIONS = 100
@@ -61,6 +61,18 @@ def _check_caps(obj: PerfectCsitObjective, caps) -> np.ndarray:
     if not np.all(np.isfinite(caps)) or np.any(caps <= 0.0):
         raise ValueError("caps must be finite and strictly positive")
     return caps
+
+
+def _check_gains(alpha, beta, caps) -> tuple[np.ndarray, np.ndarray]:
+    checked = []
+    for name, x in (("alpha", alpha), ("beta", beta)):
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != caps.shape:
+            raise ValueError(f"{name} must have the shape of caps, {caps.shape}")
+        if not np.all(np.isfinite(x)) or np.any(x < 0.0):
+            raise ValueError(f"{name} must be finite and non-negative")
+        checked.append(x)
+    return checked[0], checked[1]
 
 
 def feedback_bits(allocation: PowerAllocation) -> str:
@@ -142,7 +154,8 @@ def solve_onoff_batch(
     """Vectorized on-off solve over a batch of instances.
 
     Args:
-        alpha, beta, caps: arrays of shape (n, M).
+        alpha, beta: arrays of shape (n, M), finite and non-negative.
+        caps: array of shape (n, M), finite and strictly positive.
         history: if positive, also return f0 at iterates 0..history-1
             (later columns hold the converged value once a row stops).
         start: optional (n, M) boolean on-pattern to start from; the
@@ -154,13 +167,15 @@ def solve_onoff_batch(
         pattern reproduced itself, fallback marks rows resolved by the
         enumeration oracle, and objective_history is None unless requested.
 
+    Raises:
+        ValueError: for mismatched shapes or an entry out of range.
+
     The per-row update rule is identical to solve_onoff; the two are
     interchangeable and are cross-checked in the test suite.
     """
-    alpha = np.asarray(alpha, dtype=np.float64)
-    beta = np.asarray(beta, dtype=np.float64)
-    caps = np.asarray(caps, dtype=np.float64)
-    n, m = alpha.shape
+    caps = _positive_batch(caps, "caps")
+    alpha, beta = _check_gains(alpha, beta, caps)
+    n, m = caps.shape
     ac = alpha * caps
     bc = beta * caps
 

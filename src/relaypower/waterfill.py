@@ -11,6 +11,14 @@ clamping each into the feasible interval [1/M, mu_M] and recomputing the
 capped set from the clamped level itself. The best candidate under J is
 the optimizer. Every relay ends up strictly positive: silence is never
 optimal when only the second hop is uncertain.
+
+The raw levels are V-shaped in j: mu_{j+1} is a weighted mean of mu_j and
+the next sorted product, so the sequence falls while that product lies
+below mu_j and rises after, and its minimum is the self-consistent level.
+The batch solver therefore scores only the minimum and its two neighbours,
+in O(n M) memory, and rescores over all M candidates the rare rows where
+another level lies within rounding reach of the minimum, so it returns
+the same bits as a full scan (tested up to M = 200 and P*gamma_g ~ 1e300).
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PowerAllocation
+from .model import PowerAllocation, _positive_batch, _positive_vector
 from .objectives import log_objective_J
 
 
@@ -176,32 +184,92 @@ def solve_waterfill(obj, caps) -> WaterfillResult:
     )
 
 
+# A full scan can prefer a level outside the window only when rounding
+# outweighs the J gap to the minimum. J is flat to second order there, so
+# the level gap of such a flip grows like the square root of the rounding
+# in J, which grows with ln(P gamma_g): on constructed near-ties, flips
+# reached 8e-7 relative at P gamma_g ~ 1e30, 1.6e-6 at ~ 1e100 and 2.1e-6
+# at ~ 1e300 (M = 40 and 200).
+_NEAR_TIE_RTOL = 1e-4
+
+
+def _best_candidate(gamma_g: np.ndarray, caps: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """First-index argmax of J over candidate levels mu, shape (n, k).
+
+    Builds the (n, k, M) candidate allocations in one buffer, so memory is
+    O(n k M).
+    """
+    m = caps.shape[1]
+    p_cand = mu[:, :, None] / gamma_g[None, None, :]
+    np.minimum(p_cand, caps[:, None, :], out=p_cand)
+    denom = 1.0 + np.einsum("ijk,k->ij", p_cand, gamma_g)
+    ln_p = np.log(p_cand, out=p_cand)
+    j_cand = np.sum(ln_p, axis=2) - m * np.log(denom)
+    return np.argmax(j_cand, axis=1)
+
+
 def solve_waterfill_batch(gamma_g: np.ndarray, caps: np.ndarray) -> np.ndarray:
     """Vectorized waterfilling over a batch of cap vectors.
 
     Args:
-        gamma_g: second-hop variances, shape (M,), shared by the batch.
-        caps: amplifier caps, shape (n, M).
+        gamma_g: second-hop variances, shape (M,), shared by the batch;
+            finite and strictly positive.
+        caps: amplifier caps, shape (n, M); finite and strictly positive.
 
     Returns:
         Allocations of shape (n, M). Implements the same candidate
         selection as solve_waterfill (the additive sum(ln a_i) term is
         dropped; it never affects the argmax).
+
+    Raises:
+        ValueError: for a wrong shape or a non-finite or non-positive entry.
+
+    With s_(1) <= ... <= s_(M) the sorted products P_i*gamma_gi, the raw
+    levels mu_j are V-shaped in j: mu_{j+1} = (j mu_j + s_(j+1)) / (j + 1)
+    is a weighted mean of mu_j and s_(j+1), so the sequence falls while
+    s_(j+1) < mu_j and rises once s_(j+1) > mu_j, and its minimum j* is
+    the self-consistent level, the optimizer. Only three consecutive
+    clamped candidates are scored, j*-1, j*, j*+1, shifted inward when j*
+    is the first or last index, with the same arithmetic and first-index
+    argmax as a full scan; the candidate tensor is (n, 3, M), so memory is
+    O(n M) instead of O(n M^2). Rounding can still let a full scan prefer
+    a candidate whose clamped level lies within _NEAR_TIE_RTOL (1e-4)
+    relative of mu_j*; rows with such a level outside the window are
+    rescored over all M candidates, so the result equals the full scan bit
+    for bit. Levels exactly equal to mu_j* are not flagged: whichever
+    index wins, they give the same allocation. For M <= 3 the window holds
+    every candidate and no row is rescored. The 1e-4 margin is
+    empirical: bit identity is tested for M up to 40 on random and tied
+    rows and for M = 200 on near-ties with P*gamma_g up to ~1e300, where
+    the widest flip seen was 2.1e-6 relative.
     """
-    gamma_g = np.asarray(gamma_g, dtype=np.float64)
-    caps = np.asarray(caps, dtype=np.float64)
+    caps = _positive_batch(caps, "caps")
     n, m = caps.shape
+    gamma_g = _positive_vector(gamma_g, m, "gamma_g")
     pg = caps * gamma_g
-    pg_sorted = np.sort(pg, axis=1, kind="stable")
+    # only the sorted values are used, and equal floats are interchangeable,
+    # so any sort kind gives the same bits; the default one is the faster
+    # at large M (6x at M = 32)
+    pg_sorted = np.sort(pg, axis=1)
     prefix = np.cumsum(pg_sorted, axis=1)
     mu_raw = (1.0 + prefix) / np.arange(1, m + 1)
     mu_max = mu_raw[:, -1:]
     mu_cl = np.clip(mu_raw, 1.0 / m, mu_max)
-    # candidate allocations: (n, M candidates, M relays)
-    p_cand = np.minimum(mu_cl[:, :, None] / gamma_g[None, None, :], caps[:, None, :])
-    denom = 1.0 + np.einsum("ijk,k->ij", p_cand, gamma_g)
-    j_cand = np.sum(np.log(p_cand), axis=2) - m * np.log(denom)
-    best = np.argmax(j_cand, axis=1)
+    j_min = np.argmin(mu_raw, axis=1)
+    # k consecutive candidates from start, in index order, so the first-index
+    # argmax breaks ties as a full scan does; for M <= 3 that is all of them
+    k = min(3, m)
+    start = np.clip(j_min - 1, 0, m - k)
+    window = start[:, None] + np.arange(k)
+    best = start + _best_candidate(gamma_g, caps, np.take_along_axis(mu_cl, window, axis=1))
+    # clip is monotone, so no clamped level lies below mu_ref
+    mu_ref = np.take_along_axis(mu_cl, j_min[:, None], axis=1)
+    gap = mu_cl - mu_ref
+    near = (gap > 0.0) & (gap <= _NEAR_TIE_RTOL * mu_ref)
+    np.put_along_axis(near, window, False, axis=1)
+    rescore = np.any(near, axis=1)
+    if np.any(rescore):
+        best[rescore] = _best_candidate(gamma_g, caps[rescore], mu_cl[rescore])
     mu_star = np.take_along_axis(mu_cl, best[:, None], axis=1)
     return np.minimum(mu_star / gamma_g[None, :], caps)
 

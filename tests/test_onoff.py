@@ -153,6 +153,39 @@ class TestBatchSolver:
         # start vertex must not change the answer
         np.testing.assert_array_equal(masks, default)
 
+    def test_rejects_caps_of_another_shape(self):
+        with pytest.raises(ValueError, match="caps must have shape"):
+            solve_onoff_batch(np.ones((2, 3)), np.ones((2, 3)), np.ones(3))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_non_positive_or_non_finite_caps(self, bad):
+        caps = np.ones((2, 3))
+        caps[1, 2] = bad
+        with pytest.raises(ValueError, match="caps entries must be finite"):
+            solve_onoff_batch(np.ones((2, 3)), np.ones((2, 3)), caps)
+
+    @pytest.mark.parametrize("name", ["alpha", "beta"])
+    def test_rejects_gains_of_another_shape(self, name):
+        args = {"alpha": np.ones((2, 3)), "beta": np.ones((2, 3))}
+        args[name] = np.ones((2, 4))
+        with pytest.raises(ValueError, match=f"{name} must have the shape"):
+            solve_onoff_batch(args["alpha"], args["beta"], np.ones((2, 3)))
+
+    @pytest.mark.parametrize("name", ["alpha", "beta"])
+    @pytest.mark.parametrize("bad", [-1e-300, np.nan, np.inf])
+    def test_rejects_negative_or_non_finite_gains(self, name, bad):
+        args = {"alpha": np.ones((2, 3)), "beta": np.ones((2, 3))}
+        args[name][0, 1] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            solve_onoff_batch(args["alpha"], args["beta"], np.ones((2, 3)))
+
+    def test_accepts_zero_gains(self):
+        # a relay with no channel is a valid instance: it is switched off
+        alpha = np.array([[0.0, 2.0]])
+        masks, _, fallback, _ = solve_onoff_batch(alpha, np.array([[0.0, 1.0]]), np.ones((1, 2)))
+        np.testing.assert_array_equal(masks, [[False, True]])
+        assert not fallback.any()
+
 
 class TestVertexOracle:
     def test_single_relay(self):

@@ -5,7 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from relaypower import waterfill
 from relaypower.objectives import (
     PartialCsitObjective,
     StatisticalCsitObjective,
@@ -246,17 +249,186 @@ class TestClosedFormM2:
             waterfill_m2_closed_form(obj, np.ones(3))
 
 
+def _full_scan_reference(gamma_g, caps):
+    """Batch waterfilling that scores every candidate level.
+
+    This is solve_waterfill_batch as it was before it scored only the
+    levels next to the minimum; the windowed kernel must match it bit for
+    bit.
+    """
+    gamma_g = np.asarray(gamma_g, dtype=np.float64)
+    caps = np.asarray(caps, dtype=np.float64)
+    n, m = caps.shape
+    pg = caps * gamma_g
+    pg_sorted = np.sort(pg, axis=1, kind="stable")
+    prefix = np.cumsum(pg_sorted, axis=1)
+    mu_raw = (1.0 + prefix) / np.arange(1, m + 1)
+    mu_max = mu_raw[:, -1:]
+    mu_cl = np.clip(mu_raw, 1.0 / m, mu_max)
+    # candidate allocations: (n, M candidates, M relays)
+    p_cand = np.minimum(mu_cl[:, :, None] / gamma_g[None, None, :], caps[:, None, :])
+    denom = 1.0 + np.einsum("ijk,k->ij", p_cand, gamma_g)
+    j_cand = np.sum(np.log(p_cand), axis=2) - m * np.log(denom)
+    best = np.argmax(j_cand, axis=1)
+    mu_star = np.take_along_axis(mu_cl, best[:, None], axis=1)
+    return np.minimum(mu_star / gamma_g[None, :], caps)
+
+
+def _tie_rows(rng, m, n, gamma_g, n_ties, scale=1.0, spread=0.0):
+    """Cap rows whose sorted products satisfy s_(j+1) = ... = mu_j.
+
+    The j smallest products lie below scale/j; at scale 1 that is below
+    1/j <= mu_k for every k <= j, so the levels fall up to mu_j. n_ties
+    relays get the cap mu_j (1 + spread u) / gamma_gi with u
+    uniform in [-1, 1], and the rest lie well above mu_j. Returns the caps
+    and each row's j.
+    """
+    caps = np.empty((n, m))
+    js = rng.integers(1, m - n_ties + 1, n)
+    for r, j in enumerate(js):
+        s = scale * rng.uniform(0.05, 1.0, j) / j
+        mu_j = (1.0 + np.cumsum(np.sort(s))[-1]) / j
+        ties = mu_j * (1.0 + spread * rng.uniform(-1.0, 1.0, n_ties))
+        rest = mu_j * rng.uniform(1.5, 5.0, m - j - n_ties)
+        products = np.concatenate([s, ties, rest])
+        perm = rng.permutation(m)
+        caps[r, perm] = products / gamma_g[perm]
+    return caps, js
+
+
+@st.composite
+def _batches(draw):
+    """(gamma_g, caps) with M = 1..40 and the structures that make ties."""
+    m = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        gamma_g = np.full(m, draw(st.floats(0.05, 20.0)))
+    else:
+        gamma_g = rng.uniform(0.05, 20.0, m)
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    rows = [scale * rng.exponential(1.0, (16, m)),
+            # equal caps within each row
+            np.repeat(scale * rng.exponential(1.0, (4, 1)), m, axis=1),
+            # a few distinct cap values: equal products and equal levels
+            scale * rng.integers(1, 4, (4, m)).astype(np.float64)]
+    if m >= 2:
+        rows.append(_tie_rows(rng, m, 8, gamma_g, n_ties=min(2, m - 1))[0])
+    return gamma_g, np.vstack(rows)
+
+
+@pytest.fixture
+def scored_shapes(monkeypatch):
+    """Records the (rows, candidates) shape of every batch scoring call."""
+    shapes = []
+    scorer = waterfill._best_candidate
+
+    def spy(gamma_g, caps, mu):
+        shapes.append(mu.shape)
+        return scorer(gamma_g, caps, mu)
+
+    monkeypatch.setattr(waterfill, "_best_candidate", spy)
+    return shapes
+
+
 class TestBatchSolver:
     def test_agrees_with_scalar_solver(self):
         rng = np.random.default_rng(20)
-        m, n = 6, 300
+        for m in (1, 2, 3, 4, 6, 8, 16, 32):
+            n = 300 if m <= 8 else 60
+            for gamma_g in (rng.uniform(0.2, 3.0, m), np.full(m, 1.3)):
+                caps = rng.uniform(0.1, 5.0, (n, m))
+                batch = solve_waterfill_batch(gamma_g, caps)
+                obj = _obj(gamma_g)
+                for i in range(n):
+                    res = solve_waterfill(obj, caps[i])
+                    np.testing.assert_allclose(batch[i], res.allocation.p, rtol=1e-12)
+
+    @settings(max_examples=150)
+    @given(_batches())
+    def test_bit_identical_to_full_scan(self, batch):
+        gamma_g, caps = batch
+        np.testing.assert_array_equal(solve_waterfill_batch(gamma_g, caps),
+                                      _full_scan_reference(gamma_g, caps))
+
+    def test_exact_level_ties_match_full_scan(self):
+        # gamma_g = 1 makes the products the caps, so s_(j+1) = mu_j holds
+        # exactly with mu_j computed as the kernel computes it
+        rng = np.random.default_rng(22)
+        for m in (4, 5, 9, 17, 40):
+            gamma_g = np.ones(m)
+            caps, js = _tie_rows(rng, m, 200, gamma_g, n_ties=1)
+            s = np.sort(caps, axis=1, kind="stable")
+            rows = np.arange(200)
+            mu_j = (1.0 + np.cumsum(s, axis=1)[rows, js - 1]) / js
+            np.testing.assert_array_equal(s[rows, js], mu_j)
+            np.testing.assert_array_equal(solve_waterfill_batch(gamma_g, caps),
+                                          _full_scan_reference(gamma_g, caps))
+
+    def test_near_tie_guard_rescores_over_all_candidates(self, scored_shapes):
+        # s_(j+1) = s_(j+2) = mu_j puts three levels within rounding of
+        # each other; when the first is the strict minimum the third lies
+        # outside the window and the row must be rescored in full
+        rng = np.random.default_rng(23)
+        m, n = 12, 400
         gamma_g = rng.uniform(0.2, 3.0, m)
-        caps = rng.uniform(0.1, 5.0, (n, m))
-        batch = solve_waterfill_batch(gamma_g, caps)
-        for i in range(n):
-            obj = _obj(gamma_g)
-            res = solve_waterfill(obj, caps[i])
-            np.testing.assert_allclose(batch[i], res.allocation.p, rtol=1e-12)
+        caps, _ = _tie_rows(rng, m, n, gamma_g, n_ties=2)
+        out = solve_waterfill_batch(gamma_g, caps)
+        np.testing.assert_array_equal(out, _full_scan_reference(gamma_g, caps))
+        assert scored_shapes[0] == (n, 3)
+        assert len(scored_shapes) == 2
+        rescored, width = scored_shapes[1]
+        assert width == m and 0 < rescored < n
+
+    @pytest.mark.parametrize("m, scale, seed, n", [(40, 1e100, 1, 4000), (200, 1e300, 5, 800)])
+    def test_near_ties_at_large_products_match_full_scan(self, m, scale, seed, n):
+        # rounding in J grows with ln(P gamma_g), and with it the level gap
+        # at which a full scan can prefer a level outside the window; at
+        # 1e100 six rows do so, three of them 1.0e-6 to 1.6e-6 relative from
+        # the minimum, and at 1e300 with M = 200 two rows do
+        rng = np.random.default_rng(seed)
+        gamma_g = rng.uniform(0.2, 3.0, m)
+        caps, _ = _tie_rows(rng, m, n, gamma_g, n_ties=3, scale=scale, spread=3e-6)
+        for chunk in np.array_split(caps, 16):
+            np.testing.assert_array_equal(solve_waterfill_batch(gamma_g, chunk),
+                                          _full_scan_reference(gamma_g, chunk))
+
+    @settings(max_examples=150)
+    @given(_batches())
+    def test_kkt_pattern(self, batch):
+        gamma_g, caps = batch
+        p = solve_waterfill_batch(gamma_g, caps)
+        assert np.all(p > 0.0) and np.all(p <= caps)
+        # the water level is the minimum of the V-shaped raw levels
+        pg = caps * gamma_g
+        m = caps.shape[1]
+        mu = np.min((1.0 + np.cumsum(np.sort(pg, axis=1), axis=1)) / np.arange(1, m + 1),
+                    axis=1)[:, None]
+        below = pg <= mu * (1.0 - 1e-9)
+        above = pg >= mu * (1.0 + 1e-9)
+        np.testing.assert_array_equal(p[below], caps[below])
+        np.testing.assert_allclose((p * gamma_g)[above], np.broadcast_to(mu, p.shape)[above],
+                                   rtol=1e-12)
+
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan, np.inf])
+    def test_rejects_non_positive_or_non_finite_caps(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="caps entries must be finite"):
+                solve_waterfill_batch(np.ones(3), [[1.0, bad, 2.0]])
+
+    def test_rejects_caps_that_are_not_a_batch(self):
+        with pytest.raises(ValueError, match="caps must have shape"):
+            solve_waterfill_batch(np.ones(3), np.ones(3))
+
+    @pytest.mark.parametrize("gamma_g", [np.ones(1), np.ones(4), np.ones((1, 3))])
+    def test_rejects_gamma_of_another_shape(self, gamma_g):
+        with pytest.raises(ValueError, match=r"gamma_g must have shape \(3,\)"):
+            solve_waterfill_batch(gamma_g, np.ones((2, 3)))
+
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan, np.inf])
+    def test_rejects_non_positive_or_non_finite_gamma(self, bad):
+        with pytest.raises(ValueError, match="gamma_g entries must be finite"):
+            solve_waterfill_batch(np.array([1.0, bad, 2.0]), np.ones((2, 3)))
 
 
 class TestGridOracle:

@@ -11,6 +11,7 @@ depends on the power-constraint regime.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +45,22 @@ _MODE_CONSTRAINTS = {
     CsitMode.PARTIAL: ConstraintKind.SHORT_TERM,
     CsitMode.STATISTICAL: ConstraintKind.LONG_TERM,
 }
+
+
+def _finite_scalar(x, name: str, *, allow_zero: bool = False) -> float:
+    v = float(x)
+    if not math.isfinite(v) or v < 0.0 or (v == 0.0 and not allow_zero):
+        bound = "non-negative" if allow_zero else "strictly positive"
+        raise ValueError(f"{name} must be finite and {bound}")
+    return v
+
+
+def _finite_array(x, name: str, dtype=np.float64) -> np.ndarray:
+    """x as an array of dtype whose entries are all finite; not copied."""
+    v = np.asarray(x, dtype=dtype)
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} entries must be finite")
+    return v
 
 
 def _positive_vector(x, m: int, name: str) -> np.ndarray:
@@ -99,9 +116,7 @@ class NetworkConfig:
         if self.T < 1:
             raise ValueError("T must be at least 1")
         for name in ("p_s", "p_r", "N0"):
-            val = getattr(self, name)
-            if not np.isfinite(val) or val <= 0.0:
-                raise ValueError(f"{name} must be finite and strictly positive")
+            _finite_scalar(getattr(self, name), name)
         object.__setattr__(self, "gamma_h", _positive_vector(self.gamma_h, self.M, "gamma_h"))
         object.__setattr__(self, "gamma_g", _positive_vector(self.gamma_g, self.M, "gamma_g"))
         if not isinstance(self.csit_mode, CsitMode):
@@ -125,8 +140,8 @@ class ChannelRealization:
     f: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        h = np.asarray(self.h, dtype=np.complex128).copy()
-        g = np.asarray(self.g, dtype=np.complex128).copy()
+        h = _finite_array(self.h, "h", np.complex128).copy()
+        g = _finite_array(self.g, "g", np.complex128).copy()
         if h.ndim != 1 or h.shape != g.shape:
             raise ValueError("h and g must be 1-d arrays of equal length")
         f = h * g
@@ -149,16 +164,13 @@ class PowerAllocation:
     caps: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=np.float64).copy()
-        caps = np.asarray(self.caps, dtype=np.float64).copy()
-        if p.shape != caps.shape or p.ndim != 1:
+        p = _finite_array(self.p, "p").copy()
+        if p.ndim != 1 or np.shape(self.caps) != p.shape:
             raise ValueError("p and caps must be 1-d arrays of equal length")
-        if np.any(caps <= 0.0) or not np.all(np.isfinite(caps)):
-            raise ValueError("caps must be finite and strictly positive")
+        caps = _positive_vector(self.caps, p.shape[0], "caps")
         if np.any(p < 0.0) or np.any(p > caps * (1.0 + CAP_SLACK)):
             raise ValueError("allocation must satisfy 0 <= p_i <= caps_i")
         p.setflags(write=False)
-        caps.setflags(write=False)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "caps", caps)
 

@@ -7,6 +7,13 @@ likelihood over all 2^T codewords. Frames are simulated in fixed-size
 batches; batch b of SNR point i always consumes the stream derived from
 (seed, point i, batch b), so splitting the batches across shards cannot
 change any tally.
+
+A batch is BLAS work. The receive is r = sqrt(p_s) sum_i q_i f_i A_i s
++ sum_i q_i g_i A_i n_i + w (Jing & Hassibi, IEEE TWC 2006), and each sum
+over relays is one complex GEMM once the dispersion stack is reshaped:
+the effective matrices are (n, M) gains @ (M, T^2) matrices, the forwarded
+relay noise (n, M T) scaled draws @ (M T, T) stacked transposes. The
+decoder needs only Re(C^H C) and Re(C^H r), one real batched product.
 """
 
 from __future__ import annotations
@@ -26,6 +33,8 @@ from .model import (
     CsitMode,
     NetworkConfig,
     PowerAllocation,
+    _finite_array,
+    _finite_scalar,
     amplifier_caps,
     sample_channel_batch,
 )
@@ -124,22 +133,19 @@ def transmit_frame(
 
     The relays amplify their own noisy observations, so the destination
     noise is sum_i q_i g_i A_i n_i + w rather than a single white draw.
-    N0 = 0 reproduces the noiseless receive exactly.
+    N0 = 0 reproduces the noiseless receive exactly and draws nothing.
     """
     t, m = code.T, code.M
     if chan.M != m or allocation.M != m:
         raise ValueError("channel and allocation sizes must match the codebook")
     if not 0 <= index < code.n_codewords:
         raise ValueError(f"codeword index out of range [0, {code.n_codewords})")
-    s = codeword_signs(t)[index]
+    p_s = _finite_scalar(p_s, "p_s")
+    N0 = _finite_scalar(N0, "N0", allow_zero=True)
     q = np.sqrt(allocation.p)
-    r = effective_code_matrix(code, chan.f, q, p_s) @ s
-    if N0 > 0.0:
-        scale = math.sqrt(N0 / 2.0)
-        relay_noise = scale * (rng.standard_normal((m, t)) + 1j * rng.standard_normal((m, t)))
-        w = scale * (rng.standard_normal(t) + 1j * rng.standard_normal(t))
-        r = r + np.einsum("m,mtj,mj->t", q * chan.g, code.matrices, relay_noise) + w
-    return r
+    s = codeword_signs(t)[index]
+    _, r = _transmit_batch(code, (math.sqrt(p_s) * q * chan.f)[None], (q * chan.g)[None], s[None], N0, rng)
+    return r[0]
 
 
 def ml_decode(
@@ -150,14 +156,23 @@ def ml_decode(
     r: np.ndarray,
 ) -> int:
     """Exhaustive ML codeword index; distance ties go to the smallest index."""
+    p_s = _finite_scalar(p_s, "p_s")
+    r = _finite_array(r, "r", np.complex128)
+    if r.shape != (code.T,):
+        raise ValueError(f"r must have shape ({code.T},), got {r.shape}")
     c = effective_code_matrix(code, chan.f, np.sqrt(allocation.p), p_s)
     cands = codeword_signs(code.T) @ c.T
-    d2 = np.sum(np.abs(cands - np.asarray(r)[None, :]) ** 2, axis=1)
+    d2 = np.sum(np.abs(cands - r[None, :]) ** 2, axis=1)
     return int(np.argmin(d2))
 
 
 def _batch_size(t: int) -> int:
-    """Frames per RNG batch; shrinks with 2^T to bound decoder memory."""
+    """Frames per RNG batch; shrinks with 2^T to bound decoder memory.
+
+    The decoder holds 2^T float64 metrics per frame plus its (2T, T+1)
+    float64 statistics buffer, 8 (2^T + 2T(T+1)) B. The metrics of one
+    batch stay at or below 2 MiB for every T up to MAX_BLOCK = 12.
+    """
     return min(4096, max(64, 2**21 // (2**t * t)))
 
 
@@ -242,6 +257,37 @@ class _DecodeTables:
         return cls(signs=signs, popcounts=popcounts, pairs=(iu, ju), basis=basis)
 
 
+def _transmit_batch(
+    code: LdCodebook,
+    gains: np.ndarray,
+    noise_gains: np.ndarray,
+    s: np.ndarray,
+    N0: float,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Effective matrices C (n, T, T) and receives r (n, T) of n frames.
+
+    gains[b, i] = sqrt(p_s) q_i f_i weighs A_i in C, noise_gains[b, i] =
+    q_i g_i weighs relay i's forwarded noise, and s (n, T) holds the sent
+    signs. Each sum over relays is one complex GEMM against the stacked
+    dispersion matrices. N0 = 0 returns r = C s and draws nothing.
+    """
+    n = gains.shape[0]
+    m, t, _ = code.matrices.shape
+    c = (gains @ code.matrices.reshape(m, t * t)).reshape(n, t, t)
+    r = np.matmul(c, s[:, :, None])[:, :, 0]
+    if N0 > 0.0:
+        scale = math.sqrt(N0 / 2.0)
+        relay_noise = scale * (rng.standard_normal((n, m, t)) + 1j * rng.standard_normal((n, m, t)))
+        w = scale * (rng.standard_normal((n, t)) + 1j * rng.standard_normal((n, t)))
+        # sum_i (q_i g_i n_i)^T A_i^T: row b holds the scaled n_i back to back,
+        # block i of the stack is A_i^T
+        relay_noise *= noise_gains[:, :, None]
+        r += relay_noise.reshape(n, m * t) @ code.matrices.transpose(0, 2, 1).reshape(m * t, t)
+        r += w
+    return c, r
+
+
 def _relay_batch_tallies(
     cfg: NetworkConfig,
     scheme: Scheme,
@@ -254,18 +300,9 @@ def _relay_batch_tallies(
     rng: np.random.Generator,
 ) -> tuple[int, int]:
     h, g = sample_channel_batch(cfg, n, rng)
-    p = _allocate_batch(cfg, scheme, h, g, p_s, p_r, stat_alloc)
-    q = np.sqrt(p)
-
+    q = np.sqrt(_allocate_batch(cfg, scheme, h, g, p_s, p_r, stat_alloc))
     k = rng.integers(0, code.n_codewords, size=n)
-    c = math.sqrt(p_s) * np.einsum("bm,mtj->btj", q * h * g, code.matrices)
-    noiseless = np.einsum("btj,bj->bt", c, tables.signs[k])
-
-    scale = math.sqrt(cfg.N0 / 2.0)
-    relay_noise = scale * (rng.standard_normal((n, cfg.M, code.T)) + 1j * rng.standard_normal((n, cfg.M, code.T)))
-    w = scale * (rng.standard_normal((n, code.T)) + 1j * rng.standard_normal((n, code.T)))
-    r = noiseless + np.einsum("bm,mtj,bmj->bt", q * g, code.matrices, relay_noise) + w
-
+    c, r = _transmit_batch(code, math.sqrt(p_s) * q * h * g, q * g, tables.signs[k], cfg.N0, rng)
     k_hat = _ml_decode_batch(c, r, tables)
     return int(np.count_nonzero(k_hat != k)), int(tables.popcounts[k ^ k_hat].sum())
 
@@ -274,15 +311,22 @@ def _ml_decode_batch(c: np.ndarray, r: np.ndarray, tables: _DecodeTables) -> np.
     """Exhaustive ML indices for effective matrices c (n, T, T) and receives r (n, T).
 
     BPSK symbols are real, so ||r - C s||^2 = ||r||^2 + tr Re(C^H C)
-    + 2 sum_{i<j} s_i s_j Re(C^H C)_ij - 2 s . Re(C^H r). Dropping the
-    terms every candidate shares and the factor 2 leaves one real GEMM
-    of [Re(C^H C)_{i<j}, -Re(C^H r)] against tables.basis. Ties go to
-    the smallest index.
+    + 2 sum_{i<j} s_i s_j Re(C^H C)_ij - 2 s . Re(C^H r). Both statistics
+    come from one real batched product: with X = [Re C | Re r ; Im C | Im r]
+    of shape (n, 2T, T+1), X[:, :, :T]^T X = [Re(C^H C) | Re(C^H r)].
+    Dropping the terms every candidate shares and the factor 2 leaves one
+    real GEMM of [Re(C^H C)_{i<j}, -Re(C^H r)] against tables.basis. Ties
+    go to the smallest index.
     """
+    n, t, _ = c.shape
+    x = np.empty((n, 2 * t, t + 1))
+    x[:, :t, :t] = c.real
+    x[:, t:, :t] = c.imag
+    x[:, :t, t] = r.real
+    x[:, t:, t] = r.imag
+    stats = np.matmul(x[:, :, :t].transpose(0, 2, 1), x)
     iu, ju = tables.pairs
-    gram = np.einsum("bti,btj->bij", c.conj(), c).real
-    y = np.einsum("bti,bt->bi", c.conj(), r).real
-    return np.argmin(np.concatenate([gram[:, iu, ju], -y], axis=1) @ tables.basis.T, axis=1)
+    return np.argmin(np.concatenate([stats[:, iu, ju], -stats[:, :, t]], axis=1) @ tables.basis.T, axis=1)
 
 
 def _direct_batch_tallies(

@@ -76,6 +76,14 @@ class TestChannelRealization:
         with pytest.raises(ValueError):
             ChannelRealization(h=np.ones(2), g=np.ones(3))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name,bad", [("h", np.nan), ("g", np.inf), ("g", complex(0.0, np.nan))])
+    def test_nonfinite_gains_rejected(self, name, bad):
+        gains = {"h": np.ones(2, dtype=complex), "g": np.ones(2, dtype=complex)}
+        gains[name][1] = bad
+        with pytest.raises(ValueError, match=f"{name} entries must be finite"):
+            ChannelRealization(**gains)
+
 
 class TestPowerAllocation:
     def test_active_mask(self):
@@ -89,6 +97,10 @@ class TestPowerAllocation:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             PowerAllocation(p=np.array([-0.1]), caps=np.array([1.0]))
+
+    def test_nonfinite_power_rejected(self):
+        with pytest.raises(ValueError, match="p entries must be finite"):
+            PowerAllocation(p=[np.nan, 1.0], caps=[1.0, 1.0])
 
     def test_tiny_roundoff_overshoot_tolerated(self):
         caps = np.array([1.0])

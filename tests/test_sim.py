@@ -1,5 +1,6 @@
 """Monte Carlo chain: physical model, decoding, tallies, sharding."""
 
+import functools
 import math
 
 import numpy as np
@@ -22,9 +23,11 @@ from relaypower.sim import (
     Scheme,
     SimResult,
     _allocate_batch,
+    _batch_size,
     _DecodeTables,
     _ml_decode_batch,
     _relay_batch_tallies,
+    _statistical_allocation,
     effective_code_matrix,
     effective_relay_count,
     ml_decode,
@@ -103,6 +106,61 @@ class TestPhysicalChain:
         with pytest.raises(ValueError, match="match"):
             transmit_frame(code, chan, alloc, 1.0, 1.0, 0, np.random.default_rng(0))
 
+    def _frame(self):
+        code = generate_codebook(3, seed=0)
+        cfg = _cfg(3, 3)
+        chan = sample_channels(cfg, 4)
+        caps = amplifier_caps(cfg, chan.h)
+        p = caps.copy()
+        p[0] = 0.0  # one silent relay
+        return code, cfg, chan, PowerAllocation(p=p, caps=caps)
+
+    def test_one_frame_draws_the_scalar_stream(self):
+        # relay noise (M, T) real then imaginary, then w (T) real then imaginary
+        code, cfg, chan, alloc = self._frame()
+        m, t, k = code.M, code.T, 5
+        rng = np.random.default_rng(11)
+        r = transmit_frame(code, chan, alloc, cfg.p_s, cfg.N0, k, rng)
+        ref = np.random.default_rng(11)
+        scale = math.sqrt(cfg.N0 / 2.0)
+        relay_noise = scale * (ref.standard_normal((m, t)) + 1j * ref.standard_normal((m, t)))
+        w = scale * (ref.standard_normal(t) + 1j * ref.standard_normal(t))
+        q = np.sqrt(alloc.p)
+        expected = (effective_code_matrix(code, chan.f, q, cfg.p_s) @ codeword_signs(t)[k]
+                    + np.einsum("m,mtj,mj->t", q * chan.g, code.matrices, relay_noise) + w)
+        np.testing.assert_allclose(r, expected, rtol=1e-13, atol=1e-13)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_noiseless_frame_draws_nothing(self):
+        code, cfg, chan, alloc = self._frame()
+        rng = np.random.default_rng(2)
+        before = rng.bit_generator.state
+        r = transmit_frame(code, chan, alloc, cfg.p_s, 0.0, 6, rng)
+        assert rng.bit_generator.state == before
+        c = effective_code_matrix(code, chan.f, np.sqrt(alloc.p), cfg.p_s)
+        np.testing.assert_allclose(r, c @ codeword_signs(code.T)[6], rtol=1e-13, atol=1e-13)
+
+    def test_negative_noise_power_rejected(self):
+        code, cfg, chan, alloc = self._frame()
+        with pytest.raises(ValueError, match="N0 must be finite and non-negative"):
+            transmit_frame(code, chan, alloc, cfg.p_s, -1.0, 0, np.random.default_rng(0))
+
+    def test_nonfinite_source_power_rejected(self):
+        code, cfg, chan, alloc = self._frame()
+        with pytest.raises(ValueError, match="p_s must be finite"):
+            transmit_frame(code, chan, alloc, np.nan, cfg.N0, 0, np.random.default_rng(0))
+
+    def test_decode_rejects_nonfinite_source_power(self):
+        code, cfg, chan, alloc = self._frame()
+        with pytest.raises(ValueError, match="p_s must be finite"):
+            ml_decode(code, chan, alloc, np.inf, np.ones(3, dtype=complex))
+
+    def test_nonfinite_receive_rejected(self):
+        code, cfg, chan, alloc = self._frame()
+        r = np.array([1.0, np.nan, 0.5j])
+        with pytest.raises(ValueError, match="r entries must be finite"):
+            ml_decode(code, chan, alloc, cfg.p_s, r)
+
 
 def _direct_distance_tallies(cfg, scheme, code, p_s, p_r, n, rng):
     """_relay_batch_tallies with every candidate's receive built and measured directly."""
@@ -165,21 +223,33 @@ class TestBatchDecoder:
         r = np.array([[1.0, -2.0, 0.5j], [0.0, 0.0, 0.0]])
         np.testing.assert_array_equal(_ml_decode_batch(c, r, tables), [0, 0])
 
-    @pytest.mark.parametrize("m", [2, 4, 8])
+    @pytest.mark.parametrize("m", [2, 4, 8, 12])
     @pytest.mark.parametrize("scheme,mode", [
         (Scheme.ONOFF, "perfect"), (Scheme.MAX_POWER, "perfect"), (Scheme.WATERFILL, "partial"),
+        (Scheme.WATERFILL, "statistical"),
     ])
-    def test_relay_tallies_match_direct_distances(self, m, scheme, mode):
-        cfg = _cfg(m, m, csit_mode=mode, p_s=3.0, p_r=3.0)
+    def test_relay_tallies_match_direct_distances(self, m, scheme, mode, monkeypatch):
+        n = min(200, _batch_size(m))  # T = 12 runs 64-frame batches
+        if mode == "statistical":
+            cfg = _stat_cfg(m, m, p_s=3.0, p_r=3.0, gamma_g=np.linspace(0.5, 2.0, m))
+            stat_alloc = _statistical_allocation(cfg, 3.0, 3.0)
+            # the reference asks for no per-point allocation; hand it the one the run solves
+            allocate = _allocate_batch
+            monkeypatch.setitem(globals(), "_allocate_batch",
+                                lambda *args: allocate(*args[:-1], stat_alloc))
+        else:
+            cfg = _cfg(m, m, csit_mode=mode, p_s=3.0, p_r=3.0)
+            stat_alloc = None
         code = generate_codebook(m, seed=m)
         tables = _DecodeTables.for_block(m)
         for bi in range(3):
-            got = _relay_batch_tallies(cfg, scheme, code, tables, 3.0, 3.0, None, 200,
-                                       derive_rng(9, STREAM_FRAMES, 0, bi))
-            want = _direct_distance_tallies(cfg, scheme, code, 3.0, 3.0, 200,
-                                            derive_rng(9, STREAM_FRAMES, 0, bi))
+            rng_got = derive_rng(9, STREAM_FRAMES, 0, bi)
+            rng_want = derive_rng(9, STREAM_FRAMES, 0, bi)
+            got = _relay_batch_tallies(cfg, scheme, code, tables, 3.0, 3.0, stat_alloc, n, rng_got)
+            want = _direct_distance_tallies(cfg, scheme, code, 3.0, 3.0, n, rng_want)
             assert got == want
             assert got[0] > 0
+            assert rng_got.bit_generator.state == rng_want.bit_generator.state
 
 
 class TestSchemeLabel:
@@ -284,6 +354,28 @@ class TestRunMonteCarlo:
         gbar = 10.0
         theory = 0.5 * (1.0 - math.sqrt(gbar / (1.0 + gbar)))
         assert res.ber[0] == pytest.approx(theory, abs=0.003)
+
+
+@functools.lru_cache(maxsize=None)
+def _unsharded(t, frames, scheme, mode):
+    return run_monte_carlo(_cfg(t, t, csit_mode=mode), scheme, [8.0], frames, seed=11)
+
+
+class TestShardInvariance:
+    # T = 8 runs 3 batches of 1024 frames, so most counts leave shards
+    # empty; T = 12 runs 16 batches of 64 frames
+    @pytest.mark.parametrize("t,frames", [(8, 3000), (12, 1000)])
+    @pytest.mark.parametrize("scheme,mode", [(Scheme.ONOFF, "perfect"), (Scheme.WATERFILL, "partial")])
+    @settings(max_examples=4)
+    @given(counts=st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True))
+    def test_any_shard_count_gives_identical_tallies(self, t, frames, scheme, mode, counts):
+        ref = _unsharded(t, frames, scheme, mode)
+        assert ref.block_errors[0] > 0
+        for shards in counts:
+            res = run_monte_carlo(_cfg(t, t, csit_mode=mode), scheme, [8.0], frames,
+                                  seed=11, shards=shards)
+            np.testing.assert_array_equal(res.block_errors, ref.block_errors)
+            np.testing.assert_array_equal(res.bit_errors, ref.bit_errors)
 
 
 class TestEffectiveRelayCount:

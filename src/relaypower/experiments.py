@@ -20,7 +20,7 @@ import yaml
 
 from .model import ConstraintKind, CsitMode, NetworkConfig, sample_channel_batch
 from .objectives import StatisticalCsitObjective, saddle_point_error
-from .onoff import solve_onoff_batch
+from .onoff import solve_onoff_batch, solve_onoff_masks
 from .rng import STREAM_CHANNELS, STREAM_MISC, derive_rng, derive_seed
 from .sim import Scheme, SimResult, effective_relay_count, run_monte_carlo
 from .waterfill import solve_waterfill, solve_waterfill_batch
@@ -637,13 +637,13 @@ def _run_asymptotic(spec, outputs, seed, shards, frames):
                 csit_mode=CsitMode.PERFECT, constraint_kind=ConstraintKind.SHORT_TERM,
             )
             h, g = sample_channel_batch(cfg, spec.trials, rng)
-            caps = p / (p * np.abs(h) ** 2 + spec.N0)
+            h2 = np.abs(h) ** 2
+            caps = p / (p * h2 + spec.N0)
             g2 = np.abs(g) ** 2
-            alpha = np.abs(h) ** 2 * g2
-            masks, _, _, _ = solve_onoff_batch(alpha, g2, caps)
+            masks = solve_onoff_masks(h2 * g2, g2, caps)
             p_on = np.where(masks, caps, 0.0)
             p_wf = solve_waterfill_batch(gamma_g, caps)
-            count_on = float(np.mean(np.sum(p_on / caps, axis=1)))
+            count_on = float(np.mean(np.count_nonzero(masks, axis=1)))
             count_wf = float(np.mean(np.sum(p_wf / caps, axis=1)))
             equality = float(np.mean(np.all(p_wf == p_on, axis=1)))
             spread = _water_level_spread(p_wf, caps, gamma_g)

@@ -75,10 +75,10 @@ def _positive_vector(x, m: int, name: str) -> np.ndarray:
 
 
 def _positive_batch(x, name: str) -> np.ndarray:
-    """A batch of per-relay values, shape (n, M), finite and > 0; not copied."""
+    """A batch of per-relay values, shape (n, M) with M >= 1, finite and > 0; not copied."""
     v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 2:
-        raise ValueError(f"{name} must have shape (n, M), got {v.shape}")
+    if v.ndim != 2 or v.shape[1] == 0:
+        raise ValueError(f"{name} must have shape (n, M) with M >= 1, got {v.shape}")
     if not np.all(np.isfinite(v)) or np.any(v <= 0.0):
         raise ValueError(f"{name} entries must be finite and strictly positive")
     return v

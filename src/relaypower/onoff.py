@@ -7,6 +7,17 @@ face selected by the current gradient sign and repeats until the sign
 pattern reproduces itself, which certifies vertex stationarity. A relay
 whose gradient component is exactly zero is turned off; either choice
 leaves f0 unchanged, and silence saves relay power.
+
+The gradient sign of relay i is the sign of alpha_i (1 + B) - beta_i A,
+that is of |h_i|^2 - f0 with |h_i|^2 = alpha_i / beta_i, so each update
+switches on exactly {i : |h_i|^2 > f0(current set)}. That is Dinkelbach's
+method for the fractional program max A / (1 + B) (Management Science
+1967): in exact arithmetic f0 rises strictly at every update, and the only
+fixed point is S* = {i : |h_i|^2 > max f0}, the optimal vertex with the
+fewest relays. S* is a threshold set on |h|^2, so one sort finds it:
+solve_onoff_masks scores the M + 1 threshold sets and certifies its pick
+(see there), and solve_onoff_batch keeps the iteration for callers that
+read its trajectory.
 """
 
 from __future__ import annotations
@@ -21,6 +32,10 @@ from .objectives import PerfectCsitObjective, f0_gradient, f0_value
 MAX_ITERATIONS = 100
 # Exhaustive enumeration beyond this many relays is off the table.
 MAX_ORACLE_RELAYS = 20
+# solve_onoff_masks hands a row to the iteration when some |h_i|^2 lies
+# within this relative distance of the row's f0: over 5e4 times the
+# update's rounding band at M = 40
+CERTIFICATE_MARGIN = 1e-9
 
 
 @dataclass
@@ -227,6 +242,114 @@ def solve_onoff_batch(
             if hist is not None:
                 hist[i, :] = f0_value(obj, alloc.p)
     return masks, iterations, fallback, hist
+
+
+def solve_onoff_masks(alpha: np.ndarray, beta: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """On-patterns of solve_onoff_batch from one sort per row, no iteration.
+
+    Args:
+        alpha, beta: arrays of shape (n, M), finite and non-negative.
+        caps: array of shape (n, M), finite and strictly positive.
+
+    Returns:
+        (n, M) boolean masks, equal bit for bit to solve_onoff_batch(alpha,
+        beta, caps)[0].
+
+    Raises:
+        ValueError: for mismatched shapes or an entry out of range, and
+        wherever solve_onoff_batch raises on the rows handed to it.
+
+    Each row sorts its relays by |h_i|^2 = alpha_i / beta_i, takes prefix
+    sums of alpha P and beta P in that order, and picks S, the first
+    argmax of f0 = A / (1 + B) over the M + 1 threshold sets (the empty
+    set first). In exact arithmetic that is the iteration's unique fixed
+    point S*. With f = f0(S) from the prefix sums, a row is kept only if:
+
+    - cut: S is exactly the relays whose key is at least that of its
+      weakest relay (no relay left out has the same key);
+    - fixed point: the update alpha_i (1 + B) - beta_i A > 0, from the
+      prefix sums of S, reproduces S;
+    - margin: no relay has |alpha_i - beta_i f| < CERTIFICATE_MARGIN beta_i f,
+      that is no |h_i|^2 within 1e-9 relative of f;
+    - weight: 2 (M + 2) eps (1 + B_all) <= CERTIFICATE_MARGIN / 2 (1 + B),
+      with B_all the sum of beta P over every relay.
+
+    Why these suffice, barring overflow and underflow: every sum has
+    non-negative terms, so in any order it is within M eps relative of
+    the exact one, and the update's sign is the exact sign of |h_i|^2 -
+    f0 for every relay outside a band of relative width delta =
+    2 (M + 2) eps around f0 (about 1.5e-14 at M = 32). The margin is more
+    than 5e4 times wider up to M = 40, so the fixed-point and margin tests
+    prove that S is the exact fixed point, hence S = S*, and the iteration
+    stops at S if it gets there. Another float fixed point S' would have
+    to contain S* and some relay j within delta of f0(S') but below
+    (1 - 1e-9) f; f0(S') is a weighted mean of f, with weight 1 + B, and
+    of the added keys, so it comes that close to key j only if the added
+    beta P exceeds about (1e-9 / delta) (1 + B), which the weight test
+    rules out. (A relay that heavy, just below the threshold, does make
+    the iteration stop at S* plus that relay.) So S* is the iteration's
+    only stopping point, and it returns S* unless it cycles first, which
+    needs near-ties along its path; that last step is not proven, and no
+    certified row has been seen to do it. Rows that fail a test are solved
+    again by the unchanged solve_onoff_batch, which treats each row
+    independently of the others; in the asym_m32 workload at seeds 0-3
+    that is none of 350 000 rows. Bit identity is tested for M = 1..40 on
+    random rows, exact ties in |h|^2, keys set to f0(S*) and its 1-ulp
+    neighbours, cuts between equal keys, heavy and near-weightless relays
+    next to the threshold, zero gains, and alpha scaled by 1e-150..1e150
+    with beta by 1e-150..1e12. Memory is O(n M).
+    """
+    caps = _positive_batch(caps, "caps")
+    alpha, beta = _check_gains(alpha, beta, caps)
+    n, m = caps.shape
+    # keys 1 / |h|^2; alpha = 0 gives inf (beta > 0) or nan (beta = 0),
+    # sorted last, after every relay that can raise f0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        keys = beta / alpha
+    rows = np.arange(0, n * m, m)
+    order = np.argsort(keys, axis=1)
+    order += rows[:, None]  # flat indices
+    # column k - 1 holds A and 1 + B of the k strongest relays
+    a = np.take(alpha * caps, order)
+    b = np.take(beta * caps, order)
+    np.cumsum(a, axis=1, out=a)
+    np.cumsum(b, axis=1, out=b)
+    b += 1.0
+    j = np.argmax(a / b, axis=1)
+    pick = rows + j
+    a_set = np.take(a, pick)
+    b_set = np.take(b, pick)
+    b_all = b[:, -1].copy()
+    del a, b, pick
+    # the empty set, f0 = 0, comes first and wins ties
+    k = np.where(a_set > 0.0, j + 1, 0)
+    a_set[k == 0] = 0.0
+    b_set[k == 0] = 1.0
+    # rows to hand to the iteration: the weight test first
+    redo = 2 * (m + 2) * np.finfo(np.float64).eps * b_all > 0.5 * CERTIFICATE_MARGIN * b_set
+    # the cut test: S is every key up to that of its weakest relay, unless
+    # the strongest relay left out has the same key
+    weakest = np.take(keys, np.take(order, rows + np.maximum(k - 1, 0)))
+    next_out = np.take(keys, np.take(order, rows + np.minimum(k, m - 1)))
+    redo |= (next_out == weakest) & (k > 0) & (k < m)
+    masks = keys <= np.where(k > 0, weakest, -np.inf)[:, None]
+    del keys, order
+
+    # fixed-point and margin tests, relay by relay
+    grad = alpha * b_set[:, None]
+    tmp = beta * a_set[:, None]
+    grad -= tmp
+    bad = (grad > 0.0) != masks
+    np.multiply(beta, (a_set / b_set)[:, None], out=tmp)  # beta_i f
+    np.subtract(alpha, tmp, out=grad)
+    np.abs(grad, out=grad)
+    tmp *= CERTIFICATE_MARGIN
+    bad |= grad < tmp
+    redo[np.nonzero(bad.ravel())[0] // m] = True
+    back = np.nonzero(redo)[0]
+    if back.size:
+        masks[back] = solve_onoff_batch(alpha[back], beta[back], caps[back])[0]
+    return masks
 
 
 def vertex_enumeration_oracle(obj: PerfectCsitObjective, caps) -> PowerAllocation:

@@ -39,7 +39,7 @@ from .model import (
     sample_channel_batch,
 )
 from .objectives import StatisticalCsitObjective
-from .onoff import solve_onoff_batch
+from .onoff import solve_onoff_masks
 from .rng import STREAM_CHANNELS, STREAM_FRAMES, derive_rng
 from .waterfill import solve_waterfill, solve_waterfill_batch
 
@@ -224,8 +224,7 @@ def _allocate_batch(
     if scheme is Scheme.ONOFF:
         g2 = np.abs(g) ** 2
         alpha = np.abs(h) ** 2 * g2
-        masks, _, _, _ = solve_onoff_batch(alpha, g2, caps)
-        return np.where(masks, caps, 0.0)
+        return np.where(solve_onoff_masks(alpha, g2, caps), caps, 0.0)
     return solve_waterfill_batch(cfg.gamma_g, caps)
 
 

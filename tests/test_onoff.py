@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from relaypower import onoff
 from relaypower.model import PowerAllocation
 from relaypower.objectives import PerfectCsitObjective, f0_gradient, f0_value
 from relaypower.onoff import (
@@ -11,6 +14,7 @@ from relaypower.onoff import (
     onoff_m2_closed_form,
     solve_onoff,
     solve_onoff_batch,
+    solve_onoff_masks,
     verify_stationarity,
     vertex_enumeration_oracle,
 )
@@ -179,12 +183,277 @@ class TestBatchSolver:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             solve_onoff_batch(args["alpha"], args["beta"], np.ones((2, 3)))
 
+    def test_rejects_batches_of_no_relays(self):
+        with pytest.raises(ValueError, match=r"caps must have shape \(n, M\) with M >= 1"):
+            solve_onoff_batch(np.ones((3, 0)), np.ones((3, 0)), np.ones((3, 0)))
+
     def test_accepts_zero_gains(self):
         # a relay with no channel is a valid instance: it is switched off
         alpha = np.array([[0.0, 2.0]])
         masks, _, fallback, _ = solve_onoff_batch(alpha, np.array([[0.0, 1.0]]), np.ones((1, 2)))
         np.testing.assert_array_equal(masks, [[False, True]])
         assert not fallback.any()
+
+
+def _physical_rows(rng, n, m):
+    """alpha = |h|^2 |g|^2, beta = |g|^2 and short-term caps at a random SNR."""
+    h2 = rng.exponential(1.0, (n, m))
+    g2 = rng.exponential(1.0, (n, m))
+    p = 10.0 ** rng.uniform(-1.0, 2.0)
+    return h2 * g2, g2, p / (p * h2 + 1.0)
+
+
+def _f0_of(alpha, beta, caps, masks):
+    a = np.sum(np.where(masks, alpha * caps, 0.0), axis=1)
+    b = np.sum(np.where(masks, beta * caps, 0.0), axis=1)
+    return a / (1.0 + b)
+
+
+def _tied_key_rows(rng, n, m):
+    """Few distinct |h|^2 and |g|^2, powers of two, so keys tie exactly."""
+    h2 = 0.5 * rng.integers(1, 4, (n, m))
+    g2 = 2.0 ** rng.integers(-1, 2, (n, m))
+    caps = 10.0 / (10.0 * h2 + 1.0) if rng.random() < 0.5 else rng.uniform(0.5, 2.0, (n, m))
+    return h2 * g2, g2, caps
+
+
+def _near_threshold_rows(rng, n, m):
+    """One key per row moved onto the row's optimal f0, or 1 ulp either side.
+
+    An off relay gets |h|^2 = f0(S*). Or the weakest relay j of S* gets
+    f0(S* less j), which ties the two sets, when no off relay lies between.
+    Either way the iteration's update for j is a rounding-level decision.
+    """
+    alpha, beta, caps = _physical_rows(rng, n, m)
+    masks = solve_onoff_batch(alpha, beta, caps)[0]
+    f = _f0_of(alpha, beta, caps, masks)
+    keys = alpha / beta
+    for r in range(n):
+        off, on = np.nonzero(~masks[r])[0], np.nonzero(masks[r])[0]
+        j, target = None, f[r]
+        if on.size >= 2 and rng.random() < 0.5:
+            weakest = on[np.argmin(keys[r, on])]
+            rest = masks[r : r + 1].copy()
+            rest[0, weakest] = False
+            rest_f0 = _f0_of(alpha[r : r + 1], beta[r : r + 1], caps[r : r + 1], rest)[0]
+            if not off.size or keys[r, off].max() < rest_f0:
+                j, target = weakest, rest_f0
+        if j is None and off.size:
+            j = rng.choice(off)
+        if j is None:
+            continue
+        alpha[r, j] = beta[r, j] * target
+        for _ in range(abs(int(rng.integers(-1, 2)))):
+            alpha[r, j] = np.nextafter(alpha[r, j], np.inf if rng.random() < 0.5 else 0.0)
+    return alpha, beta, caps
+
+
+def _weighted_rows(rng, n, m, heavy):
+    """One off relay per row reweighted next to the threshold.
+
+    heavy: beta P grows by 1e8..1e16 and |h|^2 sits 1e-12..1e-3 relative
+    below f0(S*); the relay's own weight can then make S* plus it a float
+    fixed point of the iteration. Otherwise beta P shrinks by 1e-40..1e-12
+    and |h|^2 sits 1e-8..1e-3 above f0(S*): the relay belongs to S*, but
+    adding it moves f0 by less than rounding.
+    """
+    alpha, beta, caps = _physical_rows(rng, n, m)
+    masks = solve_onoff_batch(alpha, beta, caps)[0]
+    f = _f0_of(alpha, beta, caps, masks)
+    for r in range(n):
+        off = np.nonzero(~masks[r])[0]
+        if not off.size:
+            continue
+        j = rng.choice(off)
+        if heavy:
+            beta[r, j] *= 10.0 ** rng.uniform(8.0, 16.0)
+            alpha[r, j] = beta[r, j] * f[r] * (1.0 - 10.0 ** rng.uniform(-12.0, -3.0))
+        else:
+            beta[r, j] *= 10.0 ** rng.uniform(-40.0, -12.0)
+            alpha[r, j] = beta[r, j] * f[r] * (1.0 + 10.0 ** rng.uniform(-8.0, -3.0))
+    return alpha, beta, caps
+
+
+def _split_tie_rows(rng, n, m):
+    """An off relay takes the exact key of the weakest relay of S*.
+
+    Its gains are that relay's times 2^-60, so it barely moves f0 and a
+    first argmax over the sorted relays can stop between the two.
+    """
+    alpha, beta, caps = _physical_rows(rng, n, m)
+    masks = solve_onoff_batch(alpha, beta, caps)[0]
+    for r in range(n):
+        off, on = np.nonzero(~masks[r])[0], np.nonzero(masks[r])[0]
+        if off.size and on.size:
+            weakest = on[np.argmin(alpha[r, on] / beta[r, on])]
+            j = rng.choice(off)
+            alpha[r, j] = 2.0**-60 * alpha[r, weakest]
+            beta[r, j] = 2.0**-60 * beta[r, weakest]
+    return alpha, beta, caps
+
+
+@st.composite
+def _onoff_batches(draw):
+    """Batches of (alpha, beta, caps) with M = 1..40, one per row structure."""
+    m = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = [_physical_rows(rng, 12, m), _tied_key_rows(rng, 6, m)]
+    if m >= 2:
+        parts += [_near_threshold_rows(rng, 8, m), _weighted_rows(rng, 4, m, heavy=True),
+                  _weighted_rows(rng, 4, m, heavy=False), _split_tie_rows(rng, 4, m)]
+    scaled = draw(st.booleans())
+    for alpha, beta, _ in parts:
+        # zero gains: alpha = beta = 0, alpha = 0 < beta and beta = 0 < alpha
+        for zeroed in ((alpha, beta), (alpha,), (beta,)):
+            hit = rng.random(alpha.shape) < 0.05
+            for x in zeroed:
+                x[hit] = 0.0
+        if scaled:
+            # row scales of 1e+-150 on alpha; beta stays below 1e12 so that
+            # 1 + B keeps its 1 (past ~1e16 the iteration itself cycles, see
+            # test_follows_the_iteration_where_it_cycles)
+            alpha *= 10.0 ** rng.uniform(-150.0, 150.0, (alpha.shape[0], 1))
+            beta *= 10.0 ** rng.uniform(-150.0, 12.0, (beta.shape[0], 1))
+    return parts
+
+
+@st.composite
+def _generic_batches(draw):
+    """Continuous random instances with no constructed ties, M = 1..12."""
+    m = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gamma_h = rng.uniform(0.1, 10.0, m)
+    gamma_g = rng.uniform(0.1, 10.0, m)
+    h2 = gamma_h * rng.exponential(1.0, (8, m))
+    g2 = gamma_g * rng.exponential(1.0, (8, m))
+    p = 10.0 ** draw(st.floats(-2.0, 4.0))
+    return h2 * g2, g2, p / (p * h2 + 1.0)
+
+
+@pytest.fixture
+def iteration_calls(monkeypatch):
+    """Records the alpha rows of every solve_onoff_batch call the kernel makes."""
+    calls = []
+    iterate = onoff.solve_onoff_batch
+
+    def spy(alpha, beta, caps, *args, **kwargs):
+        calls.append(np.array(alpha))
+        return iterate(alpha, beta, caps, *args, **kwargs)
+
+    monkeypatch.setattr(onoff, "solve_onoff_batch", spy)
+    return calls
+
+
+class TestMaskKernel:
+    @settings(max_examples=150)
+    @given(parts=_onoff_batches())
+    def test_bit_identical_to_iteration(self, parts):
+        for alpha, beta, caps in parts:
+            try:
+                expected = solve_onoff_batch(alpha, beta, caps)[0]
+            except ValueError:
+                # the iteration cycled on a near-tie and its enumeration
+                # fallback refuses M > 20; the kernel must fail alike
+                with pytest.raises(ValueError, match="M <= 20"):
+                    solve_onoff_masks(alpha, beta, caps)
+                continue
+            np.testing.assert_array_equal(solve_onoff_masks(alpha, beta, caps), expected)
+
+    @settings(max_examples=150)
+    @given(_generic_batches())
+    def test_matches_vertex_oracle(self, batch):
+        alpha, beta, caps = batch
+        masks = solve_onoff_masks(alpha, beta, caps)
+        for i in range(alpha.shape[0]):
+            obj = PerfectCsitObjective(alpha=alpha[i], beta=beta[i], eta=1.0)
+            np.testing.assert_array_equal(masks[i], vertex_enumeration_oracle(obj, caps[i]).p > 0.0)
+            if alpha.shape[1] == 2:
+                np.testing.assert_array_equal(masks[i], onoff_m2_closed_form(obj, caps[i]).p > 0.0)
+
+    def test_near_ties_go_through_the_iteration(self, iteration_calls):
+        rng = np.random.default_rng(63)
+        m = 12
+        clean = _physical_rows(rng, 300, m)
+        near = _near_threshold_rows(rng, 40, m)
+        heavy = _weighted_rows(rng, 40, m, heavy=True)
+        light = _weighted_rows(rng, 40, m, heavy=False)
+        split = _split_tie_rows(rng, 40, m)
+        alpha, beta, caps = (np.vstack(x) for x in zip(clean, near, heavy, light, split))
+        masks = solve_onoff_masks(alpha, beta, caps)
+        assert len(iteration_calls) == 1
+        solved = {row.tobytes() for row in iteration_calls[0]}
+        np.testing.assert_array_equal(masks, solve_onoff_batch(alpha, beta, caps)[0])
+        assert not any(row.tobytes() in solved for row in clean[0])
+        # every moved key lies within rounding of f0, so the margin test flags it
+        assert all(row.tobytes() in solved for row in near[0])
+        # the weight test flags every heavy row that has an off relay to move
+        moved = np.any(heavy[1] > 1e6, axis=1)
+        assert moved.sum() > 30
+        assert all(row.tobytes() in solved for row in heavy[0][moved])
+        # the fixed-point test flags the rows whose light relay the argmax left out
+        assert any(row.tobytes() in solved for row in light[0])
+        # and a cut between two equal keys sends the row back too
+        assert any(row.tobytes() in solved for row in split[0])
+
+    def test_clean_rows_skip_the_iteration(self, iteration_calls):
+        rng = np.random.default_rng(64)
+        for m in (1, 2, 8, 32):
+            masks = solve_onoff_masks(*_physical_rows(rng, 2000, m))
+            assert masks.shape == (2000, m)
+        assert iteration_calls == []
+
+    @pytest.mark.parametrize("m", [4, 12, 24])
+    @pytest.mark.parametrize("regime", ["tie", "noise_free"])
+    def test_follows_the_iteration_where_it_cycles(self, m, regime):
+        # tie: keys on f0 of S* or of S* less one relay make the update a
+        # rounding-level decision; noise_free: with beta P ~ 1e144, 1 + B
+        # rounds to B and the best relay alone ties with itself. The
+        # iteration then cycles into its enumeration fallback, which refuses
+        # M > 20; the kernel hands these rows to it and answers, or fails,
+        # as it does
+        rng = np.random.default_rng(65)
+        if regime == "tie":
+            alpha, beta, caps = _near_threshold_rows(rng, 200, m)
+        else:
+            alpha, beta, caps = _physical_rows(rng, 50, m)
+            beta *= 1e144
+        if m <= onoff.MAX_ORACLE_RELAYS:
+            masks, _, fallback, _ = solve_onoff_batch(alpha, beta, caps)
+            assert fallback.any()
+            np.testing.assert_array_equal(solve_onoff_masks(alpha, beta, caps), masks)
+        else:
+            for solve in (solve_onoff_batch, solve_onoff_masks):
+                with pytest.raises(ValueError, match="M <= 20"):
+                    solve(alpha, beta, caps)
+
+    def test_zero_gains(self):
+        alpha = np.array([[0.0, 2.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0]])
+        beta = np.array([[0.0, 1.0, 3.0, 0.0], [0.0, 1.0, 0.0, 2.0]])
+        masks = solve_onoff_masks(alpha, beta, np.ones((2, 4)))
+        np.testing.assert_array_equal(masks, [[False, True, False, True], [False] * 4])
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_empty_batch(self, m):
+        empty = np.ones((0, m))
+        for masks in (solve_onoff_masks(empty, empty, empty),
+                      solve_onoff_batch(empty, empty, empty)[0]):
+            assert masks.shape == (0, m) and masks.dtype == bool
+
+    def test_rejects_batches_of_no_relays(self):
+        with pytest.raises(ValueError, match=r"caps must have shape \(n, M\) with M >= 1"):
+            solve_onoff_masks(np.ones((3, 0)), np.ones((3, 0)), np.ones((3, 0)))
+
+    def test_rejects_caps_of_another_shape(self):
+        with pytest.raises(ValueError, match="caps must have shape"):
+            solve_onoff_masks(np.ones((2, 3)), np.ones((2, 3)), np.ones(3))
+
+    @pytest.mark.parametrize("name", ["alpha", "beta"])
+    @pytest.mark.parametrize("bad", [-1e-300, np.nan, np.inf])
+    def test_rejects_negative_or_non_finite_gains(self, name, bad):
+        args = {"alpha": np.ones((2, 3)), "beta": np.ones((2, 3))}
+        args[name][0, 1] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            solve_onoff_masks(args["alpha"], args["beta"], np.ones((2, 3)))
 
 
 class TestVertexOracle:

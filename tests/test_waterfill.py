@@ -416,6 +416,13 @@ class TestBatchSolver:
             with pytest.raises(ValueError, match="caps entries must be finite"):
                 solve_waterfill_batch(np.ones(3), [[1.0, bad, 2.0]])
 
+    def test_rejects_batches_of_no_relays(self):
+        with pytest.raises(ValueError, match=r"caps must have shape \(n, M\) with M >= 1"):
+            solve_waterfill_batch(np.ones(0), np.ones((3, 0)))
+
+    def test_empty_batch(self):
+        assert solve_waterfill_batch(np.ones(3), np.ones((0, 3))).shape == (0, 3)
+
     def test_rejects_caps_that_are_not_a_batch(self):
         with pytest.raises(ValueError, match="caps must have shape"):
             solve_waterfill_batch(np.ones(3), np.ones(3))

@@ -19,11 +19,18 @@ import numpy as np
 import yaml
 
 from .model import ConstraintKind, CsitMode, NetworkConfig, sample_channel_batch
-from .objectives import StatisticalCsitObjective, saddle_point_error
-from .onoff import solve_onoff_batch, solve_onoff_masks
+from .objectives import saddle_point_error
+from .onoff import solve_onoff_batch
 from .rng import STREAM_CHANNELS, STREAM_MISC, derive_rng, derive_seed
-from .sim import Scheme, SimResult, effective_relay_count, run_monte_carlo
-from .waterfill import solve_waterfill, solve_waterfill_batch
+from .sim import (
+    Scheme,
+    SimResult,
+    _allocate_batch,
+    _batch_caps,
+    _statistical_allocation,
+    effective_relay_count,
+    run_monte_carlo,
+)
 
 
 class ExperimentKind(enum.Enum):
@@ -494,19 +501,23 @@ def _run_convergence(spec, outputs, seed, shards, frames):
     rows = []
     for mi, m in enumerate(spec.m_grid):
         gamma_h, gamma_g = spec.gammas_for(m)
-        rng = derive_rng(seed, STREAM_CHANNELS, mi)
-        scale_h = np.sqrt(gamma_h / 2.0)
-        scale_g = np.sqrt(gamma_g / 2.0)
-        h = scale_h * (rng.standard_normal((spec.trials, m)) + 1j * rng.standard_normal((spec.trials, m)))
-        g = scale_g * (rng.standard_normal((spec.trials, m)) + 1j * rng.standard_normal((spec.trials, m)))
-        caps = spec.p_r / (spec.p_s * np.abs(h) ** 2 + spec.N0)
+        cfg, _ = _scheme_config(spec, "onoff", m, m, gamma_h, gamma_g, spec.p_s, spec.p_r)
+        h, g = sample_channel_batch(cfg, spec.trials, derive_rng(seed, STREAM_CHANNELS, mi))
+        h2 = np.abs(h) ** 2
+        caps = _batch_caps(cfg, h2, spec.p_s, spec.p_r)
         g2 = np.abs(g) ** 2
-        alpha = np.abs(h) ** 2 * g2
-        masks, _, _, hist = solve_onoff_batch(alpha, g2, caps, history=spec.iterations + 1)
-        a_sum = np.sum(np.where(masks, alpha * caps, 0.0), axis=1)
-        b_sum = np.sum(np.where(masks, g2 * caps, 0.0), axis=1)
-        optimum = a_sum / (1.0 + b_sum)
-        means = np.mean(hist / optimum[:, None], axis=0)
+        alpha = h2 * g2
+        masks, _, fallback, iterates = solve_onoff_batch(alpha, g2, caps, history=spec.iterations + 1)
+        # a row the enumeration oracle settled scores its optimum at every iterate
+        iterates[fallback] = masks[fallback, None]
+        ac, bc = alpha * caps, g2 * caps
+        # f0 at each iterate, one (n, M) pattern at a time, then at the optimum
+        f0 = np.stack(
+            [np.sum(np.where(on, ac, 0.0), axis=1) / (1.0 + np.sum(np.where(on, bc, 0.0), axis=1))
+             for on in [*iterates.swapaxes(0, 1), masks]],
+            axis=1,
+        )
+        means = np.mean(f0[:, :-1] / f0[:, -1:], axis=0)
         for k in range(spec.iterations + 1):
             rows.append(f"{m},{k},{_fmt(means[k])}")
     return [outputs.write(f"{spec.name}.csv", header, rows)]
@@ -522,50 +533,53 @@ def _run_bler_vs_snr(spec, outputs, seed, shards, frames):
     return paths
 
 
-_SIM_POINT_HEADER = "scheme,M,r,frames,block_errors,bit_errors,bler,ber,stderr_bler"
-
-
 def _run_ber_vs_distance(spec, outputs, seed, shards, frames):
+    def cells(mi, m):
+        for ri, r in enumerate(spec.r_grid):
+            gammas = np.full(m, 1.0 / r**2), np.full(m, 1.0 / (1.0 - r) ** 2)
+            yield *gammas, [spec.network_power_db], [r], derive_seed(seed, STREAM_MISC, mi, ri)
+
+    return _run_link_sweep(spec, outputs, shards, frames, "r", cells)
+
+
+def _run_ber_vs_network_power(spec, outputs, seed, shards, frames):
+    def cells(mi, m):
+        yield *spec.gammas_for(m), spec.snr_db, spec.snr_db, derive_seed(seed, STREAM_MISC, mi)
+
+    return _run_link_sweep(spec, outputs, shards, frames, "snr_db", cells)
+
+
+def _run_link_sweep(spec, outputs, shards, frames, x_name, cells):
+    """One BER CSV per scheme over the M grid at network-power operating points.
+
+    cells(mi, m) yields (gamma_h, gamma_g, snr grid, x values, seed) for
+    each run_monte_carlo call at relay count m; x fills the column x_name.
+    The direct link has no relays: it runs the cells of the first M only,
+    which sets its block length, and its M column reads 0.
+    """
+    header = f"scheme,M,{x_name},frames,block_errors,bit_errors,bler,ber,stderr_bler"
     paths = []
     for token in spec.schemes:
+        direct = token == "direct"
         rows = []
-        if token == "direct":
-            # no relays: r and M do not enter, but keep the grid for overlay plots
-            m = spec.m_grid[0]
-            for ri, r in enumerate(spec.r_grid):
-                cfg, scheme = _scheme_config(
-                    spec, token, m, m, np.ones(m), np.ones(m), 1.0, 1.0
-                )
-                cell_seed = derive_seed(seed, STREAM_MISC, 0, ri)
+        for mi, m in enumerate(spec.m_grid[:1] if direct else spec.m_grid):
+            for gamma_h, gamma_g, grid, x, cell_seed in cells(mi, m):
+                cfg, scheme = _scheme_config(spec, token, m, m, gamma_h, gamma_g, 1.0, 1.0)
                 res = run_monte_carlo(
-                    cfg, scheme, [spec.network_power_db], frames, cell_seed,
-                    network_power_sweep=True, shards=shards,
+                    cfg, scheme, grid, frames, cell_seed, network_power_sweep=True, shards=shards
                 )
-                rows.append(_sim_point_row(res, token, 0, r))
-        else:
-            for mi, m in enumerate(spec.m_grid):
-                for ri, r in enumerate(spec.r_grid):
-                    gamma_h = np.full(m, 1.0 / r**2)
-                    gamma_g = np.full(m, 1.0 / (1.0 - r) ** 2)
-                    cfg, scheme = _scheme_config(spec, token, m, m, gamma_h, gamma_g, 1.0, 1.0)
-                    cell_seed = derive_seed(seed, STREAM_MISC, mi, ri)
-                    res = run_monte_carlo(
-                        cfg, scheme, [spec.network_power_db], frames, cell_seed,
-                        network_power_sweep=True, shards=shards,
-                    )
-                    rows.append(_sim_point_row(res, token, m, r))
-        paths.append(outputs.write(f"{spec.name}_{token}.csv", _SIM_POINT_HEADER, rows))
+                rows.extend(
+                    f"{token},{0 if direct else m},{_fmt(x[i])},{int(res.frames[i])},"
+                    f"{int(res.block_errors[i])},{int(res.bit_errors[i])},{_fmt(res.bler[i])},"
+                    f"{_fmt(res.ber[i])},{_fmt(res.stderr_bler[i])}"
+                    for i in range(len(x))
+                )
+        paths.append(outputs.write(f"{spec.name}_{token}.csv", header, rows))
     return paths
 
 
-def _sim_point_row(res: SimResult, token: str, m: int, r: float) -> str:
-    return (
-        f"{token},{m},{_fmt(r)},{int(res.frames[0])},{int(res.block_errors[0])},"
-        f"{int(res.bit_errors[0])},{_fmt(res.bler[0])},{_fmt(res.ber[0])},{_fmt(res.stderr_bler[0])}"
-    )
-
-
 def _run_power_ratio(spec, outputs, seed, shards, frames):
+    header = "scheme,M,r,trials,effective_relay_count"
     paths = []
     linear = spec.N0 * 10.0 ** (spec.network_power_db / 10.0)
     for token in spec.schemes:
@@ -578,45 +592,8 @@ def _run_power_ratio(spec, outputs, seed, shards, frames):
             )
             for r, count in zip(spec.r_grid, counts):
                 rows.append(f"{token},{m},{_fmt(r)},{spec.trials},{_fmt(count)}")
-        paths.append(
-            outputs.write(
-                f"{spec.name}_{token}.csv", "scheme,M,r,trials,effective_relay_count", rows
-            )
-        )
-    return paths
-
-
-def _run_ber_vs_network_power(spec, outputs, seed, shards, frames):
-    header = "scheme,M,snr_db,frames,block_errors,bit_errors,bler,ber,stderr_bler"
-    paths = []
-    for token in spec.schemes:
-        rows = []
-        if token == "direct":
-            m = spec.m_grid[0]
-            cfg, scheme = _scheme_config(spec, token, m, m, np.ones(m), np.ones(m), 1.0, 1.0)
-            res = run_monte_carlo(
-                cfg, scheme, spec.snr_db, frames, derive_seed(seed, STREAM_MISC, 0),
-                network_power_sweep=True, shards=shards,
-            )
-            rows.extend(_network_power_row(res, token, 0, i) for i in range(len(spec.snr_db)))
-        else:
-            for mi, m in enumerate(spec.m_grid):
-                gamma_h, gamma_g = spec.gammas_for(m)
-                cfg, scheme = _scheme_config(spec, token, m, m, gamma_h, gamma_g, 1.0, 1.0)
-                res = run_monte_carlo(
-                    cfg, scheme, spec.snr_db, frames, derive_seed(seed, STREAM_MISC, mi),
-                    network_power_sweep=True, shards=shards,
-                )
-                rows.extend(_network_power_row(res, token, m, i) for i in range(len(spec.snr_db)))
         paths.append(outputs.write(f"{spec.name}_{token}.csv", header, rows))
     return paths
-
-
-def _network_power_row(res: SimResult, token: str, m: int, i: int) -> str:
-    return (
-        f"{token},{m},{_fmt(res.snr_db[i])},{int(res.frames[i])},{int(res.block_errors[i])},"
-        f"{int(res.bit_errors[i])},{_fmt(res.bler[i])},{_fmt(res.ber[i])},{_fmt(res.stderr_bler[i])}"
-    )
 
 
 def _run_asymptotic(spec, outputs, seed, shards, frames):
@@ -631,25 +608,17 @@ def _run_asymptotic(spec, outputs, seed, shards, frames):
         for ri, r in enumerate(spec.r_grid):
             gamma_h = np.full(m, 1.0 / r**2)
             gamma_g = np.full(m, 1.0 / (1.0 - r) ** 2)
-            rng = derive_rng(seed, STREAM_CHANNELS, mi, ri)
-            cfg = NetworkConfig(
-                M=m, T=m, p_s=p, p_r=p, N0=spec.N0, gamma_h=gamma_h, gamma_g=gamma_g,
-                csit_mode=CsitMode.PERFECT, constraint_kind=ConstraintKind.SHORT_TERM,
-            )
-            h, g = sample_channel_batch(cfg, spec.trials, rng)
+            cfg, _ = _scheme_config(spec, "onoff", m, m, gamma_h, gamma_g, p, p)
+            h, g = sample_channel_batch(cfg, spec.trials, derive_rng(seed, STREAM_CHANNELS, mi, ri))
             h2 = np.abs(h) ** 2
-            caps = p / (p * h2 + spec.N0)
-            g2 = np.abs(g) ** 2
-            masks = solve_onoff_masks(h2 * g2, g2, caps)
-            p_on = np.where(masks, caps, 0.0)
-            p_wf = solve_waterfill_batch(gamma_g, caps)
-            count_on = float(np.mean(np.count_nonzero(masks, axis=1)))
+            caps = _batch_caps(cfg, h2, p, p)
+            p_on = _allocate_batch(cfg, Scheme.ONOFF, h2, g, caps, None)
+            p_wf = _allocate_batch(cfg, Scheme.WATERFILL, h2, g, caps, None)
+            count_on = float(np.mean(np.count_nonzero(p_on, axis=1)))
             count_wf = float(np.mean(np.sum(p_wf / caps, axis=1)))
             equality = float(np.mean(np.all(p_wf == p_on, axis=1)))
             spread = _water_level_spread(p_wf, caps, gamma_g)
-            caps_lt = p / (p * gamma_h + spec.N0)
-            obj = StatisticalCsitObjective.from_variances(gamma_h, gamma_g, 1.0)
-            p_st = solve_waterfill(obj, caps_lt).allocation.p
+            p_st, caps_lt = _statistical_allocation(cfg, p, p)
             count_st = float(np.sum(p_st / caps_lt))
             rows.append(
                 f"{m},{_fmt(r)},{spec.trials},{_fmt(count_on)},{_fmt(count_wf)},"
@@ -674,14 +643,17 @@ def _run_saddle(spec, outputs, seed, shards, frames):
     rows = []
     for mi, m in enumerate(spec.m_grid):
         gamma_h, gamma_g = spec.gammas_for(m)
+        cfg, _ = _scheme_config(spec, "onoff", m, m, gamma_h, gamma_g, spec.p_s, spec.p_r)
         rel_errors = []
         variances = []
         mc_values = []
         bounds = []
         for j in range(spec.instances):
+            # each instance has its own stream (mi, j), so these draws cannot
+            # be batched through sample_channel_batch without changing them
             rng = derive_rng(seed, STREAM_CHANNELS, mi, j)
             h = np.sqrt(gamma_h / 2.0) * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
-            caps = spec.p_r / (spec.p_s * np.abs(h) ** 2 + spec.N0)
+            caps = _batch_caps(cfg, np.abs(h) ** 2, spec.p_s, spec.p_r)
             comp = saddle_point_error(
                 h, gamma_g, caps, spec.eta, spec.trials, derive_seed(seed, STREAM_MISC, mi, j)
             )

@@ -79,7 +79,8 @@ def _positive_batch(x, name: str) -> np.ndarray:
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 2 or v.shape[1] == 0:
         raise ValueError(f"{name} must have shape (n, M) with M >= 1, got {v.shape}")
-    if not np.all(np.isfinite(v)) or np.any(v <= 0.0):
+    # one pass each, no temporaries; min and max are NaN when any entry is
+    if v.size and not (v.min() > 0.0 and v.max() < np.inf):
         raise ValueError(f"{name} entries must be finite and strictly positive")
     return v
 

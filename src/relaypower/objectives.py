@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import _finite_scalar, _positive_vector
 from .rng import derive_rng
 
 _EULER_GAMMA = 0.5772156649015328606
@@ -116,8 +117,7 @@ class PerfectCsitObjective:
         object.__setattr__(self, "beta", _nonnegative_vector(self.beta, "beta"))
         if self.alpha.shape != self.beta.shape:
             raise ValueError("alpha and beta must have equal length")
-        if not np.isfinite(self.eta) or self.eta <= 0.0:
-            raise ValueError("eta must be finite and strictly positive")
+        _finite_scalar(self.eta, "eta")
 
     @classmethod
     def from_channels(cls, h, g, eta: float) -> "PerfectCsitObjective":
@@ -170,14 +170,7 @@ def pep_bound_perfect(obj: PerfectCsitObjective, p) -> float:
 
 def _validate_rate_coeffs(obj) -> None:
     object.__setattr__(obj, "a", _nonnegative_vector(obj.a, "a"))
-    gg = np.asarray(obj.gamma_g, dtype=np.float64)
-    if gg.shape != obj.a.shape:
-        raise ValueError("gamma_g must match a in length")
-    if not np.all(np.isfinite(gg)) or np.any(gg <= 0.0):
-        raise ValueError("gamma_g entries must be finite and strictly positive")
-    gg = gg.copy()
-    gg.setflags(write=False)
-    object.__setattr__(obj, "gamma_g", gg)
+    object.__setattr__(obj, "gamma_g", _positive_vector(obj.gamma_g, obj.M, "gamma_g"))
 
 
 @dataclass(frozen=True)
@@ -192,8 +185,7 @@ class PartialCsitObjective:
 
     @classmethod
     def from_channels(cls, h, gamma_g, eta: float) -> "PartialCsitObjective":
-        if not np.isfinite(eta) or eta <= 0.0:
-            raise ValueError("eta must be finite and strictly positive")
+        _finite_scalar(eta, "eta")
         gamma_g = np.asarray(gamma_g, dtype=np.float64)
         return cls(a=eta * gamma_g * np.abs(np.asarray(h)) ** 2, gamma_g=gamma_g)
 
@@ -214,8 +206,7 @@ class StatisticalCsitObjective:
 
     @classmethod
     def from_variances(cls, gamma_h, gamma_g, eta: float) -> "StatisticalCsitObjective":
-        if not np.isfinite(eta) or eta <= 0.0:
-            raise ValueError("eta must be finite and strictly positive")
+        _finite_scalar(eta, "eta")
         gamma_h = np.asarray(gamma_h, dtype=np.float64)
         gamma_g = np.asarray(gamma_g, dtype=np.float64)
         return cls(a=eta * gamma_g * gamma_h, gamma_g=gamma_g)

@@ -16,8 +16,9 @@ method for the fractional program max A / (1 + B) (Management Science
 fixed point is S* = {i : |h_i|^2 > max f0}, the optimal vertex with the
 fewest relays. S* is a threshold set on |h|^2, so one sort finds it:
 solve_onoff_masks scores the M + 1 threshold sets and certifies its pick
-(see there), and solve_onoff_batch keeps the iteration for callers that
-read its trajectory.
+(see there). solve_onoff_batch is the one implementation of the
+iteration, kept for callers that read its trajectory and for the rows
+the kernel cannot certify; solve_onoff runs it on a single instance.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import PowerAllocation, _positive_batch
+from .model import PowerAllocation, _positive_batch, _positive_vector
 from .objectives import PerfectCsitObjective, f0_gradient, f0_value
 
 MAX_ITERATIONS = 100
@@ -69,22 +70,14 @@ class M2Discriminant:
     xi2_at_cap1: float
 
 
-def _check_caps(obj: PerfectCsitObjective, caps) -> np.ndarray:
-    caps = np.asarray(caps, dtype=np.float64)
-    if caps.shape != (obj.M,):
-        raise ValueError(f"caps must have shape ({obj.M},)")
-    if not np.all(np.isfinite(caps)) or np.any(caps <= 0.0):
-        raise ValueError("caps must be finite and strictly positive")
-    return caps
-
-
 def _check_gains(alpha, beta, caps) -> tuple[np.ndarray, np.ndarray]:
     checked = []
     for name, x in (("alpha", alpha), ("beta", beta)):
         x = np.asarray(x, dtype=np.float64)
         if x.shape != caps.shape:
             raise ValueError(f"{name} must have the shape of caps, {caps.shape}")
-        if not np.all(np.isfinite(x)) or np.any(x < 0.0):
+        # min and max are NaN when any entry is; -0.0 passes
+        if x.size and not (x.min() >= 0.0 and x.max() < np.inf):
             raise ValueError(f"{name} must be finite and non-negative")
         checked.append(x)
     return checked[0], checked[1]
@@ -112,51 +105,27 @@ def solve_onoff(
         (allocation, trace). The allocation is the stationary vertex; the
         trace records every iterate and f0 value along the way.
 
-    The update is simultaneous across relays: p_i jumps to P_i when its
-    gradient component is positive and to 0 otherwise. If the iteration
-    cycles or exceeds the cap (not expected; the ascent is monotone), the
-    exhaustive vertex oracle takes over for M <= 20 and the trace is
-    flagged.
+    This is solve_onoff_batch on one row. Where the iteration cycles or
+    exceeds the cap (not expected; the ascent is monotone), the vertex
+    oracle's answer ends the trace and the trace is flagged; for M > 20
+    the batch solver's ValueError says the iteration did not converge.
     """
-    caps = _check_caps(obj, caps)
-    m = obj.M
-    if start is None:
-        mask = np.ones(m, dtype=bool)
-    else:
-        mask = np.asarray(start, dtype=bool)
-        if mask.shape != (m,):
-            raise ValueError(f"start mask must have shape ({m},)")
-        mask = mask.copy()
-
-    trace = OnOffTrace()
-    seen_prev = None  # mask two steps back, for two-step cycle detection
-    for _ in range(MAX_ITERATIONS):
-        p = np.where(mask, caps, 0.0)
-        trace.iterates.append(p)
-        trace.objective_values.append(f0_value(obj, p))
-        new_mask = f0_gradient(obj, p) > 0.0
-        if np.array_equal(new_mask, mask):
-            trace.converged = True
-            break
-        if seen_prev is not None and np.array_equal(new_mask, seen_prev):
-            break  # two-step cycle; safeguard below
-        seen_prev = mask
-        mask = new_mask
-        trace.iterations += 1
-
-    if not trace.converged:
-        if m > MAX_ORACLE_RELAYS:
-            raise RuntimeError(
-                f"on-off iteration did not converge and M={m} exceeds the "
-                f"enumeration fallback limit of {MAX_ORACLE_RELAYS}"
-            )
-        trace.used_fallback = True
-        alloc = vertex_enumeration_oracle(obj, caps)
-        trace.iterates.append(alloc.p.copy())
-        trace.objective_values.append(f0_value(obj, alloc.p))
-        return alloc, trace
-
-    return PowerAllocation(p=np.where(mask, caps, 0.0), caps=caps), trace
+    caps = _positive_vector(caps, obj.M, "caps")
+    if start is not None:
+        start = np.asarray(start, dtype=bool)[None]
+    masks, iterations, fallback, iterates = solve_onoff_batch(
+        obj.alpha[None], obj.beta[None], caps[None], history=MAX_ITERATIONS, start=start
+    )
+    trace = OnOffTrace(
+        converged=not fallback[0], iterations=int(iterations[0]), used_fallback=bool(fallback[0])
+    )
+    visited = list(iterates[0, : trace.iterations + 1])
+    if trace.used_fallback:
+        visited.append(masks[0])
+    for mask in visited:
+        trace.iterates.append(np.where(mask, caps, 0.0))
+        trace.objective_values.append(f0_value(obj, trace.iterates[-1]))
+    return PowerAllocation(p=np.where(masks[0], caps, 0.0), caps=caps), trace
 
 
 def solve_onoff_batch(
@@ -166,27 +135,31 @@ def solve_onoff_batch(
     history: int = 0,
     start: np.ndarray | None = None,
 ):
-    """Vectorized on-off solve over a batch of instances.
+    """Vectorized on-off gradient iteration over a batch of instances.
 
     Args:
         alpha, beta: arrays of shape (n, M), finite and non-negative.
         caps: array of shape (n, M), finite and strictly positive.
-        history: if positive, also return f0 at iterates 0..history-1
-            (later columns hold the converged value once a row stops).
+        history: if positive, also return the on-patterns at iterates
+            0..history-1 (later columns repeat a row's last iterate once
+            it stops).
         start: optional (n, M) boolean on-pattern to start from; the
-            default starts every row all-on, matching solve_onoff.
+            default starts every row all-on.
 
     Returns:
-        (masks, iterations, fallback, objective_history) where masks is the
+        (masks, iterations, fallback, iterates) where masks is the
         stationary on-pattern, iterations counts updates until the sign
         pattern reproduced itself, fallback marks rows resolved by the
-        enumeration oracle, and objective_history is None unless requested.
+        enumeration oracle, and iterates is an (n, history, M) boolean
+        array, or None unless requested.
 
     Raises:
-        ValueError: for mismatched shapes or an entry out of range.
+        ValueError: for mismatched shapes or an entry out of range, and
+        when the iteration does not converge on a row with M > 20.
 
-    The per-row update rule is identical to solve_onoff; the two are
-    interchangeable and are cross-checked in the test suite.
+    Each update switches every relay at once, on where its gradient
+    component is positive. A row that cycles or runs out of updates (not
+    expected; the ascent is monotone) is solved by the enumeration oracle.
     """
     caps = _positive_batch(caps, "caps")
     alpha, beta = _check_gains(alpha, beta, caps)
@@ -204,16 +177,11 @@ def solve_onoff_batch(
     done = np.zeros(n, dtype=bool)
     prev_masks = None
     cycled = np.zeros(n, dtype=bool)
-    hist = np.zeros((n, history), dtype=np.float64) if history > 0 else None
-
-    def record(step: int) -> None:
-        if hist is not None and step < history:
-            a_sum = np.sum(np.where(masks, ac, 0.0), axis=1)
-            b_sum = np.sum(np.where(masks, bc, 0.0), axis=1)
-            hist[:, step] = a_sum / (1.0 + b_sum)
+    iterates = np.empty((n, history, m), dtype=bool) if history > 0 else None
 
     for step in range(MAX_ITERATIONS):
-        record(step)
+        if step < history:
+            iterates[:, step] = masks
         a_sum = np.sum(np.where(masks, ac, 0.0), axis=1)
         b_sum = np.sum(np.where(masks, bc, 0.0), axis=1)
         # gradient sign: alpha_i (1 + B) - beta_i A > 0
@@ -224,24 +192,24 @@ def solve_onoff_batch(
         done |= stationary
         advance = ~done & ~cycled
         if not np.any(advance):
-            if hist is not None:
-                # freeze remaining history columns at the converged objective
-                for s in range(step + 1, history):
-                    record(s)
             break
-        prev_masks = masks.copy()
+        prev_masks = masks
         masks = np.where(advance[:, None], new_masks, masks)
         iterations += advance
+    if iterates is not None:
+        iterates[:, step + 1 :] = masks[:, None]
 
     fallback = ~done
     if np.any(fallback):
+        if m > MAX_ORACLE_RELAYS:
+            raise ValueError(
+                f"on-off iteration did not converge on {np.count_nonzero(fallback)} of {n} rows, "
+                f"and its enumeration fallback is limited to M <= {MAX_ORACLE_RELAYS} (M = {m})"
+            )
         for i in np.nonzero(fallback)[0]:
             obj = PerfectCsitObjective(alpha=alpha[i], beta=beta[i], eta=1.0)
-            alloc = vertex_enumeration_oracle(obj, caps[i])
-            masks[i] = alloc.p > 0.0
-            if hist is not None:
-                hist[i, :] = f0_value(obj, alloc.p)
-    return masks, iterations, fallback, hist
+            masks[i] = vertex_enumeration_oracle(obj, caps[i]).p > 0.0
+    return masks, iterations, fallback, iterates
 
 
 def solve_onoff_masks(alpha: np.ndarray, beta: np.ndarray, caps: np.ndarray) -> np.ndarray:
@@ -358,7 +326,7 @@ def vertex_enumeration_oracle(obj: PerfectCsitObjective, caps) -> PowerAllocatio
     Ties go to the vertex with fewer active relays, then to the
     lexicographically smallest on-set. Refuses M > 20.
     """
-    caps = _check_caps(obj, caps)
+    caps = _positive_vector(caps, obj.M, "caps")
     m = obj.M
     if m > MAX_ORACLE_RELAYS:
         raise ValueError(f"vertex enumeration is limited to M <= {MAX_ORACLE_RELAYS}")
@@ -389,7 +357,7 @@ def verify_stationarity(obj: PerfectCsitObjective, allocation: PowerAllocation) 
     every silent relay a non-positive one. An exactly zero gradient at a
     cap therefore fails the certificate. Raises for non-vertex input.
     """
-    caps = _check_caps(obj, allocation.caps)
+    caps = _positive_vector(allocation.caps, obj.M, "caps")
     at_cap = allocation.p == caps
     at_zero = allocation.p == 0.0
     if not np.all(at_cap | at_zero):
@@ -400,7 +368,7 @@ def verify_stationarity(obj: PerfectCsitObjective, allocation: PowerAllocation) 
 
 def m2_discriminant(obj: PerfectCsitObjective, caps) -> M2Discriminant:
     """Closed-form sign certificates for the two-relay instance."""
-    caps = _check_caps(obj, caps)
+    caps = _positive_vector(caps, obj.M, "caps")
     if obj.M != 2:
         raise ValueError("discriminant is defined for M = 2")
     a1, a2 = obj.alpha
@@ -420,7 +388,7 @@ def onoff_m2_closed_form(obj: PerfectCsitObjective, caps) -> PowerAllocation:
     exactly when its gradient at the full-power corner is non-positive,
     i.e. when delta leaves the band (-alpha_1/P_2, alpha_2/P_1).
     """
-    caps = _check_caps(obj, caps)
+    caps = _positive_vector(caps, obj.M, "caps")
     d = m2_discriminant(obj, caps)
     if d.xi2_at_cap1 <= 0.0:
         p = np.array([caps[0], 0.0])

@@ -35,7 +35,6 @@ from .model import (
     PowerAllocation,
     _finite_array,
     _finite_scalar,
-    amplifier_caps,
     sample_channel_batch,
 )
 from .objectives import StatisticalCsitObjective
@@ -199,39 +198,39 @@ def _point_powers(cfg: NetworkConfig, snr_db: float, network_power_sweep: bool):
     return lin, lin, (cfg.M + 1) * lin
 
 
-def _statistical_allocation(cfg: NetworkConfig, p_s: float, p_r: float) -> np.ndarray:
+def _statistical_allocation(cfg: NetworkConfig, p_s: float, p_r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Statistical-CSIT waterfilling and the long-term caps it runs under, as (p, caps)."""
+    # the long-term cap is the short-term one at |h_i|^2 = gamma_hi, under either constraint
+    caps = _batch_caps(cfg, cfg.gamma_h, p_s, p_r)
     # eta only adds M ln(eta) to every candidate's J, so eta = 1 picks the same optimum
-    caps = p_r / (p_s * cfg.gamma_h + cfg.N0)
     obj = StatisticalCsitObjective.from_variances(cfg.gamma_h, cfg.gamma_g, 1.0)
-    return solve_waterfill(obj, caps).allocation.p
+    return solve_waterfill(obj, caps).allocation.p, caps
+
+
+def _batch_caps(cfg: NetworkConfig, h2: np.ndarray, p_s: float, p_r: float) -> np.ndarray:
+    """Amplifier caps under cfg's constraint for first-hop gains h2 = |h|^2."""
+    if cfg.constraint_kind is ConstraintKind.SHORT_TERM:
+        return p_r / (p_s * h2 + cfg.N0)
+    return np.broadcast_to(p_r / (p_s * cfg.gamma_h + cfg.N0), h2.shape)
 
 
 def _allocate_batch(
     cfg: NetworkConfig,
     scheme: Scheme,
-    h: np.ndarray,
+    h2: np.ndarray,
     g: np.ndarray,
-    p_s: float,
-    p_r: float,
+    caps: np.ndarray,
     stat_alloc: np.ndarray | None,
 ) -> np.ndarray:
-    n = h.shape[0]
+    """Relay powers (n, M) of one scheme under caps; statistical waterfilling repeats stat_alloc."""
     if scheme is Scheme.WATERFILL and cfg.csit_mode is CsitMode.STATISTICAL:
-        return np.broadcast_to(stat_alloc, (n, cfg.M))
-    caps = _batch_caps(cfg, h, p_s, p_r)
+        return np.broadcast_to(stat_alloc, h2.shape)
     if scheme is Scheme.MAX_POWER:
         return caps
     if scheme is Scheme.ONOFF:
         g2 = np.abs(g) ** 2
-        alpha = np.abs(h) ** 2 * g2
-        return np.where(solve_onoff_masks(alpha, g2, caps), caps, 0.0)
+        return np.where(solve_onoff_masks(h2 * g2, g2, caps), caps, 0.0)
     return solve_waterfill_batch(cfg.gamma_g, caps)
-
-
-def _batch_caps(cfg: NetworkConfig, h: np.ndarray, p_s: float, p_r: float) -> np.ndarray:
-    if cfg.constraint_kind is ConstraintKind.SHORT_TERM:
-        return p_r / (p_s * np.abs(h) ** 2 + cfg.N0)
-    return np.broadcast_to(p_r / (p_s * cfg.gamma_h + cfg.N0), h.shape)
 
 
 @dataclass(frozen=True)
@@ -299,7 +298,8 @@ def _relay_batch_tallies(
     rng: np.random.Generator,
 ) -> tuple[int, int]:
     h, g = sample_channel_batch(cfg, n, rng)
-    q = np.sqrt(_allocate_batch(cfg, scheme, h, g, p_s, p_r, stat_alloc))
+    h2 = np.abs(h) ** 2
+    q = np.sqrt(_allocate_batch(cfg, scheme, h2, g, _batch_caps(cfg, h2, p_s, p_r), stat_alloc))
     k = rng.integers(0, code.n_codewords, size=n)
     c, r = _transmit_batch(code, math.sqrt(p_s) * q * h * g, q * g, tables.signs[k], cfg.N0, rng)
     k_hat = _ml_decode_batch(c, r, tables)
@@ -390,7 +390,7 @@ def run_monte_carlo(
         p_s, p_r, net_power = _point_powers(cfg, float(snr), network_power_sweep)
         stat_alloc = None
         if scheme is Scheme.WATERFILL and cfg.csit_mode is CsitMode.STATISTICAL:
-            stat_alloc = _statistical_allocation(cfg, p_s, p_r)
+            stat_alloc = _statistical_allocation(cfg, p_s, p_r)[0]
         for shard in range(shards):
             for bi in range(shard, n_batches, shards):
                 n = min(batch, frames - bi * batch)
@@ -434,18 +434,16 @@ def effective_relay_count(cfg: NetworkConfig, scheme: Scheme, r_grid, trials: in
 
     counts = np.empty(grid.shape[0])
     for ri, r in enumerate(grid):
-        gamma_h = np.full(cfg.M, 1.0 / r**2)
-        gamma_g = np.full(cfg.M, 1.0 / (1.0 - r) ** 2)
-        cfg_r = dataclasses.replace(cfg, gamma_h=gamma_h, gamma_g=gamma_g)
+        cfg_r = dataclasses.replace(
+            cfg, gamma_h=np.full(cfg.M, 1.0 / r**2), gamma_g=np.full(cfg.M, 1.0 / (1.0 - r) ** 2)
+        )
         if scheme is Scheme.WATERFILL and cfg.csit_mode is CsitMode.STATISTICAL:
-            caps = amplifier_caps(cfg_r)
-            obj = StatisticalCsitObjective.from_variances(gamma_h, gamma_g, 1.0)
-            p = solve_waterfill(obj, caps).allocation.p
+            p, caps = _statistical_allocation(cfg_r, cfg.p_s, cfg.p_r)
             counts[ri] = float(np.sum(p / caps))
             continue
-        rng = derive_rng(seed, STREAM_CHANNELS, ri)
-        h, g = sample_channel_batch(cfg_r, trials, rng)
-        p = _allocate_batch(cfg_r, scheme, h, g, cfg.p_s, cfg.p_r, None)
-        caps = _batch_caps(cfg_r, h, cfg.p_s, cfg.p_r)
+        h, g = sample_channel_batch(cfg_r, trials, derive_rng(seed, STREAM_CHANNELS, ri))
+        h2 = np.abs(h) ** 2
+        caps = _batch_caps(cfg_r, h2, cfg.p_s, cfg.p_r)
+        p = _allocate_batch(cfg_r, scheme, h2, g, caps, None)
         counts[ri] = float(np.mean(np.sum(p / caps, axis=1)))
     return counts

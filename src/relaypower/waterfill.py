@@ -33,15 +33,6 @@ from .model import PowerAllocation, _positive_batch, _positive_vector
 from .objectives import log_objective_J
 
 
-def _check_caps(obj, caps) -> np.ndarray:
-    caps = np.asarray(caps, dtype=np.float64)
-    if caps.shape != (obj.M,):
-        raise ValueError(f"caps must have shape ({obj.M},)")
-    if not np.all(np.isfinite(caps)) or np.any(caps <= 0.0):
-        raise ValueError("caps must be finite and strictly positive")
-    return caps
-
-
 def _mu_interval(pg: np.ndarray) -> tuple[float, float]:
     m = pg.shape[0]
     return 1.0 / m, float((1.0 + np.sum(pg)) / m)
@@ -103,7 +94,7 @@ def J_of_mu(obj, mu: float, caps) -> float:
     which equals log_objective_J at p_i = min(mu/gamma_gi, P_i). A relay
     with P_i*gamma_gi == mu counts as capped; the two branches agree there.
     """
-    caps = _check_caps(obj, caps)
+    caps = _positive_vector(caps, obj.M, "caps")
     pg = caps * obj.gamma_g
     mu_min, mu_max = _mu_interval(pg)
     if mu < mu_min or mu > mu_max:
@@ -131,7 +122,7 @@ def derivative_J_wrt_mu(obj, mu: float, caps) -> float:
     Equals |C| * (1 - M mu / (1 + |C| mu + sum_Cbar P_i gamma_gi)); zero at
     the interior optimum, positive below it, negative above it.
     """
-    caps = _check_caps(obj, caps)
+    caps = _positive_vector(caps, obj.M, "caps")
     pg = caps * obj.gamma_g
     capped = pg <= mu
     n_free = obj.M - int(np.count_nonzero(capped))
@@ -141,7 +132,7 @@ def derivative_J_wrt_mu(obj, mu: float, caps) -> float:
 
 def water_level_candidates(obj, caps) -> WaterLevelCandidates:
     """Enumerate the M candidate levels and score them under J."""
-    caps = _check_caps(obj, caps)
+    caps = _positive_vector(caps, obj.M, "caps")
     pg = caps * obj.gamma_g
     order = np.argsort(pg, kind="stable")
     prefix = np.cumsum(pg[order])
@@ -169,7 +160,7 @@ def solve_waterfill(obj, caps) -> WaterfillResult:
     the rest. Since mu_star >= 1/M > 0, no relay is ever silenced.
     """
     cands = water_level_candidates(obj, caps)
-    caps = _check_caps(obj, caps)
+    caps = _positive_vector(caps, obj.M, "caps")
     k = int(np.argmax(cands.J_values))
     mu_star = float(cands.mu_clamped[k])
     p = np.minimum(mu_star / obj.gamma_g, caps)
@@ -282,7 +273,7 @@ def waterfill_m2_closed_form(obj, caps) -> PowerAllocation:
     otherwise both relays are capped. Matches solve_waterfill exactly,
     including at the boundary where two branches coincide.
     """
-    caps = _check_caps(obj, caps)
+    caps = _positive_vector(caps, obj.M, "caps")
     if obj.M != 2:
         raise ValueError("closed form is defined for M = 2")
     g1, g2 = obj.gamma_g
@@ -303,7 +294,7 @@ def grid_search_oracle(obj, caps, grid_points: int = 100_000) -> tuple[float, fl
     definition at p(mu) for grid_points levels spanning [mu_min, mu_max]
     together with the clamped candidates, and returns (mu_best, J_best).
     """
-    caps = _check_caps(obj, caps)
+    caps = _positive_vector(caps, obj.M, "caps")
     pg = caps * obj.gamma_g
     mu_min, mu_max = _mu_interval(pg)
     cands = water_level_candidates(obj, caps)

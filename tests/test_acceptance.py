@@ -153,13 +153,15 @@ def _convergence_history(m, trials, iterations, seed):
                 / np.sqrt(2)) ** 2
     caps = 10.0 / (10.0 * h2 + 1.0)
     alpha = h2 * g2
-    masks, iters, fallback, hist = solve_onoff_batch(alpha, g2, caps,
-                                                     history=iterations + 1)
+    masks, iters, fallback, iterates = solve_onoff_batch(alpha, g2, caps,
+                                                         history=iterations + 1)
     assert not fallback.any()
-    a_fin = np.sum(np.where(masks, alpha * caps, 0.0), axis=1)
-    b_fin = np.sum(np.where(masks, g2 * caps, 0.0), axis=1)
-    optimum = a_fin / (1.0 + b_fin)
-    return hist / optimum[:, None], iters
+    # f0 at every iterate, and at the final pattern in the last column
+    on = np.concatenate([iterates, masks[:, None]], axis=1)
+    a_sum = np.sum(np.where(on, (alpha * caps)[:, None], 0.0), axis=2)
+    b_sum = np.sum(np.where(on, (g2 * caps)[:, None], 0.0), axis=2)
+    f0 = a_sum / (1.0 + b_sum)
+    return f0[:, :-1] / f0[:, -1:], iters
 
 
 def test_criterion_05_convergence_within_ten_iterations():

@@ -67,6 +67,33 @@ class TestSolveOnOff:
                 assert f0_value(obj, alloc.p) == pytest.approx(
                     f0_value(obj, oracle.p), rel=1e-12)
 
+    @pytest.mark.parametrize("regime", ["tie", "noise_free"])
+    def test_trace_of_a_cycling_instance_ends_with_the_oracle(self, regime):
+        # tie: a key on f0 makes the iteration flip one relay back and forth
+        # (a two-step cycle); noise_free: beta P ~ 1e144, 1 + B rounds to B
+        # and the iteration runs out of updates
+        rng = np.random.default_rng(66)
+        if regime == "tie":
+            alpha, beta, caps = _near_threshold_rows(rng, 200, 4)
+        else:
+            alpha, beta, caps = _physical_rows(rng, 50, 4)
+            beta *= 1e144
+        _, iters, fallback, iterates = solve_onoff_batch(alpha, beta, caps, history=onoff.MAX_ITERATIONS)
+        stopped_early = iters < onoff.MAX_ITERATIONS
+        i = int(np.argmax(fallback & (stopped_early if regime == "tie" else ~stopped_early)))
+        assert fallback[i]
+        obj = PerfectCsitObjective(alpha=alpha[i], beta=beta[i], eta=1.0)
+        alloc, trace = solve_onoff(obj, caps[i])
+        assert trace.used_fallback and not trace.converged
+        # every visited pattern (at most MAX_ITERATIONS), then the oracle's answer
+        assert trace.iterations == iters[i]
+        assert len(trace.iterates) == min(iters[i] + 1, onoff.MAX_ITERATIONS) + 1
+        for p, mask in zip(trace.iterates, iterates[i]):
+            np.testing.assert_array_equal(p, np.where(mask, caps[i], 0.0))
+        np.testing.assert_array_equal(trace.iterates[-1], vertex_enumeration_oracle(obj, caps[i]).p)
+        np.testing.assert_array_equal(alloc.p, trace.iterates[-1])
+        assert trace.objective_values == [f0_value(obj, p) for p in trace.iterates]
+
     def test_start_at_optimum_is_fixed_point(self):
         rng = np.random.default_rng(7)
         obj, caps = _random_instance(rng, 6)
@@ -132,16 +159,13 @@ class TestBatchSolver:
         g2 = rng.exponential(1.0, (n, m))
         alpha = h2 * g2
         caps = 10.0 / (10.0 * h2 + 1.0)
-        masks, _, _, hist = solve_onoff_batch(alpha, g2, caps, history=12)
-        assert hist.shape == (n, 12)
-        a_on = np.sum(alpha * caps, axis=1)
-        b_on = np.sum(g2 * caps, axis=1)
-        np.testing.assert_allclose(hist[:, 0], a_on / (1.0 + b_on), rtol=1e-12)
-        a_fin = np.sum(np.where(masks, alpha * caps, 0.0), axis=1)
-        b_fin = np.sum(np.where(masks, g2 * caps, 0.0), axis=1)
-        np.testing.assert_allclose(hist[:, -1], a_fin / (1.0 + b_fin), rtol=1e-12)
-        diffs = np.diff(hist, axis=1)
-        assert np.all(diffs >= -1e-15)
+        masks, iters, _, iterates = solve_onoff_batch(alpha, g2, caps, history=12)
+        assert iterates.shape == (n, 12, m) and iterates.dtype == bool
+        assert iterates[:, 0].all()
+        for k in range(12):
+            np.testing.assert_array_equal(iterates[iters <= k, k], masks[iters <= k])
+        f0 = np.stack([_f0_of(alpha, g2, caps, iterates[:, k]) for k in range(12)], axis=1)
+        assert np.all(np.diff(f0, axis=1) >= -1e-15)
 
     def test_start_override(self):
         rng = np.random.default_rng(62)
@@ -161,12 +185,21 @@ class TestBatchSolver:
         with pytest.raises(ValueError, match="caps must have shape"):
             solve_onoff_batch(np.ones((2, 3)), np.ones((2, 3)), np.ones(3))
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, -np.inf])
     def test_rejects_non_positive_or_non_finite_caps(self, bad):
         caps = np.ones((2, 3))
         caps[1, 2] = bad
-        with pytest.raises(ValueError, match="caps entries must be finite"):
-            solve_onoff_batch(np.ones((2, 3)), np.ones((2, 3)), caps)
+        obj = PerfectCsitObjective(alpha=np.ones(3), beta=np.ones(3), eta=1.0)
+        for solve in (
+            lambda: solve_onoff_batch(np.ones((2, 3)), np.ones((2, 3)), caps),
+            lambda: solve_onoff_masks(np.ones((2, 3)), np.ones((2, 3)), caps),
+            lambda: solve_onoff(obj, caps[1]),
+            lambda: vertex_enumeration_oracle(obj, caps[1]),
+            lambda: onoff_m2_closed_form(PerfectCsitObjective(alpha=np.ones(2), beta=np.ones(2), eta=1.0),
+                                         caps[1, 1:]),
+        ):
+            with pytest.raises(ValueError, match="caps entries must be finite"):
+                solve()
 
     @pytest.mark.parametrize("name", ["alpha", "beta"])
     def test_rejects_gains_of_another_shape(self, name):
@@ -409,21 +442,30 @@ class TestMaskKernel:
         # rounding-level decision; noise_free: with beta P ~ 1e144, 1 + B
         # rounds to B and the best relay alone ties with itself. The
         # iteration then cycles into its enumeration fallback, which refuses
-        # M > 20; the kernel hands these rows to it and answers, or fails,
-        # as it does
+        # M > 20; the kernel and the scalar solver hand these rows to it and
+        # answer, or fail with the one non-convergence error, as it does
         rng = np.random.default_rng(65)
         if regime == "tie":
             alpha, beta, caps = _near_threshold_rows(rng, 200, m)
         else:
             alpha, beta, caps = _physical_rows(rng, 50, m)
             beta *= 1e144
+
+        def scalar(alpha, beta, caps):
+            objs = (PerfectCsitObjective(alpha=a, beta=b, eta=1.0) for a, b in zip(alpha, beta))
+            return np.array([solve_onoff(obj, c)[0].active for obj, c in zip(objs, caps)])
+
         if m <= onoff.MAX_ORACLE_RELAYS:
             masks, _, fallback, _ = solve_onoff_batch(alpha, beta, caps)
             assert fallback.any()
+            for i in np.nonzero(fallback)[0]:
+                obj = PerfectCsitObjective(alpha=alpha[i], beta=beta[i], eta=1.0)
+                np.testing.assert_array_equal(masks[i], vertex_enumeration_oracle(obj, caps[i]).active)
             np.testing.assert_array_equal(solve_onoff_masks(alpha, beta, caps), masks)
+            np.testing.assert_array_equal(scalar(alpha, beta, caps), masks)
         else:
-            for solve in (solve_onoff_batch, solve_onoff_masks):
-                with pytest.raises(ValueError, match="M <= 20"):
+            for solve in (solve_onoff_batch, solve_onoff_masks, scalar):
+                with pytest.raises(ValueError, match=r"did not converge .* limited to M <= 20"):
                     solve(alpha, beta, caps)
 
     def test_zero_gains(self):

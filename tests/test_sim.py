@@ -23,6 +23,7 @@ from relaypower.sim import (
     Scheme,
     SimResult,
     _allocate_batch,
+    _batch_caps,
     _batch_size,
     _DecodeTables,
     _ml_decode_batch,
@@ -165,7 +166,8 @@ class TestPhysicalChain:
 def _direct_distance_tallies(cfg, scheme, code, p_s, p_r, n, rng):
     """_relay_batch_tallies with every candidate's receive built and measured directly."""
     h, g = sample_channel_batch(cfg, n, rng)
-    q = np.sqrt(_allocate_batch(cfg, scheme, h, g, p_s, p_r, None))
+    h2 = np.abs(h) ** 2
+    q = np.sqrt(_allocate_batch(cfg, scheme, h2, g, _batch_caps(cfg, h2, p_s, p_r), None))
     k = rng.integers(0, code.n_codewords, size=n)
     c = math.sqrt(p_s) * np.einsum("bm,mtj->btj", q * h * g, code.matrices)
     cands = np.einsum("btj,kj->bkt", c, codeword_signs(code.T))
@@ -232,7 +234,7 @@ class TestBatchDecoder:
         n = min(200, _batch_size(m))  # T = 12 runs 64-frame batches
         if mode == "statistical":
             cfg = _stat_cfg(m, m, p_s=3.0, p_r=3.0, gamma_g=np.linspace(0.5, 2.0, m))
-            stat_alloc = _statistical_allocation(cfg, 3.0, 3.0)
+            stat_alloc, _ = _statistical_allocation(cfg, 3.0, 3.0)
             # the reference asks for no per-point allocation; hand it the one the run solves
             allocate = _allocate_batch
             monkeypatch.setitem(globals(), "_allocate_batch",

@@ -409,12 +409,21 @@ class TestBatchSolver:
         np.testing.assert_allclose((p * gamma_g)[above], np.broadcast_to(mu, p.shape)[above],
                                    rtol=1e-12)
 
-    @pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan, np.inf, -np.inf])
     def test_rejects_non_positive_or_non_finite_caps(self, bad):
+        caps = np.array([1.0, bad, 2.0])
+        obj = PartialCsitObjective(a=np.ones(3), gamma_g=np.ones(3))
+        obj2 = PartialCsitObjective(a=np.ones(2), gamma_g=np.ones(2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="caps entries must be finite"):
-                solve_waterfill_batch(np.ones(3), [[1.0, bad, 2.0]])
+            for solve in (
+                lambda: solve_waterfill_batch(np.ones(3), caps[None]),
+                lambda: solve_waterfill(obj, caps),
+                lambda: grid_search_oracle(obj, caps),
+                lambda: waterfill_m2_closed_form(obj2, caps[1:]),
+            ):
+                with pytest.raises(ValueError, match="caps entries must be finite"):
+                    solve()
 
     def test_rejects_batches_of_no_relays(self):
         with pytest.raises(ValueError, match=r"caps must have shape \(n, M\) with M >= 1"):

@@ -36,7 +36,6 @@ from .sim import Scheme, SimResult, effective_relay_count, ml_decode, run_monte_
 from .waterfill import (
     WaterfillResult,
     solve_waterfill,
-    water_level_candidates,
     waterfill_m2_closed_form,
 )
 
@@ -81,7 +80,6 @@ __all__ = [
     "transmit_frame",
     "verify_stationarity",
     "vertex_enumeration_oracle",
-    "water_level_candidates",
     "waterfill_m2_closed_form",
     "__version__",
 ]

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .model import ConstraintKind, CsitMode, NetworkConfig, sample_channel_batch
+from .model import ConstraintKind, CsitMode, NetworkConfig, _batch_caps, sample_channel_batch
 from .objectives import saddle_point_error
 from .onoff import solve_onoff_batch
 from .rng import STREAM_CHANNELS, STREAM_MISC, derive_rng, derive_seed
@@ -26,7 +26,6 @@ from .sim import (
     Scheme,
     SimResult,
     _allocate_batch,
-    _batch_caps,
     _statistical_allocation,
     effective_relay_count,
     run_monte_carlo,

@@ -63,12 +63,19 @@ def _finite_array(x, name: str, dtype=np.float64) -> np.ndarray:
     return v
 
 
-def _positive_vector(x, m: int, name: str) -> np.ndarray:
+def _positive_vector(x, m: int | None, name: str, *, allow_zero: bool = False) -> np.ndarray:
+    """x as a read-only float copy of shape (m,), or of any non-empty 1-d shape when m is None.
+
+    Entries must be finite and strictly positive, or non-negative with allow_zero.
+    """
     v = np.asarray(x, dtype=np.float64)
-    if v.shape != (m,):
+    if m is None and (v.ndim != 1 or v.size == 0):
+        raise ValueError(f"{name} must be a non-empty 1-d array, got shape {v.shape}")
+    if m is not None and v.shape != (m,):
         raise ValueError(f"{name} must have shape ({m},), got {v.shape}")
-    if not np.all(np.isfinite(v)) or np.any(v <= 0.0):
-        raise ValueError(f"{name} entries must be finite and strictly positive")
+    if not np.all(np.isfinite(v)) or np.any(v < 0.0 if allow_zero else v <= 0.0):
+        bound = "non-negative" if allow_zero else "strictly positive"
+        raise ValueError(f"{name} entries must be finite and {bound}")
     v = v.copy()
     v.setflags(write=False)
     return v
@@ -189,16 +196,28 @@ def amplifier_caps(cfg: NetworkConfig, h: np.ndarray | None = None) -> np.ndarra
     """Per-relay amplifier power caps P_i for the configured constraint.
 
     Short-term caps hold the instantaneous relay output at p_r and need the
-    current first-hop draw; long-term caps hold it at p_r on average.
+    current first-hop draw; long-term caps hold it at p_r on average and,
+    like cfg's own arrays, are read-only.
+    """
+    if cfg.constraint_kind is ConstraintKind.LONG_TERM:
+        return _batch_caps(cfg, cfg.gamma_h, cfg.p_s, cfg.p_r)
+    if h is None:
+        raise ValueError("short-term caps require the first-hop realization h")
+    h = np.asarray(h)
+    if h.shape != (cfg.M,):
+        raise ValueError(f"h must have shape ({cfg.M},)")
+    return _batch_caps(cfg, np.abs(h) ** 2, cfg.p_s, cfg.p_r)
+
+
+def _batch_caps(cfg: NetworkConfig, h2: np.ndarray, p_s: float, p_r: float) -> np.ndarray:
+    """Amplifier caps under cfg's constraint for first-hop gains h2 = |h|^2 of any shape.
+
+    The long-term caps are one (M,) vector broadcast to h2's shape as a
+    read-only view.
     """
     if cfg.constraint_kind is ConstraintKind.SHORT_TERM:
-        if h is None:
-            raise ValueError("short-term caps require the first-hop realization h")
-        h = np.asarray(h)
-        if h.shape != (cfg.M,):
-            raise ValueError(f"h must have shape ({cfg.M},)")
-        return cfg.p_r / (cfg.p_s * np.abs(h) ** 2 + cfg.N0)
-    return cfg.p_r / (cfg.p_s * cfg.gamma_h + cfg.N0)
+        return p_r / (p_s * h2 + cfg.N0)
+    return np.broadcast_to(p_r / (p_s * cfg.gamma_h + cfg.N0), h2.shape)
 
 
 def sample_channels(cfg: NetworkConfig, seed_or_rng) -> ChannelRealization:

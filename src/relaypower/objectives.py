@@ -93,17 +93,6 @@ def _e1_series(x: float) -> float:
     return total
 
 
-def _nonnegative_vector(x, name: str) -> np.ndarray:
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError(f"{name} must be a non-empty 1-d array")
-    if not np.all(np.isfinite(v)) or np.any(v < 0.0):
-        raise ValueError(f"{name} entries must be finite and non-negative")
-    v = v.copy()
-    v.setflags(write=False)
-    return v
-
-
 @dataclass(frozen=True)
 class PerfectCsitObjective:
     """Coefficients of f0 for one channel realization."""
@@ -113,8 +102,8 @@ class PerfectCsitObjective:
     eta: float
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _nonnegative_vector(self.alpha, "alpha"))
-        object.__setattr__(self, "beta", _nonnegative_vector(self.beta, "beta"))
+        object.__setattr__(self, "alpha", _positive_vector(self.alpha, None, "alpha", allow_zero=True))
+        object.__setattr__(self, "beta", _positive_vector(self.beta, None, "beta", allow_zero=True))
         if self.alpha.shape != self.beta.shape:
             raise ValueError("alpha and beta must have equal length")
         _finite_scalar(self.eta, "eta")
@@ -129,23 +118,9 @@ class PerfectCsitObjective:
         return self.alpha.shape[0]
 
 
-def _check_powers(p, m: int, allow_zero: bool = True) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape != (m,):
-        raise ValueError(f"p must have shape ({m},)")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("p entries must be finite")
-    if allow_zero:
-        if np.any(p < 0.0):
-            raise ValueError("p entries must be non-negative")
-    elif np.any(p <= 0.0):
-        raise ValueError("p entries must be strictly positive")
-    return p
-
-
 def f0_value(obj: PerfectCsitObjective, p) -> float:
     """Receive-SNR-like ratio maximized by the on-off allocation."""
-    p = _check_powers(p, obj.M)
+    p = _positive_vector(p, obj.M, "p", allow_zero=True)
     return float(np.dot(obj.alpha, p) / (1.0 + np.dot(obj.beta, p)))
 
 
@@ -156,7 +131,7 @@ def f0_gradient(obj: PerfectCsitObjective, p) -> np.ndarray:
     numerator only involves the other relays' terms, which is what makes
     the sign pattern usable as a stationarity certificate.
     """
-    p = _check_powers(p, obj.M)
+    p = _positive_vector(p, obj.M, "p", allow_zero=True)
     a_sum = float(np.dot(obj.alpha, p))
     b_sum = float(np.dot(obj.beta, p))
     denom = 1.0 + b_sum
@@ -169,7 +144,7 @@ def pep_bound_perfect(obj: PerfectCsitObjective, p) -> float:
 
 
 def _validate_rate_coeffs(obj) -> None:
-    object.__setattr__(obj, "a", _nonnegative_vector(obj.a, "a"))
+    object.__setattr__(obj, "a", _positive_vector(obj.a, None, "a", allow_zero=True))
     object.__setattr__(obj, "gamma_g", _positive_vector(obj.gamma_g, obj.M, "gamma_g"))
 
 
@@ -218,7 +193,7 @@ class StatisticalCsitObjective:
 
 def rho_values(obj, p) -> np.ndarray:
     """Per-relay effective SNR terms rho_i = a_i p_i / (1 + sum_j gamma_gj p_j)."""
-    p = _check_powers(p, obj.M)
+    p = _positive_vector(p, obj.M, "p", allow_zero=True)
     return obj.a * p / (1.0 + float(np.dot(obj.gamma_g, p)))
 
 
@@ -270,7 +245,7 @@ def log_objective_J(obj, p) -> float:
     Concave in the log-power coordinates p_tilde = ln p, which is the
     domain the waterfilling solver works in. Requires p_i > 0.
     """
-    p = _check_powers(p, obj.M, allow_zero=False)
+    p = _positive_vector(p, obj.M, "p")
     denom = 1.0 + float(np.dot(obj.gamma_g, p))
     with np.errstate(divide="ignore"):
         return float(np.sum(np.log(obj.a * p)) - obj.M * math.log(denom))

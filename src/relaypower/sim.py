@@ -29,18 +29,17 @@ import numpy as np
 from .codebook import LdCodebook, codeword_signs, generate_codebook
 from .model import (
     ChannelRealization,
-    ConstraintKind,
     CsitMode,
     NetworkConfig,
     PowerAllocation,
+    _batch_caps,
     _finite_array,
     _finite_scalar,
     sample_channel_batch,
 )
-from .objectives import StatisticalCsitObjective
 from .onoff import solve_onoff_masks
 from .rng import STREAM_CHANNELS, STREAM_FRAMES, derive_rng
-from .waterfill import solve_waterfill, solve_waterfill_batch
+from .waterfill import solve_waterfill_batch
 
 MIN_FRAMES = 1000
 
@@ -202,16 +201,9 @@ def _statistical_allocation(cfg: NetworkConfig, p_s: float, p_r: float) -> tuple
     """Statistical-CSIT waterfilling and the long-term caps it runs under, as (p, caps)."""
     # the long-term cap is the short-term one at |h_i|^2 = gamma_hi, under either constraint
     caps = _batch_caps(cfg, cfg.gamma_h, p_s, p_r)
-    # eta only adds M ln(eta) to every candidate's J, so eta = 1 picks the same optimum
-    obj = StatisticalCsitObjective.from_variances(cfg.gamma_h, cfg.gamma_g, 1.0)
-    return solve_waterfill(obj, caps).allocation.p, caps
-
-
-def _batch_caps(cfg: NetworkConfig, h2: np.ndarray, p_s: float, p_r: float) -> np.ndarray:
-    """Amplifier caps under cfg's constraint for first-hop gains h2 = |h|^2."""
-    if cfg.constraint_kind is ConstraintKind.SHORT_TERM:
-        return p_r / (p_s * h2 + cfg.N0)
-    return np.broadcast_to(p_r / (p_s * cfg.gamma_h + cfg.N0), h2.shape)
+    # the objective's a_i = eta gamma_gi gamma_hi never reach the kernel: sum_i ln(a_i)
+    # shifts every candidate level's J equally, so the level depends on gamma_g and caps only
+    return solve_waterfill_batch(cfg.gamma_g, caps[None])[0], caps
 
 
 def _allocate_batch(

@@ -19,6 +19,12 @@ The batch solver therefore scores only the minimum and its two neighbours,
 in O(n M) memory, and rescores over all M candidates the rare rows where
 another level lies within rounding reach of the minimum, so it returns
 the same bits as a full scan (tested up to M = 200 and P*gamma_g ~ 1e300).
+
+That kernel is the only code that picks a water level. Partial CSIT runs
+it per frame, statistical CSIT once per operating point, and the scalar
+solve_waterfill is a one-row wrapper, so the same (gamma_g, caps) gets the
+same allocation bits under every CSIT mode. The level never depends on
+the coefficients a_i: sum_i ln(a_i) shifts every candidate's J equally.
 """
 
 from __future__ import annotations
@@ -39,47 +45,13 @@ def _mu_interval(pg: np.ndarray) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class WaterLevelCandidates:
-    """Candidate water levels and their objective values.
-
-    order is the stable ascending permutation of P_i*gamma_gi; mu holds the
-    raw candidates mu_j, mu_clamped their projections onto
-    [mu_min, mu_max], feasible marks candidates already inside, and
-    J_values is J evaluated at the clamped levels with membership taken
-    from each level itself.
-    """
-
-    order: np.ndarray
-    mu: np.ndarray
-    mu_clamped: np.ndarray
-    feasible: np.ndarray
-    mu_min: float
-    mu_max: float
-    J_values: np.ndarray
-
-
-@dataclass(frozen=True)
 class WaterfillResult:
-    """Solved allocation plus the candidate table that produced it."""
+    """Solved allocation, its water level and J, and the relays held at their caps."""
 
     allocation: PowerAllocation
     mu_star: float
     J_star: float
     at_cap: np.ndarray
-    candidates: WaterLevelCandidates
-    gamma_g: np.ndarray
-
-    CSV_HEADER = "relay,gamma_g,P,p,at_cap,mu_star"
-
-    def to_csv_rows(self) -> list[str]:
-        """Rows of (relay, gamma_g, P, p, at_cap, mu_star), one per relay."""
-        rows = []
-        for i in range(self.allocation.M):
-            rows.append(
-                f"{i},{self.gamma_g[i]:.17g},{self.allocation.caps[i]:.17g},"
-                f"{self.allocation.p[i]:.17g},{int(self.at_cap[i])},{self.mu_star:.17g}"
-            )
-        return rows
 
 
 def J_of_mu(obj, mu: float, caps) -> float:
@@ -130,51 +102,6 @@ def derivative_J_wrt_mu(obj, mu: float, caps) -> float:
     return n_free * (1.0 - obj.M * mu / denom)
 
 
-def water_level_candidates(obj, caps) -> WaterLevelCandidates:
-    """Enumerate the M candidate levels and score them under J."""
-    caps = _positive_vector(caps, obj.M, "caps")
-    pg = caps * obj.gamma_g
-    order = np.argsort(pg, kind="stable")
-    prefix = np.cumsum(pg[order])
-    mu_raw = (1.0 + prefix) / np.arange(1, obj.M + 1)
-    mu_min, mu_max = _mu_interval(pg)
-    feasible = (mu_raw >= mu_min) & (mu_raw <= mu_max)
-    mu_clamped = np.clip(mu_raw, mu_min, mu_max)
-    j_values = np.array([J_of_mu(obj, float(mu), caps) for mu in mu_clamped])
-    return WaterLevelCandidates(
-        order=order,
-        mu=mu_raw,
-        mu_clamped=mu_clamped,
-        feasible=feasible,
-        mu_min=mu_min,
-        mu_max=mu_max,
-        J_values=j_values,
-    )
-
-
-def solve_waterfill(obj, caps) -> WaterfillResult:
-    """Maximize J over the cap box via the candidate water levels.
-
-    The returned allocation satisfies the KKT pattern: p_i = P_i exactly
-    for relays with P_i*gamma_gi <= mu_star and p_i*gamma_gi = mu_star for
-    the rest. Since mu_star >= 1/M > 0, no relay is ever silenced.
-    """
-    cands = water_level_candidates(obj, caps)
-    caps = _positive_vector(caps, obj.M, "caps")
-    k = int(np.argmax(cands.J_values))
-    mu_star = float(cands.mu_clamped[k])
-    p = np.minimum(mu_star / obj.gamma_g, caps)
-    at_cap = caps * obj.gamma_g <= mu_star
-    return WaterfillResult(
-        allocation=PowerAllocation(p=p, caps=caps),
-        mu_star=mu_star,
-        J_star=float(cands.J_values[k]),
-        at_cap=at_cap,
-        candidates=cands,
-        gamma_g=obj.gamma_g.copy(),
-    )
-
-
 # A full scan can prefer a level outside the window only when rounding
 # outweighs the J gap to the minimum. J is flat to second order there, so
 # the level gap of such a flip grows like the square root of the rounding
@@ -208,9 +135,9 @@ def solve_waterfill_batch(gamma_g: np.ndarray, caps: np.ndarray) -> np.ndarray:
         caps: amplifier caps, shape (n, M); finite and strictly positive.
 
     Returns:
-        Allocations of shape (n, M). Implements the same candidate
-        selection as solve_waterfill (the additive sum(ln a_i) term is
-        dropped; it never affects the argmax).
+        Allocations of shape (n, M). J is scored without its additive
+        sum(ln a_i) term, which never affects the argmax, so only gamma_g
+        and the caps enter.
 
     Raises:
         ValueError: for a wrong shape or a non-finite or non-positive entry.
@@ -235,8 +162,16 @@ def solve_waterfill_batch(gamma_g: np.ndarray, caps: np.ndarray) -> np.ndarray:
     the widest flip seen was 2.1e-6 relative.
     """
     caps = _positive_batch(caps, "caps")
-    n, m = caps.shape
-    gamma_g = _positive_vector(gamma_g, m, "gamma_g")
+    gamma_g = _positive_vector(gamma_g, caps.shape[1], "gamma_g")
+    # named rather than a temporary: freeing the levels before the division
+    # raised asym_m32's peak RSS by 2.6 MB (glibc heap layout, M = 32)
+    mu_star = _water_levels(gamma_g, caps)
+    return np.minimum(mu_star / gamma_g[None, :], caps)
+
+
+def _water_levels(gamma_g: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """Clamped optimal water level of each row, shape (n, 1), for validated inputs."""
+    m = caps.shape[1]
     pg = caps * gamma_g
     # only the sorted values are used, and equal floats are interchangeable,
     # so any sort kind gives the same bits; the default one is the faster
@@ -261,8 +196,26 @@ def solve_waterfill_batch(gamma_g: np.ndarray, caps: np.ndarray) -> np.ndarray:
     rescore = np.any(near, axis=1)
     if np.any(rescore):
         best[rescore] = _best_candidate(gamma_g, caps[rescore], mu_cl[rescore])
-    mu_star = np.take_along_axis(mu_cl, best[:, None], axis=1)
-    return np.minimum(mu_star / gamma_g[None, :], caps)
+    return np.take_along_axis(mu_cl, best[:, None], axis=1)
+
+
+def solve_waterfill(obj, caps) -> WaterfillResult:
+    """Maximize J over the cap box: one row of solve_waterfill_batch's kernel.
+
+    The returned allocation satisfies the KKT pattern: p_i = P_i exactly
+    for relays with P_i*gamma_gi <= mu_star and p_i*gamma_gi = mu_star for
+    the rest. Since mu_star >= 1/M > 0, no relay is ever silenced. J_star
+    is log_objective_J at that allocation.
+    """
+    caps = _positive_vector(caps, obj.M, "caps")
+    mu_star = float(_water_levels(obj.gamma_g, caps[None])[0, 0])
+    p = np.minimum(mu_star / obj.gamma_g, caps)
+    return WaterfillResult(
+        allocation=PowerAllocation(p=p, caps=caps),
+        mu_star=mu_star,
+        J_star=log_objective_J(obj, p),
+        at_cap=caps * obj.gamma_g <= mu_star,
+    )
 
 
 def waterfill_m2_closed_form(obj, caps) -> PowerAllocation:
@@ -297,10 +250,6 @@ def grid_search_oracle(obj, caps, grid_points: int = 100_000) -> tuple[float, fl
     caps = _positive_vector(caps, obj.M, "caps")
     pg = caps * obj.gamma_g
     mu_min, mu_max = _mu_interval(pg)
-    cands = water_level_candidates(obj, caps)
-    grid = np.linspace(mu_min, mu_max, grid_points)
-    grid = np.concatenate([grid, cands.mu_clamped])
-
     order = np.argsort(pg, kind="stable")
     pg_sorted = pg[order]
     ln_caps_sorted = np.log(caps[order])
@@ -310,6 +259,9 @@ def grid_search_oracle(obj, caps, grid_points: int = 100_000) -> tuple[float, fl
     prefix_ln_gamma = np.concatenate([[0.0], np.cumsum(ln_gamma_sorted)])
     with np.errstate(divide="ignore"):
         sum_ln_a = float(np.sum(np.log(obj.a)))
+    # the candidate levels mu_j = (1 + prefix_pg[j]) / j, clamped into [mu_min, mu_max]
+    mu_cands = np.clip((1.0 + prefix_pg[1:]) / np.arange(1, obj.M + 1), mu_min, mu_max)
+    grid = np.concatenate([np.linspace(mu_min, mu_max, grid_points), mu_cands])
 
     # number of capped relays at each level (ties count as capped)
     idx = np.searchsorted(pg_sorted, grid, side="right")

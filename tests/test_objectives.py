@@ -161,6 +161,25 @@ class TestPerfectObjective:
             f0_value(_perfect_m3(), np.array([1.0, -1.0, 0.0]))
 
 
+def _partial_m3():
+    return PartialCsitObjective(a=np.ones(3), gamma_g=np.ones(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+@pytest.mark.parametrize("name, build", [
+    ("alpha", lambda v: PerfectCsitObjective(alpha=v, beta=np.ones(3), eta=1.0)),
+    ("beta", lambda v: PerfectCsitObjective(alpha=np.ones(3), beta=v, eta=1.0)),
+    ("a", lambda v: PartialCsitObjective(a=v, gamma_g=np.ones(3))),
+    ("a", lambda v: StatisticalCsitObjective(a=v, gamma_g=np.ones(3))),
+    ("p", lambda v: f0_value(_perfect_m3(), v)),
+    ("p", lambda v: rho_values(_partial_m3(), v)),
+    ("p", lambda v: log_objective_J(_partial_m3(), v)),
+], ids=["alpha", "beta", "a-partial", "a-statistical", "p-f0", "p-rho", "p-J"])
+def test_rejects_non_finite_or_negative_entries(name, build, bad):
+    with pytest.raises(ValueError, match=f"{name} entries must be finite"):
+        build(np.array([1.0, bad, 2.0]))
+
+
 class TestAveragedObjectives:
     def test_partial_and_statistical_coefficients_agree(self):
         # |h_i|^2 == gamma_hi makes the two constructions identical

@@ -13,6 +13,7 @@ from relaypower.model import (
     ChannelRealization,
     NetworkConfig,
     PowerAllocation,
+    _batch_caps,
     amplifier_caps,
     overall_noise_variance,
     sample_channel_batch,
@@ -23,7 +24,6 @@ from relaypower.sim import (
     Scheme,
     SimResult,
     _allocate_batch,
-    _batch_caps,
     _batch_size,
     _DecodeTables,
     _ml_decode_batch,
@@ -378,6 +378,20 @@ class TestShardInvariance:
                                   seed=11, shards=shards)
             np.testing.assert_array_equal(res.block_errors, ref.block_errors)
             np.testing.assert_array_equal(res.bit_errors, ref.bit_errors)
+
+
+class TestStatisticalAllocation:
+    def test_same_bits_as_partial_csit_on_a_near_tie(self):
+        # two candidate levels of these caps tie within J rounding; partial
+        # and statistical CSIT run one kernel, so they pick the same one
+        gamma_h = np.array([2.0, 1.0, 2.0, 1.0, 1.0])
+        gamma_g = np.array([3.0, 3.0, 2.0, 1.0, 3.0])
+        p = 5547.996686297584
+        stat = _stat_cfg(5, 5, p_s=p, p_r=p, gamma_h=gamma_h, gamma_g=gamma_g)
+        p_stat, caps = _statistical_allocation(stat, p, p)
+        partial = _cfg(5, 5, csit_mode="partial", p_s=p, p_r=p, gamma_h=gamma_h, gamma_g=gamma_g)
+        p_partial = _allocate_batch(partial, Scheme.WATERFILL, gamma_h[None], None, caps[None], None)
+        np.testing.assert_array_equal(p_stat, p_partial[0])
 
 
 class TestEffectiveRelayCount:

@@ -20,7 +20,6 @@ from relaypower.waterfill import (
     grid_search_oracle,
     solve_waterfill,
     solve_waterfill_batch,
-    water_level_candidates,
     waterfill_m2_closed_form,
 )
 
@@ -97,34 +96,6 @@ class TestDerivative:
             assert derivative_J_wrt_mu(obj, mu, caps) == pytest.approx(
                 fd * mu, rel=1e-6, abs=1e-9)
             checked += 1
-
-
-class TestCandidates:
-    def test_table_structure(self):
-        obj, caps = M3
-        cands = water_level_candidates(obj, caps)
-        np.testing.assert_array_equal(cands.order, [0, 1, 2])
-        np.testing.assert_allclose(cands.mu, [1.5, 1.25, 2.5], rtol=1e-15)
-        assert cands.mu_min == pytest.approx(1.0 / 3.0)
-        assert cands.mu_max == pytest.approx(2.5)
-        assert cands.mu[-1] == pytest.approx(cands.mu_max)
-        assert cands.feasible.all()
-
-    def test_stable_order_on_ties(self):
-        obj = _obj([2.0, 1.0, 2.0])
-        caps = np.array([0.5, 1.0, 0.5])  # pg = (1, 1, 1)
-        cands = water_level_candidates(obj, caps)
-        np.testing.assert_array_equal(cands.order, [0, 1, 2])
-
-    def test_infeasible_candidates_marked_and_clamped(self):
-        # near-equal P_i*gamma_gi puts mu_1 = 1 + min(pg) above mu_max
-        obj = _obj([1.0, 1.0])
-        caps = np.array([0.9, 0.95])
-        cands = water_level_candidates(obj, caps)
-        assert cands.mu[0] == pytest.approx(1.9)
-        assert cands.mu_max == pytest.approx(1.425)
-        assert not cands.feasible[0]
-        assert cands.mu_clamped[0] == pytest.approx(cands.mu_max)
 
 
 class TestSolve:
@@ -214,14 +185,6 @@ class TestSolve:
         a = solve_waterfill(obj, caps).allocation.p
         b = solve_waterfill(obj, caps).allocation.p
         np.testing.assert_array_equal(a, b)
-
-    def test_csv_rows(self):
-        obj, caps = M2
-        res = solve_waterfill(obj, caps)
-        assert res.CSV_HEADER == "relay,gamma_g,P,p,at_cap,mu_star"
-        rows = res.to_csv_rows()
-        assert rows[0] == "0,1,1,1,1,2"
-        assert rows[1] == "1,1,3,2,0,2"
 
 
 class TestClosedFormM2:
@@ -330,18 +293,64 @@ def scored_shapes(monkeypatch):
     return shapes
 
 
+# (gamma_h, gamma_g, p) of statistical-CSIT points whose caps p / (p gamma_h + 1)
+# put two candidate levels within J rounding of each other, so a scan that
+# rounds J in another order picks the other level (up to 6.7e-8 relative apart)
+_INTEGER_NEAR_TIES = [
+    ([2, 1, 2, 1, 1], [3, 3, 2, 1, 3], 5547.996686297584),
+    ([2, 2, 3, 1, 2], [1, 2, 3, 3, 1], 1e4),
+    ([1, 2, 1, 1, 2, 2, 2], [1, 2, 2, 3, 2, 1, 1], 1e3),
+    ([2, 1, 2, 1, 1, 2, 1, 2, 2, 1], [2, 3, 1, 2, 1, 2, 3, 1, 2, 2], 10.0 ** 3.4),
+    ([3, 2, 3, 3, 2, 1, 2, 1, 1, 2, 2], [2, 2, 1, 2, 1, 1, 1, 3, 1, 1, 1], 10.0 ** 2.8),
+    ([2, 2, 2, 1, 3, 2, 1, 1, 3, 2, 2], [3, 1, 3, 2, 3, 2, 1, 3, 3, 1, 3], 1e3),
+]
+
+# every relay capped, so mu* is the kernel's mu_max, one ulp above J_of_mu's
+_ALL_CAPPED_ULP_ABOVE = (np.array([0.048, 0.339, 1.591]), np.array([[5.156, 0.034, 0.017]]))
+
+
+def _J_at_level(obj, mu, caps):
+    """J_of_mu at a solver's level, which may sit an ulp past J_of_mu's interval.
+
+    The kernel takes mu_max from a cumsum and J_of_mu from np.sum; where
+    the two round apart, J_of_mu clamps back by that ulp and warns.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        j = J_of_mu(obj, mu, caps)
+    if caught:
+        assert len(caught) == 1 and "clamping" in str(caught[0].message)
+        mu_max = float((1.0 + np.sum(caps * obj.gamma_g)) / obj.M)
+        assert abs(mu - mu_max) <= 4 * np.spacing(mu_max)
+    return j
+
+
 class TestBatchSolver:
+    def _assert_rows_match_scalar(self, gamma_g, caps):
+        batch = solve_waterfill_batch(gamma_g, caps)
+        obj = _obj(gamma_g)
+        for i in range(caps.shape[0]):
+            res = solve_waterfill(obj, caps[i])
+            np.testing.assert_array_equal(batch[i], res.allocation.p)
+            assert res.J_star == pytest.approx(_J_at_level(obj, res.mu_star, caps[i]), rel=1e-12)
+
     def test_agrees_with_scalar_solver(self):
         rng = np.random.default_rng(20)
         for m in (1, 2, 3, 4, 6, 8, 16, 32):
             n = 300 if m <= 8 else 60
             for gamma_g in (rng.uniform(0.2, 3.0, m), np.full(m, 1.3)):
-                caps = rng.uniform(0.1, 5.0, (n, m))
-                batch = solve_waterfill_batch(gamma_g, caps)
-                obj = _obj(gamma_g)
-                for i in range(n):
-                    res = solve_waterfill(obj, caps[i])
-                    np.testing.assert_allclose(batch[i], res.allocation.p, rtol=1e-12)
+                self._assert_rows_match_scalar(gamma_g, rng.uniform(0.1, 5.0, (n, m)))
+        for gamma_h, gamma_g, p in _INTEGER_NEAR_TIES:
+            caps = p / (p * np.asarray(gamma_h, dtype=np.float64) + 1.0)
+            self._assert_rows_match_scalar(np.asarray(gamma_g, dtype=np.float64), caps[None])
+        self._assert_rows_match_scalar(*_ALL_CAPPED_ULP_ABOVE)
+
+    def test_level_an_ulp_above_J_of_mu_interval(self):
+        gamma_g, caps = _ALL_CAPPED_ULP_ABOVE
+        res = solve_waterfill(_obj(gamma_g), caps[0])
+        assert res.at_cap.all()
+        with pytest.warns(UserWarning, match="clamping"):
+            J_of_mu(_obj(gamma_g), res.mu_star, caps[0])
 
     @settings(max_examples=150)
     @given(_batches())

@@ -15,10 +15,10 @@ optimal when only the second hop is uncertain.
 The raw levels are V-shaped in j: mu_{j+1} is a weighted mean of mu_j and
 the next sorted product, so the sequence falls while that product lies
 below mu_j and rises after, and its minimum is the self-consistent level.
-The batch solver therefore scores only the minimum and its two neighbours,
-in O(n M) memory, and rescores over all M candidates the rare rows where
-another level lies within rounding reach of the minimum, so it returns
-the same bits as a full scan (tested up to M = 200 and P*gamma_g ~ 1e300).
+The batch solver therefore takes that minimum's clamped level directly,
+in O(n M) memory, and scores J over all M candidates only the rare rows
+where another level lies within rounding reach of it, so it returns the
+same bits as a full scan (tested up to M = 200 and P*gamma_g ~ 1e300).
 
 That kernel is the only code that picks a water level. Partial CSIT runs
 it per frame, statistical CSIT once per operating point, and the scalar
@@ -40,8 +40,9 @@ from .objectives import log_objective_J
 
 
 def _mu_interval(pg: np.ndarray) -> tuple[float, float]:
+    # mu_max is the last raw level, summed as the kernel sums it
     m = pg.shape[0]
-    return 1.0 / m, float((1.0 + np.sum(pg)) / m)
+    return 1.0 / m, float((1.0 + np.cumsum(np.sort(pg))[-1]) / m)
 
 
 @dataclass(frozen=True)
@@ -102,20 +103,22 @@ def derivative_J_wrt_mu(obj, mu: float, caps) -> float:
     return n_free * (1.0 - obj.M * mu / denom)
 
 
-# A full scan can prefer a level outside the window only when rounding
-# outweighs the J gap to the minimum. J is flat to second order there, so
-# the level gap of such a flip grows like the square root of the rounding
-# in J, which grows with ln(P gamma_g): on constructed near-ties, flips
-# reached 8e-7 relative at P gamma_g ~ 1e30, 1.6e-6 at ~ 1e100 and 2.1e-6
-# at ~ 1e300 (M = 40 and 200).
+# A full scan can prefer a level other than the least clamped one only when
+# rounding outweighs the J gap between them. J is flat to second order
+# there, so the level gap of such a flip grows like the square root of the
+# rounding in J, which grows with ln(P gamma_g): on constructed near-ties,
+# flips reached 8e-7 relative at P gamma_g ~ 1e30, 1.6e-6 at ~ 1e100 and
+# 2.1e-6 at ~ 1e300 (M = 40 and 200). This one margin is the whole
+# bit-identity argument: a row with no level inside it keeps the least
+# level unscored.
 _NEAR_TIE_RTOL = 1e-4
 
 
 def _best_candidate(gamma_g: np.ndarray, caps: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """First-index argmax of J over candidate levels mu, shape (n, k).
+    """First-index argmax of J over each row's M candidate levels mu, shape (r, M).
 
-    Builds the (n, k, M) candidate allocations in one buffer, so memory is
-    O(n k M).
+    Builds the (r, M, M) candidate allocations in one buffer, so memory is
+    O(r M^2); only the near-tie rows are scored.
     """
     m = caps.shape[1]
     p_cand = mu[:, :, None] / gamma_g[None, None, :]
@@ -146,18 +149,16 @@ def solve_waterfill_batch(gamma_g: np.ndarray, caps: np.ndarray) -> np.ndarray:
     levels mu_j are V-shaped in j: mu_{j+1} = (j mu_j + s_(j+1)) / (j + 1)
     is a weighted mean of mu_j and s_(j+1), so the sequence falls while
     s_(j+1) < mu_j and rises once s_(j+1) > mu_j, and its minimum j* is
-    the self-consistent level, the optimizer. Only three consecutive
-    clamped candidates are scored, j*-1, j*, j*+1, shifted inward when j*
-    is the first or last index, with the same arithmetic and first-index
-    argmax as a full scan; the candidate tensor is (n, 3, M), so memory is
-    O(n M) instead of O(n M^2). Rounding can still let a full scan prefer
-    a candidate whose clamped level lies within _NEAR_TIE_RTOL (1e-4)
-    relative of mu_j*; rows with such a level outside the window are
-    rescored over all M candidates, so the result equals the full scan bit
-    for bit. Levels exactly equal to mu_j* are not flagged: whichever
-    index wins, they give the same allocation. For M <= 3 the window holds
-    every candidate and no row is rescored. The 1e-4 margin is
-    empirical: bit identity is tested for M up to 40 on random and tied
+    the self-consistent level, the optimizer. Each row takes the clamped
+    level mu_j* directly. Rounding can let a full scan (J at every clamped
+    level, first-index argmax) prefer another level, but none was ever
+    seen more than 2.1e-6 relative from mu_j*. So only rows with a clamped
+    level in (mu_j*, mu_j* (1 + _NEAR_TIE_RTOL)] are scored over all M
+    candidates, with the full scan's arithmetic; any other row gets the
+    full scan's level or one equal to it, and the result equals the full
+    scan bit for bit. Memory is O(n M), plus O(r M^2) for the r scored
+    rows. The 1e-4 margin is empirical and alone carries the bit-identity
+    argument: bit identity is tested for M up to 40 on random and tied
     rows and for M = 200 on near-ties with P*gamma_g up to ~1e300, where
     the widest flip seen was 2.1e-6 relative.
     """
@@ -172,31 +173,30 @@ def solve_waterfill_batch(gamma_g: np.ndarray, caps: np.ndarray) -> np.ndarray:
 def _water_levels(gamma_g: np.ndarray, caps: np.ndarray) -> np.ndarray:
     """Clamped optimal water level of each row, shape (n, 1), for validated inputs."""
     m = caps.shape[1]
-    pg = caps * gamma_g
+    # one buffer goes from the products to the clamped levels in place; the
+    # in-place ufuncs round exactly as their out-of-place forms
+    mu = caps * gamma_g
     # only the sorted values are used, and equal floats are interchangeable,
     # so any sort kind gives the same bits; the default one is the faster
     # at large M (6x at M = 32)
-    pg_sorted = np.sort(pg, axis=1)
-    prefix = np.cumsum(pg_sorted, axis=1)
-    mu_raw = (1.0 + prefix) / np.arange(1, m + 1)
-    mu_max = mu_raw[:, -1:]
-    mu_cl = np.clip(mu_raw, 1.0 / m, mu_max)
-    j_min = np.argmin(mu_raw, axis=1)
-    # k consecutive candidates from start, in index order, so the first-index
-    # argmax breaks ties as a full scan does; for M <= 3 that is all of them
-    k = min(3, m)
-    start = np.clip(j_min - 1, 0, m - k)
-    window = start[:, None] + np.arange(k)
-    best = start + _best_candidate(gamma_g, caps, np.take_along_axis(mu_cl, window, axis=1))
-    # clip is monotone, so no clamped level lies below mu_ref
-    mu_ref = np.take_along_axis(mu_cl, j_min[:, None], axis=1)
-    gap = mu_cl - mu_ref
-    near = (gap > 0.0) & (gap <= _NEAR_TIE_RTOL * mu_ref)
-    np.put_along_axis(near, window, False, axis=1)
+    mu.sort(axis=1)
+    np.cumsum(mu, axis=1, out=mu)
+    mu += 1.0
+    mu /= np.arange(1, m + 1)
+    # clamp into [1/M, mu_max]: a raw level is at least 1/j >= 1/M in floats
+    # too, so only the upper end binds
+    mu_max = mu[:, -1:].copy()
+    np.minimum(mu, mu_max, out=mu)
+    # the clamp is monotone, so the least clamped level is the clamped
+    # level at the argmin of the raw ones, the V-shape's minimum
+    mu_star = np.min(mu, axis=1, keepdims=True)
+    near = (mu > mu_star) & (mu <= mu_star * (1.0 + _NEAR_TIE_RTOL))
     rescore = np.any(near, axis=1)
     if np.any(rescore):
-        best[rescore] = _best_candidate(gamma_g, caps[rescore], mu_cl[rescore])
-    return np.take_along_axis(mu_cl, best[:, None], axis=1)
+        mu_rows = mu[rescore]
+        best = _best_candidate(gamma_g, caps[rescore], mu_rows)
+        mu_star[rescore] = np.take_along_axis(mu_rows, best[:, None], axis=1)
+    return mu_star
 
 
 def solve_waterfill(obj, caps) -> WaterfillResult:

@@ -100,6 +100,7 @@ def test_criterion_02_onoff_closed_form_m2():
     assert elapsed < 10
 
 
+@pytest.mark.slow
 def test_criterion_03_waterfill_oracle_equivalence():
     rng = np.random.default_rng(103)
     start = time.perf_counter()

@@ -1,5 +1,7 @@
 """Scenario files, experiment runners, and the command-line entry point."""
 
+import re
+
 import numpy as np
 import pytest
 import yaml
@@ -241,6 +243,26 @@ def test_run_writes_expected_outputs(tmp_path, kind, capsys):
         assert p.read_text().splitlines()[0] == EXPECTED_HEADERS[kind]
     summary = capsys.readouterr().out
     assert f"kind={kind} seed=0 frames=" in summary and "elapsed_s=" in summary
+
+
+class TestExtremePowers:
+    def test_validator_accepts_300_db_grids(self, tmp_path):
+        grid = [-300.0, -100.0, 0.0, 100.0, 300.0]
+        for kind in ("bler_vs_snr", "ber_vs_network_power"):
+            text = re.sub(r"snr_db: \[.*\]", f"snr_db: {grid}", MINIMAL[kind])
+            assert load_spec(_write(tmp_path, text)).snr_db == tuple(grid)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("power_db", [-300.0, 300.0])
+    def test_asymptotic_study_at_300_db_stays_finite(self, tmp_path, power_db):
+        text = (MINIMAL["asymptotic_study"].replace("m_grid: [2]", "m_grid: [2, 4]")
+                .replace("network_power_db: 15.0", f"network_power_db: {power_db}"))
+        spec = load_spec(_write(tmp_path, text))
+        assert spec.network_power_db == power_db
+        (csv,) = [p for p in run_experiment(spec, tmp_path / "out") if p.suffix == ".csv"]
+        values = np.array([row.split(",") for row in csv.read_text().splitlines()[1:]],
+                          dtype=np.float64)
+        assert values.shape == (4, 9) and np.all(np.isfinite(values))
 
 
 class TestDeterminism:

@@ -426,3 +426,18 @@ class TestEffectiveRelayCount:
         cfg = _cfg(4, 4, p_s=6.3, p_r=6.3, csit_mode="partial")
         counts = effective_relay_count(cfg, Scheme.WATERFILL, [0.05], 2000, seed=2)
         assert counts[0] >= 0.95 * 4
+
+
+class TestExtremePowers:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("network_power_sweep", [False, True])
+    @pytest.mark.parametrize("scheme,mode", [(Scheme.ONOFF, "perfect"),
+                                             (Scheme.WATERFILL, "partial"),
+                                             (Scheme.WATERFILL, "statistical"),
+                                             (Scheme.MAX_POWER, "perfect")])
+    def test_sweeps_to_300_db_stay_finite(self, scheme, mode, network_power_sweep):
+        cfg = _stat_cfg(4, 4) if mode == "statistical" else _cfg(4, 4, csit_mode=mode)
+        res = run_monte_carlo(cfg, scheme, [-300.0, -100.0, 0.0, 100.0, 300.0], 1000, seed=0,
+                              network_power_sweep=network_power_sweep)
+        assert np.all(np.isfinite(res.bler)) and np.all(np.isfinite(res.ber))
+        assert not any("nan" in row for row in res.to_csv_rows())

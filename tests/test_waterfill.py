@@ -212,22 +212,24 @@ class TestClosedFormM2:
             waterfill_m2_closed_form(obj, np.ones(3))
 
 
-def _full_scan_reference(gamma_g, caps):
-    """Batch waterfilling that scores every candidate level.
+def _clamped_levels(gamma_g, caps):
+    """Every row's M candidate levels, clamped into [1/M, mu_max]."""
+    m = caps.shape[1]
+    pg_sorted = np.sort(caps * gamma_g, axis=1, kind="stable")
+    mu_raw = (1.0 + np.cumsum(pg_sorted, axis=1)) / np.arange(1, m + 1)
+    return np.clip(mu_raw, 1.0 / m, mu_raw[:, -1:])
 
-    This is solve_waterfill_batch as it was before it scored only the
-    levels next to the minimum; the windowed kernel must match it bit for
-    bit.
+
+def _full_scan_reference(gamma_g, caps):
+    """Batch waterfilling that scores every candidate level of every row.
+
+    This is solve_waterfill_batch as it was before it scored only the rows
+    with a near-tie level; the kernel must match it bit for bit.
     """
     gamma_g = np.asarray(gamma_g, dtype=np.float64)
     caps = np.asarray(caps, dtype=np.float64)
-    n, m = caps.shape
-    pg = caps * gamma_g
-    pg_sorted = np.sort(pg, axis=1, kind="stable")
-    prefix = np.cumsum(pg_sorted, axis=1)
-    mu_raw = (1.0 + prefix) / np.arange(1, m + 1)
-    mu_max = mu_raw[:, -1:]
-    mu_cl = np.clip(mu_raw, 1.0 / m, mu_max)
+    m = caps.shape[1]
+    mu_cl = _clamped_levels(gamma_g, caps)
     # candidate allocations: (n, M candidates, M relays)
     p_cand = np.minimum(mu_cl[:, :, None] / gamma_g[None, None, :], caps[:, None, :])
     denom = 1.0 + np.einsum("ijk,k->ij", p_cand, gamma_g)
@@ -235,6 +237,13 @@ def _full_scan_reference(gamma_g, caps):
     best = np.argmax(j_cand, axis=1)
     mu_star = np.take_along_axis(mu_cl, best[:, None], axis=1)
     return np.minimum(mu_star / gamma_g[None, :], caps)
+
+
+def _near_levels(gamma_g, caps):
+    """Mask of the clamped levels in (mu, mu (1 + rtol)], mu the row's least level."""
+    mu = _clamped_levels(gamma_g, caps)
+    mu_min = np.min(mu, axis=1, keepdims=True)
+    return (mu > mu_min) & (mu <= mu_min * (1.0 + waterfill._NEAR_TIE_RTOL))
 
 
 def _tie_rows(rng, m, n, gamma_g, n_ties, scale=1.0, spread=0.0):
@@ -280,17 +289,18 @@ def _batches(draw):
 
 
 @pytest.fixture
-def scored_shapes(monkeypatch):
-    """Records the (rows, candidates) shape of every batch scoring call."""
-    shapes = []
+def scored_rows(monkeypatch):
+    """Records the cap rows of every batch scoring call, each over all M levels."""
+    calls = []
     scorer = waterfill._best_candidate
 
     def spy(gamma_g, caps, mu):
-        shapes.append(mu.shape)
+        assert mu.shape == caps.shape
+        calls.append(caps.copy())
         return scorer(gamma_g, caps, mu)
 
     monkeypatch.setattr(waterfill, "_best_candidate", spy)
-    return shapes
+    return calls
 
 
 # (gamma_h, gamma_g, p) of statistical-CSIT points whose caps p / (p gamma_h + 1)
@@ -305,24 +315,16 @@ _INTEGER_NEAR_TIES = [
     ([2, 2, 2, 1, 3, 2, 1, 1, 3, 2, 2], [3, 1, 3, 2, 3, 2, 1, 3, 3, 1, 3], 1e3),
 ]
 
-# every relay capped, so mu* is the kernel's mu_max, one ulp above J_of_mu's
+# every relay capped, so mu* is the kernel's mu_max, which sits one ulp
+# above (1 + np.sum(products)) / M: the kernel sums the sorted products
 _ALL_CAPPED_ULP_ABOVE = (np.array([0.048, 0.339, 1.591]), np.array([[5.156, 0.034, 0.017]]))
 
 
 def _J_at_level(obj, mu, caps):
-    """J_of_mu at a solver's level, which may sit an ulp past J_of_mu's interval.
-
-    The kernel takes mu_max from a cumsum and J_of_mu from np.sum; where
-    the two round apart, J_of_mu clamps back by that ulp and warns.
-    """
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        j = J_of_mu(obj, mu, caps)
-    if caught:
-        assert len(caught) == 1 and "clamping" in str(caught[0].message)
-        mu_max = float((1.0 + np.sum(caps * obj.gamma_g)) / obj.M)
-        assert abs(mu - mu_max) <= 4 * np.spacing(mu_max)
-    return j
+    """J_of_mu at a solver's level, which lies inside J_of_mu's interval."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return J_of_mu(obj, mu, caps)
 
 
 class TestBatchSolver:
@@ -349,8 +351,11 @@ class TestBatchSolver:
         gamma_g, caps = _ALL_CAPPED_ULP_ABOVE
         res = solve_waterfill(_obj(gamma_g), caps[0])
         assert res.at_cap.all()
-        with pytest.warns(UserWarning, match="clamping"):
-            J_of_mu(_obj(gamma_g), res.mu_star, caps[0])
+        assert res.mu_star > (1.0 + np.sum(caps[0] * gamma_g)) / 3
+        # J_of_mu sums the products as the kernel does, so its interval
+        # holds the solver's own level and it does not warn
+        j = _J_at_level(_obj(gamma_g), res.mu_star, caps[0])
+        assert j == pytest.approx(res.J_star, rel=1e-12)
 
     @settings(max_examples=150)
     @given(_batches())
@@ -373,25 +378,59 @@ class TestBatchSolver:
             np.testing.assert_array_equal(solve_waterfill_batch(gamma_g, caps),
                                           _full_scan_reference(gamma_g, caps))
 
-    def test_near_tie_guard_rescores_over_all_candidates(self, scored_shapes):
+    def test_near_tie_guard_rescores_over_all_candidates(self, scored_rows):
         # s_(j+1) = s_(j+2) = mu_j puts three levels within rounding of
-        # each other; when the first is the strict minimum the third lies
-        # outside the window and the row must be rescored in full
+        # each other; rows where they do not round to one value are scored
         rng = np.random.default_rng(23)
         m, n = 12, 400
         gamma_g = rng.uniform(0.2, 3.0, m)
         caps, _ = _tie_rows(rng, m, n, gamma_g, n_ties=2)
         out = solve_waterfill_batch(gamma_g, caps)
         np.testing.assert_array_equal(out, _full_scan_reference(gamma_g, caps))
-        assert scored_shapes[0] == (n, 3)
-        assert len(scored_shapes) == 2
-        rescored, width = scored_shapes[1]
-        assert width == m and 0 < rescored < n
+        (scored,) = scored_rows
+        assert scored.shape[1] == m and 0 < scored.shape[0] < n
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 12, 40])
+    def test_adjacent_near_levels_are_scored_in_full(self, m, scored_rows):
+        # one product within 1e-6..1e-5 relative of mu_j puts mu_(j+1) that
+        # close to mu_j and leaves every other level far: the only near
+        # level is a neighbour of the minimum
+        rng = np.random.default_rng(24)
+        gamma_g = rng.uniform(0.2, 3.0, m)
+        ties = [_tie_rows(rng, m, 40, gamma_g, n_ties=1, spread=spread)[0]
+                for spread in (1e-6, 3e-6, 1e-5)]
+        caps = np.vstack(ties + [rng.exponential(1.0, (40, m))])
+        np.testing.assert_array_equal(solve_waterfill_batch(gamma_g, caps),
+                                      _full_scan_reference(gamma_g, caps))
+        near = _near_levels(gamma_g, caps)
+        flagged = np.any(near, axis=1)
+        # each flagged tie row has one near value, held by a neighbour of
+        # the minimum (and by the levels clamped to it when that is mu_max)
+        hit = flagged[:120]
+        mu, tied = _clamped_levels(gamma_g, caps)[:120][hit], near[:120][hit]
+        assert mu.shape[0] >= 40
+        np.testing.assert_array_equal(np.min(np.where(tied, mu, np.inf), axis=1),
+                                      np.max(np.where(tied, mu, 0.0), axis=1))
+        beside = np.clip(np.argmin(mu, axis=1)[:, None] + [-1, 1], 0, m - 1)
+        assert np.all(np.take_along_axis(tied, beside, axis=1).any(axis=1))
+        (scored,) = scored_rows
+        np.testing.assert_array_equal(scored, caps[flagged])
+
+    @pytest.mark.parametrize("m", [1, 2, 8, 32])
+    def test_rows_without_near_levels_are_not_scored(self, m, scored_rows):
+        rng = np.random.default_rng(25)
+        gamma_g = rng.uniform(0.2, 3.0, m)
+        caps = rng.exponential(1.0, (2000, m))
+        caps = caps[~np.any(_near_levels(gamma_g, caps), axis=1)]
+        assert caps.shape[0] > 1900
+        np.testing.assert_array_equal(solve_waterfill_batch(gamma_g, caps),
+                                      _full_scan_reference(gamma_g, caps))
+        assert scored_rows == []
 
     @pytest.mark.parametrize("m, scale, seed, n", [(40, 1e100, 1, 4000), (200, 1e300, 5, 800)])
     def test_near_ties_at_large_products_match_full_scan(self, m, scale, seed, n):
         # rounding in J grows with ln(P gamma_g), and with it the level gap
-        # at which a full scan can prefer a level outside the window; at
+        # at which a full scan can prefer a level other than the least; at
         # 1e100 six rows do so, three of them 1.0e-6 to 1.6e-6 relative from
         # the minimum, and at 1e300 with M = 200 two rows do
         rng = np.random.default_rng(seed)

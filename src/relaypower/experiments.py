@@ -10,6 +10,7 @@ only partitions work and never changes any output byte.
 from __future__ import annotations
 
 import enum
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .model import ConstraintKind, CsitMode, NetworkConfig, _batch_caps, sample_channel_batch
+from .model import CsitMode, NetworkConfig, _batch_caps, sample_channel_batch
 from .objectives import saddle_point_error
 from .onoff import solve_onoff_batch
 from .rng import STREAM_CHANNELS, STREAM_MISC, derive_rng, derive_seed
@@ -26,7 +27,7 @@ from .sim import (
     Scheme,
     SimResult,
     _allocate_batch,
-    _statistical_allocation,
+    _mean_cap_fraction,
     effective_relay_count,
     run_monte_carlo,
 )
@@ -42,13 +43,13 @@ class ExperimentKind(enum.Enum):
     SADDLE_STUDY = "saddle_study"
 
 
-# scenario scheme token -> (simulator scheme, CSIT mode, cap constraint)
+# scenario scheme token -> (simulator scheme, CSIT mode); the mode fixes the caps
 SCHEME_NAMES = {
-    "onoff": (Scheme.ONOFF, CsitMode.PERFECT, ConstraintKind.SHORT_TERM),
-    "waterfill_partial": (Scheme.WATERFILL, CsitMode.PARTIAL, ConstraintKind.SHORT_TERM),
-    "waterfill_statistical": (Scheme.WATERFILL, CsitMode.STATISTICAL, ConstraintKind.LONG_TERM),
-    "maxpower": (Scheme.MAX_POWER, CsitMode.PERFECT, ConstraintKind.SHORT_TERM),
-    "direct": (Scheme.DIRECT_LINK, CsitMode.PERFECT, ConstraintKind.SHORT_TERM),
+    "onoff": (Scheme.ONOFF, CsitMode.PERFECT),
+    "waterfill_partial": (Scheme.WATERFILL, CsitMode.PARTIAL),
+    "waterfill_statistical": (Scheme.WATERFILL, CsitMode.STATISTICAL),
+    "maxpower": (Scheme.MAX_POWER, CsitMode.PERFECT),
+    "direct": (Scheme.DIRECT_LINK, CsitMode.PERFECT),
 }
 
 MAX_SIM_RELAYS = 12  # exhaustive ML decoding bound, T = M
@@ -89,25 +90,11 @@ class ExperimentSpec:
 
     def resolved(self) -> dict:
         """Plain mapping of every field, defaults included, for provenance."""
-        out = {"kind": self.kind.value, "name": self.name, "seed": self.seed}
-        network = {"N0": self.N0}
-        for key in ("M", "T", "p_s", "p_r"):
-            value = getattr(self, key)
-            if value is not None:
-                network[key] = value
-        for key in ("gamma_h", "gamma_g"):
-            value = getattr(self, key)
-            network[key] = list(value) if isinstance(value, tuple) else value
-        out["network"] = network
-        for key in ("schemes", "snr_db", "r_grid", "m_grid"):
-            value = getattr(self, key)
-            if value:
-                out[key] = list(value)
-        for key in ("network_power_db", "frames", "trials", "instances", "eta", "iterations"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        return out
+        def plain(keys):
+            return {k: list(v) if isinstance(v, tuple) else v for k in keys if (v := getattr(self, k)) is not None}
+
+        network = plain(("N0", "M", "T", "p_s", "p_r", "gamma_h", "gamma_g"))
+        return {"kind": self.kind.value, **plain(("name", "seed", *_TOP_FIELDS[self.kind])), "network": network}
 
 
 def _gamma_vector(spec_value, m: int) -> np.ndarray:
@@ -116,54 +103,30 @@ def _gamma_vector(spec_value, m: int) -> np.ndarray:
     return np.full(m, float(spec_value))
 
 
-# Per-kind field tables. True = required, False = optional.
-_TOP_FIELDS: dict[ExperimentKind, dict[str, bool]] = {
-    ExperimentKind.CONVERGENCE: {"m_grid": True, "trials": False, "iterations": False},
-    ExperimentKind.BLER_VS_SNR: {"schemes": True, "snr_db": True, "frames": True},
+_REQUIRED = object()
+
+# Per-kind top-level fields: each maps to _REQUIRED or to its default.
+_TOP_FIELDS: dict[ExperimentKind, dict[str, object]] = {
+    ExperimentKind.CONVERGENCE: {"m_grid": _REQUIRED, "trials": 10_000, "iterations": 10},
+    ExperimentKind.BLER_VS_SNR: {"schemes": _REQUIRED, "snr_db": _REQUIRED, "frames": _REQUIRED},
     ExperimentKind.BER_VS_DISTANCE: {
-        "schemes": True, "m_grid": True, "r_grid": True, "network_power_db": True, "frames": True,
+        "schemes": _REQUIRED, "m_grid": _REQUIRED, "r_grid": _REQUIRED,
+        "network_power_db": _REQUIRED, "frames": _REQUIRED,
     },
     ExperimentKind.POWER_RATIO_VS_DISTANCE: {
-        "schemes": True, "m_grid": True, "r_grid": True, "network_power_db": True, "trials": False,
+        "schemes": _REQUIRED, "m_grid": _REQUIRED, "r_grid": _REQUIRED,
+        "network_power_db": _REQUIRED, "trials": 10_000,
     },
     ExperimentKind.BER_VS_NETWORK_POWER: {
-        "schemes": True, "m_grid": True, "snr_db": True, "frames": True,
+        "schemes": _REQUIRED, "m_grid": _REQUIRED, "snr_db": _REQUIRED, "frames": _REQUIRED,
     },
     ExperimentKind.ASYMPTOTIC_STUDY: {
-        "m_grid": True, "r_grid": True, "network_power_db": True, "trials": False,
+        "m_grid": _REQUIRED, "r_grid": _REQUIRED, "network_power_db": _REQUIRED, "trials": 10_000,
     },
     ExperimentKind.SADDLE_STUDY: {
-        "m_grid": True, "trials": False, "instances": False, "eta": False,
+        "m_grid": _REQUIRED, "trials": 100_000, "instances": 8, "eta": 1.0,
     },
 }
-
-_DEFAULT_TRIALS = {
-    ExperimentKind.CONVERGENCE: 10_000,
-    ExperimentKind.POWER_RATIO_VS_DISTANCE: 10_000,
-    ExperimentKind.ASYMPTOTIC_STUDY: 10_000,
-    ExperimentKind.SADDLE_STUDY: 100_000,
-}
-
-# Kinds whose sweep supplies the per-point powers, so the network block
-# must not fix p_s/p_r itself.
-_SWEPT_POWER_KINDS = frozenset(
-    {
-        ExperimentKind.BLER_VS_SNR,
-        ExperimentKind.BER_VS_DISTANCE,
-        ExperimentKind.POWER_RATIO_VS_DISTANCE,
-        ExperimentKind.BER_VS_NETWORK_POWER,
-        ExperimentKind.ASYMPTOTIC_STUDY,
-    }
-)
-
-# Kinds whose variances come from the swept relay distance.
-_DISTANCE_KINDS = frozenset(
-    {
-        ExperimentKind.BER_VS_DISTANCE,
-        ExperimentKind.POWER_RATIO_VS_DISTANCE,
-        ExperimentKind.ASYMPTOTIC_STUDY,
-    }
-)
 
 
 class _Validator:
@@ -192,11 +155,22 @@ class _Validator:
             self.fail(f"{prefix}{key}", f"{key} must be at most {maximum}")
         return value
 
+    def finite(self, key: str, value, message: str) -> float:
+        """value as a finite float; a YAML integer may lie beyond the float range."""
+        try:
+            out = float(value)
+        except OverflowError:
+            out = math.inf
+        if not math.isfinite(out):
+            self.fail(key, message)
+        return out
+
     def number(self, mapping, prefix, key, positive=False):
         value = self._scalar(mapping, prefix, key, (int, float), "must be a number")
+        value = self.finite(f"{prefix}{key}", value, f"{key} must be finite")
         if positive and value <= 0:
             self.fail(f"{prefix}{key}", f"{key} must be positive")
-        return float(value)
+        return value
 
     def grid(self, key, *, integer=False, low=None, high=None):
         value = self.data[key]
@@ -207,11 +181,13 @@ class _Validator:
             if isinstance(v, bool) or not isinstance(v, (int, float) if not integer else int):
                 kind = "integers" if integer else "numbers"
                 self.fail(f"{key}[{i}]", f"{key} entries must be {kind}")
+            if not integer:
+                v = self.finite(f"{key}[{i}]", v, f"{key} entries must be finite")
             if low is not None and v <= low:
                 self.fail(f"{key}[{i}]", f"{key} entries must exceed {low}")
             if high is not None and v >= high:
                 self.fail(f"{key}[{i}]", f"{key} entries must be below {high}")
-            out.append(v if integer else float(v))
+            out.append(v)
         if any(b <= a for a, b in zip(out, out[1:])):
             self.fail(key, f"{key} must be strictly increasing")
         return tuple(out)
@@ -253,6 +229,47 @@ def load_spec(path) -> ExperimentSpec:
     return _validate(str(path), data, lines)
 
 
+def _check_schemes(v: _Validator, kind: ExperimentKind) -> tuple[str, ...]:
+    raw = v.data["schemes"]
+    if not isinstance(raw, list) or not raw:
+        v.fail("schemes", "schemes must be a non-empty list")
+    seen = []
+    for i, token in enumerate(raw):
+        if token not in SCHEME_NAMES:
+            known = ", ".join(sorted(SCHEME_NAMES))
+            v.fail(f"schemes[{i}]", f"unknown scheme {token!r}; expected one of: {known}")
+        if token in seen:
+            v.fail(f"schemes[{i}]", f"duplicate scheme {token!r}")
+        if token == "direct" and kind is ExperimentKind.POWER_RATIO_VS_DISTANCE:
+            v.fail(f"schemes[{i}]", "the direct link has no relays to count; remove 'direct'")
+        seen.append(token)
+    return tuple(seen)
+
+
+# Top-level field -> check(validator, kind) of its value, in the order errors are reported.
+_FIELD_CHECKS = {
+    # a kind with a frame budget decodes every M it sweeps exhaustively
+    "m_grid": lambda v, kind: v.grid(
+        "m_grid", integer=True, low=0, high=MAX_SIM_RELAYS + 1 if "frames" in _TOP_FIELDS[kind] else None
+    ),
+    "schemes": _check_schemes,
+    "snr_db": lambda v, kind: v.grid("snr_db"),
+    "r_grid": lambda v, kind: v.grid("r_grid", low=0.0, high=1.0),
+    "network_power_db": lambda v, kind: v.number(v.data, "", "network_power_db"),
+    "frames": lambda v, kind: v.integer(v.data, "", "frames", minimum=1000),
+    "trials": lambda v, kind: v.integer(v.data, "", "trials", minimum=1),
+    "instances": lambda v, kind: v.integer(v.data, "", "instances", minimum=1),
+    "eta": lambda v, kind: v.number(v.data, "", "eta", positive=True),
+    "iterations": lambda v, kind: v.integer(v.data, "", "iterations", minimum=1),
+}
+
+
+def _top_fields(v: _Validator, kind: ExperimentKind, keys) -> dict:
+    """Checked values of kind's top-level fields among keys, defaults filled in."""
+    table = _TOP_FIELDS[kind]
+    return {key: _FIELD_CHECKS[key](v, kind) if key in v.data else table[key] for key in keys if key in table}
+
+
 def _validate(path: str, data: dict, lines: dict[str, int]) -> ExperimentSpec:
     v = _Validator(path, data, lines)
     if "kind" not in data:
@@ -268,8 +285,8 @@ def _validate(path: str, data: dict, lines: dict[str, int]) -> ExperimentSpec:
     for key in data:
         if key not in allowed:
             v.fail(key, f"unknown field {key!r} for kind {kind.value!r}")
-    for key, required in _TOP_FIELDS[kind].items():
-        if required and key not in data:
+    for key, default in _TOP_FIELDS[kind].items():
+        if default is _REQUIRED and key not in data:
             v.fail("<root>", f"missing required field {key!r} for kind {kind.value!r}")
     if "network" not in data:
         v.fail("<root>", "missing required field 'network'")
@@ -284,17 +301,17 @@ def _validate(path: str, data: dict, lines: dict[str, int]) -> ExperimentSpec:
     if "seed" in data:
         seed = v.integer(data, "", "seed", minimum=0)
 
-    sweeps_m = "m_grid" in _TOP_FIELDS[kind]
-    m_grid: tuple[int, ...] = ()
-    if sweeps_m:
-        sim_kind = kind in (ExperimentKind.BER_VS_DISTANCE, ExperimentKind.BER_VS_NETWORK_POWER)
-        m_grid = v.grid("m_grid", integer=True, low=0, high=MAX_SIM_RELAYS + 1 if sim_kind else None)
+    # m_grid before the network block: its gamma lists must cover the largest M
+    fields = _top_fields(v, kind, ["m_grid"])
+    # a power sweep sets p_s and p_r per point, a distance sweep sets the variances
+    swept_power = not {"snr_db", "network_power_db"}.isdisjoint(_TOP_FIELDS[kind])
+    swept_distance = "r_grid" in _TOP_FIELDS[kind]
 
     # --- network block ---
     net_allowed = {"N0", "gamma_h", "gamma_g"}
     if kind is ExperimentKind.BLER_VS_SNR:
         net_allowed |= {"M", "T"}
-    if kind not in _SWEPT_POWER_KINDS:
+    if not swept_power:
         net_allowed |= {"p_s", "p_r"}
     for key in network:
         if key in ("csit_mode", "constraint_kind"):
@@ -310,7 +327,7 @@ def _validate(path: str, data: dict, lines: dict[str, int]) -> ExperimentSpec:
         t = v.integer(network, "network.", "T", minimum=1, maximum=MAX_SIM_RELAYS) if "T" in network else m
 
     p_s = p_r = None
-    if kind not in _SWEPT_POWER_KINDS:
+    if not swept_power:
         for key in ("p_s", "p_r"):
             if key not in network:
                 v.fail("network", f"network.{key} is required for kind {kind.value!r}")
@@ -319,83 +336,20 @@ def _validate(path: str, data: dict, lines: dict[str, int]) -> ExperimentSpec:
 
     n0 = v.number(network, "network.", "N0", positive=True) if "N0" in network else 1.0
 
-    if kind in _DISTANCE_KINDS:
+    if swept_distance:
         for key in ("gamma_h", "gamma_g"):
             if key in network:
                 v.fail(f"network.{key}", f"{key} is derived from the distance sweep; remove it")
         gamma_h = gamma_g = 1.0
     else:
-        max_m = max(m_grid) if m_grid else m
+        max_m = max(fields["m_grid"]) if "m_grid" in fields else m
         gamma_h = _validate_gamma(v, network, "gamma_h", max_m)
         gamma_g = _validate_gamma(v, network, "gamma_g", max_m)
 
-    schemes: tuple[str, ...] = ()
-    if "schemes" in _TOP_FIELDS[kind]:
-        raw = data["schemes"]
-        if not isinstance(raw, list) or not raw:
-            v.fail("schemes", "schemes must be a non-empty list")
-        seen = []
-        for i, token in enumerate(raw):
-            if token not in SCHEME_NAMES:
-                known = ", ".join(sorted(SCHEME_NAMES))
-                v.fail(f"schemes[{i}]", f"unknown scheme {token!r}; expected one of: {known}")
-            if token in seen:
-                v.fail(f"schemes[{i}]", f"duplicate scheme {token!r}")
-            if token == "direct" and kind is ExperimentKind.POWER_RATIO_VS_DISTANCE:
-                v.fail(f"schemes[{i}]", "the direct link has no relays to count; remove 'direct'")
-            seen.append(token)
-        schemes = tuple(seen)
-
-    snr_db = v.grid("snr_db") if "snr_db" in _TOP_FIELDS[kind] else ()
-    r_grid = v.grid("r_grid", low=0.0, high=1.0) if "r_grid" in _TOP_FIELDS[kind] else ()
-
-    network_power_db = None
-    if "network_power_db" in _TOP_FIELDS[kind]:
-        network_power_db = v.number(data, "", "network_power_db")
-
-    frames = None
-    if "frames" in _TOP_FIELDS[kind]:
-        frames = v.integer(data, "", "frames", minimum=1000)
-
-    trials = None
-    if "trials" in _TOP_FIELDS[kind]:
-        trials = (
-            v.integer(data, "", "trials", minimum=1)
-            if "trials" in data
-            else _DEFAULT_TRIALS[kind]
-        )
-
-    instances = None
-    eta = None
-    if kind is ExperimentKind.SADDLE_STUDY:
-        instances = v.integer(data, "", "instances", minimum=1) if "instances" in data else 8
-        eta = v.number(data, "", "eta", positive=True) if "eta" in data else 1.0
-
-    iterations = None
-    if kind is ExperimentKind.CONVERGENCE:
-        iterations = v.integer(data, "", "iterations", minimum=1) if "iterations" in data else 10
-
+    fields |= _top_fields(v, kind, [key for key in _FIELD_CHECKS if key not in fields])
     return ExperimentSpec(
-        kind=kind,
-        name=name,
-        seed=seed,
-        M=m,
-        T=t,
-        p_s=p_s,
-        p_r=p_r,
-        N0=n0,
-        gamma_h=gamma_h,
-        gamma_g=gamma_g,
-        schemes=schemes,
-        snr_db=snr_db,
-        r_grid=r_grid,
-        m_grid=m_grid,
-        network_power_db=network_power_db,
-        frames=frames,
-        trials=trials,
-        instances=instances,
-        eta=eta,
-        iterations=iterations,
+        kind=kind, name=name, seed=seed, M=m, T=t, p_s=p_s, p_r=p_r, N0=n0,
+        gamma_h=gamma_h, gamma_g=gamma_g, **fields,
     )
 
 
@@ -404,30 +358,30 @@ def _validate_gamma(v: _Validator, network: dict, key: str, max_m: int | None):
         return 1.0
     value = network[key]
     if isinstance(value, (int, float)) and not isinstance(value, bool):
+        value = v.finite(f"network.{key}", value, f"{key} must be finite")
         if value <= 0:
             v.fail(f"network.{key}", f"{key} must be positive")
-        return float(value)
+        return value
     if isinstance(value, list):
         if not value:
             v.fail(f"network.{key}", f"{key} list must be non-empty")
+        out = []
         for i, item in enumerate(value):
             if isinstance(item, bool) or not isinstance(item, (int, float)) or item <= 0:
                 v.fail(f"network.{key}[{i}]", f"{key} entries must be positive numbers")
+            out.append(v.finite(f"network.{key}[{i}]", item, f"{key} entries must be finite"))
         if max_m is not None and len(value) < max_m:
             v.fail(f"network.{key}", f"{key} lists {len(value)} values but the largest M is {max_m}")
-        return tuple(float(x) for x in value)
+        return tuple(out)
     v.fail(f"network.{key}", f"{key} must be a number or a list of numbers")
 
 
 def _scheme_config(spec: ExperimentSpec, token: str, m: int, t: int,
                    gamma_h: np.ndarray, gamma_g: np.ndarray,
                    p_s: float, p_r: float) -> tuple[NetworkConfig, Scheme]:
-    scheme, mode, constraint = SCHEME_NAMES[token]
-    cfg = NetworkConfig(
-        M=m, T=t, p_s=p_s, p_r=p_r, N0=spec.N0,
-        gamma_h=gamma_h, gamma_g=gamma_g,
-        csit_mode=mode, constraint_kind=constraint,
-    )
+    scheme, mode = SCHEME_NAMES[token]
+    cfg = NetworkConfig(M=m, T=t, p_s=p_s, p_r=p_r, N0=spec.N0,
+                        gamma_h=gamma_h, gamma_g=gamma_g, csit_mode=mode)
     return cfg, scheme
 
 
@@ -608,17 +562,18 @@ def _run_asymptotic(spec, outputs, seed, shards, frames):
             gamma_h = np.full(m, 1.0 / r**2)
             gamma_g = np.full(m, 1.0 / (1.0 - r) ** 2)
             cfg, _ = _scheme_config(spec, "onoff", m, m, gamma_h, gamma_g, p, p)
+            cfg_wf, _ = _scheme_config(spec, "waterfill_partial", m, m, gamma_h, gamma_g, p, p)
+            cfg_st, _ = _scheme_config(spec, "waterfill_statistical", m, m, gamma_h, gamma_g, p, p)
             h, g = sample_channel_batch(cfg, spec.trials, derive_rng(seed, STREAM_CHANNELS, mi, ri))
             h2 = np.abs(h) ** 2
             caps = _batch_caps(cfg, h2, p, p)
-            p_on = _allocate_batch(cfg, Scheme.ONOFF, h2, g, caps, None)
-            p_wf = _allocate_batch(cfg, Scheme.WATERFILL, h2, g, caps, None)
+            p_on = _allocate_batch(cfg, Scheme.ONOFF, h2, g, caps)
+            p_wf = _allocate_batch(cfg_wf, Scheme.WATERFILL, h2, g, caps)
             count_on = float(np.mean(np.count_nonzero(p_on, axis=1)))
             count_wf = float(np.mean(np.sum(p_wf / caps, axis=1)))
             equality = float(np.mean(np.all(p_wf == p_on, axis=1)))
             spread = _water_level_spread(p_wf, caps, gamma_g)
-            p_st, caps_lt = _statistical_allocation(cfg, p, p)
-            count_st = float(np.sum(p_st / caps_lt))
+            count_st = _mean_cap_fraction(cfg_st, Scheme.WATERFILL, p, p, spec.trials, seed, mi, ri)
             rows.append(
                 f"{m},{_fmt(r)},{spec.trials},{_fmt(count_on)},{_fmt(count_wf)},"
                 f"{_fmt(count_st)},{_fmt(float(m))},{_fmt(equality)},{_fmt(spread)}"

@@ -39,7 +39,7 @@ class CsitMode(enum.Enum):
 
 
 # Knowledge of instantaneous h is what makes a short-term cap realizable,
-# so the mode/constraint combinations are pinned rather than free.
+# so each CSIT mode fixes its constraint; NetworkConfig derives it from here.
 _MODE_CONSTRAINTS = {
     CsitMode.PERFECT: ConstraintKind.SHORT_TERM,
     CsitMode.PARTIAL: ConstraintKind.SHORT_TERM,
@@ -104,8 +104,8 @@ class NetworkConfig:
         N0: noise power per complex dimension at relays and destination.
         gamma_h: source-to-relay channel variances, length M.
         gamma_g: relay-to-destination channel variances, length M.
-        csit_mode: transmitter channel knowledge.
-        constraint_kind: relay amplifier constraint regime.
+        csit_mode: transmitter channel knowledge; it also fixes the relay
+            power constraint, read back as constraint_kind.
     """
 
     M: int
@@ -116,7 +116,6 @@ class NetworkConfig:
     gamma_h: np.ndarray
     gamma_g: np.ndarray
     csit_mode: CsitMode = CsitMode.PERFECT
-    constraint_kind: ConstraintKind = ConstraintKind.SHORT_TERM
 
     def __post_init__(self):
         if self.M < 1:
@@ -129,14 +128,11 @@ class NetworkConfig:
         object.__setattr__(self, "gamma_g", _positive_vector(self.gamma_g, self.M, "gamma_g"))
         if not isinstance(self.csit_mode, CsitMode):
             object.__setattr__(self, "csit_mode", CsitMode(self.csit_mode))
-        if not isinstance(self.constraint_kind, ConstraintKind):
-            object.__setattr__(self, "constraint_kind", ConstraintKind(self.constraint_kind))
-        expected = _MODE_CONSTRAINTS[self.csit_mode]
-        if self.constraint_kind is not expected:
-            raise ValueError(
-                f"csit_mode {self.csit_mode.value!r} requires "
-                f"constraint_kind {expected.value!r}, got {self.constraint_kind.value!r}"
-            )
+
+    @property
+    def constraint_kind(self) -> ConstraintKind:
+        """The relay power constraint the CSIT mode can realize."""
+        return _MODE_CONSTRAINTS[self.csit_mode]
 
 
 @dataclass(frozen=True)

@@ -197,32 +197,43 @@ def _point_powers(cfg: NetworkConfig, snr_db: float, network_power_sweep: bool):
     return lin, lin, (cfg.M + 1) * lin
 
 
-def _statistical_allocation(cfg: NetworkConfig, p_s: float, p_r: float) -> tuple[np.ndarray, np.ndarray]:
-    """Statistical-CSIT waterfilling and the long-term caps it runs under, as (p, caps)."""
-    # the long-term cap is the short-term one at |h_i|^2 = gamma_hi, under either constraint
-    caps = _batch_caps(cfg, cfg.gamma_h, p_s, p_r)
-    # the objective's a_i = eta gamma_gi gamma_hi never reach the kernel: sum_i ln(a_i)
-    # shifts every candidate level's J equally, so the level depends on gamma_g and caps only
-    return solve_waterfill_batch(cfg.gamma_g, caps[None])[0], caps
-
-
 def _allocate_batch(
     cfg: NetworkConfig,
     scheme: Scheme,
     h2: np.ndarray,
-    g: np.ndarray,
+    g: np.ndarray | None,
     caps: np.ndarray,
-    stat_alloc: np.ndarray | None,
 ) -> np.ndarray:
-    """Relay powers (n, M) of one scheme under caps; statistical waterfilling repeats stat_alloc."""
-    if scheme is Scheme.WATERFILL and cfg.csit_mode is CsitMode.STATISTICAL:
-        return np.broadcast_to(stat_alloc, h2.shape)
+    """Relay powers (n, M) of one scheme under cfg's CSIT mode and caps = _batch_caps(cfg, h2, ...)."""
     if scheme is Scheme.MAX_POWER:
         return caps
     if scheme is Scheme.ONOFF:
         g2 = np.abs(g) ** 2
         return np.where(solve_onoff_masks(h2 * g2, g2, caps), caps, 0.0)
+    if cfg.csit_mode is CsitMode.STATISTICAL:
+        # long-term caps repeat one row, so the allocation does too: solve that row once.
+        # The objective's a_i = eta gamma_gi gamma_hi never reach the kernel: sum_i ln(a_i)
+        # shifts every candidate level's J equally, so the level depends on gamma_g and caps only
+        return np.broadcast_to(solve_waterfill_batch(cfg.gamma_g, caps[:1]), caps.shape)
     return solve_waterfill_batch(cfg.gamma_g, caps)
+
+
+def _mean_cap_fraction(
+    cfg: NetworkConfig, scheme: Scheme, p_s: float, p_r: float, trials: int, seed: int, *key: int
+) -> float:
+    """E[sum_i p_i / P_i] of one scheme over `trials` draws from channel stream (seed, *key).
+
+    Statistical CSIT allocates from the variances alone, so it draws
+    nothing and scores its one allocation.
+    """
+    if cfg.csit_mode is CsitMode.STATISTICAL:
+        # long-term caps read only the shape of the first-hop gains
+        h2, g = cfg.gamma_h[None], None
+    else:
+        h, g = sample_channel_batch(cfg, trials, derive_rng(seed, STREAM_CHANNELS, *key))
+        h2 = np.abs(h) ** 2
+    caps = _batch_caps(cfg, h2, p_s, p_r)
+    return float(np.mean(np.sum(_allocate_batch(cfg, scheme, h2, g, caps) / caps, axis=1)))
 
 
 @dataclass(frozen=True)
@@ -285,13 +296,12 @@ def _relay_batch_tallies(
     tables: _DecodeTables,
     p_s: float,
     p_r: float,
-    stat_alloc: np.ndarray | None,
     n: int,
     rng: np.random.Generator,
 ) -> tuple[int, int]:
     h, g = sample_channel_batch(cfg, n, rng)
     h2 = np.abs(h) ** 2
-    q = np.sqrt(_allocate_batch(cfg, scheme, h2, g, _batch_caps(cfg, h2, p_s, p_r), stat_alloc))
+    q = np.sqrt(_allocate_batch(cfg, scheme, h2, g, _batch_caps(cfg, h2, p_s, p_r)))
     k = rng.integers(0, code.n_codewords, size=n)
     c, r = _transmit_batch(code, math.sqrt(p_s) * q * h * g, q * g, tables.signs[k], cfg.N0, rng)
     k_hat = _ml_decode_batch(c, r, tables)
@@ -351,9 +361,10 @@ def run_monte_carlo(
     """Sweep SNR points, simulating `frames` independent fading blocks each.
 
     The allocator runs per frame under the configured CSIT mode, except
-    for statistical waterfilling, which is solved once per SNR point.
-    The shard count only partitions the fixed batch schedule, so any
-    value produces identical tallies for the same seed.
+    for statistical waterfilling, whose long-term caps are the same in
+    every frame: it is solved once per batch and repeated. The shard
+    count only partitions the fixed batch schedule, so any value produces
+    identical tallies for the same seed.
     """
     if frames < MIN_FRAMES:
         raise ValueError(f"frames must be at least {MIN_FRAMES}")
@@ -380,9 +391,6 @@ def run_monte_carlo(
 
     for pi, snr in enumerate(grid):
         p_s, p_r, net_power = _point_powers(cfg, float(snr), network_power_sweep)
-        stat_alloc = None
-        if scheme is Scheme.WATERFILL and cfg.csit_mode is CsitMode.STATISTICAL:
-            stat_alloc = _statistical_allocation(cfg, p_s, p_r)[0]
         for shard in range(shards):
             for bi in range(shard, n_batches, shards):
                 n = min(batch, frames - bi * batch)
@@ -390,9 +398,7 @@ def run_monte_carlo(
                 if direct:
                     blk, bits = _direct_batch_tallies(cfg.T, net_power, cfg.N0, n, rng)
                 else:
-                    blk, bits = _relay_batch_tallies(
-                        cfg, scheme, code, tables, p_s, p_r, stat_alloc, n, rng
-                    )
+                    blk, bits = _relay_batch_tallies(cfg, scheme, code, tables, p_s, p_r, n, rng)
                 block_errors[pi] += blk
                 bit_errors[pi] += bits
 
@@ -429,13 +435,5 @@ def effective_relay_count(cfg: NetworkConfig, scheme: Scheme, r_grid, trials: in
         cfg_r = dataclasses.replace(
             cfg, gamma_h=np.full(cfg.M, 1.0 / r**2), gamma_g=np.full(cfg.M, 1.0 / (1.0 - r) ** 2)
         )
-        if scheme is Scheme.WATERFILL and cfg.csit_mode is CsitMode.STATISTICAL:
-            p, caps = _statistical_allocation(cfg_r, cfg.p_s, cfg.p_r)
-            counts[ri] = float(np.sum(p / caps))
-            continue
-        h, g = sample_channel_batch(cfg_r, trials, derive_rng(seed, STREAM_CHANNELS, ri))
-        h2 = np.abs(h) ** 2
-        caps = _batch_caps(cfg_r, h2, cfg.p_s, cfg.p_r)
-        p = _allocate_batch(cfg_r, scheme, h2, g, caps, None)
-        counts[ri] = float(np.mean(np.sum(p / caps, axis=1)))
+        counts[ri] = _mean_cap_fraction(cfg_r, scheme, cfg.p_s, cfg.p_r, trials, seed, ri)
     return counts

@@ -21,8 +21,8 @@ where another level lies within rounding reach of it, so it returns the
 same bits as a full scan (tested up to M = 200 and P*gamma_g ~ 1e300).
 
 That kernel is the only code that picks a water level. Partial CSIT runs
-it per frame, statistical CSIT once per operating point, and the scalar
-solve_waterfill is a one-row wrapper, so the same (gamma_g, caps) gets the
+it per frame, statistical CSIT on the one row of long-term caps per batch,
+and the scalar solve_waterfill is a one-row wrapper, so the same (gamma_g, caps) gets the
 same allocation bits under every CSIT mode. The level never depends on
 the coefficients a_i: sum_i ln(a_i) shifts every candidate's J equally.
 """

@@ -215,12 +215,12 @@ def test_criterion_06_diversity_ordering():
     assert elapsed < 1800
 
 
-def _distance_cfg(m, mode, constraint):
+def _distance_cfg(m, mode):
     P = 10.0 ** 1.5  # 15 dB over N0 = 1
     p = P / (m + 1)
     return NetworkConfig(M=m, T=m, p_s=p, p_r=p, N0=1.0,
                          gamma_h=np.ones(m), gamma_g=np.ones(m),
-                         csit_mode=mode, constraint_kind=constraint)
+                         csit_mode=mode)
 
 
 def test_criterion_07_distance_asymptotics():
@@ -229,9 +229,9 @@ def test_criterion_07_distance_asymptotics():
     near, far = {}, {}
     spreads = {}
     for m in (2, 4, 6):
-        onoff_cfg = _distance_cfg(m, "perfect", "short_term")
-        partial_cfg = _distance_cfg(m, "partial", "short_term")
-        stat_cfg = _distance_cfg(m, "statistical", "long_term")
+        onoff_cfg = _distance_cfg(m, "perfect")
+        partial_cfg = _distance_cfg(m, "partial")
+        stat_cfg = _distance_cfg(m, "statistical")
         near[("onoff", m)] = effective_relay_count(
             onoff_cfg, Scheme.ONOFF, [0.1], trials, seed=107)[0]
         near[("waterfill_partial", m)] = effective_relay_count(
@@ -282,7 +282,7 @@ def test_criterion_07_waterfill_matches_onoff_near_source():
     trials = 10_000
     fractions = {}
     for m in (2, 4, 6):
-        cfg = _distance_cfg(m, "partial", "short_term")
+        cfg = _distance_cfg(m, "partial")
         rng = np.random.default_rng(307 + m)
         gamma_h = np.full(m, 100.0)
         gamma_g = np.full(m, 1.0 / 0.81)

@@ -228,6 +228,72 @@ network:
         assert "at least 1000" in msg
 
 
+    @pytest.mark.parametrize("text,first", [
+        # m_grid is checked before the network block, the network block before schemes
+        ("kind: ber_vs_network_power\nschemes: [bogus]\nm_grid: [0]\nsnr_db: [1.0]\n"
+         "frames: 1000\nnetwork: {p_s: 1.0}\n", "m_grid entries must exceed 0"),
+        ("kind: ber_vs_network_power\nschemes: [bogus]\nm_grid: [2]\nsnr_db: [1.0]\n"
+         "frames: 1000\nnetwork: {p_s: 1.0}\n", "disallowed network field 'p_s'"),
+        ("kind: ber_vs_network_power\nschemes: [bogus]\nm_grid: [2]\nsnr_db: [1.0]\n"
+         "frames: 10\nnetwork: {}\n", "unknown scheme 'bogus'"),
+        ("kind: saddle_study\nm_grid: [2]\ntrials: 0\ninstances: 0\neta: 0\n"
+         "network: {p_s: 1.0, p_r: 1.0}\n", "trials must be at least 1"),
+        ("kind: saddle_study\nm_grid: [2]\ninstances: 0\neta: 0\n"
+         "network: {p_s: 1.0, p_r: 1.0}\n", "instances must be at least 1"),
+        ("kind: convergence\nm_grid: [2]\niterations: 0\ntrials: 0\n"
+         "network: {p_s: 1.0, p_r: 1.0}\n", "trials must be at least 1"),
+    ])
+    def test_first_error_is_reported(self, tmp_path, text, first):
+        assert first in self._err(tmp_path, text)
+
+
+# one float field per scenario, its value BAD
+FLOAT_SITES = {
+    "network_power_db": "kind: asymptotic_study\nm_grid: [2]\nr_grid: [0.5]\n"
+                        "network_power_db: BAD\nnetwork: {}\n",
+    "r_grid": "kind: asymptotic_study\nm_grid: [2]\nr_grid: [0.1, BAD]\n"
+              "network_power_db: 15.0\nnetwork: {}\n",
+    "eta": "kind: saddle_study\nm_grid: [2]\neta: BAD\nnetwork: {p_s: 1.0, p_r: 1.0}\n",
+    "p_s": "kind: saddle_study\nm_grid: [2]\nnetwork:\n  p_s: BAD\n  p_r: 1.0\n",
+    "p_r": "kind: saddle_study\nm_grid: [2]\nnetwork:\n  p_s: 1.0\n  p_r: BAD\n",
+    "N0": "kind: saddle_study\nm_grid: [2]\nnetwork:\n  p_s: 1.0\n  p_r: 1.0\n  N0: BAD\n",
+    "gamma_h": MINIMAL["bler_vs_snr"] + "  gamma_h: BAD\n",
+    "gamma_g": MINIMAL["bler_vs_snr"] + "  gamma_g: [1.0, BAD]\n",
+    "snr_db": MINIMAL["bler_vs_snr"].replace("[8.0, 12.0]", "[8.0, BAD]"),
+}
+
+
+class TestNonFiniteNumbers:
+    """Every float field rejects NaN, infinities and integers beyond float range at its line."""
+
+    def _assert_anchored(self, tmp_path, site, bad):
+        text = FLOAT_SITES[site].replace("BAD", bad)
+        line = next(i for i, row in enumerate(text.splitlines(), 1) if bad in row)
+        path = _write(tmp_path, text)
+        with pytest.raises(SpecError, match=rf"^{re.escape(str(path))}:{line}: {site} "):
+            load_spec(path)
+
+    @pytest.mark.parametrize("site", sorted(FLOAT_SITES))
+    def test_nan(self, tmp_path, site):
+        self._assert_anchored(tmp_path, site, ".nan")
+
+    @pytest.mark.parametrize("bad", [".inf", "-.inf", "1.0e400"])
+    @pytest.mark.parametrize("site", sorted(FLOAT_SITES))
+    def test_infinity(self, tmp_path, site, bad):
+        self._assert_anchored(tmp_path, site, bad)
+
+    @pytest.mark.parametrize("site", sorted(FLOAT_SITES))
+    def test_integer_beyond_float_range(self, tmp_path, site):
+        self._assert_anchored(tmp_path, site, "1" + "0" * 400)
+
+    @pytest.mark.parametrize("bad", [".nan", ".inf", "1" + "0" * 400], ids=["nan", "inf", "401_digits"])
+    def test_cli_exits_two(self, tmp_path, capsys, bad):
+        path = _write(tmp_path, FLOAT_SITES["network_power_db"].replace("BAD", bad))
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert f"{path}:4: network_power_db must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("kind", sorted(MINIMAL))
 def test_run_writes_expected_outputs(tmp_path, kind, capsys):
     spec = load_spec(_write(tmp_path, MINIMAL[kind]))

@@ -32,18 +32,21 @@ class TestNetworkConfig:
         assert cfg.constraint_kind is ConstraintKind.SHORT_TERM
 
     def test_string_enums_coerce(self):
-        cfg = _cfg(csit_mode="statistical", constraint_kind="long_term")
+        cfg = _cfg(csit_mode="statistical")
         assert cfg.csit_mode is CsitMode.STATISTICAL
 
     @pytest.mark.parametrize("mode,kind", [
-        (CsitMode.PERFECT, ConstraintKind.LONG_TERM),
-        (CsitMode.PARTIAL, ConstraintKind.LONG_TERM),
-        (CsitMode.STATISTICAL, ConstraintKind.SHORT_TERM),
+        ("perfect", ConstraintKind.SHORT_TERM),
+        ("partial", ConstraintKind.SHORT_TERM),
+        ("statistical", ConstraintKind.LONG_TERM),
     ])
-    def test_mode_constraint_binding_enforced(self, mode, kind):
+    def test_each_mode_derives_its_constraint(self, mode, kind):
         # knowing instantaneous h is exactly what a short-term cap needs
-        with pytest.raises(ValueError, match="requires constraint_kind"):
-            _cfg(csit_mode=mode, constraint_kind=kind)
+        assert _cfg(csit_mode=mode).constraint_kind is kind
+
+    def test_constraint_is_not_an_input(self):
+        with pytest.raises(TypeError, match="constraint_kind"):
+            _cfg(constraint_kind="long_term")
 
     @pytest.mark.parametrize("field,value", [
         ("M", 0), ("T", 0), ("p_s", 0.0), ("p_r", -1.0), ("N0", 0.0),
@@ -119,8 +122,7 @@ class TestAmplifierCaps:
             amplifier_caps(_cfg())
 
     def test_long_term_formula_ignores_h(self):
-        cfg = _cfg(csit_mode="statistical", constraint_kind="long_term",
-                   gamma_h=np.array([1.0, 4.0, 0.25]))
+        cfg = _cfg(csit_mode="statistical", gamma_h=np.array([1.0, 4.0, 0.25]))
         expected = cfg.p_r / (cfg.p_s * cfg.gamma_h + cfg.N0)
         np.testing.assert_allclose(amplifier_caps(cfg), expected, rtol=1e-15)
 

@@ -1,6 +1,10 @@
-"""The package's public names, pinned so that adding or removing one shows up in a diff."""
+"""The package's public names and configuration fields, pinned so that
+adding or removing one shows up in a diff."""
+
+import dataclasses
 
 import relaypower
+from relaypower.experiments import ExperimentSpec
 
 PUBLIC_NAMES = [
     "ChannelRealization",
@@ -45,6 +49,15 @@ PUBLIC_NAMES = [
     "waterfill_m2_closed_form",
 ]
 
+# csit_mode is the one allocation input: it fixes the caps and the allocator
+NETWORK_CONFIG_FIELDS = ["M", "T", "p_s", "p_r", "N0", "gamma_h", "gamma_g", "csit_mode"]
+
+EXPERIMENT_SPEC_FIELDS = [
+    "kind", "name", "seed", "M", "T", "p_s", "p_r", "N0", "gamma_h", "gamma_g",
+    "schemes", "snr_db", "r_grid", "m_grid", "network_power_db",
+    "frames", "trials", "instances", "eta", "iterations",
+]
+
 
 def test_public_names_are_pinned():
     assert sorted(relaypower.__all__) == PUBLIC_NAMES
@@ -53,3 +66,8 @@ def test_public_names_are_pinned():
 def test_every_public_name_resolves():
     for name in relaypower.__all__:
         assert hasattr(relaypower, name), name
+
+
+def test_configuration_fields_are_pinned():
+    assert [f.name for f in dataclasses.fields(relaypower.NetworkConfig)] == NETWORK_CONFIG_FIELDS
+    assert [f.name for f in dataclasses.fields(ExperimentSpec)] == EXPERIMENT_SPEC_FIELDS

@@ -28,7 +28,6 @@ from relaypower.sim import (
     _DecodeTables,
     _ml_decode_batch,
     _relay_batch_tallies,
-    _statistical_allocation,
     effective_code_matrix,
     effective_relay_count,
     ml_decode,
@@ -46,7 +45,7 @@ def _cfg(m=2, t=2, **kw):
 
 
 def _stat_cfg(m=2, t=2, **kw):
-    return _cfg(m, t, csit_mode="statistical", constraint_kind="long_term", **kw)
+    return _cfg(m, t, csit_mode="statistical", **kw)
 
 
 class TestPhysicalChain:
@@ -167,7 +166,7 @@ def _direct_distance_tallies(cfg, scheme, code, p_s, p_r, n, rng):
     """_relay_batch_tallies with every candidate's receive built and measured directly."""
     h, g = sample_channel_batch(cfg, n, rng)
     h2 = np.abs(h) ** 2
-    q = np.sqrt(_allocate_batch(cfg, scheme, h2, g, _batch_caps(cfg, h2, p_s, p_r), None))
+    q = np.sqrt(_allocate_batch(cfg, scheme, h2, g, _batch_caps(cfg, h2, p_s, p_r)))
     k = rng.integers(0, code.n_codewords, size=n)
     c = math.sqrt(p_s) * np.einsum("bm,mtj->btj", q * h * g, code.matrices)
     cands = np.einsum("btj,kj->bkt", c, codeword_signs(code.T))
@@ -230,24 +229,18 @@ class TestBatchDecoder:
         (Scheme.ONOFF, "perfect"), (Scheme.MAX_POWER, "perfect"), (Scheme.WATERFILL, "partial"),
         (Scheme.WATERFILL, "statistical"),
     ])
-    def test_relay_tallies_match_direct_distances(self, m, scheme, mode, monkeypatch):
+    def test_relay_tallies_match_direct_distances(self, m, scheme, mode):
         n = min(200, _batch_size(m))  # T = 12 runs 64-frame batches
         if mode == "statistical":
             cfg = _stat_cfg(m, m, p_s=3.0, p_r=3.0, gamma_g=np.linspace(0.5, 2.0, m))
-            stat_alloc, _ = _statistical_allocation(cfg, 3.0, 3.0)
-            # the reference asks for no per-point allocation; hand it the one the run solves
-            allocate = _allocate_batch
-            monkeypatch.setitem(globals(), "_allocate_batch",
-                                lambda *args: allocate(*args[:-1], stat_alloc))
         else:
             cfg = _cfg(m, m, csit_mode=mode, p_s=3.0, p_r=3.0)
-            stat_alloc = None
         code = generate_codebook(m, seed=m)
         tables = _DecodeTables.for_block(m)
         for bi in range(3):
             rng_got = derive_rng(9, STREAM_FRAMES, 0, bi)
             rng_want = derive_rng(9, STREAM_FRAMES, 0, bi)
-            got = _relay_batch_tallies(cfg, scheme, code, tables, 3.0, 3.0, stat_alloc, n, rng_got)
+            got = _relay_batch_tallies(cfg, scheme, code, tables, 3.0, 3.0, n, rng_got)
             want = _direct_distance_tallies(cfg, scheme, code, 3.0, 3.0, n, rng_want)
             assert got == want
             assert got[0] > 0
@@ -388,10 +381,15 @@ class TestStatisticalAllocation:
         gamma_g = np.array([3.0, 3.0, 2.0, 1.0, 3.0])
         p = 5547.996686297584
         stat = _stat_cfg(5, 5, p_s=p, p_r=p, gamma_h=gamma_h, gamma_g=gamma_g)
-        p_stat, caps = _statistical_allocation(stat, p, p)
         partial = _cfg(5, 5, csit_mode="partial", p_s=p, p_r=p, gamma_h=gamma_h, gamma_g=gamma_g)
-        p_partial = _allocate_batch(partial, Scheme.WATERFILL, gamma_h[None], None, caps[None], None)
-        np.testing.assert_array_equal(p_stat, p_partial[0])
+        # partial CSIT's short-term caps at |h_i|^2 = gamma_hi are the long-term caps
+        h2 = np.broadcast_to(gamma_h, (3, 5))
+        caps, caps_partial = _batch_caps(stat, h2, p, p), _batch_caps(partial, h2, p, p)
+        np.testing.assert_array_equal(caps, caps_partial)
+        p_stat = _allocate_batch(stat, Scheme.WATERFILL, h2, None, caps)
+        p_partial = _allocate_batch(partial, Scheme.WATERFILL, h2, None, caps_partial)
+        assert p_stat.shape == (3, 5)
+        np.testing.assert_array_equal(p_stat, p_partial)
 
 
 class TestEffectiveRelayCount:
@@ -409,9 +407,10 @@ class TestEffectiveRelayCount:
         counts = effective_relay_count(cfg, Scheme.MAX_POWER, [0.1, 0.5, 0.9], 500, seed=0)
         np.testing.assert_allclose(counts, 4.0, rtol=1e-12)
 
-    def test_statistical_waterfill_is_symmetric_and_full(self):
+    def test_statistical_waterfill_is_symmetric_and_full(self, monkeypatch):
         # equal variances put every cap at the same height, so the water
         # covers them all and the count is exactly M, channel-free
+        monkeypatch.setattr("relaypower.sim.sample_channel_batch", None)
         cfg = _stat_cfg(4, 4, p_s=6.3, p_r=6.3)
         counts = effective_relay_count(cfg, Scheme.WATERFILL, [0.3, 0.7], 50, seed=0)
         np.testing.assert_allclose(counts, 4.0, rtol=1e-12)

@@ -4,7 +4,8 @@ A scenario is one YAML document selecting an experiment kind, a base
 network, and the sweep for that kind. Validation is strict: unknown keys,
 missing fields, and out-of-range values are rejected with file:line
 anchors. Every run is reproducible from (scenario, seed); the shard count
-only partitions work and never changes any output byte.
+and the number of cores only partition work and never change any output
+byte.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import enum
 import math
 import os
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,8 +21,8 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .model import CsitMode, NetworkConfig, _batch_caps, sample_channel_batch
-from .objectives import saddle_point_error
+from .model import ChannelBuffers, CsitMode, NetworkConfig, _batch_caps, sample_channel_batch
+from .objectives import SADDLE_MIN_TRIALS, saddle_point_error
 from .onoff import solve_onoff_batch
 from .rng import STREAM_CHANNELS, STREAM_MISC, derive_rng, derive_seed
 from .sim import (
@@ -53,6 +55,10 @@ SCHEME_NAMES = {
 }
 
 MAX_SIM_RELAYS = 12  # exhaustive ML decoding bound, T = M
+MAX_STUDY_RELAYS = 1024  # largest M of the kinds that only allocate
+# trials x largest M: the channel entries of one (trials, M) draw, about
+# 40 bytes each in a worker's buffers (671 MB at the bound)
+MAX_TRIAL_ENTRIES = 2**24
 
 
 class SpecError(ValueError):
@@ -246,18 +252,30 @@ def _check_schemes(v: _Validator, kind: ExperimentKind) -> tuple[str, ...]:
     return tuple(seen)
 
 
+def _check_trials(v: _Validator, kind: ExperimentKind) -> int:
+    # the saddle study draws its trials in chunks; every other kind draws
+    # all (trials, M) channel entries at once
+    if kind is ExperimentKind.SADDLE_STUDY:
+        return v.integer(v.data, "", "trials", minimum=SADDLE_MIN_TRIALS, maximum=MAX_TRIAL_ENTRIES)
+    trials = v.integer(v.data, "", "trials", minimum=1)
+    if trials * max(v.data["m_grid"]) > MAX_TRIAL_ENTRIES:
+        v.fail("trials", f"trials x largest M must be at most {MAX_TRIAL_ENTRIES}")
+    return trials
+
+
 # Top-level field -> check(validator, kind) of its value, in the order errors are reported.
 _FIELD_CHECKS = {
     # a kind with a frame budget decodes every M it sweeps exhaustively
     "m_grid": lambda v, kind: v.grid(
-        "m_grid", integer=True, low=0, high=MAX_SIM_RELAYS + 1 if "frames" in _TOP_FIELDS[kind] else None
+        "m_grid", integer=True, low=0,
+        high=(MAX_SIM_RELAYS if "frames" in _TOP_FIELDS[kind] else MAX_STUDY_RELAYS) + 1,
     ),
     "schemes": _check_schemes,
     "snr_db": lambda v, kind: v.grid("snr_db"),
     "r_grid": lambda v, kind: v.grid("r_grid", low=0.0, high=1.0),
     "network_power_db": lambda v, kind: v.number(v.data, "", "network_power_db"),
     "frames": lambda v, kind: v.integer(v.data, "", "frames", minimum=1000),
-    "trials": lambda v, kind: v.integer(v.data, "", "trials", minimum=1),
+    "trials": _check_trials,
     "instances": lambda v, kind: v.integer(v.data, "", "instances", minimum=1),
     "eta": lambda v, kind: v.number(v.data, "", "eta", positive=True),
     "iterations": lambda v, kind: v.integer(v.data, "", "iterations", minimum=1),
@@ -549,47 +567,85 @@ def _run_power_ratio(spec, outputs, seed, shards, frames):
     return paths
 
 
+# Entries per row block of an asymptotic cell: a float64 (rows, M) temporary
+# stays under 64 KB, and the blocks reuse heap memory. With 12 000 entries
+# (96 KB temporaries) glibc trimmed and refaulted the worker heaps on some
+# runs: an asym_m32 run took 4 k to 47 k minor faults on a 2-vCPU host,
+# against a steady 4 k at 8000
+_BLOCK_ENTRIES = 8000
+
+
+def _usable_cores() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_asymptotic(spec, outputs, seed, shards, frames):
     header = (
         "M,r,trials,count_onoff,count_waterfill_partial,count_waterfill_statistical,"
         "count_maxpower,equality_fraction,max_water_level_spread"
     )
-    rows = []
-    linear = spec.N0 * 10.0 ** (spec.network_power_db / 10.0)
-    for mi, m in enumerate(spec.m_grid):
-        p = linear / (m + 1)
-        for ri, r in enumerate(spec.r_grid):
-            gamma_h = np.full(m, 1.0 / r**2)
-            gamma_g = np.full(m, 1.0 / (1.0 - r) ** 2)
-            cfg, _ = _scheme_config(spec, "onoff", m, m, gamma_h, gamma_g, p, p)
-            cfg_wf, _ = _scheme_config(spec, "waterfill_partial", m, m, gamma_h, gamma_g, p, p)
-            cfg_st, _ = _scheme_config(spec, "waterfill_statistical", m, m, gamma_h, gamma_g, p, p)
-            h, g = sample_channel_batch(cfg, spec.trials, derive_rng(seed, STREAM_CHANNELS, mi, ri))
-            h2 = np.abs(h) ** 2
-            caps = _batch_caps(cfg, h2, p, p)
-            p_on = _allocate_batch(cfg, Scheme.ONOFF, h2, g, caps)
-            p_wf = _allocate_batch(cfg_wf, Scheme.WATERFILL, h2, g, caps)
-            count_on = float(np.mean(np.count_nonzero(p_on, axis=1)))
-            count_wf = float(np.mean(np.sum(p_wf / caps, axis=1)))
-            equality = float(np.mean(np.all(p_wf == p_on, axis=1)))
-            spread = _water_level_spread(p_wf, caps, gamma_g)
-            count_st = _mean_cap_fraction(cfg_st, Scheme.WATERFILL, p, p, spec.trials, seed, mi, ri)
-            rows.append(
-                f"{m},{_fmt(r)},{spec.trials},{_fmt(count_on)},{_fmt(count_wf)},"
-                f"{_fmt(count_st)},{_fmt(float(m))},{_fmt(equality)},{_fmt(spread)}"
-            )
+    cells = [(mi, m, ri, r) for mi, m in enumerate(spec.m_grid) for ri, r in enumerate(spec.r_grid)]
+    # every cell draws from its own stream and numpy releases the GIL in the
+    # heavy loops, so cells run one per core; rows still come out in grid order.
+    # The workers' draw buffers together hold at most MAX_TRIAL_ENTRIES entries
+    entries = spec.trials * max(spec.m_grid)
+    workers = min(_usable_cores(), len(cells), max(1, MAX_TRIAL_ENTRIES // entries))
+    local = threading.local()
+
+    def run(cell):
+        if not hasattr(local, "buffers"):
+            local.buffers = ChannelBuffers(entries)
+        return _asymptotic_row(spec, seed, *cell, local.buffers)
+
+    # imported here, not at the top: 7 ms that every other kind's start-up would pay
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(workers)
+    try:
+        rows = list(pool.map(run, cells))
+    finally:
+        pool.shutdown(cancel_futures=True)
     return [outputs.write(f"{spec.name}.csv", header, rows)]
 
 
-def _water_level_spread(p_wf: np.ndarray, caps: np.ndarray, gamma_g: np.ndarray) -> float:
-    """Worst spread of p_i*gamma_gi across uncapped relays over the batch."""
-    levels = p_wf * gamma_g
-    free = p_wf != caps
-    hi = np.where(free, levels, -np.inf).max(axis=1)
-    lo = np.where(free, levels, np.inf).min(axis=1)
-    spread = hi - lo
-    spread = spread[np.isfinite(spread)]
-    return float(spread.max()) if spread.size else 0.0
+def _asymptotic_row(spec, seed, mi, m, ri, r, buffers) -> str:
+    """CSV row of cell (m, r), drawn from channel stream (seed, mi, ri) into buffers."""
+    n = spec.trials
+    p = spec.N0 * 10.0 ** (spec.network_power_db / 10.0) / (m + 1)
+    gamma_h = np.full(m, 1.0 / r**2)
+    gamma_g = np.full(m, 1.0 / (1.0 - r) ** 2)
+    cfg, _ = _scheme_config(spec, "onoff", m, m, gamma_h, gamma_g, p, p)
+    cfg_wf, _ = _scheme_config(spec, "waterfill_partial", m, m, gamma_h, gamma_g, p, p)
+    cfg_st, _ = _scheme_config(spec, "waterfill_statistical", m, m, gamma_h, gamma_g, p, p)
+    h, g = sample_channel_batch(cfg, n, derive_rng(seed, STREAM_CHANNELS, mi, ri), buffers)
+    # per-row statistics, block by block (both allocators treat rows
+    # independently); each mean then sums the full column as one array
+    count_on = np.empty(n)
+    count_wf = np.empty(n)
+    equal = np.empty(n, dtype=bool)
+    step = max(1, _BLOCK_ENTRIES // m)
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        h2 = np.abs(h[rows]) ** 2
+        caps = _batch_caps(cfg, h2, p, p)
+        p_on = _allocate_batch(cfg, Scheme.ONOFF, h2, g[rows], caps)
+        p_wf = _allocate_batch(cfg_wf, Scheme.WATERFILL, h2, g[rows], caps)
+        count_on[rows] = np.count_nonzero(p_on, axis=1)
+        np.sum(p_wf / caps, axis=1, out=count_wf[rows])
+        np.all(p_wf == p_on, axis=1, out=equal[rows])
+    count_st = _mean_cap_fraction(cfg_st, Scheme.WATERFILL, p, p, n, seed, mi, ri)
+    # The spread of p_i gamma_gi over the uncapped relays is exactly 0: every
+    # relay has the same gamma_g, so every uncapped one gets the same float
+    # p = fl(mu / gamma_g) and the same product fl(p gamma_g); a row with no
+    # uncapped relay has no spread. So the column is written, not computed.
+    spread = 0.0
+    return (
+        f"{m},{_fmt(r)},{n},{_fmt(float(np.mean(count_on)))},{_fmt(float(np.mean(count_wf)))},"
+        f"{_fmt(count_st)},{_fmt(float(m))},{_fmt(float(np.mean(equal)))},{_fmt(spread)}"
+    )
 
 
 def _run_saddle(spec, outputs, seed, shards, frames):

@@ -223,11 +223,41 @@ def sample_channels(cfg: NetworkConfig, seed_or_rng) -> ChannelRealization:
     return ChannelRealization(h=h[0], g=g[0])
 
 
-def sample_channel_batch(cfg: NetworkConfig, n: int, rng: np.random.Generator):
-    """Draw n iid realizations at once; returns (H, G) of shape (n, M)."""
-    shape = (n, cfg.M)
-    h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(cfg.gamma_h / 2.0)
-    g = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(cfg.gamma_g / 2.0)
+class ChannelBuffers:
+    """Storage for sample_channel_batch draws of up to `size` = n * M entries, reused across calls.
+
+    Holds one float block for the normal draws and one complex block per
+    hop, about 40 bytes per entry; a caller that draws many batches keeps
+    one instance instead of mapping fresh memory for every batch.
+    """
+
+    def __init__(self, size: int):
+        self._normal = np.empty(size)
+        self._h = np.empty(size, dtype=np.complex128)
+        self._g = np.empty(size, dtype=np.complex128)
+
+    def views(self, n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(normal, h, g) blocks of shape (n, m) at the head of the buffers."""
+        if n * m > self._normal.size:
+            raise ValueError(f"a ({n}, {m}) draw needs {n * m} entries; the buffers hold {self._normal.size}")
+        return tuple(b[: n * m].reshape(n, m) for b in (self._normal, self._h, self._g))
+
+
+def sample_channel_batch(cfg: NetworkConfig, n: int, rng: np.random.Generator,
+                         buffers: ChannelBuffers | None = None):
+    """Draw n iid realizations at once; returns (H, G) of shape (n, M).
+
+    The four normal blocks are drawn in the order Re h, Im h, Re g, Im g,
+    each scaled by sqrt(gamma / 2) into its part of H or G: the same bits
+    as (x + 1j y) sqrt(gamma / 2), from the same stream positions. With
+    buffers, H and G are views into them that the next draw overwrites.
+    """
+    normal, h, g = (buffers or ChannelBuffers(n * cfg.M)).views(n, cfg.M)
+    for out, gamma in ((h, cfg.gamma_h), (g, cfg.gamma_g)):
+        scale = np.sqrt(gamma / 2.0)
+        for part in (out.real, out.imag):
+            rng.standard_normal(out=normal)
+            np.multiply(normal, scale, out=part)
     return h, g
 
 

@@ -32,6 +32,8 @@ _EULER_GAMMA = 0.5772156649015328606
 # Fixed chunk size for Monte Carlo accumulation; summation over chunks is
 # order-independent, so results do not depend on how work is distributed.
 _MC_CHUNK = 10_000
+# saddle_point_error's floor on its Monte Carlo draws, for a usable error bar
+SADDLE_MIN_TRIALS = 10_000
 
 
 def exp_integral_e1(x: float) -> float:
@@ -283,8 +285,8 @@ def saddle_point_error(h, gamma_g, p, eta: float, trials: int, seed: int) -> Sad
         raise ValueError("gamma_g must be positive and p non-negative")
     if not np.isfinite(eta) or eta < 0.0:
         raise ValueError("eta must be finite and non-negative")
-    if trials < 10_000:
-        raise ValueError("trials must be at least 10000 for a usable error bar")
+    if trials < SADDLE_MIN_TRIALS:
+        raise ValueError(f"trials must be at least {SADDLE_MIN_TRIALS} for a usable error bar")
 
     h2 = np.abs(h) ** 2
     denom = 1.0 + float(np.dot(gamma_g, p))

@@ -1,19 +1,26 @@
 """Scenario files, experiment runners, and the command-line entry point."""
 
+import concurrent.futures
 import re
+import sys
 
 import numpy as np
 import pytest
 import yaml
 
+from relaypower import experiments
 from relaypower.cli import main
 from relaypower.experiments import (
+    MAX_TRIAL_ENTRIES,
     ExperimentKind,
     SpecError,
     emit_plot_script,
     load_spec,
     run_experiment,
 )
+from relaypower.model import CsitMode, NetworkConfig, _batch_caps, sample_channel_batch
+from relaypower.rng import STREAM_CHANNELS, derive_rng
+from relaypower.sim import Scheme, _allocate_batch, _mean_cap_fraction
 
 MINIMAL = {
     "convergence": """\
@@ -223,6 +230,33 @@ network:
         msg = self._err(tmp_path, MINIMAL["bler_vs_snr"].replace("M: 2", "M: 13"))
         assert "at most 12" in msg
 
+    def test_saddle_trials_floor(self, tmp_path):
+        msg = self._err(tmp_path, MINIMAL["saddle_study"].replace("trials: 10000", "trials: 9999"))
+        assert msg.endswith("scenario.yaml:3: trials must be at least 10000")
+
+    def test_study_relay_count_capped(self, tmp_path):
+        text = MINIMAL["asymptotic_study"].replace("m_grid: [2]", "m_grid: [2, 1" + "0" * 30 + "]")
+        msg = self._err(tmp_path, text)
+        assert msg.endswith("scenario.yaml:2: m_grid entries must be below 1025")
+        load_spec(_write(tmp_path, text.replace("1" + "0" * 30, "1024")))
+
+    @pytest.mark.parametrize("kind", ["convergence", "power_ratio_vs_distance", "asymptotic_study"])
+    def test_trials_times_largest_m_capped(self, tmp_path, kind):
+        text = re.sub(r"m_grid: \[.*\]", "m_grid: [1, 64]", MINIMAL[kind])
+        trials = MAX_TRIAL_ENTRIES // 64
+        assert load_spec(_write(tmp_path, re.sub(r"trials: \d+", f"trials: {trials}", text))).trials == trials
+        msg = self._err(tmp_path, re.sub(r"trials: \d+", f"trials: {trials + 1}", text))
+        assert f"trials x largest M must be at most {MAX_TRIAL_ENTRIES}" in msg
+
+    def test_saddle_trials_capped(self, tmp_path):
+        text = MINIMAL["saddle_study"].replace("trials: 10000", f"trials: {MAX_TRIAL_ENTRIES + 1}")
+        assert f"trials must be at most {MAX_TRIAL_ENTRIES}" in self._err(tmp_path, text)
+
+    def test_cli_rejects_huge_relay_count_with_exit_two(self, tmp_path, capsys):
+        path = _write(tmp_path, MINIMAL["asymptotic_study"].replace("[2]", "[1" + "0" * 30 + "]"))
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert f"{path}:2: m_grid entries must be below 1025" in capsys.readouterr().err
+
     def test_frames_floor(self, tmp_path):
         msg = self._err(tmp_path, MINIMAL["bler_vs_snr"].replace("frames: 1000", "frames: 10"))
         assert "at least 1000" in msg
@@ -374,6 +408,106 @@ class TestRunFailures:
         with pytest.raises(ValueError):
             run_experiment(spec, out, seed=-1)  # rejected by the stream derivation
         assert list(out.iterdir()) == []
+
+
+ASYMPTOTIC = """\
+kind: asymptotic_study
+m_grid: {m_grid}
+r_grid: [0.1, 0.6]
+network_power_db: 20.0
+trials: {trials}
+network: {{}}
+"""
+
+
+def _asymptotic_rows(spec, seed):
+    """Each cell's row from one full-batch pass, with the water-level spread computed."""
+    rows = []
+    for mi, m in enumerate(spec.m_grid):
+        p = spec.N0 * 10.0 ** (spec.network_power_db / 10.0) / (m + 1)
+        for ri, r in enumerate(spec.r_grid):
+            gamma_h, gamma_g = np.full(m, 1.0 / r**2), np.full(m, 1.0 / (1.0 - r) ** 2)
+            cfg, cfg_wf, cfg_st = (
+                NetworkConfig(M=m, T=m, p_s=p, p_r=p, N0=spec.N0, gamma_h=gamma_h, gamma_g=gamma_g, csit_mode=mode)
+                for mode in (CsitMode.PERFECT, CsitMode.PARTIAL, CsitMode.STATISTICAL)
+            )
+            h, g = sample_channel_batch(cfg, spec.trials, derive_rng(seed, STREAM_CHANNELS, mi, ri))
+            h2 = np.abs(h) ** 2
+            caps = _batch_caps(cfg, h2, p, p)
+            p_on = _allocate_batch(cfg, Scheme.ONOFF, h2, g, caps)
+            p_wf = _allocate_batch(cfg_wf, Scheme.WATERFILL, h2, g, caps)
+            # worst spread of p_i gamma_gi over uncapped relays; rows with none drop out
+            levels, free = p_wf * gamma_g, p_wf != caps
+            spread = np.where(free, levels, -np.inf).max(axis=1) - np.where(free, levels, np.inf).min(axis=1)
+            spread = spread[np.isfinite(spread)]
+            assert spread.size > 0
+            values = [
+                np.mean(np.count_nonzero(p_on, axis=1)),
+                np.mean(np.sum(p_wf / caps, axis=1)),
+                _mean_cap_fraction(cfg_st, Scheme.WATERFILL, p, p, spec.trials, seed, mi, ri),
+                float(m),
+                np.mean(np.all(p_wf == p_on, axis=1)),
+                spread.max(),
+            ]
+            rows.append(f"{m},{r:.17g},{spec.trials}," + ",".join(f"{float(v):.17g}" for v in values))
+    return rows
+
+
+class TestAsymptoticCells:
+    """Cells run one per core in row blocks; neither may change a byte."""
+
+    # not a multiple of the block rows at any of these M, and over one block at M = 1
+    TRIALS = experiments._BLOCK_ENTRIES + 1
+
+    def _run(self, tmp_path, monkeypatch, m_grid, cores, seed=0):
+        monkeypatch.setattr(experiments, "_usable_cores", lambda: cores)
+        spec = load_spec(_write(tmp_path, ASYMPTOTIC.format(m_grid=m_grid, trials=self.TRIALS)))
+        out = tmp_path / f"out{cores}"
+        run_experiment(spec, out, seed=seed)
+        return spec, (out / "asymptotic_study.csv").read_bytes()
+
+    def test_bytes_identical_for_any_core_count(self, tmp_path, monkeypatch, capsys):
+        m_grid = [1, 2, 3, 32]
+        assert all(self.TRIALS % (experiments._BLOCK_ENTRIES // m) for m in m_grid)
+        _, one = self._run(tmp_path, monkeypatch, m_grid, 1)
+        # more workers than cores, switching threads as often as it can
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _, four = self._run(tmp_path, monkeypatch, m_grid, 4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert one == four
+
+    def test_rows_match_one_full_batch_pass(self, tmp_path, monkeypatch, capsys):
+        spec, data = self._run(tmp_path, monkeypatch, [2, 8, 32], 2, seed=3)
+        rows = data.decode().splitlines()[1:]
+        # the water-level spread column is written as 0, and so was it computed
+        assert rows == _asymptotic_rows(spec, 3)
+        assert {row.rsplit(",", 1)[1] for row in rows} == {"0"}
+
+    @pytest.mark.parametrize("cores,budget,workers", [(1, 10, 1), (64, 10, 8), (64, 3, 3), (64, 1, 1), (2, 10, 2)])
+    def test_pool_size(self, tmp_path, monkeypatch, capsys, cores, budget, workers):
+        # one worker per core, at most one per cell, and draw buffers within budget x one cell's
+        sizes = []
+        real_pool = concurrent.futures.ThreadPoolExecutor
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", lambda n: sizes.append(n) or real_pool(n))
+        monkeypatch.setattr(experiments, "MAX_TRIAL_ENTRIES", budget * self.TRIALS * 32)
+        self._run(tmp_path, monkeypatch, [1, 2, 3, 32], cores)
+        assert sizes == [workers]
+
+    def test_failing_cell_reaches_the_caller_and_leaves_nothing(self, tmp_path, monkeypatch, capsys):
+        real = experiments._mean_cap_fraction
+
+        def failing(cfg, *args):
+            if cfg.M == 3:
+                raise ValueError("cell at M = 3 failed")
+            return real(cfg, *args)
+
+        monkeypatch.setattr(experiments, "_mean_cap_fraction", failing)
+        with pytest.raises(ValueError, match="cell at M = 3 failed"):
+            self._run(tmp_path, monkeypatch, [1, 2, 3, 32], 4)
+        assert list((tmp_path / "out4").iterdir()) == []
 
 
 class TestPlotScript:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from relaypower.model import (
+    ChannelBuffers,
     ChannelRealization,
     ConstraintKind,
     CsitMode,
@@ -151,6 +152,47 @@ class TestSampling:
         b = sample_channels(cfg, 123)
         np.testing.assert_array_equal(a.h, b.h)
         np.testing.assert_array_equal(a.g, b.g)
+
+
+def _draw_by_expression(cfg, n, rng):
+    """The channel draw written as one complex expression per hop."""
+    shape = (n, cfg.M)
+    h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(cfg.gamma_h / 2.0)
+    g = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(cfg.gamma_g / 2.0)
+    return h, g
+
+
+class TestChannelBuffers:
+    """The in-place draw, with and without caller buffers, against the complex expression."""
+
+    @pytest.mark.parametrize("m", [1, 2, 8, 32])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bit_identical_to_expression(self, m, seed):
+        cfg = _cfg(M=m, T=m, gamma_h=np.geomspace(0.01, 100.0, m), gamma_g=np.full(m, 1.0 / 0.3**2))
+        ref_rng = np.random.default_rng(seed)
+        ref_h, ref_g = _draw_by_expression(cfg, 777, ref_rng)
+        # a buffer larger than the draw, already holding an earlier draw
+        buffers = ChannelBuffers(1000 * m)
+        sample_channel_batch(cfg, 1000, np.random.default_rng(seed + 10), buffers)
+        for buf in (None, buffers):
+            rng = np.random.default_rng(seed)
+            h, g = sample_channel_batch(cfg, 777, rng, buf)
+            assert h.shape == g.shape == (777, m)
+            assert h.tobytes() == ref_h.tobytes() and g.tobytes() == ref_g.tobytes()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_draws_are_views_into_the_buffers(self):
+        cfg = _cfg()
+        buffers = ChannelBuffers(30)
+        h1, _ = sample_channel_batch(cfg, 10, np.random.default_rng(0), buffers)
+        first = h1.copy()
+        h2, _ = sample_channel_batch(cfg, 10, np.random.default_rng(1), buffers)
+        assert np.shares_memory(h1, h2)
+        assert not np.array_equal(h1, first)  # overwritten by the second draw
+
+    def test_too_small_buffers_rejected(self):
+        with pytest.raises(ValueError, match="needs 33 entries; the buffers hold 30"):
+            sample_channel_batch(_cfg(), 11, np.random.default_rng(0), ChannelBuffers(30))
 
 
 class TestOverallNoiseVariance:

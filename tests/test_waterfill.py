@@ -495,7 +495,53 @@ class TestBatchSolver:
             solve_waterfill_batch(np.array([1.0, bad, 2.0]), np.ones((2, 3)))
 
 
+def _grid_oracle_in_one_pass(obj, caps, grid_points):
+    """grid_search_oracle's J over the whole grid at once, first-index argmax."""
+    pg = caps * obj.gamma_g
+    m = obj.M
+    order = np.argsort(pg, kind="stable")
+    pg_sorted = pg[order]
+    prefix_pg = np.concatenate([[0.0], np.cumsum(pg_sorted)])
+    prefix_ln_caps = np.concatenate([[0.0], np.cumsum(np.log(caps[order]))])
+    prefix_ln_gamma = np.concatenate([[0.0], np.cumsum(np.log(obj.gamma_g[order]))])
+    mu_min, mu_max = 1.0 / m, float((1.0 + prefix_pg[-1]) / m)
+    mu_cands = np.clip((1.0 + prefix_pg[1:]) / np.arange(1, m + 1), mu_min, mu_max)
+    grid = np.concatenate([np.linspace(mu_min, mu_max, grid_points), mu_cands])
+    idx = np.searchsorted(pg_sorted, grid, side="right")
+    n_free = m - idx
+    j_vals = (
+        n_free * np.log(grid)
+        - (prefix_ln_gamma[m] - prefix_ln_gamma[idx])
+        + prefix_ln_caps[idx]
+        - m * np.log(1.0 + n_free * grid + prefix_pg[idx])
+        + float(np.sum(np.log(obj.a)))
+    )
+    best = int(np.argmax(j_vals))
+    return float(grid[best]), float(j_vals[best])
+
+
 class TestGridOracle:
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    def test_chunks_give_the_one_pass_bits(self, monkeypatch, chunk):
+        monkeypatch.setattr(waterfill, "_ORACLE_CHUNK", chunk)
+        rng = np.random.default_rng(8)
+        cases = [_random_instance(rng, int(rng.integers(1, 17))) for _ in range(40)]
+        # levels past the float range make J NaN on part of the grid, and
+        # a zero coefficient makes it -inf everywhere
+        cases += [
+            (_obj([10.0, 10.0]), np.array([1e308, 1e308])),
+            (_obj([1e300, 1.0, 1.0]), np.array([1e300, 1.0, 2.0])),
+            (_obj([1.0, 1.0, 1.0], a=[0.0, 1.0, 1.0]), np.array([1.0, 2.0, 3.0])),
+        ]
+        nan_results = 0
+        for obj, caps in cases:
+            with np.errstate(all="ignore"):
+                got = grid_search_oracle(obj, caps, grid_points=5000)
+                want = _grid_oracle_in_one_pass(obj, caps, 5000)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+            nan_results += math.isnan(want[1])
+        assert nan_results >= 1
+
     def test_recovers_worked_levels(self):
         obj2, caps2 = M2
         mu2, _ = grid_search_oracle(obj2, caps2, grid_points=10_000)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 import math
 import os
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,6 +28,7 @@ from .sim import (
     Scheme,
     SimResult,
     _allocate_batch,
+    _map_jobs,
     _mean_cap_fraction,
     effective_relay_count,
     run_monte_carlo,
@@ -575,13 +575,6 @@ def _run_power_ratio(spec, outputs, seed, shards, frames):
 _BLOCK_ENTRIES = 8000
 
 
-def _usable_cores() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _run_asymptotic(spec, outputs, seed, shards, frames):
     header = (
         "M,r,trials,count_onoff,count_waterfill_partial,count_waterfill_statistical,"
@@ -592,22 +585,8 @@ def _run_asymptotic(spec, outputs, seed, shards, frames):
     # heavy loops, so cells run one per core; rows still come out in grid order.
     # The workers' draw buffers together hold at most MAX_TRIAL_ENTRIES entries
     entries = spec.trials * max(spec.m_grid)
-    workers = min(_usable_cores(), len(cells), max(1, MAX_TRIAL_ENTRIES // entries))
-    local = threading.local()
-
-    def run(cell):
-        if not hasattr(local, "buffers"):
-            local.buffers = ChannelBuffers(entries)
-        return _asymptotic_row(spec, seed, *cell, local.buffers)
-
-    # imported here, not at the top: 7 ms that every other kind's start-up would pay
-    from concurrent.futures import ThreadPoolExecutor
-
-    pool = ThreadPoolExecutor(workers)
-    try:
-        rows = list(pool.map(run, cells))
-    finally:
-        pool.shutdown(cancel_futures=True)
+    rows = _map_jobs(lambda cell, buffers: _asymptotic_row(spec, seed, *cell, buffers), cells,
+                     lambda: ChannelBuffers(entries), max(1, MAX_TRIAL_ENTRIES // entries))
     return [outputs.write(f"{spec.name}.csv", header, rows)]
 
 

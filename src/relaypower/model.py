@@ -228,11 +228,13 @@ class ChannelBuffers:
 
     Holds one float block for the normal draws and one complex block per
     hop, about 40 bytes per entry; a caller that draws many batches keeps
-    one instance instead of mapping fresh memory for every batch.
+    one instance instead of mapping fresh memory for every batch. A caller
+    with float scratch of its own (at least `size` entries) passes it as
+    `normal`, and the draws go there.
     """
 
-    def __init__(self, size: int):
-        self._normal = np.empty(size)
+    def __init__(self, size: int, normal: np.ndarray | None = None):
+        self._normal = np.empty(size) if normal is None else normal[:size]
         self._h = np.empty(size, dtype=np.complex128)
         self._g = np.empty(size, dtype=np.complex128)
 

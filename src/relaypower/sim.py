@@ -21,6 +21,8 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+import os
+import threading
 import time
 from dataclasses import dataclass
 
@@ -28,6 +30,7 @@ import numpy as np
 
 from .codebook import LdCodebook, codeword_signs, generate_codebook
 from .model import (
+    ChannelBuffers,
     ChannelRealization,
     CsitMode,
     NetworkConfig,
@@ -142,7 +145,8 @@ def transmit_frame(
     N0 = _finite_scalar(N0, "N0", allow_zero=True)
     q = np.sqrt(allocation.p)
     s = codeword_signs(t)[index]
-    _, r = _transmit_batch(code, (math.sqrt(p_s) * q * chan.f)[None], (q * chan.g)[None], s[None], N0, rng)
+    ws = _BatchWorkspace(1, m, t)
+    _, r = _transmit_batch(code, (math.sqrt(p_s) * q * chan.f)[None], (q * chan.g)[None], s[None], N0, rng, ws)
     return r[0]
 
 
@@ -169,7 +173,8 @@ def _batch_size(t: int) -> int:
 
     The decoder holds 2^T float64 metrics per frame plus its (2T, T+1)
     float64 statistics buffer, 8 (2^T + 2T(T+1)) B. The metrics of one
-    batch stay at or below 2 MiB for every T up to MAX_BLOCK = 12.
+    batch stay at or below 2 MiB for every T up to MAX_BLOCK = 12; that
+    bound holds per worker with a batch in flight.
     """
     return min(4096, max(64, 2**21 // (2**t * t)))
 
@@ -258,6 +263,33 @@ class _DecodeTables:
         return cls(signs=signs, popcounts=popcounts, pairs=(iu, ju), basis=basis)
 
 
+class _BatchWorkspace:
+    """Every (n, .) array of a relay batch of up to `frames` frames, reused from batch to batch.
+
+    A worker keeps one, so its batches write into the same memory instead
+    of mapping and faulting fresh pages every time; what a batch reads out
+    of it is a view that the next batch overwrites. An array that nothing
+    reads again takes the next result in place: q = sqrt(p) overwrites
+    |h|^2, the two gain vectors overwrite h and g. One complex scratch
+    block, seen as floats, takes each normal draw before it is scaled
+    into place, sqrt(p_s) q, and the forwarded relay noise. The decoder's
+    real stack X and its statistics, the largest arrays of a batch, live
+    here too; the allocation kernels keep their own temporaries.
+    """
+
+    def __init__(self, frames: int, m: int, t: int):
+        self.h2 = np.empty((frames, m))
+        self.c = np.empty((frames, t, t), dtype=np.complex128)
+        self.r = np.empty((frames, t), dtype=np.complex128)
+        self.relay_noise = np.empty((frames, m, t), dtype=np.complex128)
+        self.x = np.empty((frames, 2 * t, t + 1))
+        self.stats = np.empty((frames, t, t + 1))
+        # floats for the largest draw, (n, M, T); complex entries for the (n, T) noise sum
+        self.scratch = np.empty(-(-frames * max(m * t, 2 * t) // 2), dtype=np.complex128)
+        self.draws = self.scratch.view(np.float64)
+        self.channels = ChannelBuffers(frames * m, normal=self.draws)
+
+
 def _transmit_batch(
     code: LdCodebook,
     gains: np.ndarray,
@@ -265,8 +297,9 @@ def _transmit_batch(
     s: np.ndarray,
     N0: float,
     rng: np.random.Generator,
+    ws: _BatchWorkspace,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Effective matrices C (n, T, T) and receives r (n, T) of n frames.
+    """Effective matrices C (n, T, T) and receives r (n, T) of n frames, as views into ws.
 
     gains[b, i] = sqrt(p_s) q_i f_i weighs A_i in C, noise_gains[b, i] =
     q_i g_i weighs relay i's forwarded noise, and s (n, T) holds the sent
@@ -275,17 +308,26 @@ def _transmit_batch(
     """
     n = gains.shape[0]
     m, t, _ = code.matrices.shape
-    c = (gains @ code.matrices.reshape(m, t * t)).reshape(n, t, t)
-    r = np.matmul(c, s[:, :, None])[:, :, 0]
+    c, r = ws.c[:n], ws.r[:n]
+    np.matmul(gains, code.matrices.reshape(m, t * t), out=c.reshape(n, t * t))
+    np.matmul(c, s[:, :, None], out=r[:, :, None])
     if N0 > 0.0:
         scale = math.sqrt(N0 / 2.0)
-        relay_noise = scale * (rng.standard_normal((n, m, t)) + 1j * rng.standard_normal((n, m, t)))
-        w = scale * (rng.standard_normal((n, t)) + 1j * rng.standard_normal((n, t)))
+        # relay noise real then imaginary, then w real then imaginary: the
+        # draws of scale (x + 1j y), each scaled into its part
+        relay_noise = ws.relay_noise[:n]
+        for part in (relay_noise.real, relay_noise.imag):
+            np.multiply(rng.standard_normal(out=ws.draws[: part.size].reshape(part.shape)), scale, out=part)
         # sum_i (q_i g_i n_i)^T A_i^T: row b holds the scaled n_i back to back,
         # block i of the stack is A_i^T
         relay_noise *= noise_gains[:, :, None]
-        r += relay_noise.reshape(n, m * t) @ code.matrices.transpose(0, 2, 1).reshape(m * t, t)
-        r += w
+        r += np.matmul(relay_noise.reshape(n, m * t), code.matrices.transpose(0, 2, 1).reshape(m * t, t),
+                       out=ws.scratch[: n * t].reshape(n, t))
+        # then + w, a part at a time: complex addition adds the parts
+        for part in (r.real, r.imag):
+            w_part = rng.standard_normal(out=ws.draws[: n * t].reshape(n, t))
+            w_part *= scale
+            part += w_part
     return c, r
 
 
@@ -298,17 +340,23 @@ def _relay_batch_tallies(
     p_r: float,
     n: int,
     rng: np.random.Generator,
+    ws: _BatchWorkspace,
 ) -> tuple[int, int]:
-    h, g = sample_channel_batch(cfg, n, rng)
-    h2 = np.abs(h) ** 2
-    q = np.sqrt(_allocate_batch(cfg, scheme, h2, g, _batch_caps(cfg, h2, p_s, p_r)))
+    """Block and bit errors of n frames drawn from rng, worked in ws."""
+    h, g = sample_channel_batch(cfg, n, rng, ws.channels)
+    h2 = np.square(np.abs(h, out=ws.h2[:n]), out=ws.h2[:n])
+    q = np.sqrt(_allocate_batch(cfg, scheme, h2, g, _batch_caps(cfg, h2, p_s, p_r)), out=h2)
     k = rng.integers(0, code.n_codewords, size=n)
-    c, r = _transmit_batch(code, math.sqrt(p_s) * q * h * g, q * g, tables.signs[k], cfg.N0, rng)
-    k_hat = _ml_decode_batch(c, r, tables)
+    # the plain products (sqrt(p_s) q) h g and q g, in place over h and g
+    gains = np.multiply(np.multiply(q, math.sqrt(p_s), out=ws.draws[: q.size].reshape(q.shape)), h, out=h)
+    gains *= g
+    noise_gains = np.multiply(q, g, out=g)
+    c, r = _transmit_batch(code, gains, noise_gains, tables.signs[k], cfg.N0, rng, ws)
+    k_hat = _ml_decode_batch(c, r, tables, ws)
     return int(np.count_nonzero(k_hat != k)), int(tables.popcounts[k ^ k_hat].sum())
 
 
-def _ml_decode_batch(c: np.ndarray, r: np.ndarray, tables: _DecodeTables) -> np.ndarray:
+def _ml_decode_batch(c: np.ndarray, r: np.ndarray, tables: _DecodeTables, ws: _BatchWorkspace) -> np.ndarray:
     """Exhaustive ML indices for effective matrices c (n, T, T) and receives r (n, T).
 
     BPSK symbols are real, so ||r - C s||^2 = ||r||^2 + tr Re(C^H C)
@@ -317,15 +365,15 @@ def _ml_decode_batch(c: np.ndarray, r: np.ndarray, tables: _DecodeTables) -> np.
     of shape (n, 2T, T+1), X[:, :, :T]^T X = [Re(C^H C) | Re(C^H r)].
     Dropping the terms every candidate shares and the factor 2 leaves one
     real GEMM of [Re(C^H C)_{i<j}, -Re(C^H r)] against tables.basis. Ties
-    go to the smallest index.
+    go to the smallest index. X and the statistics are views into ws.
     """
     n, t, _ = c.shape
-    x = np.empty((n, 2 * t, t + 1))
+    x = ws.x[:n]
     x[:, :t, :t] = c.real
     x[:, t:, :t] = c.imag
     x[:, :t, t] = r.real
     x[:, t:, t] = r.imag
-    stats = np.matmul(x[:, :, :t].transpose(0, 2, 1), x)
+    stats = np.matmul(x[:, :, :t].transpose(0, 2, 1), x, out=ws.stats[:n])
     iu, ju = tables.pairs
     return np.argmin(np.concatenate([stats[:, iu, ju], -stats[:, :, t]], axis=1) @ tables.basis.T, axis=1)
 
@@ -362,9 +410,14 @@ def run_monte_carlo(
 
     The allocator runs per frame under the configured CSIT mode, except
     for statistical waterfilling, whose long-term caps are the same in
-    every frame: it is solved once per batch and repeated. The shard
-    count only partitions the fixed batch schedule, so any value produces
-    identical tallies for the same seed.
+    every frame: it is solved once per batch and repeated. Batch b of
+    point i draws from stream (seed, i, b) wherever it runs, and every
+    batch works in a reused batch workspace. At T <= 2 the batches run
+    one per usable core, each worker with its own workspace; at larger T
+    they run in turn, because BLAS already spreads their products over
+    the cores. The tallies are integer sums, so neither the shard count,
+    which only partitions the fixed batch schedule, nor the number of
+    cores changes them.
     """
     if frames < MIN_FRAMES:
         raise ValueError(f"frames must be at least {MIN_FRAMES}")
@@ -386,21 +439,26 @@ def run_monte_carlo(
 
     batch = _batch_size(cfg.T)
     n_batches = -(-frames // batch)
+    powers = [_point_powers(cfg, float(snr), network_power_sweep) for snr in grid]
+    jobs = [(pi, bi) for pi in range(grid.shape[0])
+            for shard in range(shards) for bi in range(shard, n_batches, shards)]
+
+    def tallies(job, ws):
+        pi, bi = job
+        n = min(batch, frames - bi * batch)
+        rng = derive_rng(seed, STREAM_FRAMES, pi, bi)
+        p_s, p_r, net_power = powers[pi]
+        if direct:
+            return _direct_batch_tallies(cfg.T, net_power, cfg.N0, n, rng)
+        return _relay_batch_tallies(cfg, scheme, code, tables, p_s, p_r, n, rng, ws)
+
+    workspace = (lambda: None) if direct else (lambda: _BatchWorkspace(min(batch, frames), cfg.M, cfg.T))
+    results = _map_jobs(tallies, jobs, workspace, len(jobs) if cfg.T <= _POOL_MAX_BLOCK else 1)
     block_errors = np.zeros(grid.shape[0], dtype=np.int64)
     bit_errors = np.zeros(grid.shape[0], dtype=np.int64)
-
-    for pi, snr in enumerate(grid):
-        p_s, p_r, net_power = _point_powers(cfg, float(snr), network_power_sweep)
-        for shard in range(shards):
-            for bi in range(shard, n_batches, shards):
-                n = min(batch, frames - bi * batch)
-                rng = derive_rng(seed, STREAM_FRAMES, pi, bi)
-                if direct:
-                    blk, bits = _direct_batch_tallies(cfg.T, net_power, cfg.N0, n, rng)
-                else:
-                    blk, bits = _relay_batch_tallies(cfg, scheme, code, tables, p_s, p_r, n, rng)
-                block_errors[pi] += blk
-                bit_errors[pi] += bits
+    for (pi, _), (blk, bits) in zip(jobs, results):
+        block_errors[pi] += blk
+        bit_errors[pi] += bits
 
     return SimResult(
         scheme=scheme_label(scheme, cfg.csit_mode),
@@ -412,6 +470,50 @@ def run_monte_carlo(
         bit_errors=bit_errors,
         elapsed_s=time.perf_counter() - start,
     )
+
+
+# Largest block length T whose batches run one per core. From T = 3 on, BLAS
+# spreads a batch's complex GEMMs over the cores by itself, and a second
+# batch thread only competes with it: 16-batch runs on a 2-core host took
+# 40-53 ms pooled against 60-86 ms in turn at T = 2, but were no faster
+# pooled at T = 3-6 (up to 15% slower at T = 4) and up to 2x slower at T = 8-12
+_POOL_MAX_BLOCK = 2
+
+
+def _usable_cores() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_jobs(fn, jobs: list, workspace, max_workers: int) -> list:
+    """[fn(job, ws) for job in jobs] on one thread per usable core, at most max_workers.
+
+    Each thread makes its ws = workspace() once and hands it to every job it
+    runs. Results keep the order of jobs. With one worker the jobs run in
+    the calling thread. A failing job's error is raised once the jobs not
+    yet started are cancelled and the running ones have finished.
+    """
+    workers = min(_usable_cores(), len(jobs), max_workers)
+    if workers <= 1:
+        ws = workspace()
+        return [fn(job, ws) for job in jobs]
+    local = threading.local()
+
+    def run(job):
+        if not hasattr(local, "ws"):
+            local.ws = workspace()
+        return fn(job, local.ws)
+
+    # imported here, not at the top: 7 ms that every run without a pool would pay
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(workers)
+    try:
+        return list(pool.map(run, jobs))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def effective_relay_count(cfg: NetworkConfig, scheme: Scheme, r_grid, trials: int, seed: int) -> np.ndarray:

@@ -254,10 +254,15 @@ def grid_search_oracle(obj, caps, grid_points: int = 100_000) -> tuple[float, fl
     Independent check for solve_waterfill: evaluates J directly from the
     definition at p(mu) for grid_points levels spanning [mu_min, mu_max]
     together with the clamped candidates, and returns (mu_best, J_best).
+    Raises ValueError when mu_max = (1 + sum_i P_i gamma_gi) / M overflows,
+    since no grid spans [mu_min, inf].
     """
     caps = _positive_vector(caps, obj.M, "caps")
-    pg = caps * obj.gamma_g
-    mu_min, mu_max = _mu_interval(pg)
+    with np.errstate(over="ignore"):
+        pg = caps * obj.gamma_g
+        mu_min, mu_max = _mu_interval(pg)
+    if not math.isfinite(mu_max):
+        raise ValueError("mu_max = (1 + sum_i caps_i gamma_gi) / M overflows; the grid needs a finite interval")
     order = np.argsort(pg, kind="stable")
     pg_sorted = pg[order]
     ln_caps_sorted = np.log(caps[order])
@@ -273,7 +278,7 @@ def grid_search_oracle(obj, caps, grid_points: int = 100_000) -> tuple[float, fl
 
     # J in chunks of _ORACLE_CHUNK levels keeps every temporary small. The
     # first argmax over the chunks' first argmaxes is np.argmax's answer
-    # over the whole grid, first NaN included
+    # over the whole grid
     picks = []
     for lo in range(0, grid.shape[0], _ORACLE_CHUNK):
         mu = grid[lo : lo + _ORACLE_CHUNK]

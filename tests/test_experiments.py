@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from relaypower import experiments
+from relaypower import experiments, sim
 from relaypower.cli import main
 from relaypower.experiments import (
     MAX_TRIAL_ENTRIES,
@@ -460,7 +460,7 @@ class TestAsymptoticCells:
     TRIALS = experiments._BLOCK_ENTRIES + 1
 
     def _run(self, tmp_path, monkeypatch, m_grid, cores, seed=0):
-        monkeypatch.setattr(experiments, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(sim, "_usable_cores", lambda: cores)
         spec = load_spec(_write(tmp_path, ASYMPTOTIC.format(m_grid=m_grid, trials=self.TRIALS)))
         out = tmp_path / f"out{cores}"
         run_experiment(spec, out, seed=seed)
@@ -488,13 +488,14 @@ class TestAsymptoticCells:
 
     @pytest.mark.parametrize("cores,budget,workers", [(1, 10, 1), (64, 10, 8), (64, 3, 3), (64, 1, 1), (2, 10, 2)])
     def test_pool_size(self, tmp_path, monkeypatch, capsys, cores, budget, workers):
-        # one worker per core, at most one per cell, and draw buffers within budget x one cell's
+        # one worker per core, at most one per cell, and draw buffers within
+        # budget x one cell's; a single worker runs the cells without a pool
         sizes = []
         real_pool = concurrent.futures.ThreadPoolExecutor
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", lambda n: sizes.append(n) or real_pool(n))
         monkeypatch.setattr(experiments, "MAX_TRIAL_ENTRIES", budget * self.TRIALS * 32)
         self._run(tmp_path, monkeypatch, [1, 2, 3, 32], cores)
-        assert sizes == [workers]
+        assert sizes == ([workers] if workers > 1 else [])
 
     def test_failing_cell_reaches_the_caller_and_leaves_nothing(self, tmp_path, monkeypatch, capsys):
         real = experiments._mean_cap_fraction
@@ -508,6 +509,52 @@ class TestAsymptoticCells:
         with pytest.raises(ValueError, match="cell at M = 3 failed"):
             self._run(tmp_path, monkeypatch, [1, 2, 3, 32], 4)
         assert list((tmp_path / "out4").iterdir()) == []
+
+
+BLER_T2 = """\
+kind: bler_vs_snr
+schemes: [onoff, waterfill_partial, waterfill_statistical, maxpower, direct]
+snr_db: [6.0, 12.0]
+frames: 9000
+network:
+  M: 2
+"""
+
+
+class TestMonteCarloBatches:
+    """Full-size T = 2 batches run one per core; that may not change a byte."""
+
+    def _run(self, tmp_path, monkeypatch, cores, shards):
+        monkeypatch.setattr(sim, "_usable_cores", lambda: cores)
+        spec = load_spec(_write(tmp_path, BLER_T2))
+        out = tmp_path / f"out{cores}_{shards}"
+        paths = run_experiment(spec, out, shards=shards)
+        return {p.name: p.read_bytes() for p in paths if p.suffix == ".csv"}
+
+    def test_bytes_identical_for_any_worker_and_shard_count(self, tmp_path, monkeypatch, capsys):
+        # 9000 frames: two full batches and one of 808 per point
+        ref = self._run(tmp_path, monkeypatch, 1, 1)
+        assert len(ref) == 5
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cores, shards in [(4, 1), (4, 3), (1, 3)]:
+                assert self._run(tmp_path, monkeypatch, cores, shards) == ref
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_failing_batch_reaches_the_caller_and_leaves_nothing(self, tmp_path, monkeypatch, capsys):
+        real = sim._relay_batch_tallies
+
+        def failing(cfg, scheme, code, tables, p_s, p_r, n, rng, ws):
+            if scheme is Scheme.MAX_POWER and n < 4096:
+                raise ValueError(f"max_power batch of {n} frames failed")
+            return real(cfg, scheme, code, tables, p_s, p_r, n, rng, ws)
+
+        monkeypatch.setattr(sim, "_relay_batch_tallies", failing)
+        with pytest.raises(ValueError, match="max_power batch of 808 frames failed"):
+            self._run(tmp_path, monkeypatch, 4, 1)
+        assert list((tmp_path / "out4_1").iterdir()) == []
 
 
 class TestPlotScript:

@@ -363,6 +363,22 @@ def _generic_batches(draw):
     return h2 * g2, g2, p / (p * h2 + 1.0)
 
 
+class TestCapMonotonicity:
+    # The optimal f0 cannot fall when a cap rises: a set without the relay
+    # keeps its value, and at an optimum that holds the relay, f0 grows in
+    # its power. The optimal set itself can change either way, so only f0
+    # is compared.
+    @settings(max_examples=150)
+    @given(_generic_batches(), st.integers(0, 11), st.floats(1.0, 1e3))
+    def test_optimal_f0_is_non_decreasing_in_every_cap(self, batch, i, factor):
+        alpha, beta, caps = batch
+        raised = caps.copy()
+        raised[:, i % caps.shape[1]] *= factor
+        before = _f0_of(alpha, beta, caps, solve_onoff_masks(alpha, beta, caps))
+        after = _f0_of(alpha, beta, raised, solve_onoff_masks(alpha, beta, raised))
+        assert np.all(after >= before * (1.0 - 1e-12))
+
+
 @pytest.fixture
 def iteration_calls(monkeypatch):
     """Records the alpha rows of every solve_onoff_batch call the kernel makes."""

@@ -1,5 +1,6 @@
 """Monte Carlo chain: physical model, decoding, tallies, sharding."""
 
+import concurrent.futures
 import functools
 import math
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relaypower import sim
 from relaypower.codebook import codeword_signs, generate_codebook
 from relaypower.model import (
     ChannelRealization,
@@ -25,6 +27,7 @@ from relaypower.sim import (
     SimResult,
     _allocate_batch,
     _batch_size,
+    _BatchWorkspace,
     _DecodeTables,
     _ml_decode_batch,
     _relay_batch_tallies,
@@ -202,7 +205,7 @@ class TestBatchDecoder:
             allocs.append(alloc)
             c.append(effective_code_matrix(code, chan.f, np.sqrt(p), p_s))
             r.append(transmit_frame(code, chan, alloc, p_s, 1.0, k, rng))
-        got = _ml_decode_batch(np.stack(c), np.stack(r), _DecodeTables.for_block(t))
+        got = _ml_decode_batch(np.stack(c), np.stack(r), _DecodeTables.for_block(t), _BatchWorkspace(frames, t, t))
         want = [ml_decode(code, chan, alloc, p_s, rx) for chan, alloc, rx in zip(chans, allocs, r)]
         assert got.tolist() == want
 
@@ -216,13 +219,13 @@ class TestBatchDecoder:
         tables = _DecodeTables.for_block(t)
         r = tables.signs @ c.T
         cs = np.broadcast_to(c, (2**t, t, t))
-        np.testing.assert_array_equal(_ml_decode_batch(cs, r, tables), np.arange(2**t))
+        np.testing.assert_array_equal(_ml_decode_batch(cs, r, tables, _BatchWorkspace(2**t, t, t)), np.arange(2**t))
 
     def test_silent_network_ties_to_index_zero(self):
         tables = _DecodeTables.for_block(3)
         c = np.zeros((2, 3, 3), dtype=complex)
         r = np.array([[1.0, -2.0, 0.5j], [0.0, 0.0, 0.0]])
-        np.testing.assert_array_equal(_ml_decode_batch(c, r, tables), [0, 0])
+        np.testing.assert_array_equal(_ml_decode_batch(c, r, tables, _BatchWorkspace(2, 3, 3)), [0, 0])
 
     @pytest.mark.parametrize("m", [2, 4, 8, 12])
     @pytest.mark.parametrize("scheme,mode", [
@@ -240,11 +243,101 @@ class TestBatchDecoder:
         for bi in range(3):
             rng_got = derive_rng(9, STREAM_FRAMES, 0, bi)
             rng_want = derive_rng(9, STREAM_FRAMES, 0, bi)
-            got = _relay_batch_tallies(cfg, scheme, code, tables, 3.0, 3.0, n, rng_got)
+            ws = _BatchWorkspace(n, m, m)
+            got = _relay_batch_tallies(cfg, scheme, code, tables, 3.0, 3.0, n, rng_got, ws)
             want = _direct_distance_tallies(cfg, scheme, code, 3.0, 3.0, n, rng_want)
             assert got == want
             assert got[0] > 0
             assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+
+def _fresh_transmit(code, gains, noise_gains, s, N0, rng):
+    """The transmit with every array allocated afresh, written as plain expressions."""
+    n = gains.shape[0]
+    m, t, _ = code.matrices.shape
+    c = (gains @ code.matrices.reshape(m, t * t)).reshape(n, t, t)
+    r = np.matmul(c, s[:, :, None])[:, :, 0]
+    if N0 > 0.0:
+        scale = math.sqrt(N0 / 2.0)
+        relay_noise = scale * (rng.standard_normal((n, m, t)) + 1j * rng.standard_normal((n, m, t)))
+        w = scale * (rng.standard_normal((n, t)) + 1j * rng.standard_normal((n, t)))
+        relay_noise *= noise_gains[:, :, None]
+        r += relay_noise.reshape(n, m * t) @ code.matrices.transpose(0, 2, 1).reshape(m * t, t)
+        r += w
+    return c, r
+
+
+def _fresh_batch(cfg, scheme, code, tables, p_s, p_r, n, rng):
+    """_relay_batch_tallies with every array allocated afresh; returns (C, r, tallies)."""
+    h, g = sample_channel_batch(cfg, n, rng)
+    h2 = np.abs(h) ** 2
+    q = np.sqrt(_allocate_batch(cfg, scheme, h2, g, _batch_caps(cfg, h2, p_s, p_r)))
+    k = rng.integers(0, code.n_codewords, size=n)
+    c, r = _fresh_transmit(code, math.sqrt(p_s) * q * h * g, q * g, tables.signs[k], cfg.N0, rng)
+    k_hat = _ml_decode_batch(c, r, tables, _BatchWorkspace(n, cfg.M, code.T))
+    return c, r, (int(np.count_nonzero(k_hat != k)), int(tables.popcounts[k ^ k_hat].sum()))
+
+
+class TestBatchWorkspace:
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    @pytest.mark.parametrize("scheme,mode", [
+        (Scheme.ONOFF, "perfect"), (Scheme.MAX_POWER, "perfect"), (Scheme.WATERFILL, "partial"),
+        (Scheme.WATERFILL, "statistical"),
+    ])
+    def test_reused_workspace_matches_fresh_allocation(self, m, scheme, mode):
+        cfg = _cfg(m, m, csit_mode=mode, p_s=3.0, p_r=3.0, gamma_g=np.linspace(0.5, 2.0, m))
+        code = generate_codebook(m, seed=m)
+        tables = _DecodeTables.for_block(m)
+        ws = _BatchWorkspace(700, m, m)
+        # a full batch, then a short one over the first batch's leftovers
+        for bi, n in enumerate([700, 301]):
+            rng_got = derive_rng(4, STREAM_FRAMES, 0, bi)
+            rng_want = derive_rng(4, STREAM_FRAMES, 0, bi)
+            got = _relay_batch_tallies(cfg, scheme, code, tables, 3.0, 3.0, n, rng_got, ws)
+            c, r, want = _fresh_batch(cfg, scheme, code, tables, 3.0, 3.0, n, rng_want)
+            assert got == want
+            assert got[0] > 0
+            assert ws.c[:n].tobytes() == c.tobytes() and ws.r[:n].tobytes() == r.tobytes()
+            assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+    @pytest.mark.parametrize("n0", [0.0, 1.0])
+    def test_one_frame_matches_fresh_allocation(self, n0):
+        code = generate_codebook(3, seed=0)
+        cfg = _cfg(3, 3)
+        chan = sample_channels(cfg, 4)
+        caps = amplifier_caps(cfg, chan.h)
+        alloc = PowerAllocation(p=caps * [0.0, 0.5, 1.0], caps=caps)
+        q = np.sqrt(alloc.p)
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        r = transmit_frame(code, chan, alloc, cfg.p_s, n0, 6, rng)
+        _, want = _fresh_transmit(code, (math.sqrt(cfg.p_s) * q * chan.f)[None], (q * chan.g)[None],
+                                  codeword_signs(3)[6][None], n0, ref)
+        assert r.tobytes() == want[0].tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Worker counts of the thread pools run_monte_carlo starts, on a host of 4 usable cores."""
+    sizes = []
+    real_pool = concurrent.futures.ThreadPoolExecutor
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", lambda n: sizes.append(n) or real_pool(n))
+    monkeypatch.setattr(sim, "_usable_cores", lambda: 4)
+    return sizes
+
+
+class TestBatchPool:
+    @pytest.mark.parametrize("t,grid,frames,workers", [
+        (1, [5.0], 9000, 3),        # 3 batches, one worker each
+        (2, [5.0, 10.0], 9000, 4),  # 6 batches over 4 cores
+        (2, [5.0], 1000, None),     # one batch: nothing to share
+        (3, [5.0, 10.0], 9000, None),  # BLAS threads the products itself
+        (12, [5.0], 1000, None),
+    ])
+    def test_only_batches_at_small_block_lengths_share_the_cores(self, pool_sizes, t, grid, frames, workers):
+        for scheme in (Scheme.MAX_POWER, Scheme.DIRECT_LINK):
+            run_monte_carlo(_cfg(t, t), scheme, grid, frames, seed=0)
+        assert pool_sizes == ([] if workers is None else [workers, workers])
 
 
 class TestSchemeLabel:

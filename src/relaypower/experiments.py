@@ -479,7 +479,8 @@ def _run_convergence(spec, outputs, seed, shards, frames):
         g2 = np.abs(g) ** 2
         alpha = h2 * g2
         masks, _, fallback, iterates = solve_onoff_batch(alpha, g2, caps, history=spec.iterations + 1)
-        # a row the enumeration oracle settled scores its optimum at every iterate
+        # a row the iteration could not settle, answered by the exact scan,
+        # scores its optimum at every iterate
         iterates[fallback] = masks[fallback, None]
         ac, bc = alpha * caps, g2 * caps
         # f0 at each iterate, one (n, M) pattern at a time, then at the optimum
@@ -638,10 +639,7 @@ def _run_saddle(spec, outputs, seed, shards, frames):
         mc_values = []
         bounds = []
         for j in range(spec.instances):
-            # each instance has its own stream (mi, j), so these draws cannot
-            # be batched through sample_channel_batch without changing them
-            rng = derive_rng(seed, STREAM_CHANNELS, mi, j)
-            h = np.sqrt(gamma_h / 2.0) * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+            h = sample_channel_batch(cfg, 1, derive_rng(seed, STREAM_CHANNELS, mi, j))[0][0]
             caps = _batch_caps(cfg, np.abs(h) ** 2, spec.p_s, spec.p_r)
             comp = saddle_point_error(
                 h, gamma_g, caps, spec.eta, spec.trials, derive_seed(seed, STREAM_MISC, mi, j)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _finite_scalar, _positive_vector
+from .model import _finite_array, _finite_scalar, _positive_vector
 from .rng import derive_rng
 
 _EULER_GAMMA = 0.5772156649015328606
@@ -276,15 +276,12 @@ def saddle_point_error(h, gamma_g, p, eta: float, trials: int, seed: int) -> Sad
     saddle-point product bound from that estimate. Chunked accumulation
     with per-chunk derived streams keeps the result reproducible.
     """
-    h = np.asarray(h, dtype=np.complex128)
-    gamma_g = np.asarray(gamma_g, dtype=np.float64)
-    p = np.asarray(p, dtype=np.float64)
-    if not (h.shape == gamma_g.shape == p.shape) or h.ndim != 1:
-        raise ValueError("h, gamma_g and p must be 1-d arrays of equal length")
-    if np.any(gamma_g <= 0.0) or np.any(p < 0.0):
-        raise ValueError("gamma_g must be positive and p non-negative")
-    if not np.isfinite(eta) or eta < 0.0:
-        raise ValueError("eta must be finite and non-negative")
+    h = _finite_array(h, "h", np.complex128)
+    if h.ndim != 1:
+        raise ValueError(f"h must be a 1-d array, got shape {h.shape}")
+    gamma_g = _positive_vector(gamma_g, h.shape[0], "gamma_g")
+    p = _positive_vector(p, h.shape[0], "p", allow_zero=True)
+    eta = _finite_scalar(eta, "eta", allow_zero=True)
     if trials < SADDLE_MIN_TRIALS:
         raise ValueError(f"trials must be at least {SADDLE_MIN_TRIALS} for a usable error bar")
 

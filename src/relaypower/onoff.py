@@ -12,13 +12,15 @@ The gradient sign of relay i is the sign of alpha_i (1 + B) - beta_i A,
 that is of |h_i|^2 - f0 with |h_i|^2 = alpha_i / beta_i, so each update
 switches on exactly {i : |h_i|^2 > f0(current set)}. That is Dinkelbach's
 method for the fractional program max A / (1 + B) (Management Science
-1967): in exact arithmetic f0 rises strictly at every update, and the only
-fixed point is S* = {i : |h_i|^2 > max f0}, the optimal vertex with the
-fewest relays. S* is a threshold set on |h|^2, so one sort finds it:
-solve_onoff_masks scores the M + 1 threshold sets and certifies its pick
-(see there). solve_onoff_batch is the one implementation of the
-iteration, kept for callers that read its trajectory and for the rows
-the kernel cannot certify; solve_onoff runs it on a single instance.
+1967): in exact arithmetic f0 rises strictly at every update until it
+reaches max f0, and the only fixed point is S* = {i : |h_i|^2 > max f0},
+the optimal vertex with the fewest relays. S* is a threshold set on |h|^2,
+so one sort finds it: solve_onoff_masks scores the M + 1 threshold sets
+in floats and certifies its pick (see there). solve_onoff_batch is the one
+implementation of the iteration, kept for callers that read its
+trajectory; solve_onoff runs it on a single instance. A row that the
+kernel cannot certify or the iteration cannot settle gets S* from one
+exact rational scan.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .objectives import PerfectCsitObjective, f0_gradient, f0_value
 MAX_ITERATIONS = 100
 # Exhaustive enumeration beyond this many relays is off the table.
 MAX_ORACLE_RELAYS = 20
-# solve_onoff_masks hands a row to the iteration when some |h_i|^2 lies
+# solve_onoff_masks hands a row to the exact scan when some |h_i|^2 lies
 # within this relative distance of the row's f0: over 5e4 times the
 # update's rounding band at M = 40
 CERTIFICATE_MARGIN = 1e-9
@@ -44,9 +46,9 @@ class OnOffTrace:
     """Iterate history of one solver run.
 
     iterates[k] is the allocation after k updates; objective_values is
-    aligned with it. converged is False only when the safeguard kicked in,
-    in which case used_fallback tells whether the enumeration oracle
-    supplied the final answer.
+    aligned with it. converged is False only when the iteration did not
+    settle in floats; used_fallback is then True, and the last iterate is
+    the exact optimum S* that the exact threshold scan supplied.
     """
 
     iterates: list = field(default_factory=list)
@@ -105,10 +107,9 @@ def solve_onoff(
         (allocation, trace). The allocation is the stationary vertex; the
         trace records every iterate and f0 value along the way.
 
-    This is solve_onoff_batch on one row. Where the iteration cycles or
-    exceeds the cap (not expected; the ascent is monotone), the vertex
-    oracle's answer ends the trace and the trace is flagged; for M > 20
-    the batch solver's ValueError says the iteration did not converge.
+    This is solve_onoff_batch on one row. Where the iteration does not
+    settle in floats, the exact scan's optimum ends the trace and the trace
+    is flagged.
     """
     caps = _positive_vector(caps, obj.M, "caps")
     if start is not None:
@@ -149,17 +150,21 @@ def solve_onoff_batch(
     Returns:
         (masks, iterations, fallback, iterates) where masks is the
         stationary on-pattern, iterations counts updates until the sign
-        pattern reproduced itself, fallback marks rows resolved by the
-        enumeration oracle, and iterates is an (n, history, M) boolean
-        array, or None unless requested.
+        pattern reproduced itself or the row stopped, fallback marks rows
+        that did not settle and took S* instead, and iterates is an
+        (n, history, M) boolean array, or None unless requested.
 
     Raises:
-        ValueError: for mismatched shapes or an entry out of range, and
-        when the iteration does not converge on a row with M > 20.
+        ValueError: for mismatched shapes or an entry out of range.
 
     Each update switches every relay at once, on where its gradient
-    component is positive. A row that cycles or runs out of updates (not
-    expected; the ascent is monotone) is solved by the enumeration oracle.
+    component is positive. Exact f0 rises strictly until it reaches max
+    f0, and the next update lands on S*, which is stationary. A row whose
+    float f0 fails to rise at a pattern that is not stationary is going
+    round in rounding noise (near-ties in |h|^2, or 1 + B rounding to B):
+    it stops there, as does a row still moving after MAX_ITERATIONS
+    updates, and takes S* from the exact scan. A stationary row is a float
+    fixed point; on near-ties it can miss S* by relays at f0 within rounding.
     """
     caps = _positive_batch(caps, "caps")
     alpha, beta = _check_gains(alpha, beta, caps)
@@ -174,9 +179,7 @@ def solve_onoff_batch(
         if masks.shape != (n, m):
             raise ValueError("start mask shape must match alpha")
     iterations = np.zeros(n, dtype=np.int64)
-    done = np.zeros(n, dtype=bool)
-    prev_masks = None
-    cycled = np.zeros(n, dtype=bool)
+    f_prev = np.full(n, -np.inf)
     iterates = np.empty((n, history, m), dtype=bool) if history > 0 else None
 
     for step in range(MAX_ITERATIONS):
@@ -186,86 +189,62 @@ def solve_onoff_batch(
         b_sum = np.sum(np.where(masks, bc, 0.0), axis=1)
         # gradient sign: alpha_i (1 + B) - beta_i A > 0
         new_masks = alpha * (1.0 + b_sum)[:, None] - beta * a_sum[:, None] > 0.0
-        stationary = np.all(new_masks == masks, axis=1)
-        if prev_masks is not None:
-            cycled |= ~done & ~stationary & np.all(new_masks == prev_masks, axis=1)
-        done |= stationary
-        advance = ~done & ~cycled
+        settled = np.all(new_masks == masks, axis=1)
+        # a stopped row keeps its pattern and f0, so it stays stopped; so does a NaN f0
+        f = a_sum / (1.0 + b_sum)
+        advance = ~settled & (f > f_prev)
         if not np.any(advance):
             break
-        prev_masks = masks
         masks = np.where(advance[:, None], new_masks, masks)
         iterations += advance
+        f_prev = f
     if iterates is not None:
         iterates[:, step + 1 :] = masks[:, None]
 
-    fallback = ~done
+    fallback = ~settled
     if np.any(fallback):
-        if m > MAX_ORACLE_RELAYS:
-            raise ValueError(
-                f"on-off iteration did not converge on {np.count_nonzero(fallback)} of {n} rows, "
-                f"and its enumeration fallback is limited to M <= {MAX_ORACLE_RELAYS} (M = {m})"
-            )
-        for i in np.nonzero(fallback)[0]:
-            obj = PerfectCsitObjective(alpha=alpha[i], beta=beta[i], eta=1.0)
-            masks[i] = vertex_enumeration_oracle(obj, caps[i]).p > 0.0
+        masks[fallback] = _exact_optimum(alpha[fallback], beta[fallback], caps[fallback])
     return masks, iterations, fallback, iterates
 
 
 def solve_onoff_masks(alpha: np.ndarray, beta: np.ndarray, caps: np.ndarray) -> np.ndarray:
-    """On-patterns of solve_onoff_batch from one sort per row, no iteration.
+    """Exact optimal on-patterns S* from one sort per row, no iteration.
 
     Args:
         alpha, beta: arrays of shape (n, M), finite and non-negative.
         caps: array of shape (n, M), finite and strictly positive.
 
     Returns:
-        (n, M) boolean masks, equal bit for bit to solve_onoff_batch(alpha,
-        beta, caps)[0].
+        (n, M) boolean masks: on each row the exact fewest-relay maximizer
+        S* of f0.
 
     Raises:
-        ValueError: for mismatched shapes or an entry out of range, and
-        wherever solve_onoff_batch raises on the rows handed to it.
+        ValueError: for mismatched shapes or an entry out of range.
 
     Each row sorts its relays by |h_i|^2 = alpha_i / beta_i, takes prefix
     sums of alpha P and beta P in that order, and picks S, the first
     argmax of f0 = A / (1 + B) over the M + 1 threshold sets (the empty
-    set first). In exact arithmetic that is the iteration's unique fixed
-    point S*. With f = f0(S) from the prefix sums, a row is kept only if:
+    set first). With f = f0(S) from the prefix sums, a row is kept only if:
 
     - cut: S is exactly the relays whose key is at least that of its
       weakest relay (no relay left out has the same key);
     - fixed point: the update alpha_i (1 + B) - beta_i A > 0, from the
       prefix sums of S, reproduces S;
     - margin: no relay has |alpha_i - beta_i f| < CERTIFICATE_MARGIN beta_i f,
-      that is no |h_i|^2 within 1e-9 relative of f;
-    - weight: 2 (M + 2) eps (1 + B_all) <= CERTIFICATE_MARGIN / 2 (1 + B),
-      with B_all the sum of beta P over every relay.
+      that is no |h_i|^2 within 1e-9 relative of f.
 
-    Why these suffice, barring overflow and underflow: every sum has
-    non-negative terms, so in any order it is within M eps relative of
-    the exact one, and the update's sign is the exact sign of |h_i|^2 -
-    f0 for every relay outside a band of relative width delta =
-    2 (M + 2) eps around f0 (about 1.5e-14 at M = 32). The margin is more
-    than 5e4 times wider up to M = 40, so the fixed-point and margin tests
-    prove that S is the exact fixed point, hence S = S*, and the iteration
-    stops at S if it gets there. Another float fixed point S' would have
-    to contain S* and some relay j within delta of f0(S') but below
-    (1 - 1e-9) f; f0(S') is a weighted mean of f, with weight 1 + B, and
-    of the added keys, so it comes that close to key j only if the added
-    beta P exceeds about (1e-9 / delta) (1 + B), which the weight test
-    rules out. (A relay that heavy, just below the threshold, does make
-    the iteration stop at S* plus that relay.) So S* is the iteration's
-    only stopping point, and it returns S* unless it cycles first, which
-    needs near-ties along its path; that last step is not proven, and no
-    certified row has been seen to do it. Rows that fail a test are solved
-    again by the unchanged solve_onoff_batch, which treats each row
-    independently of the others; in the asym_m32 workload at seeds 0-3
-    that is none of 350 000 rows. Bit identity is tested for M = 1..40 on
-    random rows, exact ties in |h|^2, keys set to f0(S*) and its 1-ulp
-    neighbours, cuts between equal keys, heavy and near-weightless relays
-    next to the threshold, zero gains, and alpha scaled by 1e-150..1e150
-    with beta by 1e-150..1e12. Memory is O(n M).
+    Why these suffice, barring underflow to subnormal numbers: every sum
+    has non-negative terms, so in any order it is within M eps relative
+    of the exact one, and the update's sign is the exact sign of |h_i|^2 -
+    f0 for every relay outside a band of relative width 2 (M + 2) eps
+    around f0 (1.5e-14 at M = 32). The margin is over 5e4 times wider up
+    to M = 40, so the two tests prove that S is the exact fixed point of
+    the update, which is S* alone; an overflow, or its NaN, fails a test.
+    Rows that fail get S* from the exact scan: none of the 713 000 rows of
+    the three perfbench workloads, at seed 0 or 17. Tested against an exact
+    certificate for M = 1..40 with ties and 1-ulp near-ties at f0(S*),
+    heavy and light relays next to it, zero gains, and alpha and beta
+    scaled by 1e-150..1e150. Memory is O(n M).
     """
     caps = _positive_batch(caps, "caps")
     alpha, beta = _check_gains(alpha, beta, caps)
@@ -287,19 +266,17 @@ def solve_onoff_masks(alpha: np.ndarray, beta: np.ndarray, caps: np.ndarray) -> 
     pick = rows + j
     a_set = np.take(a, pick)
     b_set = np.take(b, pick)
-    b_all = b[:, -1].copy()
     del a, b, pick
     # the empty set, f0 = 0, comes first and wins ties
     k = np.where(a_set > 0.0, j + 1, 0)
     a_set[k == 0] = 0.0
     b_set[k == 0] = 1.0
-    # rows to hand to the iteration: the weight test first
-    redo = 2 * (m + 2) * np.finfo(np.float64).eps * b_all > 0.5 * CERTIFICATE_MARGIN * b_set
-    # the cut test: S is every key up to that of its weakest relay, unless
-    # the strongest relay left out has the same key
+    # rows to hand to the exact scan: the cut test first. S is every key up
+    # to that of its weakest relay, unless the strongest relay left out has
+    # the same key
     weakest = np.take(keys, np.take(order, rows + np.maximum(k - 1, 0)))
     next_out = np.take(keys, np.take(order, rows + np.minimum(k, m - 1)))
-    redo |= (next_out == weakest) & (k > 0) & (k < m)
+    redo = (next_out == weakest) & (k > 0) & (k < m)
     masks = keys <= np.where(k > 0, weakest, -np.inf)[:, None]
     del keys, order
 
@@ -312,11 +289,38 @@ def solve_onoff_masks(alpha: np.ndarray, beta: np.ndarray, caps: np.ndarray) -> 
     np.subtract(alpha, tmp, out=grad)
     np.abs(grad, out=grad)
     tmp *= CERTIFICATE_MARGIN
-    bad |= grad < tmp
+    bad |= ~(grad >= tmp)  # a NaN fails
     redo[np.nonzero(bad.ravel())[0] // m] = True
-    back = np.nonzero(redo)[0]
-    if back.size:
-        masks[back] = solve_onoff_batch(alpha[back], beta[back], caps[back])[0]
+    if np.any(redo):
+        masks[redo] = _exact_optimum(alpha[redo], beta[redo], caps[redo])
+    return masks
+
+
+def _exact_optimum(alpha: np.ndarray, beta: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """S* of each row of (k, M) arrays, from exact Fraction products and sums.
+
+    Relays with alpha = 0 never raise f0 and stay off; the rest go strongest
+    |h|^2 = alpha / beta first, beta = 0 leading. Along these prefixes f0
+    rises while the next key is above it and never again, and a key equal
+    to the maximum leaves it unchanged, so the first strict maximum of
+    A / (1 + B) is the fewest-relay optimum S*.
+    """
+    # imported here, not at the top: 3.6 ms that every run without such rows would pay
+    from fractions import Fraction
+
+    masks = np.zeros(alpha.shape, dtype=bool)
+    for mask, a_row, b_row, c_row in zip(masks, alpha.tolist(), beta.tolist(), caps.tolist()):
+        ac = [Fraction(x) * Fraction(c) for x, c in zip(a_row, c_row)]
+        bc = [Fraction(x) * Fraction(c) for x, c in zip(b_row, c_row)]
+        order = sorted((i for i in range(len(ac)) if ac[i]), key=lambda i: bc[i] / ac[i])
+        a, b, best, k = Fraction(0), Fraction(1), Fraction(0), 0
+        for j, i in enumerate(order, 1):
+            a += ac[i]
+            b += bc[i]
+            f = a / b
+            if f > best:
+                best, k = f, j
+        mask[order[:k]] = True
     return masks
 
 

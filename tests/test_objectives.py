@@ -352,3 +352,12 @@ class TestSaddlePointError:
         with pytest.raises(ValueError):
             saddle_point_error(np.ones(2), np.ones(3), np.ones(2),
                                eta=1.0, trials=10_000, seed=0)
+
+    @pytest.mark.parametrize("name, bad", [("h", np.nan), ("gamma_g", np.nan), ("gamma_g", np.inf),
+                                           ("p", np.nan), ("p", np.inf)])
+    def test_rejects_non_finite_inputs(self, name, bad):
+        # each used to give an all-NaN comparison, or a RuntimeWarning
+        args = {"h": np.ones(2, dtype=np.complex128), "gamma_g": np.ones(2), "p": np.ones(2)}
+        args[name][1] = bad
+        with pytest.raises(ValueError, match=f"{name} entries must be finite"):
+            saddle_point_error(**args, eta=1.0, trials=10_000, seed=0)

@@ -1,5 +1,7 @@
 """On-off allocation: iterative solver, closed form, and vertex oracle."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,10 +70,10 @@ class TestSolveOnOff:
                     f0_value(obj, oracle.p), rel=1e-12)
 
     @pytest.mark.parametrize("regime", ["tie", "noise_free"])
-    def test_trace_of_a_cycling_instance_ends_with_the_oracle(self, regime):
-        # tie: a key on f0 makes the iteration flip one relay back and forth
-        # (a two-step cycle); noise_free: beta P ~ 1e144, 1 + B rounds to B
-        # and the iteration runs out of updates
+    def test_trace_of_an_unsettled_instance_ends_with_the_exact_optimum(self, regime):
+        # tie: a key on f0 makes the update a rounding-level decision;
+        # noise_free: beta P ~ 1e144, 1 + B rounds to B. Either way the
+        # float f0 stops rising before the pattern settles
         rng = np.random.default_rng(66)
         if regime == "tie":
             alpha, beta, caps = _near_threshold_rows(rng, 200, 4)
@@ -79,18 +81,17 @@ class TestSolveOnOff:
             alpha, beta, caps = _physical_rows(rng, 50, 4)
             beta *= 1e144
         _, iters, fallback, iterates = solve_onoff_batch(alpha, beta, caps, history=onoff.MAX_ITERATIONS)
-        stopped_early = iters < onoff.MAX_ITERATIONS
-        i = int(np.argmax(fallback & (stopped_early if regime == "tie" else ~stopped_early)))
+        i = int(np.argmax(fallback))
         assert fallback[i]
         obj = PerfectCsitObjective(alpha=alpha[i], beta=beta[i], eta=1.0)
         alloc, trace = solve_onoff(obj, caps[i])
         assert trace.used_fallback and not trace.converged
-        # every visited pattern (at most MAX_ITERATIONS), then the oracle's answer
-        assert trace.iterations == iters[i]
-        assert len(trace.iterates) == min(iters[i] + 1, onoff.MAX_ITERATIONS) + 1
-        for p, mask in zip(trace.iterates, iterates[i]):
+        # every visited pattern, at most M + 2 of them, then the exact optimum
+        assert trace.iterations == iters[i] <= 4 + 1
+        assert len(trace.iterates) == iters[i] + 2
+        for p, mask in zip(trace.iterates[:-1], iterates[i]):
             np.testing.assert_array_equal(p, np.where(mask, caps[i], 0.0))
-        np.testing.assert_array_equal(trace.iterates[-1], vertex_enumeration_oracle(obj, caps[i]).p)
+        _assert_exact_optima(alpha[i : i + 1], beta[i : i + 1], caps[i : i + 1], alloc.active[None])
         np.testing.assert_array_equal(alloc.p, trace.iterates[-1])
         assert trace.objective_values == [f0_value(obj, p) for p in trace.iterates]
 
@@ -242,6 +243,23 @@ def _f0_of(alpha, beta, caps, masks):
     return a / (1.0 + b)
 
 
+def _assert_exact_optima(alpha, beta, caps, masks):
+    """Dinkelbach's certificate in exact arithmetic: S = {i : alpha_i > f0(S) beta_i}.
+
+    The update from S switches on exactly the relays with alpha_i (1 + B) >
+    beta_i A; S* is its only fixed point, so a row passes only with the
+    fewest-relay optimum, whatever the rounding or the size of M.
+    """
+    wrong = []
+    for r, (a_row, b_row, c_row, mask) in enumerate(
+            zip(alpha.tolist(), beta.tolist(), caps.tolist(), masks.tolist())):
+        a = sum((Fraction(x) * Fraction(c) for x, c, on in zip(a_row, c_row, mask) if on), Fraction(0))
+        b = 1 + sum((Fraction(x) * Fraction(c) for x, c, on in zip(b_row, c_row, mask) if on), Fraction(0))
+        if [Fraction(x) * b > Fraction(y) * a for x, y in zip(a_row, b_row)] != mask:
+            wrong.append(r)
+    assert not wrong, f"rows {wrong} are not the exact optimum"
+
+
 def _tied_key_rows(rng, n, m):
     """Few distinct |h|^2 and |g|^2, powers of two, so keys tie exactly."""
     h2 = 0.5 * rng.integers(1, 4, (n, m))
@@ -342,11 +360,10 @@ def _onoff_batches(draw):
             for x in zeroed:
                 x[hit] = 0.0
         if scaled:
-            # row scales of 1e+-150 on alpha; beta stays below 1e12 so that
-            # 1 + B keeps its 1 (past ~1e16 the iteration itself cycles, see
-            # test_follows_the_iteration_where_it_cycles)
+            # row scales of 1e+-150 on alpha and beta; past beta P ~ 1e16,
+            # 1 + B rounds to B and every such row leans on the exact scan
             alpha *= 10.0 ** rng.uniform(-150.0, 150.0, (alpha.shape[0], 1))
-            beta *= 10.0 ** rng.uniform(-150.0, 12.0, (beta.shape[0], 1))
+            beta *= 10.0 ** rng.uniform(-150.0, 150.0, (beta.shape[0], 1))
     return parts
 
 
@@ -380,33 +397,25 @@ class TestCapMonotonicity:
 
 
 @pytest.fixture
-def iteration_calls(monkeypatch):
-    """Records the alpha rows of every solve_onoff_batch call the kernel makes."""
+def exact_calls(monkeypatch):
+    """Records the alpha rows of every call the solvers make to the exact scan."""
     calls = []
-    iterate = onoff.solve_onoff_batch
+    scan = onoff._exact_optimum
 
-    def spy(alpha, beta, caps, *args, **kwargs):
+    def spy(alpha, beta, caps):
         calls.append(np.array(alpha))
-        return iterate(alpha, beta, caps, *args, **kwargs)
+        return scan(alpha, beta, caps)
 
-    monkeypatch.setattr(onoff, "solve_onoff_batch", spy)
+    monkeypatch.setattr(onoff, "_exact_optimum", spy)
     return calls
 
 
 class TestMaskKernel:
     @settings(max_examples=150)
     @given(parts=_onoff_batches())
-    def test_bit_identical_to_iteration(self, parts):
+    def test_is_the_exact_optimum(self, parts):
         for alpha, beta, caps in parts:
-            try:
-                expected = solve_onoff_batch(alpha, beta, caps)[0]
-            except ValueError:
-                # the iteration cycled on a near-tie and its enumeration
-                # fallback refuses M > 20; the kernel must fail alike
-                with pytest.raises(ValueError, match="M <= 20"):
-                    solve_onoff_masks(alpha, beta, caps)
-                continue
-            np.testing.assert_array_equal(solve_onoff_masks(alpha, beta, caps), expected)
+            _assert_exact_optima(alpha, beta, caps, solve_onoff_masks(alpha, beta, caps))
 
     @settings(max_examples=150)
     @given(_generic_batches())
@@ -419,7 +428,7 @@ class TestMaskKernel:
             if alpha.shape[1] == 2:
                 np.testing.assert_array_equal(masks[i], onoff_m2_closed_form(obj, caps[i]).p > 0.0)
 
-    def test_near_ties_go_through_the_iteration(self, iteration_calls):
+    def test_near_ties_go_through_the_exact_scan(self, exact_calls):
         rng = np.random.default_rng(63)
         m = 12
         clean = _physical_rows(rng, 300, m)
@@ -429,60 +438,55 @@ class TestMaskKernel:
         split = _split_tie_rows(rng, 40, m)
         alpha, beta, caps = (np.vstack(x) for x in zip(clean, near, heavy, light, split))
         masks = solve_onoff_masks(alpha, beta, caps)
-        assert len(iteration_calls) == 1
-        solved = {row.tobytes() for row in iteration_calls[0]}
-        np.testing.assert_array_equal(masks, solve_onoff_batch(alpha, beta, caps)[0])
+        assert len(exact_calls) == 1
+        solved = {row.tobytes() for row in exact_calls[0]}
+        _assert_exact_optima(alpha, beta, caps, masks)
         assert not any(row.tobytes() in solved for row in clean[0])
         # every moved key lies within rounding of f0, so the margin test flags it
         assert all(row.tobytes() in solved for row in near[0])
-        # the weight test flags every heavy row that has an off relay to move
-        moved = np.any(heavy[1] > 1e6, axis=1)
-        assert moved.sum() > 30
-        assert all(row.tobytes() in solved for row in heavy[0][moved])
+        # the heavy relay sits below f0(S*), so S* leaves it out, although the
+        # iteration can stop with it on
+        moved = heavy[1] > 1e6
+        assert np.count_nonzero(np.any(moved, axis=1)) > 30
+        first = len(clean[0]) + len(near[0])
+        assert not masks[first : first + len(heavy[0])][moved].any()
+        assert solve_onoff_batch(*heavy)[0][moved].any()
         # the fixed-point test flags the rows whose light relay the argmax left out
         assert any(row.tobytes() in solved for row in light[0])
         # and a cut between two equal keys sends the row back too
         assert any(row.tobytes() in solved for row in split[0])
 
-    def test_clean_rows_skip_the_iteration(self, iteration_calls):
+    def test_clean_rows_skip_the_exact_scan(self, exact_calls):
         rng = np.random.default_rng(64)
         for m in (1, 2, 8, 32):
-            masks = solve_onoff_masks(*_physical_rows(rng, 2000, m))
-            assert masks.shape == (2000, m)
-        assert iteration_calls == []
+            alpha, beta, caps = _physical_rows(rng, 2000, m)
+            masks = solve_onoff_masks(alpha, beta, caps)
+            np.testing.assert_array_equal(masks, solve_onoff_batch(alpha, beta, caps)[0])
+        assert exact_calls == []
 
     @pytest.mark.parametrize("m", [4, 12, 24])
     @pytest.mark.parametrize("regime", ["tie", "noise_free"])
-    def test_follows_the_iteration_where_it_cycles(self, m, regime):
+    def test_rows_the_iteration_cannot_settle_get_the_exact_optimum(self, m, regime):
         # tie: keys on f0 of S* or of S* less one relay make the update a
         # rounding-level decision; noise_free: with beta P ~ 1e144, 1 + B
-        # rounds to B and the best relay alone ties with itself. The
-        # iteration then cycles into its enumeration fallback, which refuses
-        # M > 20; the kernel and the scalar solver hand these rows to it and
-        # answer, or fail with the one non-convergence error, as it does
+        # rounds to B and the best relay alone ties with itself. The float
+        # f0 then stops rising, the iteration stops within M + 2 sweeps,
+        # and every solver answers those rows with S*, for any M
         rng = np.random.default_rng(65)
         if regime == "tie":
             alpha, beta, caps = _near_threshold_rows(rng, 200, m)
         else:
             alpha, beta, caps = _physical_rows(rng, 50, m)
             beta *= 1e144
-
-        def scalar(alpha, beta, caps):
-            objs = (PerfectCsitObjective(alpha=a, beta=b, eta=1.0) for a, b in zip(alpha, beta))
-            return np.array([solve_onoff(obj, c)[0].active for obj, c in zip(objs, caps)])
-
-        if m <= onoff.MAX_ORACLE_RELAYS:
-            masks, _, fallback, _ = solve_onoff_batch(alpha, beta, caps)
-            assert fallback.any()
-            for i in np.nonzero(fallback)[0]:
-                obj = PerfectCsitObjective(alpha=alpha[i], beta=beta[i], eta=1.0)
-                np.testing.assert_array_equal(masks[i], vertex_enumeration_oracle(obj, caps[i]).active)
-            np.testing.assert_array_equal(solve_onoff_masks(alpha, beta, caps), masks)
-            np.testing.assert_array_equal(scalar(alpha, beta, caps), masks)
-        else:
-            for solve in (solve_onoff_batch, solve_onoff_masks, scalar):
-                with pytest.raises(ValueError, match=r"did not converge .* limited to M <= 20"):
-                    solve(alpha, beta, caps)
+        masks, iterations, fallback, _ = solve_onoff_batch(alpha, beta, caps)
+        assert fallback.any()
+        assert iterations.max() <= m + 1
+        kernel = solve_onoff_masks(alpha, beta, caps)
+        _assert_exact_optima(alpha, beta, caps, kernel)
+        np.testing.assert_array_equal(masks[fallback], kernel[fallback])
+        objs = (PerfectCsitObjective(alpha=a, beta=b, eta=1.0) for a, b in zip(alpha, beta))
+        scalar = np.array([solve_onoff(obj, c)[0].active for obj, c in zip(objs, caps)])
+        np.testing.assert_array_equal(scalar, masks)
 
     def test_zero_gains(self):
         alpha = np.array([[0.0, 2.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0]])
@@ -512,6 +516,42 @@ class TestMaskKernel:
         args[name][0, 1] = bad
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             solve_onoff_masks(args["alpha"], args["beta"], np.ones((2, 3)))
+
+
+class TestExactScan:
+    # the scan answers only rows the float paths cannot settle, so its
+    # edge cases are driven directly
+    def test_single_relay(self):
+        masks = onoff._exact_optimum(np.array([[2.0], [0.0]]), np.ones((2, 1)), np.ones((2, 1)))
+        np.testing.assert_array_equal(masks, [[True], [False]])
+
+    def test_zero_gains(self):
+        # alpha = beta = 0 and alpha = 0 < beta stay off; beta = 0 < alpha
+        # leads, and a second such relay joins it
+        alpha = np.array([[0.0, 0.0, 2.0, 1.0], [0.0, 0.0, 2.0, 1.0]])
+        beta = np.array([[0.0, 3.0, 0.0, 1.0], [0.0, 3.0, 0.0, 0.0]])
+        masks = onoff._exact_optimum(alpha, beta, np.ones((2, 4)))
+        np.testing.assert_array_equal(masks, [[False, False, True, False], [False, False, True, True]])
+
+    def test_tied_keys_at_the_threshold_stay_off(self):
+        # relay 0 alone has f0 = 2 / (1 + 1) = 1, and relays 1 and 2 have
+        # |h|^2 = 1 exactly, so adding either leaves f0 at 1: the fewest
+        # relays win, as in the enumeration
+        alpha, beta, caps = np.array([[2.0, 1.0, 3.0]]), np.array([[1.0, 1.0, 3.0]]), np.ones((1, 3))
+        obj = PerfectCsitObjective(alpha=alpha[0], beta=beta[0], eta=1.0)
+        for masks in (onoff._exact_optimum(alpha, beta, caps), solve_onoff_masks(alpha, beta, caps)):
+            np.testing.assert_array_equal(masks, [[True, False, False]])
+            np.testing.assert_array_equal(masks[0], vertex_enumeration_oracle(obj, caps[0]).active)
+
+    def test_noise_free_rows_past_the_enumeration_limit(self):
+        rng = np.random.default_rng(67)
+        alpha, beta, caps = _physical_rows(rng, 20, 64)
+        beta *= 1e144
+        _assert_exact_optima(alpha, beta, caps, onoff._exact_optimum(alpha, beta, caps))
+        masks, iterations, fallback, _ = solve_onoff_batch(alpha, beta, caps)
+        assert fallback.any() and iterations.max() <= 64 + 1
+        _assert_exact_optima(alpha, beta, caps, masks)
+        np.testing.assert_array_equal(solve_onoff_masks(alpha, beta, caps), masks)
 
 
 class TestVertexOracle:

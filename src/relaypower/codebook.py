@@ -15,6 +15,14 @@ to know that lambda_min clears a small floor, which a batched Cholesky
 test of the same pattern Grams decides (`is_full_diversity`). Codebooks
 are cached per (T, seed) within the process, so schemes that share a seed
 share one instance.
+
+Both scans split a difference pattern d = 2(h, t) into a head h, its first
+T - k entries, and a tail t, its last k = min(T, 4). With b[u, v]_ij =
+(A_i^H A_j)[u, v], G(h, t) = Q_H(h) + Q_T(t) + sum_u 2 h_u Y_u(t) and
+Y_u(t) = sum_v 2 t_v (b[u, v] + b[v, u]). The h = 0 patterns are Q_T of
+the tails with a positive lead; each block of 12 heads with a positive
+lead is one GEMM of [2h, 1] against [Y; Q_T] over all 3^k tails (inner
+dimension T - k + 1), plus its own quadratic forms Q_H(h).
 """
 
 from __future__ import annotations
@@ -36,7 +44,11 @@ _UNITARY_TOL = 1e-10
 _REGEN_ATTEMPTS = 8
 # A drawn codebook is kept only if every pattern Gram has lambda_min above this.
 _DIVERSITY_FLOOR = 1e-9
-_GUARD_CHUNK = 1024
+# Tail length and heads per block of the Gram scans, 3^4 x 12 = 972 Grams per
+# Cholesky: at T = 12 (2 vCPUs, numpy 2.4) the guard's median went from 0.83 s,
+# with one GEMM over all 78 pair products per 1024 patterns, to 0.63 s.
+_TAIL = 4
+_HEAD_BLOCK = 12
 _CACHE_SIZE = 64
 _CACHE: OrderedDict[tuple[int, int], LdCodebook] = OrderedDict()
 
@@ -55,72 +67,77 @@ def codeword_signs(T: int) -> np.ndarray:
     return (1 - 2 * bits).astype(np.float64)
 
 
+def _sign_grid(k: int) -> np.ndarray:
+    """All 3^k rows of {-1,0,1}^k in lexicographic order; the middle one is zero."""
+    return np.indices((3,) * k, dtype=np.int8).reshape(k, -1).T - 1
+
+
 def _difference_patterns(T: int) -> np.ndarray:
     """Nonzero rows of {-1,0,1}^T with positive leading entry.
 
     Every codeword difference s_k - s_l equals 2e for one such e (up to
-    global sign, which leaves the Gram matrix unchanged), so scanning
-    these (3^T - 1)/2 patterns covers all codeword pairs exactly.
+    global sign, which leaves the Gram matrix unchanged), so these (3^T - 1)/2
+    rows of the sign grid after its zero row cover all codeword pairs exactly.
     """
-    blocks = []
-    # leading +1 at position `lead`, any tail after it; the blocks run from
-    # the last lead to the first so the rows come out in lexicographic order
-    for lead in range(T - 1, -1, -1):
-        k = T - lead - 1
-        block = np.zeros((3**k, T), dtype=np.int8)
-        block[:, lead] = 1
-        block[:, lead + 1:] = np.indices((3,) * k, dtype=np.int8).reshape(k, 3**k).T - 1
-        blocks.append(block)
-    return np.concatenate(blocks)
+    return _sign_grid(T)[(3**T + 1) // 2:]
 
 
 def _check_stack(matrices: np.ndarray) -> int:
-    m, t, t2 = matrices.shape
-    if t != t2 or m != t:
-        raise ValueError("dispersion stack must have shape (T, T, T)")
-    return t
+    if matrices.ndim != 3 or not 1 <= matrices.shape[0] == matrices.shape[1] == matrices.shape[2]:
+        raise ValueError("dispersion stack must have shape (T, T, T) with T >= 1")
+    return matrices.shape[0]
+
+
+def _quadratic_form(b: np.ndarray):
+    """d -> sum_{u,v} d_u d_v b[u, v] over the rows of d, one real GEMM of the pair products."""
+    iu, iv = np.triu_indices(b.shape[0])
+    coeff = b[iu, iv] + np.where((iu != iv)[:, None, None], b[iv, iu], 0.0)
+    # interleaved real/imaginary columns: the GEMM output is a complex view
+    coeff = np.ascontiguousarray(coeff.reshape(iu.shape[0], -1)).view(np.float64)
+    return lambda d: ((d[:, iu] * d[:, iv]) @ coeff).view(np.complex128).reshape(-1, *b.shape[2:])
+
+
+def _pattern_grams(matrices: np.ndarray, shift: float):
+    """Yield G(d) - shift*I for every difference pattern d, in blocks (module docstring)."""
+    t = _check_stack(matrices)
+    k = min(t, _TAIL)
+    n_head = t - k
+    b = np.einsum("itu,jtv->uvij", matrices.conj(), matrices)
+    tails = 2.0 * _sign_grid(k)
+    q_tail = _quadratic_form(b[n_head:, n_head:])(tails)
+    q_tail.reshape(-1, t * t)[:, ::t + 1] -= shift
+    yield q_tail[(3**k + 1) // 2:]  # head zero, tail with a positive lead
+    if n_head == 0:
+        return
+    # rows Y_u(t) for each head coordinate u, then Q_T(t)
+    cross = b[:n_head, n_head:] + b[n_head:, :n_head].transpose(1, 0, 2, 3)
+    rhs = np.concatenate([np.einsum("nv,uvij->unij", tails, cross), q_tail[None]])
+    rhs = rhs.reshape(n_head + 1, -1).view(np.float64)
+    q_head = _quadratic_form(b[:n_head, :n_head])
+    heads = np.ones(((3**n_head - 1) // 2, n_head + 1))  # rows [2h, 1]
+    heads[:, :n_head] = 2.0 * _difference_patterns(n_head)
+    for lo in range(0, heads.shape[0], _HEAD_BLOCK):
+        block = heads[lo:lo + _HEAD_BLOCK]
+        grams = (block @ rhs).view(np.complex128).reshape(block.shape[0], -1, t, t)
+        grams += q_head(block[:, :n_head])[:, None]
+        yield grams.reshape(-1, t, t)
 
 
 def min_pairwise_eigenvalue(matrices: np.ndarray) -> float:
     """lambda_min of the codebook built from the given dispersion stack."""
-    t = _check_stack(matrices)
-    d = 2.0 * _difference_patterns(t).astype(np.float64)
-    smallest = np.inf
-    chunk = 8192
-    for lo in range(0, d.shape[0], chunk):
-        dc = d[lo:lo + chunk]
-        # w[i, :, k] = A_i d_k; Gram G_k[i, j] = (A_i d_k)^H (A_j d_k)
-        w = matrices @ dc.T.astype(np.complex128)
-        gram = np.einsum("itk,jtk->kij", w.conj(), w)
-        eigs = np.linalg.eigvalsh(gram)
-        smallest = min(smallest, float(eigs[:, 0].min()))
-    return smallest
+    return min(float(np.linalg.eigvalsh(g)[:, 0].min()) for g in _pattern_grams(matrices, 0.0))
 
 
 def is_full_diversity(matrices: np.ndarray) -> bool:
     """True when min_pairwise_eigenvalue(matrices) exceeds the 1e-9 floor.
 
-    Decided without eigenvalues: lambda_min(G) > eps exactly when
-    G - eps*I is positive definite, i.e. has a Cholesky factor. For a real
-    pattern d, G(d)[i, j] = sum_{u,v} d_u d_v (A_i^H A_j)[u, v] is a
-    quadratic form in d, so each chunk of pattern Grams is one real GEMM
-    of the pair products d_u d_v (u <= v) against the symmetrized
-    coefficients.
+    lambda_min(G) > eps exactly when G - eps*I has a Cholesky factor, so
+    each head/tail block of the module docstring, with -eps*I carried in
+    Q_T, is one batched Cholesky; the first that fails ends the scan.
     """
-    t = _check_stack(matrices)
-    # b[u, v, i, j] = (A_i^H A_j)[u, v]
-    b = np.einsum("itu,jtv->uvij", matrices.conj(), matrices)
-    iu, iv = np.triu_indices(t)
-    coeff = b[iu, iv] + np.where((iu != iv)[:, None, None], b[iv, iu], 0.0)
-    # interleaved real/imaginary columns: the GEMM output is a complex view
-    coeff = np.ascontiguousarray(coeff.reshape(iu.shape[0], t * t)).view(np.float64)
-    patterns = _difference_patterns(t)
-    for lo in range(0, patterns.shape[0], _GUARD_CHUNK):
-        dc = 2.0 * patterns[lo:lo + _GUARD_CHUNK].astype(np.float64)
-        gram = ((dc[:, iu] * dc[:, iv]) @ coeff).view(np.complex128).reshape(-1, t, t)
-        gram.reshape(-1, t * t)[:, ::t + 1] -= _DIVERSITY_FLOOR
+    for grams in _pattern_grams(matrices, _DIVERSITY_FLOOR):
         try:
-            np.linalg.cholesky(gram)
+            np.linalg.cholesky(grams)
         except np.linalg.LinAlgError:
             return False
     return True
@@ -134,9 +151,7 @@ class LdCodebook:
 
     def __post_init__(self):
         a = np.asarray(self.matrices, dtype=np.complex128).copy()
-        if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[0] != a.shape[1]:
-            raise ValueError("matrices must be a stack of shape (T, T, T)")
-        t = a.shape[1]
+        t = _check_stack(a)
         if t > MAX_BLOCK:
             raise ValueError(f"block length {t} exceeds the supported maximum {MAX_BLOCK}")
         eye = np.eye(t)
@@ -203,8 +218,7 @@ def _haar_stack(T: int, rng: np.random.Generator) -> np.ndarray:
     for i in range(T):
         z = (rng.standard_normal((T, T)) + 1j * rng.standard_normal((T, T))) / np.sqrt(2.0)
         q, r = np.linalg.qr(z)
-        phases = np.diagonal(r) / np.abs(np.diagonal(r))
-        mats[i] = q * phases
+        mats[i] = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
     return mats
 
 
@@ -217,13 +231,8 @@ def save_codebook(path, code: LdCodebook) -> None:
     computes it on first read.
     """
     lines = [str(code.T)]
-    for mat in code.matrices:
-        for row in mat:
-            parts = []
-            for z in row:
-                parts.append(f"{z.real:.17g}")
-                parts.append(f"{z.imag:.17g}")
-            lines.append(" ".join(parts))
+    for row in code.matrices.reshape(-1, code.T):
+        lines.append(" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -239,11 +248,10 @@ def load_codebook(path) -> LdCodebook:
     expected = 1 + t * t
     if len(lines) != expected:
         raise ValueError(f"{path}: expected {expected} lines, found {len(lines)}")
-    mats = np.empty((t, t, t), dtype=np.complex128)
-    for i in range(t):
-        for row in range(t):
-            vals = np.array([float(x) for x in lines[1 + i * t + row].split()])
-            if vals.shape[0] != 2 * t:
-                raise ValueError(f"{path}: matrix {i} row {row} has wrong width")
-            mats[i, row] = vals[0::2] + 1j * vals[1::2]
-    return LdCodebook(matrices=mats)
+    mats = np.empty((t * t, t), dtype=np.complex128)
+    for n, line in enumerate(lines[1:]):
+        vals = np.array([float(x) for x in line.split()])
+        if vals.shape[0] != 2 * t:
+            raise ValueError(f"{path}: matrix {n // t} row {n % t} has wrong width")
+        mats[n] = vals[0::2] + 1j * vals[1::2]
+    return LdCodebook(matrices=mats.reshape(t, t, t))

@@ -415,10 +415,7 @@ class _OutputSet:
         self.paths: list[Path] = []
 
     def write(self, name: str, header: str, rows: list[str]) -> Path:
-        path = self.out_dir / name
-        path.write_text("\n".join([header, *rows]) + "\n")
-        self.paths.append(path)
-        return path
+        return self.write_text(name, "\n".join([header, *rows]) + "\n")
 
     def write_text(self, name: str, text: str) -> Path:
         path = self.out_dir / name

@@ -169,9 +169,6 @@ def solve_onoff_batch(
     caps = _positive_batch(caps, "caps")
     alpha, beta = _check_gains(alpha, beta, caps)
     n, m = caps.shape
-    ac = alpha * caps
-    bc = beta * caps
-
     if start is None:
         masks = np.ones((n, m), dtype=bool)
     else:
@@ -182,22 +179,26 @@ def solve_onoff_batch(
     f_prev = np.full(n, -np.inf)
     iterates = np.empty((n, history, m), dtype=bool) if history > 0 else None
 
-    for step in range(MAX_ITERATIONS):
-        if step < history:
-            iterates[:, step] = masks
-        a_sum = np.sum(np.where(masks, ac, 0.0), axis=1)
-        b_sum = np.sum(np.where(masks, bc, 0.0), axis=1)
-        # gradient sign: alpha_i (1 + B) - beta_i A > 0
-        new_masks = alpha * (1.0 + b_sum)[:, None] - beta * a_sum[:, None] > 0.0
-        settled = np.all(new_masks == masks, axis=1)
-        # a stopped row keeps its pattern and f0, so it stays stopped; so does a NaN f0
-        f = a_sum / (1.0 + b_sum)
-        advance = ~settled & (f > f_prev)
-        if not np.any(advance):
-            break
-        masks = np.where(advance[:, None], new_masks, masks)
-        iterations += advance
-        f_prev = f
+    # products past the float range give inf, f0 or the gradient NaN: the row stops
+    with np.errstate(over="ignore", invalid="ignore"):
+        ac = alpha * caps
+        bc = beta * caps
+        for step in range(MAX_ITERATIONS):
+            if step < history:
+                iterates[:, step] = masks
+            a_sum = np.sum(np.where(masks, ac, 0.0), axis=1)
+            b_sum = np.sum(np.where(masks, bc, 0.0), axis=1)
+            # gradient sign: alpha_i (1 + B) - beta_i A > 0
+            new_masks = alpha * (1.0 + b_sum)[:, None] - beta * a_sum[:, None] > 0.0
+            settled = np.all(new_masks == masks, axis=1)
+            # a stopped row keeps its pattern and f0, so it stays stopped; so does a NaN f0
+            f = a_sum / (1.0 + b_sum)
+            advance = ~settled & (f > f_prev)
+            if not np.any(advance):
+                break
+            masks = np.where(advance[:, None], new_masks, masks)
+            iterations += advance
+            f_prev = f
     if iterates is not None:
         iterates[:, step + 1 :] = masks[:, None]
 
@@ -250,46 +251,46 @@ def solve_onoff_masks(alpha: np.ndarray, beta: np.ndarray, caps: np.ndarray) -> 
     alpha, beta = _check_gains(alpha, beta, caps)
     n, m = caps.shape
     # keys 1 / |h|^2; alpha = 0 gives inf (beta > 0) or nan (beta = 0),
-    # sorted last, after every relay that can raise f0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # sorted last, after every relay that can raise f0; an overflow fails a test
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         keys = beta / alpha
-    rows = np.arange(0, n * m, m)
-    order = np.argsort(keys, axis=1)
-    order += rows[:, None]  # flat indices
-    # column k - 1 holds A and 1 + B of the k strongest relays
-    a = np.take(alpha * caps, order)
-    b = np.take(beta * caps, order)
-    np.cumsum(a, axis=1, out=a)
-    np.cumsum(b, axis=1, out=b)
-    b += 1.0
-    j = np.argmax(a / b, axis=1)
-    pick = rows + j
-    a_set = np.take(a, pick)
-    b_set = np.take(b, pick)
-    del a, b, pick
-    # the empty set, f0 = 0, comes first and wins ties
-    k = np.where(a_set > 0.0, j + 1, 0)
-    a_set[k == 0] = 0.0
-    b_set[k == 0] = 1.0
-    # rows to hand to the exact scan: the cut test first. S is every key up
-    # to that of its weakest relay, unless the strongest relay left out has
-    # the same key
-    weakest = np.take(keys, np.take(order, rows + np.maximum(k - 1, 0)))
-    next_out = np.take(keys, np.take(order, rows + np.minimum(k, m - 1)))
-    redo = (next_out == weakest) & (k > 0) & (k < m)
-    masks = keys <= np.where(k > 0, weakest, -np.inf)[:, None]
-    del keys, order
+        rows = np.arange(0, n * m, m)
+        order = np.argsort(keys, axis=1)
+        order += rows[:, None]  # flat indices
+        # column k - 1 holds A and 1 + B of the k strongest relays
+        a = np.take(alpha * caps, order)
+        b = np.take(beta * caps, order)
+        np.cumsum(a, axis=1, out=a)
+        np.cumsum(b, axis=1, out=b)
+        b += 1.0
+        j = np.argmax(a / b, axis=1)
+        pick = rows + j
+        a_set = np.take(a, pick)
+        b_set = np.take(b, pick)
+        del a, b, pick
+        # the empty set, f0 = 0, comes first and wins ties
+        k = np.where(a_set > 0.0, j + 1, 0)
+        a_set[k == 0] = 0.0
+        b_set[k == 0] = 1.0
+        # rows to hand to the exact scan: the cut test first. S is every key up
+        # to that of its weakest relay, unless the strongest relay left out has
+        # the same key
+        weakest = np.take(keys, np.take(order, rows + np.maximum(k - 1, 0)))
+        next_out = np.take(keys, np.take(order, rows + np.minimum(k, m - 1)))
+        redo = (next_out == weakest) & (k > 0) & (k < m)
+        masks = keys <= np.where(k > 0, weakest, -np.inf)[:, None]
+        del keys, order
 
-    # fixed-point and margin tests, relay by relay
-    grad = alpha * b_set[:, None]
-    tmp = beta * a_set[:, None]
-    grad -= tmp
-    bad = (grad > 0.0) != masks
-    np.multiply(beta, (a_set / b_set)[:, None], out=tmp)  # beta_i f
-    np.subtract(alpha, tmp, out=grad)
-    np.abs(grad, out=grad)
-    tmp *= CERTIFICATE_MARGIN
-    bad |= ~(grad >= tmp)  # a NaN fails
+        # fixed-point and margin tests, relay by relay
+        grad = alpha * b_set[:, None]
+        tmp = beta * a_set[:, None]
+        grad -= tmp
+        bad = (grad > 0.0) != masks
+        np.multiply(beta, (a_set / b_set)[:, None], out=tmp)  # beta_i f
+        np.subtract(alpha, tmp, out=grad)
+        np.abs(grad, out=grad)
+        tmp *= CERTIFICATE_MARGIN
+        bad |= ~(grad >= tmp)  # a NaN fails
     redo[np.nonzero(bad.ravel())[0] // m] = True
     if np.any(redo):
         masks[redo] = _exact_optimum(alpha[redo], beta[redo], caps[redo])
@@ -341,15 +342,8 @@ def vertex_enumeration_oracle(obj: PerfectCsitObjective, caps) -> PowerAllocatio
     a_sums = masks @ ac
     b_sums = masks @ bc
     values = a_sums / (1.0 + b_sums)
-    best = values.max()
-    tied = np.nonzero(values == best)[0]
-    if tied.size > 1:
-        def key(idx: int):
-            on = tuple(np.nonzero(masks[idx])[0])
-            return (len(on), on)
-        winner = min(tied, key=key)
-    else:
-        winner = tied[0]
+    tied = np.nonzero(values == values.max())[0]
+    winner = min(tied, key=lambda i: (masks[i].sum(), tuple(np.nonzero(masks[i])[0])))
     p = np.where(masks[winner].astype(bool), caps, 0.0)
     return PowerAllocation(p=p, caps=caps)
 

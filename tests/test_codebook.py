@@ -4,6 +4,8 @@ from collections import OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaypower import codebook
 from relaypower.codebook import (
@@ -172,22 +174,75 @@ class TestDiversityGuard:
         assert np.any((lams > 1e-11) & (lams < 1e-9)) and np.any((lams > 1e-9) & (lams < 1e-7))
         assert [is_full_diversity(m) for m in stacks] == list(lams > 1e-9)
 
-    def test_rejects_a_stack_singular_on_one_pattern(self):
-        # A_1 = A_0 R with R a reflection that fixes one pattern d, so G(d)
-        # has two equal columns; T = 7 has more patterns than one guard chunk
-        t = 7
-        patterns = codebook._difference_patterns(t)
-        n, chunk = patterns.shape[0], codebook._GUARD_CHUNK
+    @staticmethod
+    def _singular_at(t, head, rng):
+        """A Haar stack whose Gram is singular at one pattern d, and d's block.
+
+        head is an index into the head patterns, or None for the h = 0 block.
+        A_1 = A_0 R with R unitary, R d = d and random phases on the complement
+        of d, so G(d) has two equal columns while no other pattern is an
+        eigenvector of R.
+        """
+        k = codebook._TAIL
+        if head is None:
+            tails = codebook._difference_patterns(k)
+            d, block = np.concatenate([np.zeros(t - k), tails[rng.integers(len(tails))]]), 0
+        else:
+            tails = codebook._sign_grid(k)
+            h = codebook._difference_patterns(t - k)[head]
+            d, block = np.concatenate([h, tails[rng.integers(len(tails))]]), 1 + head // codebook._HEAD_BLOCK
+        mats = codebook._haar_stack(t, rng)
+        assert is_full_diversity(mats)
+        basis, _ = np.linalg.qr(np.column_stack([d, rng.standard_normal((t, t - 1))]) + 0j)
+        phases = np.exp(1j * rng.uniform(0.5, 2 * np.pi - 0.5, t - 1))
+        mats[1] = mats[0] @ (basis * np.concatenate([[1.0], phases])) @ basis.conj().T
+        return mats, block
+
+    @pytest.mark.parametrize("t", [7, 9])
+    def test_rejects_a_stack_singular_on_one_pattern(self, t):
+        # the h = 0 block, the first and last head blocks, and both sides
+        # of the first head-block boundary
+        n_heads = (3 ** (t - codebook._TAIL) - 1) // 2
+        hb = codebook._HEAD_BLOCK
         rng = np.random.default_rng(2)
-        for index in sorted({0, min(chunk, n) - 1, min(chunk, n - 1), n - 1}):
-            d = patterns[index].astype(np.float64)
-            v = rng.standard_normal(t)
-            v -= (v @ d) / (d @ d) * d
-            v /= np.linalg.norm(v)
-            mats = codebook._haar_stack(t, rng)
-            assert is_full_diversity(mats)
-            mats[1] = mats[0] @ (np.eye(t) - 2.0 * np.outer(v, v))
-            assert not is_full_diversity(mats), index
+        for head in (None, 0, hb - 1, hb, n_heads - 1):
+            mats, block = self._singular_at(t, head, rng)
+            assert not is_full_diversity(mats), head
+            failing = []
+            for i, grams in enumerate(codebook._pattern_grams(mats, 1e-9)):
+                try:
+                    np.linalg.cholesky(grams)
+                except np.linalg.LinAlgError:
+                    failing.append(i)
+            assert failing == [block], head
+
+    @pytest.mark.parametrize("head_block", [1, 5, 13, 1000])
+    def test_verdict_does_not_depend_on_the_head_block(self, monkeypatch, head_block):
+        rng = np.random.default_rng(3)
+        stacks = [self._singular_at(t, head, rng)[0] for t in (7, 9) for head in (None, 0, 12, 40)
+                  if head is None or head < (3 ** (t - codebook._TAIL) - 1) // 2]
+        stacks += [codebook._haar_stack(t, rng) for t in (5, 7, 9)]
+        expected = [is_full_diversity(m) for m in stacks]
+        monkeypatch.setattr(codebook, "_HEAD_BLOCK", head_block)
+        assert [is_full_diversity(m) for m in stacks] == expected
+        assert True in expected and False in expected
+
+    @settings(max_examples=60)
+    @given(t=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+           perturb=st.none() | st.tuples(st.integers(0, 7), st.integers(0, 6), st.floats(-6.0, -3.0)))
+    def test_verdict_is_the_eigenvalue_floor(self, t, seed, perturb):
+        # perturbing one matrix into another's neighbourhood by delta puts
+        # lambda_min near delta^2, around the 1e-9 floor
+        rng = np.random.default_rng(seed)
+        mats = codebook._haar_stack(t, rng)
+        if perturb is not None and t >= 2:
+            i, shift, log_delta = perturb
+            noise = rng.standard_normal((t, t)) + 1j * rng.standard_normal((t, t))
+            i %= t
+            mats[(i + 1 + shift % (t - 1)) % t] = mats[i] + 10.0**log_delta * noise
+        lam = min_pairwise_eigenvalue(mats)
+        if abs(lam / 1e-9 - 1.0) > 1e-6:
+            assert is_full_diversity(mats) == (lam > 1e-9)
 
     def test_equal_dispersion_matrices_rejected(self):
         mats = codebook._haar_stack(3, np.random.default_rng(4))
@@ -195,8 +250,11 @@ class TestDiversityGuard:
         assert not is_full_diversity(mats)
 
     def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            is_full_diversity(np.zeros((2, 3, 3), dtype=complex))
+        for shape in ((2, 3, 3), (0, 0, 0)):
+            with pytest.raises(ValueError, match="shape"):
+                is_full_diversity(np.zeros(shape, dtype=complex))
+            with pytest.raises(ValueError, match="shape"):
+                LdCodebook(matrices=np.zeros(shape, dtype=complex))
 
     def test_failed_guard_redraws_from_next_attempt(self, monkeypatch, empty_cache):
         verdicts = iter([False, True])

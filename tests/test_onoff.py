@@ -553,6 +553,18 @@ class TestExactScan:
         _assert_exact_optima(alpha, beta, caps, masks)
         np.testing.assert_array_equal(solve_onoff_masks(alpha, beta, caps), masks)
 
+    def test_overflowing_products_raise_no_warning(self):
+        # alpha P and alpha (1 + B) overflow on finite input the validators
+        # accept; under the suite's filterwarnings = error a RuntimeWarning fails
+        rng = np.random.default_rng(68)
+        alpha, beta, caps = _physical_rows(rng, 64, 6)
+        alpha *= 1e300
+        caps *= 1e10
+        with np.errstate(over="ignore"):
+            assert not np.all(np.isfinite(alpha * caps))
+        _assert_exact_optima(alpha, beta, caps, solve_onoff_masks(alpha, beta, caps))
+        _assert_exact_optima(alpha, beta, caps, solve_onoff_batch(alpha, beta, caps)[0])
+
 
 class TestVertexOracle:
     def test_single_relay(self):

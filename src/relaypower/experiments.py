@@ -25,9 +25,12 @@ from .objectives import SADDLE_MIN_TRIALS, saddle_point_error
 from .onoff import solve_onoff_batch
 from .rng import STREAM_CHANNELS, STREAM_MISC, derive_rng, derive_seed
 from .sim import (
+    MIN_FRAMES,
     Scheme,
     SimResult,
     _allocate_batch,
+    _db_power,
+    _distance_variances,
     _map_jobs,
     _mean_cap_fraction,
     effective_relay_count,
@@ -142,6 +145,7 @@ class _Validator:
         self.path = path
         self.data = data
         self.lines = lines
+        self.n0: float | None = None  # network.N0 once checked; the dB fields read it
 
     def fail(self, key: str, message: str):
         line = self.lines.get(key, self.lines.get("<root>", 1))
@@ -171,14 +175,23 @@ class _Validator:
             self.fail(key, message)
         return out
 
-    def number(self, mapping, prefix, key, positive=False):
+    def number(self, mapping, prefix, key, positive=False, derive=None):
         value = self._scalar(mapping, prefix, key, (int, float), "must be a number")
         value = self.finite(f"{prefix}{key}", value, f"{key} must be finite")
         if positive and value <= 0:
             self.fail(f"{prefix}{key}", f"{key} must be positive")
+        return self.derivable(f"{prefix}{key}", value, derive)
+
+    def derivable(self, key: str, value, derive):
+        """value, unless derive(value), a map the run applies to it, raises ValueError."""
+        if derive is not None:
+            try:
+                derive(value)
+            except ValueError as exc:
+                self.fail(key, f"{key}: {exc}")
         return value
 
-    def grid(self, key, *, integer=False, low=None, high=None):
+    def grid(self, key, *, integer=False, low=None, high=None, derive=None):
         value = self.data[key]
         if not isinstance(value, list) or not value:
             self.fail(key, f"{key} must be a non-empty list")
@@ -193,7 +206,7 @@ class _Validator:
                 self.fail(f"{key}[{i}]", f"{key} entries must exceed {low}")
             if high is not None and v >= high:
                 self.fail(f"{key}[{i}]", f"{key} entries must be below {high}")
-            out.append(v)
+            out.append(self.derivable(f"{key}[{i}]", v, derive))
         if any(b <= a for a, b in zip(out, out[1:])):
             self.fail(key, f"{key} must be strictly increasing")
         return tuple(out)
@@ -271,10 +284,10 @@ _FIELD_CHECKS = {
         high=(MAX_SIM_RELAYS if "frames" in _TOP_FIELDS[kind] else MAX_STUDY_RELAYS) + 1,
     ),
     "schemes": _check_schemes,
-    "snr_db": lambda v, kind: v.grid("snr_db"),
-    "r_grid": lambda v, kind: v.grid("r_grid", low=0.0, high=1.0),
-    "network_power_db": lambda v, kind: v.number(v.data, "", "network_power_db"),
-    "frames": lambda v, kind: v.integer(v.data, "", "frames", minimum=1000),
+    "snr_db": lambda v, kind: v.grid("snr_db", derive=lambda x: _db_power(v.n0, x)),
+    "r_grid": lambda v, kind: v.grid("r_grid", low=0.0, high=1.0, derive=_distance_variances),
+    "network_power_db": lambda v, kind: v.number(v.data, "", "network_power_db", derive=lambda x: _db_power(v.n0, x)),
+    "frames": lambda v, kind: v.integer(v.data, "", "frames", minimum=MIN_FRAMES),
     "trials": _check_trials,
     "instances": lambda v, kind: v.integer(v.data, "", "instances", minimum=1),
     "eta": lambda v, kind: v.number(v.data, "", "eta", positive=True),
@@ -352,7 +365,7 @@ def _validate(path: str, data: dict, lines: dict[str, int]) -> ExperimentSpec:
         p_s = v.number(network, "network.", "p_s", positive=True)
         p_r = v.number(network, "network.", "p_r", positive=True)
 
-    n0 = v.number(network, "network.", "N0", positive=True) if "N0" in network else 1.0
+    n0 = v.n0 = v.number(network, "network.", "N0", positive=True) if "N0" in network else 1.0
 
     if swept_distance:
         for key in ("gamma_h", "gamma_g"):
@@ -376,10 +389,7 @@ def _validate_gamma(v: _Validator, network: dict, key: str, max_m: int | None):
         return 1.0
     value = network[key]
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        value = v.finite(f"network.{key}", value, f"{key} must be finite")
-        if value <= 0:
-            v.fail(f"network.{key}", f"{key} must be positive")
-        return value
+        return v.number(network, "network.", key, positive=True)
     if isinstance(value, list):
         if not value:
             v.fail(f"network.{key}", f"{key} list must be non-empty")
@@ -442,8 +452,8 @@ def run_experiment(spec: ExperimentSpec, out_dir, *, seed: int | None = None,
     if frames_override is not None:
         if frames is None:
             raise SpecError(f"kind {spec.kind.value!r} takes no frame count; drop --frames-override")
-        if frames_override < 1000:
-            raise SpecError("--frames-override must be at least 1000")
+        if frames_override < MIN_FRAMES:
+            raise SpecError(f"--frames-override must be at least {MIN_FRAMES}")
         frames = frames_override
     if shards < 1:
         raise SpecError("--shards must be at least 1")
@@ -475,10 +485,7 @@ def _run_convergence(spec, outputs, seed, shards, frames):
         caps = _batch_caps(cfg, h2, spec.p_s, spec.p_r)
         g2 = np.abs(g) ** 2
         alpha = h2 * g2
-        masks, _, fallback, iterates = solve_onoff_batch(alpha, g2, caps, history=spec.iterations + 1)
-        # a row the iteration could not settle, answered by the exact scan,
-        # scores its optimum at every iterate
-        iterates[fallback] = masks[fallback, None]
+        masks, _, _, iterates = solve_onoff_batch(alpha, g2, caps, history=spec.iterations + 1)
         ac, bc = alpha * caps, g2 * caps
         # f0 at each iterate, one (n, M) pattern at a time, then at the optimum
         f0 = np.stack(
@@ -505,7 +512,7 @@ def _run_bler_vs_snr(spec, outputs, seed, shards, frames):
 def _run_ber_vs_distance(spec, outputs, seed, shards, frames):
     def cells(mi, m):
         for ri, r in enumerate(spec.r_grid):
-            gammas = np.full(m, 1.0 / r**2), np.full(m, 1.0 / (1.0 - r) ** 2)
+            gammas = (np.full(m, x) for x in _distance_variances(r))
             yield *gammas, [spec.network_power_db], [r], derive_seed(seed, STREAM_MISC, mi, ri)
 
     return _run_link_sweep(spec, outputs, shards, frames, "r", cells)
@@ -550,7 +557,7 @@ def _run_link_sweep(spec, outputs, shards, frames, x_name, cells):
 def _run_power_ratio(spec, outputs, seed, shards, frames):
     header = "scheme,M,r,trials,effective_relay_count"
     paths = []
-    linear = spec.N0 * 10.0 ** (spec.network_power_db / 10.0)
+    linear = _db_power(spec.N0, spec.network_power_db)
     for token in spec.schemes:
         rows = []
         for mi, m in enumerate(spec.m_grid):
@@ -591,9 +598,8 @@ def _run_asymptotic(spec, outputs, seed, shards, frames):
 def _asymptotic_row(spec, seed, mi, m, ri, r, buffers) -> str:
     """CSV row of cell (m, r), drawn from channel stream (seed, mi, ri) into buffers."""
     n = spec.trials
-    p = spec.N0 * 10.0 ** (spec.network_power_db / 10.0) / (m + 1)
-    gamma_h = np.full(m, 1.0 / r**2)
-    gamma_g = np.full(m, 1.0 / (1.0 - r) ** 2)
+    p = _db_power(spec.N0, spec.network_power_db) / (m + 1)
+    gamma_h, gamma_g = (np.full(m, x) for x in _distance_variances(r))
     cfg, _ = _scheme_config(spec, "onoff", m, m, gamma_h, gamma_g, p, p)
     cfg_wf, _ = _scheme_config(spec, "waterfill_partial", m, m, gamma_h, gamma_g, p, p)
     cfg_st, _ = _scheme_config(spec, "waterfill_statistical", m, m, gamma_h, gamma_g, p, p)

@@ -1,26 +1,20 @@
-"""On-off gradient power allocation under perfect CSIT.
+"""On-off power allocation under perfect CSIT.
 
-f0 is quasi-linear in each coordinate, so its maximum over the box
-[0, P_1] x ... x [0, P_M] sits at a vertex: every relay either transmits
-at its cap or stays silent. The solver jumps all coordinates to the box
-face selected by the current gradient sign and repeats until the sign
-pattern reproduces itself, which certifies vertex stationarity. A relay
-whose gradient component is exactly zero is turned off; either choice
-leaves f0 unchanged, and silence saves relay power.
+f0 = A / (1 + B) is quasi-linear in each coordinate, so its maximum over
+the box [0, P_1] x ... x [0, P_M] sits at a vertex: every relay transmits
+at its cap or stays silent. Relay i's gradient has the sign of |h_i|^2 -
+f0, with |h_i|^2 = alpha_i / beta_i, and the paper's iteration switches
+on exactly {i : |h_i|^2 > f0(current set)} at every update. That is
+Dinkelbach's method for max A / (1 + B) (Management Science 1967): in
+exact arithmetic f0 rises strictly until it reaches max f0, and the only
+fixed point is S* = {i : |h_i|^2 > max f0}, the optimal vertex with the
+fewest relays: a relay with |h_i|^2 = max f0 cannot raise f0, so it is off.
 
-The gradient sign of relay i is the sign of alpha_i (1 + B) - beta_i A,
-that is of |h_i|^2 - f0 with |h_i|^2 = alpha_i / beta_i, so each update
-switches on exactly {i : |h_i|^2 > f0(current set)}. That is Dinkelbach's
-method for the fractional program max A / (1 + B) (Management Science
-1967): in exact arithmetic f0 rises strictly at every update until it
-reaches max f0, and the only fixed point is S* = {i : |h_i|^2 > max f0},
-the optimal vertex with the fewest relays. S* is a threshold set on |h|^2,
-so one sort finds it: solve_onoff_masks scores the M + 1 threshold sets
-in floats and certifies its pick (see there). solve_onoff_batch is the one
-implementation of the iteration, kept for callers that read its
-trajectory; solve_onoff runs it on a single instance. A row that the
-kernel cannot certify or the iteration cannot settle gets S* from one
-exact rational scan.
+S* is the one answer, and solve_onoff_masks is the only code that decides
+it: S* is a threshold set on |h|^2, so one sort finds it, and the rows
+the kernel cannot certify in floats go to one exact rational scan (see
+there). solve_onoff_batch and solve_onoff also run the iteration, for
+callers that read its trajectory, and flag a trajectory not ending on S*.
 """
 
 from __future__ import annotations
@@ -43,17 +37,16 @@ CERTIFICATE_MARGIN = 1e-9
 
 @dataclass
 class OnOffTrace:
-    """Iterate history of one solver run.
+    """Trajectory of one run of the iteration.
 
-    iterates[k] is the allocation after k updates; objective_values is
-    aligned with it. converged is False only when the iteration did not
-    settle in floats; used_fallback is then True, and the last iterate is
-    the exact optimum S* that the exact threshold scan supplied.
+    iterates[k] is the allocation after k updates, objective_values its f0.
+    used_fallback is True when the trajectory did not end on S*, the answer
+    solve_onoff returns: the iteration did not settle in floats, or settled
+    on another float fixed point.
     """
 
     iterates: list = field(default_factory=list)
     objective_values: list = field(default_factory=list)
-    converged: bool = False
     iterations: int = 0
     used_fallback: bool = False
 
@@ -95,21 +88,12 @@ def solve_onoff(
     caps,
     start: np.ndarray | None = None,
 ) -> tuple[PowerAllocation, OnOffTrace]:
-    """Run the on-off gradient iteration from a vertex.
+    """Optimal vertex S* of one instance and the iteration's trajectory to it.
 
-    Args:
-        obj: perfect-CSIT objective coefficients.
-        caps: per-relay amplifier caps P_i.
-        start: optional boolean on-mask for the initial vertex; defaults
-            to all relays on.
-
-    Returns:
-        (allocation, trace). The allocation is the stationary vertex; the
-        trace records every iterate and f0 value along the way.
-
-    This is solve_onoff_batch on one row. Where the iteration does not
-    settle in floats, the exact scan's optimum ends the trace and the trace
-    is flagged.
+    start is the boolean on-mask of the first vertex, all relays on by
+    default. Returns (allocation, trace): S* at the caps, from
+    solve_onoff_masks, and every vertex the iteration visited with its f0.
+    This is solve_onoff_batch on one row.
     """
     caps = _positive_vector(caps, obj.M, "caps")
     if start is not None:
@@ -117,13 +101,8 @@ def solve_onoff(
     masks, iterations, fallback, iterates = solve_onoff_batch(
         obj.alpha[None], obj.beta[None], caps[None], history=MAX_ITERATIONS, start=start
     )
-    trace = OnOffTrace(
-        converged=not fallback[0], iterations=int(iterations[0]), used_fallback=bool(fallback[0])
-    )
-    visited = list(iterates[0, : trace.iterations + 1])
-    if trace.used_fallback:
-        visited.append(masks[0])
-    for mask in visited:
+    trace = OnOffTrace(iterations=int(iterations[0]), used_fallback=bool(fallback[0]))
+    for mask in iterates[0, : trace.iterations + 1]:
         trace.iterates.append(np.where(mask, caps, 0.0))
         trace.objective_values.append(f0_value(obj, trace.iterates[-1]))
     return PowerAllocation(p=np.where(masks[0], caps, 0.0), caps=caps), trace
@@ -136,7 +115,7 @@ def solve_onoff_batch(
     history: int = 0,
     start: np.ndarray | None = None,
 ):
-    """Vectorized on-off gradient iteration over a batch of instances.
+    """On-off gradient iteration over a batch of instances, answered with S*.
 
     Args:
         alpha, beta: arrays of shape (n, M), finite and non-negative.
@@ -148,26 +127,21 @@ def solve_onoff_batch(
             default starts every row all-on.
 
     Returns:
-        (masks, iterations, fallback, iterates) where masks is the
-        stationary on-pattern, iterations counts updates until the sign
-        pattern reproduced itself or the row stopped, fallback marks rows
-        that did not settle and took S* instead, and iterates is an
-        (n, history, M) boolean array, or None unless requested.
+        (masks, iterations, fallback, iterates): S* from solve_onoff_masks,
+        the updates each row made before it stopped, the rows whose
+        trajectory did not end on S*, and an (n, history, M) boolean
+        array, or None unless requested.
 
     Raises:
         ValueError: for mismatched shapes or an entry out of range.
 
-    Each update switches every relay at once, on where its gradient
-    component is positive. Exact f0 rises strictly until it reaches max
-    f0, and the next update lands on S*, which is stationary. A row whose
-    float f0 fails to rise at a pattern that is not stationary is going
-    round in rounding noise (near-ties in |h|^2, or 1 + B rounding to B):
-    it stops there, as does a row still moving after MAX_ITERATIONS
-    updates, and takes S* from the exact scan. A stationary row is a float
-    fixed point; on near-ties it can miss S* by relays at f0 within rounding.
+    A row stops when its pattern reproduces itself, at a float fixed point
+    that on near-ties can miss S* by relays at f0 within rounding; when its
+    float f0 fails to rise, going round in rounding noise (near-ties in
+    |h|^2, or 1 + B rounding to B); or after MAX_ITERATIONS updates.
     """
-    caps = _positive_batch(caps, "caps")
-    alpha, beta = _check_gains(alpha, beta, caps)
+    optimum = solve_onoff_masks(alpha, beta, caps)  # checks the input
+    alpha, beta, caps = (np.asarray(x, dtype=np.float64) for x in (alpha, beta, caps))
     n, m = caps.shape
     if start is None:
         masks = np.ones((n, m), dtype=bool)
@@ -202,10 +176,8 @@ def solve_onoff_batch(
     if iterates is not None:
         iterates[:, step + 1 :] = masks[:, None]
 
-    fallback = ~settled
-    if np.any(fallback):
-        masks[fallback] = _exact_optimum(alpha[fallback], beta[fallback], caps[fallback])
-    return masks, iterations, fallback, iterates
+    fallback = ~settled | np.any(masks != optimum, axis=1)
+    return optimum, iterations, fallback, iterates
 
 
 def solve_onoff_masks(alpha: np.ndarray, beta: np.ndarray, caps: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ import dataclasses
 import enum
 import math
 import os
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -195,11 +196,32 @@ def _point_powers(cfg: NetworkConfig, snr_db: float, network_power_sweep: bool):
     and the M relays. The direct-link baseline always spends the full
     network power P = (M+1) p_r.
     """
-    lin = cfg.N0 * 10.0 ** (snr_db / 10.0)
+    lin = _db_power(cfg.N0, snr_db)
     if network_power_sweep:
         p = lin / (cfg.M + 1)
         return p, p, lin
     return lin, lin, (cfg.M + 1) * lin
+
+
+def _normal_floats(derive, what: str) -> tuple:
+    """derive(), unless it raises or returns a float that is not positive and normal: then ValueError."""
+    try:
+        values = derive()
+    except ArithmeticError:  # a Python float ** that overflows, or a division by zero
+        values = (math.inf,)
+    if not all(sys.float_info.min <= x <= sys.float_info.max for x in values):
+        raise ValueError(f"{what} outside the positive normal floats")
+    return values
+
+
+def _db_power(n0: float, x: float) -> float:
+    """Linear power N0 10^(x/10) of a level of x dB; ValueError unless it is a positive normal float."""
+    return _normal_floats(lambda: (n0 * 10.0 ** (x / 10.0),), f"{x:g} dB at N0 = {n0:g} gives a linear power")[0]
+
+
+def _distance_variances(r: float) -> tuple[float, float]:
+    """(gamma_h, gamma_g) = (1/r^2, 1/(1-r)^2) at distance r from the source; ValueError unless both are normal."""
+    return _normal_floats(lambda: (1.0 / r**2, 1.0 / (1.0 - r) ** 2), f"relay distance {r:g} gives a variance")
 
 
 def _allocate_batch(
@@ -519,9 +541,9 @@ def _map_jobs(fn, jobs: list, workspace, max_workers: int) -> list:
 def effective_relay_count(cfg: NetworkConfig, scheme: Scheme, r_grid, trials: int, seed: int) -> np.ndarray:
     """Average fraction-of-cap power sum E[sum_i p_i / P_i] per distance r.
 
-    The relay-to-endpoint distances map to variances gamma_h = 1/r^2 and
-    gamma_g = 1/(1-r)^2; cfg supplies everything else. Max power always
-    scores exactly M, on-off scores the mean number of active relays.
+    Distance r maps to variances gamma_h = 1/r^2 and gamma_g = 1/(1-r)^2,
+    which must be positive normal floats; cfg supplies everything else.
+    Max power scores exactly M, on-off the mean number of active relays.
     """
     if scheme is Scheme.DIRECT_LINK:
         raise ValueError("effective relay count is undefined for the direct link")
@@ -531,11 +553,10 @@ def effective_relay_count(cfg: NetworkConfig, scheme: Scheme, r_grid, trials: in
     if np.any(grid <= 0.0) or np.any(grid >= 1.0):
         raise ValueError("relay distances must lie strictly inside (0, 1)")
     _check_compat(cfg, scheme, require_codebook=False)
+    gammas = [_distance_variances(r) for r in grid.tolist()]
 
     counts = np.empty(grid.shape[0])
-    for ri, r in enumerate(grid):
-        cfg_r = dataclasses.replace(
-            cfg, gamma_h=np.full(cfg.M, 1.0 / r**2), gamma_g=np.full(cfg.M, 1.0 / (1.0 - r) ** 2)
-        )
+    for ri, (gamma_h, gamma_g) in enumerate(gammas):
+        cfg_r = dataclasses.replace(cfg, gamma_h=np.full(cfg.M, gamma_h), gamma_g=np.full(cfg.M, gamma_g))
         counts[ri] = _mean_cap_fraction(cfg_r, scheme, cfg.p_s, cfg.p_r, trials, seed, ri)
     return counts

@@ -365,6 +365,33 @@ class TestExtremePowers:
         assert values.shape == (4, 9) and np.all(np.isfinite(values))
 
 
+class TestDerivedValues:
+    """A value whose linear power or variance leaves the normal floats is rejected at its line."""
+
+    @pytest.mark.parametrize("kind,old,new", [
+        ("bler_vs_snr", "[8.0, 12.0]", "[8.0, 4000.0]"),
+        ("ber_vs_network_power", "[14.0, 18.0]", "[-4000.0, 18.0]"),
+        ("asymptotic_study", "network_power_db: 15.0", "network_power_db: 4000.0"),
+        ("asymptotic_study", "[0.1, 0.9]", "[1.0e-200, 0.9]"),
+        ("ber_vs_distance", "[0.3, 0.7]", "[1.0e-200, 0.7]"),
+        ("asymptotic_study", "[0.1, 0.9]", "[1.0e-160, 0.9]"),
+        ("power_ratio_vs_distance", "[0.2, 0.8]", "[1.0e-160, 0.8]"),
+        # N0 10^9 overflows at N0 = 1e300 (PyYAML needs the exponent sign)
+        ("bler_vs_snr", "[8.0, 12.0]\nframes: 1000\nnetwork:\n  M: 2\n",
+         "[8.0, 90.0]\nframes: 1000\nnetwork:\n  M: 2\n  N0: 1.0e+300\n"),
+    ], ids=["snr_4000", "snr_-4000", "network_power_4000", "r_1e-200", "r_1e-200_ber", "r_1e-160",
+            "r_1e-160_power_ratio", "large_N0"])
+    def test_cli_exits_two_at_the_line(self, tmp_path, capsys, kind, old, new):
+        text = MINIMAL[kind].replace(old, new)
+        assert text != MINIMAL[kind]
+        line = next(i for i, row in enumerate(text.splitlines(), 1) if new.splitlines()[0] in row)
+        path = _write(tmp_path, text)
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert re.search(rf"^error: {re.escape(str(path))}:{line}: .* outside the positive normal floats$",
+                         capsys.readouterr().err, re.M)
+        assert not (tmp_path / "out").exists()
+
+
 class TestDeterminism:
     def test_rerun_is_byte_identical(self, tmp_path):
         spec = load_spec(_write(tmp_path, MINIMAL["ber_vs_distance"]))

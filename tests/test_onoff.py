@@ -41,7 +41,7 @@ class TestSolveOnOff:
         obj, caps = _obj_and_caps([1.0, 1.0], [1.0, 1.0], p_s=1.0, p_r=1.0, N0=1.0)
         alloc, trace = solve_onoff(obj, caps)
         np.testing.assert_allclose(alloc.p, [0.5, 0.5], rtol=1e-15)
-        assert trace.converged
+        assert not trace.used_fallback
 
     def test_three_relay_worked_example(self):
         obj, caps = _obj_and_caps([4.0, 0.01, 1.0], [1.0, 1.0, 1.0])
@@ -65,12 +65,12 @@ class TestSolveOnOff:
                 obj, caps = _random_instance(rng, m)
                 alloc, trace = solve_onoff(obj, caps)
                 oracle = vertex_enumeration_oracle(obj, caps)
-                assert trace.converged
+                assert not trace.used_fallback
                 assert f0_value(obj, alloc.p) == pytest.approx(
                     f0_value(obj, oracle.p), rel=1e-12)
 
     @pytest.mark.parametrize("regime", ["tie", "noise_free"])
-    def test_trace_of_an_unsettled_instance_ends_with_the_exact_optimum(self, regime):
+    def test_unsettled_instance_keeps_its_trajectory_and_gets_the_exact_optimum(self, regime):
         # tie: a key on f0 makes the update a rounding-level decision;
         # noise_free: beta P ~ 1e144, 1 + B rounds to B. Either way the
         # float f0 stops rising before the pattern settles
@@ -85,14 +85,13 @@ class TestSolveOnOff:
         assert fallback[i]
         obj = PerfectCsitObjective(alpha=alpha[i], beta=beta[i], eta=1.0)
         alloc, trace = solve_onoff(obj, caps[i])
-        assert trace.used_fallback and not trace.converged
-        # every visited pattern, at most M + 2 of them, then the exact optimum
+        assert trace.used_fallback
+        # every visited pattern, at most M + 2 of them, and nothing else
         assert trace.iterations == iters[i] <= 4 + 1
-        assert len(trace.iterates) == iters[i] + 2
-        for p, mask in zip(trace.iterates[:-1], iterates[i]):
+        assert len(trace.iterates) == iters[i] + 1
+        for p, mask in zip(trace.iterates, iterates[i]):
             np.testing.assert_array_equal(p, np.where(mask, caps[i], 0.0))
         _assert_exact_optima(alpha[i : i + 1], beta[i : i + 1], caps[i : i + 1], alloc.active[None])
-        np.testing.assert_array_equal(alloc.p, trace.iterates[-1])
         assert trace.objective_values == [f0_value(obj, p) for p in trace.iterates]
 
     def test_start_at_optimum_is_fixed_point(self):
@@ -415,7 +414,9 @@ class TestMaskKernel:
     @given(parts=_onoff_batches())
     def test_is_the_exact_optimum(self, parts):
         for alpha, beta, caps in parts:
-            _assert_exact_optima(alpha, beta, caps, solve_onoff_masks(alpha, beta, caps))
+            masks = solve_onoff_masks(alpha, beta, caps)
+            _assert_exact_optima(alpha, beta, caps, masks)
+            np.testing.assert_array_equal(solve_onoff_batch(alpha, beta, caps)[0], masks)
 
     @settings(max_examples=150)
     @given(_generic_batches())
@@ -444,13 +445,14 @@ class TestMaskKernel:
         assert not any(row.tobytes() in solved for row in clean[0])
         # every moved key lies within rounding of f0, so the margin test flags it
         assert all(row.tobytes() in solved for row in near[0])
-        # the heavy relay sits below f0(S*), so S* leaves it out, although the
-        # iteration can stop with it on
+        # the heavy relay sits below f0(S*), so S* leaves it out; the iteration
+        # can stop with it on, and the batch solver flags those rows
         moved = heavy[1] > 1e6
         assert np.count_nonzero(np.any(moved, axis=1)) > 30
         first = len(clean[0]) + len(near[0])
         assert not masks[first : first + len(heavy[0])][moved].any()
-        assert solve_onoff_batch(*heavy)[0][moved].any()
+        batch, _, fallback, _ = solve_onoff_batch(*heavy)
+        assert not batch[moved].any() and fallback.any()
         # the fixed-point test flags the rows whose light relay the argmax left out
         assert any(row.tobytes() in solved for row in light[0])
         # and a cut between two equal keys sends the row back too
@@ -470,8 +472,8 @@ class TestMaskKernel:
         # tie: keys on f0 of S* or of S* less one relay make the update a
         # rounding-level decision; noise_free: with beta P ~ 1e144, 1 + B
         # rounds to B and the best relay alone ties with itself. The float
-        # f0 then stops rising, the iteration stops within M + 2 sweeps,
-        # and every solver answers those rows with S*, for any M
+        # f0 then stops rising, the iteration stops within M + 2 sweeps or
+        # settles off S*, and every solver answers every row with S*, for any M
         rng = np.random.default_rng(65)
         if regime == "tie":
             alpha, beta, caps = _near_threshold_rows(rng, 200, m)
@@ -483,7 +485,8 @@ class TestMaskKernel:
         assert iterations.max() <= m + 1
         kernel = solve_onoff_masks(alpha, beta, caps)
         _assert_exact_optima(alpha, beta, caps, kernel)
-        np.testing.assert_array_equal(masks[fallback], kernel[fallback])
+        _assert_exact_optima(alpha, beta, caps, masks)
+        np.testing.assert_array_equal(masks, kernel)
         objs = (PerfectCsitObjective(alpha=a, beta=b, eta=1.0) for a, b in zip(alpha, beta))
         scalar = np.array([solve_onoff(obj, c)[0].active for obj, c in zip(objs, caps)])
         np.testing.assert_array_equal(scalar, masks)

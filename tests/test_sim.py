@@ -494,6 +494,10 @@ class TestEffectiveRelayCount:
             effective_relay_count(cfg, Scheme.ONOFF, [1.0], 10, seed=0)
         with pytest.raises(ValueError, match="trials"):
             effective_relay_count(cfg, Scheme.ONOFF, [0.5], 0, seed=0)
+        # 1/r^2 divides by zero, or overflows
+        for r in (1.0e-200, 1.0e-160):
+            with pytest.raises(ValueError, match="variance outside the positive normal floats"):
+                effective_relay_count(cfg, Scheme.ONOFF, [r, 0.5], 10, seed=0)
 
     def test_max_power_scores_m_everywhere(self):
         cfg = _cfg(4, 4, p_s=6.3, p_r=6.3)

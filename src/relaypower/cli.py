@@ -21,7 +21,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     run.add_argument(
         "--shards", type=int, default=1,
-        help="work partition count; any value gives byte-identical outputs",
+        help="reorder the fixed Monte Carlo batch schedule into this many interleaved shards; outputs never depend on it",
     )
     run.add_argument(
         "--frames-override", type=int, default=None,

@@ -12,9 +12,9 @@ codeword pairs. It is computed lazily, on first read: nothing in the
 simulation needs its value (statistical waterfilling runs with eta = 1,
 since eta only shifts its objective by a constant). Generation only needs
 to know that lambda_min clears a small floor, which a batched Cholesky
-test of the same pattern Grams decides (`is_full_diversity`). Codebooks
-are cached per (T, seed) within the process, so schemes that share a seed
-share one instance.
+test of the same pattern Grams decides (`is_full_diversity`). The last
+64 codebooks are cached per (T, seed) within the process, so schemes that
+share a seed share one instance.
 
 Both scans split a difference pattern d = 2(h, t) into a head h, its first
 T - k entries, and a tail t, its last k = min(T, 4). With b[u, v]_ij =
@@ -27,9 +27,8 @@ dimension T - k + 1), plus its own quadratic forms Q_H(h).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -49,8 +48,6 @@ _DIVERSITY_FLOOR = 1e-9
 # with one GEMM over all 78 pair products per 1024 patterns, to 0.63 s.
 _TAIL = 4
 _HEAD_BLOCK = 12
-_CACHE_SIZE = 64
-_CACHE: OrderedDict[tuple[int, int], LdCodebook] = OrderedDict()
 
 
 def codeword_signs(T: int) -> np.ndarray:
@@ -189,22 +186,14 @@ def generate_codebook(T: int, seed: int) -> LdCodebook:
     diagonal's phases divided out, which makes the distribution exactly
     Haar. A codebook that fails the full-diversity guard is redrawn from
     a fresh derived stream. The result is a pure function of (T, seed)
-    and immutable, so the last few codebooks are cached and shared.
+    and immutable, so the last 64 codebooks are cached and shared.
     """
     if not 1 <= T <= MAX_BLOCK:
         raise ValueError(f"T must be in [1, {MAX_BLOCK}]")
-    key = (T, seed)
-    code = _CACHE.get(key)
-    if code is None:
-        code = _draw_codebook(*key)
-        _CACHE[key] = code
-        if len(_CACHE) > _CACHE_SIZE:
-            _CACHE.popitem(last=False)
-    else:
-        _CACHE.move_to_end(key)
-    return code
+    return _draw_codebook(T, seed)
 
 
+@lru_cache(maxsize=64)
 def _draw_codebook(T: int, seed: int) -> LdCodebook:
     for attempt in range(_REGEN_ATTEMPTS):
         code = LdCodebook(matrices=_haar_stack(T, derive_rng(seed, STREAM_CODEBOOK, attempt)))

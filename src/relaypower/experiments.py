@@ -20,9 +20,10 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from .codebook import MAX_BLOCK
 from .model import ChannelBuffers, CsitMode, NetworkConfig, _batch_caps, sample_channel_batch
 from .objectives import SADDLE_MIN_TRIALS, saddle_point_error
-from .onoff import solve_onoff_batch
+from .onoff import MAX_ITERATIONS, solve_onoff_batch
 from .rng import STREAM_CHANNELS, STREAM_MISC, derive_rng, derive_seed
 from .sim import (
     MIN_FRAMES,
@@ -31,8 +32,10 @@ from .sim import (
     _allocate_batch,
     _db_power,
     _distance_variances,
+    _in_linear_range,
     _map_jobs,
     _mean_cap_fraction,
+    _node_power,
     effective_relay_count,
     run_monte_carlo,
 )
@@ -57,10 +60,10 @@ SCHEME_NAMES = {
     "direct": (Scheme.DIRECT_LINK, CsitMode.PERFECT),
 }
 
-MAX_SIM_RELAYS = 12  # exhaustive ML decoding bound, T = M
 MAX_STUDY_RELAYS = 1024  # largest M of the kinds that only allocate
 # trials x largest M: the channel entries of one (trials, M) draw, about
-# 40 bytes each in a worker's buffers (671 MB at the bound)
+# 40 bytes each in a worker's buffers (671 MB at the bound). A convergence
+# run also holds its trajectory, counted in the same 40-byte entries
 MAX_TRIAL_ENTRIES = 2**24
 
 
@@ -76,7 +79,6 @@ class ExperimentSpec:
     name: str
     seed: int
     M: int | None
-    T: int | None
     p_s: float | None
     p_r: float | None
     N0: float
@@ -102,7 +104,7 @@ class ExperimentSpec:
         def plain(keys):
             return {k: list(v) if isinstance(v, tuple) else v for k in keys if (v := getattr(self, k)) is not None}
 
-        network = plain(("N0", "M", "T", "p_s", "p_r", "gamma_h", "gamma_g"))
+        network = plain(("N0", "M", "p_s", "p_r", "gamma_h", "gamma_g"))
         return {"kind": self.kind.value, **plain(("name", "seed", *_TOP_FIELDS[self.kind])), "network": network}
 
 
@@ -175,11 +177,9 @@ class _Validator:
             self.fail(key, message)
         return out
 
-    def number(self, mapping, prefix, key, positive=False, derive=None):
+    def number(self, mapping, prefix, key, derive=None):
         value = self._scalar(mapping, prefix, key, (int, float), "must be a number")
         value = self.finite(f"{prefix}{key}", value, f"{key} must be finite")
-        if positive and value <= 0:
-            self.fail(f"{prefix}{key}", f"{key} must be positive")
         return self.derivable(f"{prefix}{key}", value, derive)
 
     def derivable(self, key: str, value, derive):
@@ -210,6 +210,16 @@ class _Validator:
         if any(b <= a for a, b in zip(out, out[1:])):
             self.fail(key, f"{key} must be strictly increasing")
         return tuple(out)
+
+
+def _linear(x: float) -> float:
+    """x, a power, noise level or variance; ValueError outside LINEAR_RANGE."""
+    return _in_linear_range(lambda: (x,), f"{x:g}")[0]
+
+
+def _node_powers(v: _Validator, x: float) -> list[float]:
+    """The power of each node at network power x dB, for every M of the checked m_grid."""
+    return [_node_power(v.n0, x, m) for m in v.data["m_grid"]]
 
 
 def _collect_lines(node, prefix: str, out: dict[str, int]) -> None:
@@ -271,9 +281,23 @@ def _check_trials(v: _Validator, kind: ExperimentKind) -> int:
     if kind is ExperimentKind.SADDLE_STUDY:
         return v.integer(v.data, "", "trials", minimum=SADDLE_MIN_TRIALS, maximum=MAX_TRIAL_ENTRIES)
     trials = v.integer(v.data, "", "trials", minimum=1)
-    if trials * max(v.data["m_grid"]) > MAX_TRIAL_ENTRIES:
-        v.fail("trials", f"trials x largest M must be at most {MAX_TRIAL_ENTRIES}")
+    m = max(v.data["m_grid"])
+    trajectory = 0
+    if kind is ExperimentKind.CONVERGENCE:
+        # the trajectory holds M booleans and two floats per (trial, iterate): peak
+        # RSS grew by 18, 24 and 45 B per (trial, iterate) at M = 2, 8 and 32
+        # (20 000 trials, 10 against 100 iterations; 2-vCPU host, numpy 2.4)
+        iterations = _check_iterations(v, kind) if "iterations" in v.data else _TOP_FIELDS[kind]["iterations"]
+        trajectory = math.ceil((iterations + 1) * (m + 16) / 40)
+    if trials * (m + trajectory) > MAX_TRIAL_ENTRIES:
+        entries = f"(largest M + {trajectory} trajectory entries)" if trajectory else "largest M"
+        v.fail("trials", f"trials x {entries} must be at most {MAX_TRIAL_ENTRIES}")
     return trials
+
+
+def _check_iterations(v: _Validator, kind: ExperimentKind) -> int:
+    # every row settles within MAX_ITERATIONS updates, so later iterates only repeat
+    return v.integer(v.data, "", "iterations", minimum=1, maximum=MAX_ITERATIONS)
 
 
 # Top-level field -> check(validator, kind) of its value, in the order errors are reported.
@@ -281,17 +305,19 @@ _FIELD_CHECKS = {
     # a kind with a frame budget decodes every M it sweeps exhaustively
     "m_grid": lambda v, kind: v.grid(
         "m_grid", integer=True, low=0,
-        high=(MAX_SIM_RELAYS if "frames" in _TOP_FIELDS[kind] else MAX_STUDY_RELAYS) + 1,
+        high=(MAX_BLOCK if "frames" in _TOP_FIELDS[kind] else MAX_STUDY_RELAYS) + 1,
     ),
     "schemes": _check_schemes,
-    "snr_db": lambda v, kind: v.grid("snr_db", derive=lambda x: _db_power(v.n0, x)),
+    # bler_vs_snr sweeps the power of each node, the other kinds the network power
+    "snr_db": lambda v, kind: v.grid("snr_db", derive=lambda x: (
+        _db_power(v.n0, x) if kind is ExperimentKind.BLER_VS_SNR else _node_powers(v, x))),
     "r_grid": lambda v, kind: v.grid("r_grid", low=0.0, high=1.0, derive=_distance_variances),
-    "network_power_db": lambda v, kind: v.number(v.data, "", "network_power_db", derive=lambda x: _db_power(v.n0, x)),
+    "network_power_db": lambda v, kind: v.number(v.data, "", "network_power_db", derive=lambda x: _node_powers(v, x)),
     "frames": lambda v, kind: v.integer(v.data, "", "frames", minimum=MIN_FRAMES),
     "trials": _check_trials,
     "instances": lambda v, kind: v.integer(v.data, "", "instances", minimum=1),
-    "eta": lambda v, kind: v.number(v.data, "", "eta", positive=True),
-    "iterations": lambda v, kind: v.integer(v.data, "", "iterations", minimum=1),
+    "eta": lambda v, kind: v.number(v.data, "", "eta", derive=_linear),
+    "iterations": _check_iterations,
 }
 
 
@@ -341,31 +367,32 @@ def _validate(path: str, data: dict, lines: dict[str, int]) -> ExperimentSpec:
     # --- network block ---
     net_allowed = {"N0", "gamma_h", "gamma_g"}
     if kind is ExperimentKind.BLER_VS_SNR:
-        net_allowed |= {"M", "T"}
+        net_allowed |= {"M"}
     if not swept_power:
         net_allowed |= {"p_s", "p_r"}
     for key in network:
         if key in ("csit_mode", "constraint_kind"):
             v.fail(f"network.{key}", f"{key} is derived from each scheme; remove it")
+        if key == "T":
+            v.fail("network.T", "T is M, one dispersion matrix per relay; remove it")
         if key not in net_allowed:
             v.fail(f"network.{key}", f"unknown or disallowed network field {key!r} for kind {kind.value!r}")
 
-    m = t = None
+    m = None
     if kind is ExperimentKind.BLER_VS_SNR:
         if "M" not in network:
             v.fail("network", "network.M is required for kind 'bler_vs_snr'")
-        m = v.integer(network, "network.", "M", minimum=1, maximum=MAX_SIM_RELAYS)
-        t = v.integer(network, "network.", "T", minimum=1, maximum=MAX_SIM_RELAYS) if "T" in network else m
+        m = v.integer(network, "network.", "M", minimum=1, maximum=MAX_BLOCK)
 
     p_s = p_r = None
     if not swept_power:
         for key in ("p_s", "p_r"):
             if key not in network:
                 v.fail("network", f"network.{key} is required for kind {kind.value!r}")
-        p_s = v.number(network, "network.", "p_s", positive=True)
-        p_r = v.number(network, "network.", "p_r", positive=True)
+        p_s = v.number(network, "network.", "p_s", derive=_linear)
+        p_r = v.number(network, "network.", "p_r", derive=_linear)
 
-    n0 = v.n0 = v.number(network, "network.", "N0", positive=True) if "N0" in network else 1.0
+    n0 = v.n0 = v.number(network, "network.", "N0", derive=_linear) if "N0" in network else 1.0
 
     if swept_distance:
         for key in ("gamma_h", "gamma_g"):
@@ -379,7 +406,7 @@ def _validate(path: str, data: dict, lines: dict[str, int]) -> ExperimentSpec:
 
     fields |= _top_fields(v, kind, [key for key in _FIELD_CHECKS if key not in fields])
     return ExperimentSpec(
-        kind=kind, name=name, seed=seed, M=m, T=t, p_s=p_s, p_r=p_r, N0=n0,
+        kind=kind, name=name, seed=seed, M=m, p_s=p_s, p_r=p_r, N0=n0,
         gamma_h=gamma_h, gamma_g=gamma_g, **fields,
     )
 
@@ -389,7 +416,7 @@ def _validate_gamma(v: _Validator, network: dict, key: str, max_m: int | None):
         return 1.0
     value = network[key]
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return v.number(network, "network.", key, positive=True)
+        return v.number(network, "network.", key, derive=_linear)
     if isinstance(value, list):
         if not value:
             v.fail(f"network.{key}", f"{key} list must be non-empty")
@@ -397,18 +424,20 @@ def _validate_gamma(v: _Validator, network: dict, key: str, max_m: int | None):
         for i, item in enumerate(value):
             if isinstance(item, bool) or not isinstance(item, (int, float)) or item <= 0:
                 v.fail(f"network.{key}[{i}]", f"{key} entries must be positive numbers")
-            out.append(v.finite(f"network.{key}[{i}]", item, f"{key} entries must be finite"))
+            item = v.finite(f"network.{key}[{i}]", item, f"{key} entries must be finite")
+            out.append(v.derivable(f"network.{key}[{i}]", item, _linear))
         if max_m is not None and len(value) < max_m:
             v.fail(f"network.{key}", f"{key} lists {len(value)} values but the largest M is {max_m}")
         return tuple(out)
     v.fail(f"network.{key}", f"{key} must be a number or a list of numbers")
 
 
-def _scheme_config(spec: ExperimentSpec, token: str, m: int, t: int,
+def _scheme_config(spec: ExperimentSpec, token: str, m: int,
                    gamma_h: np.ndarray, gamma_g: np.ndarray,
                    p_s: float, p_r: float) -> tuple[NetworkConfig, Scheme]:
+    """Network of m relays under token's scheme and CSIT mode; the block length T is m."""
     scheme, mode = SCHEME_NAMES[token]
-    cfg = NetworkConfig(M=m, T=t, p_s=p_s, p_r=p_r, N0=spec.N0,
+    cfg = NetworkConfig(M=m, T=m, p_s=p_s, p_r=p_r, N0=spec.N0,
                         gamma_h=gamma_h, gamma_g=gamma_g, csit_mode=mode)
     return cfg, scheme
 
@@ -479,7 +508,7 @@ def _run_convergence(spec, outputs, seed, shards, frames):
     rows = []
     for mi, m in enumerate(spec.m_grid):
         gamma_h, gamma_g = spec.gammas_for(m)
-        cfg, _ = _scheme_config(spec, "onoff", m, m, gamma_h, gamma_g, spec.p_s, spec.p_r)
+        cfg, _ = _scheme_config(spec, "onoff", m, gamma_h, gamma_g, spec.p_s, spec.p_r)
         h, g = sample_channel_batch(cfg, spec.trials, derive_rng(seed, STREAM_CHANNELS, mi))
         h2 = np.abs(h) ** 2
         caps = _batch_caps(cfg, h2, spec.p_s, spec.p_r)
@@ -503,7 +532,7 @@ def _run_bler_vs_snr(spec, outputs, seed, shards, frames):
     paths = []
     gamma_h, gamma_g = spec.gammas_for(spec.M)
     for token in spec.schemes:
-        cfg, scheme = _scheme_config(spec, token, spec.M, spec.T, gamma_h, gamma_g, 1.0, 1.0)
+        cfg, scheme = _scheme_config(spec, token, spec.M, gamma_h, gamma_g, 1.0, 1.0)
         result = run_monte_carlo(cfg, scheme, spec.snr_db, frames, seed, shards=shards)
         paths.append(outputs.write(f"{spec.name}_{token}.csv", SimResult.CSV_HEADER, result.to_csv_rows()))
     return paths
@@ -530,39 +559,35 @@ def _run_link_sweep(spec, outputs, shards, frames, x_name, cells):
 
     cells(mi, m) yields (gamma_h, gamma_g, snr grid, x values, seed) for
     each run_monte_carlo call at relay count m; x fills the column x_name.
-    The direct link has no relays: it runs the cells of the first M only,
-    which sets its block length, and its M column reads 0.
+    Every scheme of a cell runs back to back, so the relay schemes share
+    the cell's codebook while it is cached. The direct link has no relays:
+    it runs the cells of the first M only, which sets its block length,
+    and its M column reads 0.
     """
     header = f"scheme,M,{x_name},frames,block_errors,bit_errors,bler,ber,stderr_bler"
-    paths = []
-    for token in spec.schemes:
-        direct = token == "direct"
-        rows = []
-        for mi, m in enumerate(spec.m_grid[:1] if direct else spec.m_grid):
-            for gamma_h, gamma_g, grid, x, cell_seed in cells(mi, m):
-                cfg, scheme = _scheme_config(spec, token, m, m, gamma_h, gamma_g, 1.0, 1.0)
+    rows = {token: [] for token in spec.schemes}
+    for mi, m in enumerate(spec.m_grid):
+        for gamma_h, gamma_g, grid, x, cell_seed in cells(mi, m):
+            for token in spec.schemes:
+                direct = token == "direct"
+                if direct and mi > 0:
+                    continue
+                cfg, scheme = _scheme_config(spec, token, m, gamma_h, gamma_g, 1.0, 1.0)
                 res = run_monte_carlo(
                     cfg, scheme, grid, frames, cell_seed, network_power_sweep=True, shards=shards
                 )
-                rows.extend(
-                    f"{token},{0 if direct else m},{_fmt(x[i])},{int(res.frames[i])},"
-                    f"{int(res.block_errors[i])},{int(res.bit_errors[i])},{_fmt(res.bler[i])},"
-                    f"{_fmt(res.ber[i])},{_fmt(res.stderr_bler[i])}"
-                    for i in range(len(x))
-                )
-        paths.append(outputs.write(f"{spec.name}_{token}.csv", header, rows))
-    return paths
+                rows[token] += res.to_csv_rows([f"{token},{0 if direct else m},{_fmt(v)}" for v in x])
+    return [outputs.write(f"{spec.name}_{token}.csv", header, rows[token]) for token in spec.schemes]
 
 
 def _run_power_ratio(spec, outputs, seed, shards, frames):
     header = "scheme,M,r,trials,effective_relay_count"
     paths = []
-    linear = _db_power(spec.N0, spec.network_power_db)
     for token in spec.schemes:
         rows = []
         for mi, m in enumerate(spec.m_grid):
-            p = linear / (m + 1)
-            cfg, scheme = _scheme_config(spec, token, m, m, np.ones(m), np.ones(m), p, p)
+            p = _node_power(spec.N0, spec.network_power_db, m)
+            cfg, scheme = _scheme_config(spec, token, m, np.ones(m), np.ones(m), p, p)
             counts = effective_relay_count(
                 cfg, scheme, spec.r_grid, spec.trials, derive_seed(seed, STREAM_MISC, mi)
             )
@@ -598,11 +623,11 @@ def _run_asymptotic(spec, outputs, seed, shards, frames):
 def _asymptotic_row(spec, seed, mi, m, ri, r, buffers) -> str:
     """CSV row of cell (m, r), drawn from channel stream (seed, mi, ri) into buffers."""
     n = spec.trials
-    p = _db_power(spec.N0, spec.network_power_db) / (m + 1)
+    p = _node_power(spec.N0, spec.network_power_db, m)
     gamma_h, gamma_g = (np.full(m, x) for x in _distance_variances(r))
-    cfg, _ = _scheme_config(spec, "onoff", m, m, gamma_h, gamma_g, p, p)
-    cfg_wf, _ = _scheme_config(spec, "waterfill_partial", m, m, gamma_h, gamma_g, p, p)
-    cfg_st, _ = _scheme_config(spec, "waterfill_statistical", m, m, gamma_h, gamma_g, p, p)
+    cfg, _ = _scheme_config(spec, "onoff", m, gamma_h, gamma_g, p, p)
+    cfg_wf, _ = _scheme_config(spec, "waterfill_partial", m, gamma_h, gamma_g, p, p)
+    cfg_st, _ = _scheme_config(spec, "waterfill_statistical", m, gamma_h, gamma_g, p, p)
     h, g = sample_channel_batch(cfg, n, derive_rng(seed, STREAM_CHANNELS, mi, ri), buffers)
     # per-row statistics, block by block (both allocators treat rows
     # independently); each mean then sums the full column as one array
@@ -636,7 +661,7 @@ def _run_saddle(spec, outputs, seed, shards, frames):
     rows = []
     for mi, m in enumerate(spec.m_grid):
         gamma_h, gamma_g = spec.gammas_for(m)
-        cfg, _ = _scheme_config(spec, "onoff", m, m, gamma_h, gamma_g, spec.p_s, spec.p_r)
+        cfg, _ = _scheme_config(spec, "onoff", m, gamma_h, gamma_g, spec.p_s, spec.p_r)
         rel_errors = []
         variances = []
         mc_values = []

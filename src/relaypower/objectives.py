@@ -20,6 +20,7 @@ which drops the +1 inside each log factor.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,8 @@ _EULER_GAMMA = 0.5772156649015328606
 _MC_CHUNK = 10_000
 # saddle_point_error's floor on its Monte Carlo draws, for a usable error bar
 SADDLE_MIN_TRIALS = 10_000
+# largest float whose square is finite
+_MAX_SQUARABLE = math.sqrt(sys.float_info.max)
 
 
 def exp_integral_e1(x: float) -> float:
@@ -264,8 +267,11 @@ class SaddleComparison:
 
     @property
     def rel_error_stderr(self) -> float:
-        """Delta-method standard error of rel_error (bound is deterministic)."""
-        return self.mc_stderr * self.bound / self.mc_estimate**2
+        """Delta-method standard error of rel_error (bound is deterministic); infinite
+        when the estimate's square underflows or the error's own square would overflow."""
+        square = self.mc_estimate**2
+        value = self.mc_stderr * self.bound / square if square > 0.0 else math.inf
+        return value if value <= _MAX_SQUARABLE else math.inf
 
 
 def saddle_point_error(h, gamma_g, p, eta: float, trials: int, seed: int) -> SaddleComparison:
@@ -273,8 +279,9 @@ def saddle_point_error(h, gamma_g, p, eta: float, trials: int, seed: int) -> Sad
 
     Estimates E_g[exp(-eta * sum_i |h_i|^2 p_i |g_i|^2 / (1 + sum_i p_i |g_i|^2))]
     with g_i ~ CN(0, gamma_gi) and returns the relative deviation of the
-    saddle-point product bound from that estimate. Chunked accumulation
-    with per-chunk derived streams keeps the result reproducible.
+    saddle-point product bound from that estimate, infinite when every
+    sampled kernel underflows to 0. Chunked accumulation with per-chunk
+    derived streams keeps the result reproducible.
     """
     h = _finite_array(h, "h", np.complex128)
     if h.ndim != 1:
@@ -315,5 +322,6 @@ def saddle_point_error(h, gamma_g, p, eta: float, trials: int, seed: int) -> Sad
         mc_estimate=mc,
         mc_stderr=stderr,
         bound=bound,
-        rel_error=abs(mc - bound) / mc,
+        # every sample's kernel underflowed: the average cannot resolve the bound
+        rel_error=abs(mc - bound) / mc if mc > 0.0 else math.inf,
     )

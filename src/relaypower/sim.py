@@ -22,7 +22,6 @@ import dataclasses
 import enum
 import math
 import os
-import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -105,16 +104,16 @@ class SimResult:
         p = self.ber
         return np.sqrt(p * (1.0 - p) / (self.frames * self.block_bits))
 
-    def to_csv_rows(self) -> list[str]:
-        rows = []
+    def to_csv_rows(self, leads: list[str] | None = None) -> list[str]:
+        """One row per point: its lead columns, by default scheme and snr_db, then the tallies."""
+        if leads is None:
+            leads = [f"{self.scheme},{x:.17g}" for x in self.snr_db]
         bler, ber, se = self.bler, self.ber, self.stderr_bler
-        for i in range(self.snr_db.shape[0]):
-            rows.append(
-                f"{self.scheme},{self.snr_db[i]:.17g},{int(self.frames[i])},"
-                f"{int(self.block_errors[i])},{int(self.bit_errors[i])},"
-                f"{bler[i]:.17g},{ber[i]:.17g},{se[i]:.17g}"
-            )
-        return rows
+        return [
+            f"{lead},{int(self.frames[i])},{int(self.block_errors[i])},{int(self.bit_errors[i])},"
+            f"{bler[i]:.17g},{ber[i]:.17g},{se[i]:.17g}"
+            for i, lead in enumerate(leads)
+        ]
 
 
 def effective_code_matrix(code: LdCodebook, f: np.ndarray, q: np.ndarray, p_s: float) -> np.ndarray:
@@ -198,30 +197,44 @@ def _point_powers(cfg: NetworkConfig, snr_db: float, network_power_sweep: bool):
     """
     lin = _db_power(cfg.N0, snr_db)
     if network_power_sweep:
-        p = lin / (cfg.M + 1)
+        p = _node_power(cfg.N0, snr_db, cfg.M)
         return p, p, lin
     return lin, lin, (cfg.M + 1) * lin
 
 
-def _normal_floats(derive, what: str) -> tuple:
-    """derive(), unless it raises or returns a float that is not positive and normal: then ValueError."""
+# Every power, noise level and variance that a run starts from, given or
+# derived, lies in this range (-500 to 500 dB at N0 = 1). The run multiplies
+# up to five of them, with channel draws, into its caps, on-off sums and
+# decoder statistics; within 1e-250 to 1e250 these stay normal floats.
+LINEAR_RANGE = (1e-50, 1e50)
+
+
+def _in_linear_range(derive, what: str) -> tuple:
+    """derive(), unless it raises or returns a value outside LINEAR_RANGE: then ValueError."""
     try:
         values = derive()
     except ArithmeticError:  # a Python float ** that overflows, or a division by zero
         values = (math.inf,)
-    if not all(sys.float_info.min <= x <= sys.float_info.max for x in values):
-        raise ValueError(f"{what} outside the positive normal floats")
+    low, high = LINEAR_RANGE
+    if not all(low <= x <= high for x in values):
+        raise ValueError(f"{what} outside [{low:g}, {high:g}]")
     return values
 
 
 def _db_power(n0: float, x: float) -> float:
-    """Linear power N0 10^(x/10) of a level of x dB; ValueError unless it is a positive normal float."""
-    return _normal_floats(lambda: (n0 * 10.0 ** (x / 10.0),), f"{x:g} dB at N0 = {n0:g} gives a linear power")[0]
+    """Linear power N0 10^(x/10) of a level of x dB; ValueError outside LINEAR_RANGE."""
+    return _in_linear_range(lambda: (n0 * 10.0 ** (x / 10.0),), f"{x:g} dB at N0 = {n0:g} gives a linear power")[0]
+
+
+def _node_power(n0: float, x: float, m: int) -> float:
+    """Each node's share of x dB split evenly over the source and m relays; ValueError outside LINEAR_RANGE."""
+    return _in_linear_range(lambda: (_db_power(n0, x) / (m + 1),),
+                            f"{x:g} dB at N0 = {n0:g} split over {m + 1} nodes gives a power")[0]
 
 
 def _distance_variances(r: float) -> tuple[float, float]:
-    """(gamma_h, gamma_g) = (1/r^2, 1/(1-r)^2) at distance r from the source; ValueError unless both are normal."""
-    return _normal_floats(lambda: (1.0 / r**2, 1.0 / (1.0 - r) ** 2), f"relay distance {r:g} gives a variance")
+    """(gamma_h, gamma_g) = (1/r^2, 1/(1-r)^2) at distance r from the source; ValueError outside LINEAR_RANGE."""
+    return _in_linear_range(lambda: (1.0 / r**2, 1.0 / (1.0 - r) ** 2), f"relay distance {r:g} gives a variance")
 
 
 def _allocate_batch(

@@ -1,7 +1,5 @@
 """Dispersion-matrix codebooks, their worst-pair eigenvalue and generation guard."""
 
-from collections import OrderedDict
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,9 +121,15 @@ class TestGenerate:
 
 
 @pytest.fixture
-def empty_cache(monkeypatch):
-    """A fresh codebook cache, so every generate_codebook call below draws anew."""
-    monkeypatch.setattr(codebook, "_CACHE", OrderedDict())
+def empty_cache():
+    """A fresh codebook cache, so every generate_codebook call below draws anew.
+
+    It is emptied again afterwards: a test that patches the guard must not
+    leave its codebooks behind for the tests that follow.
+    """
+    codebook._draw_codebook.cache_clear()
+    yield codebook._draw_codebook
+    codebook._draw_codebook.cache_clear()
 
 
 class TestDifferencePatterns:
@@ -281,20 +285,16 @@ class TestCache:
         assert generate_codebook(3, seed=11) is not a
 
     def test_cache_is_bounded(self, empty_cache):
-        for seed in range(codebook._CACHE_SIZE + 5):
+        for seed in range(69):
             generate_codebook(1, seed=seed)
-        assert len(codebook._CACHE) == codebook._CACHE_SIZE
-        assert (1, 0) not in codebook._CACHE
+        info = empty_cache.cache_info()
+        assert info.maxsize == info.currsize == 64 and info.misses == 69
+        # the least recently used key was evicted and is drawn again
+        generate_codebook(1, seed=68)
+        generate_codebook(1, seed=0)
+        assert empty_cache.cache_info().misses == 70
 
-    def test_two_schemes_build_each_codebook_once(self, tmp_path, monkeypatch, empty_cache):
-        builds = []
-        draw = codebook._draw_codebook
-
-        def counting_draw(T, seed):
-            builds.append((T, seed))
-            return draw(T, seed)
-
-        monkeypatch.setattr(codebook, "_draw_codebook", counting_draw)
+    def test_two_schemes_build_each_codebook_once(self, tmp_path, empty_cache):
         path = tmp_path / "scenario.yaml"
         path.write_text(
             "kind: ber_vs_network_power\n"
@@ -305,8 +305,26 @@ class TestCache:
             "network: {}\n"
         )
         run_experiment(load_spec(path), tmp_path / "out")
-        assert sorted(t for t, _ in builds) == [2, 3]
-        assert len(set(builds)) == 2
+        info = empty_cache.cache_info()
+        assert info.misses == 2 and info.hits == 2
+
+    def test_a_sweep_past_the_cache_bound_draws_each_codebook_once(self, tmp_path, empty_cache):
+        # 72 cells, more than the cache holds: every scheme of a cell runs
+        # before the next cell's codebook is drawn
+        grid = [round(0.01 * k, 2) for k in range(5, 77)]
+        path = tmp_path / "scenario.yaml"
+        path.write_text(
+            "kind: ber_vs_distance\n"
+            "schemes: [onoff, waterfill_partial, maxpower]\n"
+            "m_grid: [1]\n"
+            f"r_grid: {grid}\n"
+            "network_power_db: 10.0\n"
+            "frames: 1000\n"
+            "network: {}\n"
+        )
+        run_experiment(load_spec(path), tmp_path / "out")
+        info = empty_cache.cache_info()
+        assert info.misses == len(grid) and info.hits == 2 * len(grid)
 
     def test_lambda_min_is_lazy(self, monkeypatch, empty_cache):
         calls = []

@@ -111,7 +111,7 @@ class TestLoadSpec:
         assert spec.name == "bler_vs_snr"
         assert spec.seed == 0
         assert spec.N0 == 1.0
-        assert spec.T == 2  # defaults to M
+        assert spec.M == 2 and not hasattr(spec, "T")  # the block length is M
         assert spec.gamma_h == 1.0 and spec.gamma_g == 1.0
 
     def test_saddle_defaults(self, tmp_path):
@@ -240,13 +240,38 @@ network:
         assert msg.endswith("scenario.yaml:2: m_grid entries must be below 1025")
         load_spec(_write(tmp_path, text.replace("1" + "0" * 30, "1024")))
 
-    @pytest.mark.parametrize("kind", ["convergence", "power_ratio_vs_distance", "asymptotic_study"])
+    @pytest.mark.parametrize("kind", ["power_ratio_vs_distance", "asymptotic_study"])
     def test_trials_times_largest_m_capped(self, tmp_path, kind):
         text = re.sub(r"m_grid: \[.*\]", "m_grid: [1, 64]", MINIMAL[kind])
         trials = MAX_TRIAL_ENTRIES // 64
         assert load_spec(_write(tmp_path, re.sub(r"trials: \d+", f"trials: {trials}", text))).trials == trials
         msg = self._err(tmp_path, re.sub(r"trials: \d+", f"trials: {trials + 1}", text))
         assert f"trials x largest M must be at most {MAX_TRIAL_ENTRIES}" in msg
+
+    @pytest.mark.parametrize("iterations,trajectory", [(6, 14), (100, 202)])
+    def test_convergence_bound_counts_the_trajectory(self, tmp_path, iterations, trajectory):
+        # ceil((iterations + 1) (64 + 16) / 40) entries per trial at M = 64
+        text = (re.sub(r"m_grid: \[.*\]", "m_grid: [1, 64]", MINIMAL["convergence"])
+                .replace("iterations: 6", f"iterations: {iterations}"))
+        trials = MAX_TRIAL_ENTRIES // (64 + trajectory)
+        assert load_spec(_write(tmp_path, re.sub(r"trials: \d+", f"trials: {trials}", text))).trials == trials
+        msg = self._err(tmp_path, re.sub(r"trials: \d+", f"trials: {trials + 1}", text))
+        assert msg.endswith(f"scenario.yaml:3: trials x (largest M + {trajectory} trajectory entries) "
+                            f"must be at most {MAX_TRIAL_ENTRIES}")
+
+    def test_iterations_capped_at_the_solver_bound(self, tmp_path, capsys):
+        assert load_spec(_write(tmp_path, MINIMAL["convergence"].replace("iterations: 6", "iterations: 100")))
+        path = _write(tmp_path, MINIMAL["convergence"].replace("iterations: 6", "iterations: 1000000000"))
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert f"{path}:4: iterations must be at most 100" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_network_t_rejected_at_its_line(self, tmp_path, capsys):
+        # the block length is M: one dispersion matrix per relay
+        path = _write(tmp_path, MINIMAL["bler_vs_snr"].replace("  M: 2\n", "  M: 2\n  T: 3\n"))
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert f"{path}:7: T is M, one dispersion matrix per relay; remove it" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_saddle_trials_capped(self, tmp_path):
         text = MINIMAL["saddle_study"].replace("trials: 10000", f"trials: {MAX_TRIAL_ENTRIES + 1}")
@@ -364,9 +389,27 @@ class TestExtremePowers:
                           dtype=np.float64)
         assert values.shape == (4, 9) and np.all(np.isfinite(values))
 
+    @pytest.mark.filterwarnings("error")
+    def test_saddle_study_with_underflowing_kernels_reports_infinite_error(self, tmp_path):
+        # at eta = 1e6 every sampled kernel of M = 2 underflows to 0
+        text = MINIMAL["saddle_study"].replace("instances: 2", "instances: 2\neta: 1.0e+6")
+        (csv,) = [p for p in run_experiment(load_spec(_write(tmp_path, text)), tmp_path / "out")
+                  if p.suffix == ".csv"]
+        assert csv.read_text().splitlines()[1].endswith(",inf,inf")
+
 
 class TestDerivedValues:
-    """A value whose linear power or variance leaves the normal floats is rejected at its line."""
+    """A value whose linear power or variance leaves LINEAR_RANGE is rejected at its line."""
+
+    @pytest.mark.parametrize("site,bad", [("N0", "1.0e+51"), ("p_s", "1.0e-51"), ("p_r", "0.0"),
+                                          ("eta", "1.0e+300"), ("gamma_h", "5.0e-324"), ("gamma_g", "1.0e+60")])
+    def test_given_value_outside_the_range_rejected_at_its_line(self, tmp_path, site, bad):
+        text = FLOAT_SITES[site].replace("BAD", bad)
+        line = next(i for i, row in enumerate(text.splitlines(), 1) if bad in row)
+        key = {"eta": "eta", "gamma_g": "network.gamma_g[1]"}.get(site, f"network.{site}")
+        with pytest.raises(SpecError, match=rf"scenario\.yaml:{line}: {re.escape(key)}: \S+ outside "
+                                            rf"\[1e-50, 1e\+50\]$"):
+            load_spec(_write(tmp_path, text))
 
     @pytest.mark.parametrize("kind,old,new", [
         ("bler_vs_snr", "[8.0, 12.0]", "[8.0, 4000.0]"),
@@ -376,18 +419,24 @@ class TestDerivedValues:
         ("ber_vs_distance", "[0.3, 0.7]", "[1.0e-200, 0.7]"),
         ("asymptotic_study", "[0.1, 0.9]", "[1.0e-160, 0.9]"),
         ("power_ratio_vs_distance", "[0.2, 0.8]", "[1.0e-160, 0.8]"),
-        # N0 10^9 overflows at N0 = 1e300 (PyYAML needs the exponent sign)
+        # N0 10^12 leaves the range at N0 = 1e40 (PyYAML needs the exponent sign)
         ("bler_vs_snr", "[8.0, 12.0]\nframes: 1000\nnetwork:\n  M: 2\n",
-         "[8.0, 90.0]\nframes: 1000\nnetwork:\n  M: 2\n  N0: 1.0e+300\n"),
+         "[8.0, 120.0]\nframes: 1000\nnetwork:\n  M: 2\n  N0: 1.0e+40\n"),
+        # a normal network power whose share overflowed p_s |h|^2 in the caps
+        ("ber_vs_network_power", "[14.0, 18.0]", "[14.0, 3080.0]"),
+        ("asymptotic_study", "network_power_db: 15.0", "network_power_db: 3080.0"),
+        # a share below the range: 3 dB at N0 = 1e-50 is 2e-50, split over M + 1 = 3
+        ("ber_vs_network_power", "[14.0, 18.0]\nframes: 1000\nnetwork: {}",
+         "[3.0]\nframes: 1000\nnetwork: {N0: 1.0e-50}"),
     ], ids=["snr_4000", "snr_-4000", "network_power_4000", "r_1e-200", "r_1e-200_ber", "r_1e-160",
-            "r_1e-160_power_ratio", "large_N0"])
+            "r_1e-160_power_ratio", "large_N0", "snr_3080", "network_power_3080", "small_share"])
     def test_cli_exits_two_at_the_line(self, tmp_path, capsys, kind, old, new):
         text = MINIMAL[kind].replace(old, new)
         assert text != MINIMAL[kind]
         line = next(i for i, row in enumerate(text.splitlines(), 1) if new.splitlines()[0] in row)
         path = _write(tmp_path, text)
         assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
-        assert re.search(rf"^error: {re.escape(str(path))}:{line}: .* outside the positive normal floats$",
+        assert re.search(rf"^error: {re.escape(str(path))}:{line}: .* outside \[1e-50, 1e\+50\]$",
                          capsys.readouterr().err, re.M)
         assert not (tmp_path / "out").exists()
 

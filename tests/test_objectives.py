@@ -343,6 +343,19 @@ class TestSaddlePointError:
         assert r.rel_error_stderr == pytest.approx(
             r.mc_stderr * r.bound / r.mc_estimate**2, rel=1e-15)
 
+    @pytest.mark.parametrize("eta, estimate", [(15350.0, "stderr_squared_overflows"),
+                                               (2e4, "squared_underflows"), (1e9, "zero")])
+    def test_unresolved_estimate_has_infinite_error(self, eta, estimate):
+        # so large an eta leaves the Monte Carlo estimate, at seed 0, too small
+        # for the delta method's error (its square overflows, or the estimate's
+        # square underflows to 0) or 0 outright, when every kernel underflows
+        r = saddle_point_error(np.ones(2), np.ones(2), np.ones(2), eta=eta, trials=10_000, seed=0)
+        square = r.mc_estimate**2
+        assert {"stderr_squared_overflows": square > 0.0 and r.mc_stderr * r.bound / square > 1.35e154,
+                "squared_underflows": square == 0.0 < r.mc_estimate, "zero": r.mc_estimate == 0.0}[estimate]
+        assert r.rel_error_stderr == math.inf
+        assert r.rel_error == (math.inf if r.mc_estimate == 0.0 else abs(r.mc_estimate - r.bound) / r.mc_estimate)
+
     def test_trials_floor(self):
         with pytest.raises(ValueError, match="10000"):
             saddle_point_error(np.ones(2), np.ones(2), np.ones(2),

@@ -2,8 +2,12 @@
 adding or removing one shows up in a diff."""
 
 import dataclasses
+import inspect
+
+import pytest
 
 import relaypower
+from relaypower import codebook, model, onoff, sim, waterfill
 from relaypower.experiments import ExperimentSpec
 
 PUBLIC_NAMES = [
@@ -53,7 +57,7 @@ PUBLIC_NAMES = [
 NETWORK_CONFIG_FIELDS = ["M", "T", "p_s", "p_r", "N0", "gamma_h", "gamma_g", "csit_mode"]
 
 EXPERIMENT_SPEC_FIELDS = [
-    "kind", "name", "seed", "M", "T", "p_s", "p_r", "N0", "gamma_h", "gamma_g",
+    "kind", "name", "seed", "M", "p_s", "p_r", "N0", "gamma_h", "gamma_g",
     "schemes", "snr_db", "r_grid", "m_grid", "network_power_db",
     "frames", "trials", "instances", "eta", "iterations",
 ]
@@ -71,3 +75,24 @@ def test_every_public_name_resolves():
 def test_configuration_fields_are_pinned():
     assert [f.name for f in dataclasses.fields(relaypower.NetworkConfig)] == NETWORK_CONFIG_FIELDS
     assert [f.name for f in dataclasses.fields(ExperimentSpec)] == EXPERIMENT_SPEC_FIELDS
+
+
+# perfbench/spans.py wraps plain functions only, and reads these arguments of
+# each call by name; a wrapper or a renamed argument would silently zero the
+# per-layer metrics built from them
+TRACED_ARGUMENTS = [
+    (codebook, "generate_codebook", ["T", "seed"]),
+    (sim, "run_monte_carlo", ["cfg", "scheme", "frames"]),
+    (model, "sample_channel_batch", ["cfg", "n"]),
+    (onoff, "solve_onoff_batch", ["alpha"]),
+    (waterfill, "solve_waterfill_batch", ["caps"]),
+]
+
+
+@pytest.mark.parametrize("module,name,arguments", TRACED_ARGUMENTS,
+                         ids=[f"{m.__name__}.{n}" for m, n, _ in TRACED_ARGUMENTS])
+def test_traced_functions_keep_their_argument_names(module, name, arguments):
+    fn = getattr(module, name)
+    assert inspect.isfunction(fn)
+    parameters = inspect.signature(fn).parameters
+    assert [a for a in arguments if a not in parameters] == []

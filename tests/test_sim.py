@@ -494,9 +494,9 @@ class TestEffectiveRelayCount:
             effective_relay_count(cfg, Scheme.ONOFF, [1.0], 10, seed=0)
         with pytest.raises(ValueError, match="trials"):
             effective_relay_count(cfg, Scheme.ONOFF, [0.5], 0, seed=0)
-        # 1/r^2 divides by zero, or overflows
-        for r in (1.0e-200, 1.0e-160):
-            with pytest.raises(ValueError, match="variance outside the positive normal floats"):
+        # 1/r^2 divides by zero, overflows, or leaves LINEAR_RANGE
+        for r in (1.0e-200, 1.0e-160, 1.0e-30):
+            with pytest.raises(ValueError, match=r"variance outside \[1e-50, 1e\+50\]"):
                 effective_relay_count(cfg, Scheme.ONOFF, [r, 0.5], 10, seed=0)
 
     def test_max_power_scores_m_everywhere(self):

@@ -10,6 +10,7 @@ byte.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 import os
@@ -29,15 +30,14 @@ from .sim import (
     MIN_FRAMES,
     Scheme,
     SimResult,
-    _allocate_batch,
     _db_power,
     _distance_variances,
     _in_linear_range,
     _map_jobs,
-    _mean_cap_fraction,
     _node_power,
-    effective_relay_count,
+    _relay_counts,
     run_monte_carlo,
+    scheme_label,
 )
 
 
@@ -437,7 +437,7 @@ def _scheme_config(spec: ExperimentSpec, token: str, m: int,
                    p_s: float, p_r: float) -> tuple[NetworkConfig, Scheme]:
     """Network of m relays under token's scheme and CSIT mode; the block length T is m."""
     scheme, mode = SCHEME_NAMES[token]
-    cfg = NetworkConfig(M=m, T=m, p_s=p_s, p_r=p_r, N0=spec.N0,
+    cfg = NetworkConfig(M=m, p_s=p_s, p_r=p_r, N0=spec.N0,
                         gamma_h=gamma_h, gamma_g=gamma_g, csit_mode=mode)
     return cfg, scheme
 
@@ -447,11 +447,14 @@ def _fmt(value) -> str:
 
 
 class _OutputSet:
-    """Collects files written by one run so failures can clean up."""
+    """Makes out_dir and collects the files written by one run, so failures can clean up."""
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
         self.paths: list[Path] = []
+        # the directories this run creates, deepest first
+        self.created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+        out_dir.mkdir(parents=True, exist_ok=True)
 
     def write(self, name: str, header: str, rows: list[str]) -> Path:
         return self.write_text(name, "\n".join([header, *rows]) + "\n")
@@ -465,6 +468,9 @@ class _OutputSet:
     def discard_all(self) -> None:
         for path in self.paths:
             path.unlink(missing_ok=True)
+        for directory in self.created:
+            with contextlib.suppress(OSError):  # rmdir refuses a directory that holds anything
+                directory.rmdir()
 
 
 def run_experiment(spec: ExperimentSpec, out_dir, *, seed: int | None = None,
@@ -472,10 +478,9 @@ def run_experiment(spec: ExperimentSpec, out_dir, *, seed: int | None = None,
     """Run one scenario, writing CSVs plus a plot script into out_dir.
 
     Returns the written paths. On any failure every file written so far is
-    removed, so an output directory never holds a partial run.
+    removed, and so is every directory the run created, so an output
+    directory never holds a partial run.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     seed = spec.seed if seed is None else seed
     frames = spec.frames
     if frames_override is not None:
@@ -488,7 +493,7 @@ def run_experiment(spec: ExperimentSpec, out_dir, *, seed: int | None = None,
         raise SpecError("--shards must be at least 1")
 
     runner = _RUNNERS[spec.kind]
-    outputs = _OutputSet(out_dir)
+    outputs = _OutputSet(Path(out_dir))
     start = time.perf_counter()
     try:
         csv_paths = runner(spec, outputs, seed, shards, frames)
@@ -580,80 +585,47 @@ def _run_link_sweep(spec, outputs, shards, frames, x_name, cells):
     return [outputs.write(f"{spec.name}_{token}.csv", header, rows[token]) for token in spec.schemes]
 
 
+def _cell_counts(spec, stream, wanted) -> list:
+    """(m, r, wanted relay counts) of each (M, r) cell in grid order, cell (mi, ri) drawn from stream(mi, ri).
+
+    The network power is split evenly over the source and the m relays.
+    Every cell has its own stream and numpy releases the GIL in the heavy
+    loops, so cells run one per core. The workers' draw buffers together
+    hold at most MAX_TRIAL_ENTRIES entries.
+    """
+    def counts(cell, buffers):
+        mi, m, ri, r = cell
+        p = _node_power(spec.N0, spec.network_power_db, m)
+        cfg, _ = _scheme_config(spec, "waterfill_partial", m, *(np.full(m, x) for x in _distance_variances(r)), p, p)
+        return m, r, _relay_counts(cfg, spec.trials, stream(mi, ri), buffers, wanted)
+
+    cells = [(mi, m, ri, r) for mi, m in enumerate(spec.m_grid) for ri, r in enumerate(spec.r_grid)]
+    entries = spec.trials * max(spec.m_grid)
+    return _map_jobs(counts, cells, lambda: ChannelBuffers(entries), max(1, MAX_TRIAL_ENTRIES // entries))
+
+
 def _run_power_ratio(spec, outputs, seed, shards, frames):
     header = "scheme,M,r,trials,effective_relay_count"
-    paths = []
-    for token in spec.schemes:
-        rows = []
-        for mi, m in enumerate(spec.m_grid):
-            p = _node_power(spec.N0, spec.network_power_db, m)
-            cfg, scheme = _scheme_config(spec, token, m, np.ones(m), np.ones(m), p, p)
-            counts = effective_relay_count(
-                cfg, scheme, spec.r_grid, spec.trials, derive_seed(seed, STREAM_MISC, mi)
-            )
-            for r, count in zip(spec.r_grid, counts):
-                rows.append(f"{token},{m},{_fmt(r)},{spec.trials},{_fmt(count)}")
-        paths.append(outputs.write(f"{spec.name}_{token}.csv", header, rows))
-    return paths
-
-
-# Entries per row block of an asymptotic cell: a float64 (rows, M) temporary
-# stays under 64 KB, and the blocks reuse heap memory. With 12 000 entries
-# (96 KB temporaries) glibc trimmed and refaulted the worker heaps on some
-# runs: an asym_m32 run took 4 k to 47 k minor faults on a 2-vCPU host,
-# against a steady 4 k at 8000
-_BLOCK_ENTRIES = 8000
+    labels = {token: scheme_label(*SCHEME_NAMES[token]) for token in spec.schemes}
+    cells = _cell_counts(spec, lambda mi, ri: derive_rng(derive_seed(seed, STREAM_MISC, mi), STREAM_CHANNELS, ri),
+                         labels.values())
+    return [outputs.write(f"{spec.name}_{token}.csv", header,
+                          [f"{token},{m},{_fmt(r)},{spec.trials},{_fmt(counts[label])}" for m, r, counts in cells])
+            for token, label in labels.items()]
 
 
 def _run_asymptotic(spec, outputs, seed, shards, frames):
-    header = (
-        "M,r,trials,count_onoff,count_waterfill_partial,count_waterfill_statistical,"
-        "count_maxpower,equality_fraction,max_water_level_spread"
-    )
-    cells = [(mi, m, ri, r) for mi, m in enumerate(spec.m_grid) for ri, r in enumerate(spec.r_grid)]
-    # every cell draws from its own stream and numpy releases the GIL in the
-    # heavy loops, so cells run one per core; rows still come out in grid order.
-    # The workers' draw buffers together hold at most MAX_TRIAL_ENTRIES entries
-    entries = spec.trials * max(spec.m_grid)
-    rows = _map_jobs(lambda cell, buffers: _asymptotic_row(spec, seed, *cell, buffers), cells,
-                     lambda: ChannelBuffers(entries), max(1, MAX_TRIAL_ENTRIES // entries))
-    return [outputs.write(f"{spec.name}.csv", header, rows)]
-
-
-def _asymptotic_row(spec, seed, mi, m, ri, r, buffers) -> str:
-    """CSV row of cell (m, r), drawn from channel stream (seed, mi, ri) into buffers."""
-    n = spec.trials
-    p = _node_power(spec.N0, spec.network_power_db, m)
-    gamma_h, gamma_g = (np.full(m, x) for x in _distance_variances(r))
-    cfg, _ = _scheme_config(spec, "onoff", m, gamma_h, gamma_g, p, p)
-    cfg_wf, _ = _scheme_config(spec, "waterfill_partial", m, gamma_h, gamma_g, p, p)
-    cfg_st, _ = _scheme_config(spec, "waterfill_statistical", m, gamma_h, gamma_g, p, p)
-    h, g = sample_channel_batch(cfg, n, derive_rng(seed, STREAM_CHANNELS, mi, ri), buffers)
-    # per-row statistics, block by block (both allocators treat rows
-    # independently); each mean then sums the full column as one array
-    count_on = np.empty(n)
-    count_wf = np.empty(n)
-    equal = np.empty(n, dtype=bool)
-    step = max(1, _BLOCK_ENTRIES // m)
-    for lo in range(0, n, step):
-        rows = slice(lo, lo + step)
-        h2 = np.abs(h[rows]) ** 2
-        caps = _batch_caps(cfg, h2, p, p)
-        p_on = _allocate_batch(cfg, Scheme.ONOFF, h2, g[rows], caps)
-        p_wf = _allocate_batch(cfg_wf, Scheme.WATERFILL, h2, g[rows], caps)
-        count_on[rows] = np.count_nonzero(p_on, axis=1)
-        np.sum(p_wf / caps, axis=1, out=count_wf[rows])
-        np.all(p_wf == p_on, axis=1, out=equal[rows])
-    count_st = _mean_cap_fraction(cfg_st, Scheme.WATERFILL, p, p, n, seed, mi, ri)
+    header = ("M,r,trials,count_onoff,count_waterfill_partial,count_waterfill_statistical,"
+              "count_maxpower,equality_fraction,max_water_level_spread")
+    labels = ("onoff", "waterfill_partial", "waterfill_statistical", "max_power", "equal")  # the count columns
+    cells = _cell_counts(spec, lambda mi, ri: derive_rng(seed, STREAM_CHANNELS, mi, ri), labels)
     # The spread of p_i gamma_gi over the uncapped relays is exactly 0: every
     # relay has the same gamma_g, so every uncapped one gets the same float
     # p = fl(mu / gamma_g) and the same product fl(p gamma_g); a row with no
-    # uncapped relay has no spread. So the column is written, not computed.
-    spread = 0.0
-    return (
-        f"{m},{_fmt(r)},{n},{_fmt(float(np.mean(count_on)))},{_fmt(float(np.mean(count_wf)))},"
-        f"{_fmt(count_st)},{_fmt(float(m))},{_fmt(float(np.mean(equal)))},{_fmt(spread)}"
-    )
+    # uncapped relay has no spread. So the column is written as 0, not computed.
+    rows = [f"{m},{_fmt(r)},{spec.trials},{','.join(_fmt(counts[label]) for label in labels)},{_fmt(0.0)}"
+            for m, r, counts in cells]
+    return [outputs.write(f"{spec.name}.csv", header, rows)]
 
 
 def _run_saddle(spec, outputs, seed, shards, frames):

@@ -2,10 +2,10 @@
 
 The network has one source, M single-antenna relays and one destination,
 with no direct source-destination link. A transmission block spans 2T
-channel uses: T for the source broadcast, T for the relay retransmission.
-Relay i scales its received block by a gain q_i = sqrt(p_i) and applies a
-fixed unitary dispersion matrix; p_i is bounded by an amplifier cap that
-depends on the power-constraint regime.
+channel uses, T = M: T for the source broadcast, T for the relay
+retransmission. Relay i scales its received block by a gain q_i = sqrt(p_i)
+and applies a fixed unitary dispersion matrix; p_i is bounded by an
+amplifier cap that depends on the power-constraint regime.
 """
 
 from __future__ import annotations
@@ -97,8 +97,8 @@ class NetworkConfig:
     """Static description of the relay network and its power budget.
 
     Args:
-        M: number of relays.
-        T: source block length in channel uses (codeword symbols per block).
+        M: number of relays, and the source block length in channel uses
+            (one dispersion matrix per relay).
         p_s: source transmit power per symbol, linear units.
         p_r: relay power budget per symbol, linear units.
         N0: noise power per complex dimension at relays and destination.
@@ -109,7 +109,6 @@ class NetworkConfig:
     """
 
     M: int
-    T: int
     p_s: float
     p_r: float
     N0: float
@@ -120,8 +119,6 @@ class NetworkConfig:
     def __post_init__(self):
         if self.M < 1:
             raise ValueError("M must be at least 1")
-        if self.T < 1:
-            raise ValueError("T must be at least 1")
         for name in ("p_s", "p_r", "N0"):
             _finite_scalar(getattr(self, name), name)
         object.__setattr__(self, "gamma_h", _positive_vector(self.gamma_h, self.M, "gamma_h"))

@@ -179,12 +179,10 @@ def _batch_size(t: int) -> int:
     return min(4096, max(64, 2**21 // (2**t * t)))
 
 
-def _check_compat(cfg: NetworkConfig, scheme: Scheme, *, require_codebook: bool = True) -> None:
+def _check_compat(cfg: NetworkConfig, scheme: Scheme) -> None:
     if cfg.csit_mode not in _SCHEME_MODES[scheme]:
         allowed = ", ".join(m.value for m in _SCHEME_MODES[scheme])
         raise ValueError(f"scheme {scheme.value!r} requires csit_mode in ({allowed})")
-    if require_codebook and scheme is not Scheme.DIRECT_LINK and cfg.T != cfg.M:
-        raise ValueError("relay simulation requires T == M (one dispersion matrix per relay)")
 
 
 def _point_powers(cfg: NetworkConfig, snr_db: float, network_power_sweep: bool):
@@ -258,22 +256,53 @@ def _allocate_batch(
     return solve_waterfill_batch(cfg.gamma_g, caps)
 
 
-def _mean_cap_fraction(
-    cfg: NetworkConfig, scheme: Scheme, p_s: float, p_r: float, trials: int, seed: int, *key: int
-) -> float:
-    """E[sum_i p_i / P_i] of one scheme over `trials` draws from channel stream (seed, *key).
+# Entries per row block of a _relay_counts draw: a float64 (rows, M) temporary
+# stays under 64 KB, and the blocks reuse heap memory. With 12 000 entries
+# (96 KB temporaries) glibc trimmed and refaulted the worker heaps on some
+# runs: an asym_m32 run took 4 k to 47 k minor faults on a 2-vCPU host,
+# against a steady 4 k at 8000
+_BLOCK_ENTRIES = 8000
 
-    Statistical CSIT allocates from the variances alone, so it draws
-    nothing and scores its one allocation.
+# The _relay_counts labels read from its channel draw; "equal" is the
+# fraction of rows on which on-off and partial waterfilling allocate alike
+_DRAWN_COUNTS = ("onoff", "waterfill_partial", "equal")
+
+
+def _relay_counts(cfg: NetworkConfig, n: int, rng: np.random.Generator, buffers: ChannelBuffers | None,
+                  wanted) -> dict[str, float]:
+    """E[sum_i p_i / P_i] over n trials of cfg per scheme label, and "equal".
+
+    Max power spends every cap, so it scores M exactly, and statistical
+    waterfilling allocates from the variances alone: neither draws. The
+    wanted labels of _DRAWN_COUNTS come from one draw of n rows from rng
+    into buffers, under short-term caps (cfg's CSIT mode must be perfect
+    or partial); with none wanted nothing is drawn. Both allocators treat
+    rows independently, so they work in row blocks; each mean then sums
+    its full column as one array.
     """
-    if cfg.csit_mode is CsitMode.STATISTICAL:
-        # long-term caps read only the shape of the first-hop gains
-        h2, g = cfg.gamma_h[None], None
-    else:
-        h, g = sample_channel_batch(cfg, trials, derive_rng(seed, STREAM_CHANNELS, *key))
-        h2 = np.abs(h) ** 2
-    caps = _batch_caps(cfg, h2, p_s, p_r)
-    return float(np.mean(np.sum(_allocate_batch(cfg, scheme, h2, g, caps) / caps, axis=1)))
+    stat = dataclasses.replace(cfg, csit_mode=CsitMode.STATISTICAL)
+    # one row of long-term caps, which read only the variances
+    caps = _batch_caps(stat, cfg.gamma_h[None], cfg.p_s, cfg.p_r)
+    counts = {"max_power": float(cfg.M), "waterfill_statistical": float(np.mean(np.sum(
+        _allocate_batch(stat, Scheme.WATERFILL, None, None, caps) / caps, axis=1)))}
+    drawn = [label for label in _DRAWN_COUNTS if label in wanted]
+    if not drawn:
+        return counts
+    columns = np.empty((len(drawn), n))
+    h, g = sample_channel_batch(cfg, n, rng, buffers)
+    step = max(1, _BLOCK_ENTRIES // cfg.M)
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        h2 = np.abs(h[rows]) ** 2
+        caps = _batch_caps(cfg, h2, cfg.p_s, cfg.p_r)
+        # "equal" reads both allocations, each other label one
+        p_on = _allocate_batch(cfg, Scheme.ONOFF, h2, g[rows], caps) if drawn != ["waterfill_partial"] else None
+        p_wf = _allocate_batch(cfg, Scheme.WATERFILL, h2, g[rows], caps) if drawn != ["onoff"] else None
+        for label, column in zip(drawn, columns):
+            column[rows] = (np.count_nonzero(p_on, axis=1) if label == "onoff"
+                            else np.sum(p_wf / caps, axis=1) if label == "waterfill_partial"
+                            else np.all(p_wf == p_on, axis=1))
+    return counts | {label: float(np.mean(column)) for label, column in zip(drawn, columns)}
 
 
 @dataclass(frozen=True)
@@ -469,10 +498,10 @@ def run_monte_carlo(
         code = None
         tables = None
     else:
-        code = generate_codebook(cfg.T, seed)
-        tables = _DecodeTables.for_block(cfg.T)
+        code = generate_codebook(cfg.M, seed)
+        tables = _DecodeTables.for_block(cfg.M)
 
-    batch = _batch_size(cfg.T)
+    batch = _batch_size(cfg.M)
     n_batches = -(-frames // batch)
     powers = [_point_powers(cfg, float(snr), network_power_sweep) for snr in grid]
     jobs = [(pi, bi) for pi in range(grid.shape[0])
@@ -484,11 +513,11 @@ def run_monte_carlo(
         rng = derive_rng(seed, STREAM_FRAMES, pi, bi)
         p_s, p_r, net_power = powers[pi]
         if direct:
-            return _direct_batch_tallies(cfg.T, net_power, cfg.N0, n, rng)
+            return _direct_batch_tallies(cfg.M, net_power, cfg.N0, n, rng)
         return _relay_batch_tallies(cfg, scheme, code, tables, p_s, p_r, n, rng, ws)
 
-    workspace = (lambda: None) if direct else (lambda: _BatchWorkspace(min(batch, frames), cfg.M, cfg.T))
-    results = _map_jobs(tallies, jobs, workspace, len(jobs) if cfg.T <= _POOL_MAX_BLOCK else 1)
+    workspace = (lambda: None) if direct else (lambda: _BatchWorkspace(min(batch, frames), cfg.M, cfg.M))
+    results = _map_jobs(tallies, jobs, workspace, len(jobs) if cfg.M <= _POOL_MAX_BLOCK else 1)
     block_errors = np.zeros(grid.shape[0], dtype=np.int64)
     bit_errors = np.zeros(grid.shape[0], dtype=np.int64)
     for (pi, _), (blk, bits) in zip(jobs, results):
@@ -498,7 +527,7 @@ def run_monte_carlo(
     return SimResult(
         scheme=scheme_label(scheme, cfg.csit_mode),
         seed=seed,
-        block_bits=cfg.T,
+        block_bits=cfg.M,
         snr_db=grid,
         frames=np.full(grid.shape[0], frames, dtype=np.int64),
         block_errors=block_errors,
@@ -557,6 +586,7 @@ def effective_relay_count(cfg: NetworkConfig, scheme: Scheme, r_grid, trials: in
     Distance r maps to variances gamma_h = 1/r^2 and gamma_g = 1/(1-r)^2,
     which must be positive normal floats; cfg supplies everything else.
     Max power scores exactly M, on-off the mean number of active relays.
+    Distance ri draws from channel stream (seed, ri).
     """
     if scheme is Scheme.DIRECT_LINK:
         raise ValueError("effective relay count is undefined for the direct link")
@@ -565,11 +595,11 @@ def effective_relay_count(cfg: NetworkConfig, scheme: Scheme, r_grid, trials: in
     grid = np.atleast_1d(np.asarray(r_grid, dtype=np.float64))
     if np.any(grid <= 0.0) or np.any(grid >= 1.0):
         raise ValueError("relay distances must lie strictly inside (0, 1)")
-    _check_compat(cfg, scheme, require_codebook=False)
+    _check_compat(cfg, scheme)
     gammas = [_distance_variances(r) for r in grid.tolist()]
-
+    label = scheme_label(scheme, cfg.csit_mode)
     counts = np.empty(grid.shape[0])
     for ri, (gamma_h, gamma_g) in enumerate(gammas):
         cfg_r = dataclasses.replace(cfg, gamma_h=np.full(cfg.M, gamma_h), gamma_g=np.full(cfg.M, gamma_g))
-        counts[ri] = _mean_cap_fraction(cfg_r, scheme, cfg.p_s, cfg.p_r, trials, seed, ri)
+        counts[ri] = _relay_counts(cfg_r, trials, derive_rng(seed, STREAM_CHANNELS, ri), None, [label])[label]
     return counts

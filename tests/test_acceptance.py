@@ -192,7 +192,7 @@ def test_criterion_05_mean_objective_after_two_iterations():
 
 def test_criterion_06_diversity_ordering():
     start = time.perf_counter()
-    cfg = NetworkConfig(M=2, T=2, p_s=10.0, p_r=10.0, N0=1.0,
+    cfg = NetworkConfig(M=2, p_s=10.0, p_r=10.0, N0=1.0,
                         gamma_h=np.ones(2), gamma_g=np.ones(2))
     snr = np.arange(14.0, 25.0, 2.0)
     frames = 400_000
@@ -218,7 +218,7 @@ def test_criterion_06_diversity_ordering():
 def _distance_cfg(m, mode):
     P = 10.0 ** 1.5  # 15 dB over N0 = 1
     p = P / (m + 1)
-    return NetworkConfig(M=m, T=m, p_s=p, p_r=p, N0=1.0,
+    return NetworkConfig(M=m, p_s=p, p_r=p, N0=1.0,
                          gamma_h=np.ones(m), gamma_g=np.ones(m),
                          csit_mode=mode)
 
@@ -381,7 +381,7 @@ def test_criterion_09_numerical_kernels():
         checked += 1
 
     code = generate_codebook(2, seed=9)
-    cfg = NetworkConfig(M=2, T=2, p_s=10.0, p_r=10.0, N0=1.0,
+    cfg = NetworkConfig(M=2, p_s=10.0, p_r=10.0, N0=1.0,
                         gamma_h=np.ones(2), gamma_g=np.ones(2))
     chan = sample_channels(cfg, 9)
     caps = amplifier_caps(cfg, chan.h)

@@ -12,6 +12,7 @@ from relaypower import experiments, sim
 from relaypower.cli import main
 from relaypower.experiments import (
     MAX_TRIAL_ENTRIES,
+    SCHEME_NAMES,
     ExperimentKind,
     SpecError,
     emit_plot_script,
@@ -19,8 +20,8 @@ from relaypower.experiments import (
     run_experiment,
 )
 from relaypower.model import CsitMode, NetworkConfig, _batch_caps, sample_channel_batch
-from relaypower.rng import STREAM_CHANNELS, derive_rng
-from relaypower.sim import Scheme, _allocate_batch, _mean_cap_fraction
+from relaypower.rng import STREAM_CHANNELS, STREAM_MISC, derive_rng, derive_seed
+from relaypower.sim import Scheme, _allocate_batch
 
 MINIMAL = {
     "convergence": """\
@@ -483,7 +484,7 @@ class TestRunFailures:
         out = tmp_path / "out"
         with pytest.raises(ValueError):
             run_experiment(spec, out, seed=-1)  # rejected by the stream derivation
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
 ASYMPTOTIC = """\
@@ -495,32 +496,61 @@ trials: {trials}
 network: {{}}
 """
 
+POWER_RATIO = """\
+kind: power_ratio_vs_distance
+schemes: {schemes}
+m_grid: {m_grid}
+r_grid: [0.1, 0.6]
+network_power_db: 20.0
+trials: {trials}
+network: {{}}
+"""
+
+ALL_COUNTED = "[onoff, waterfill_partial, waterfill_statistical, maxpower]"
+
+# the two (M, r) kinds, each with its m_grid and trials left open
+RELAY_COUNT_KINDS = {
+    "asymptotic_study": ASYMPTOTIC,
+    "power_ratio_vs_distance": POWER_RATIO.replace("{schemes}", ALL_COUNTED),
+}
+
+
+def _cell_setup(spec, m, r, mode):
+    """(node power p, network of cell (m, r) under mode)."""
+    p = spec.N0 * 10.0 ** (spec.network_power_db / 10.0) / (m + 1)
+    gamma_h, gamma_g = np.full(m, 1.0 / r**2), np.full(m, 1.0 / (1.0 - r) ** 2)
+    return p, NetworkConfig(M=m, p_s=p, p_r=p, N0=spec.N0, gamma_h=gamma_h, gamma_g=gamma_g, csit_mode=mode)
+
+
+def _mean_count(cfg, scheme, h2, g, p):
+    """E[sum_i p_i / P_i] of one scheme over all rows of h2 and g in one pass."""
+    caps = _batch_caps(cfg, h2, p, p)
+    return float(np.mean(np.sum(_allocate_batch(cfg, scheme, h2, g, caps) / caps, axis=1)))
+
 
 def _asymptotic_rows(spec, seed):
     """Each cell's row from one full-batch pass, with the water-level spread computed."""
     rows = []
     for mi, m in enumerate(spec.m_grid):
-        p = spec.N0 * 10.0 ** (spec.network_power_db / 10.0) / (m + 1)
         for ri, r in enumerate(spec.r_grid):
-            gamma_h, gamma_g = np.full(m, 1.0 / r**2), np.full(m, 1.0 / (1.0 - r) ** 2)
-            cfg, cfg_wf, cfg_st = (
-                NetworkConfig(M=m, T=m, p_s=p, p_r=p, N0=spec.N0, gamma_h=gamma_h, gamma_g=gamma_g, csit_mode=mode)
-                for mode in (CsitMode.PERFECT, CsitMode.PARTIAL, CsitMode.STATISTICAL)
-            )
+            p, cfg = _cell_setup(spec, m, r, CsitMode.PERFECT)
+            _, cfg_wf = _cell_setup(spec, m, r, CsitMode.PARTIAL)
+            _, cfg_st = _cell_setup(spec, m, r, CsitMode.STATISTICAL)
             h, g = sample_channel_batch(cfg, spec.trials, derive_rng(seed, STREAM_CHANNELS, mi, ri))
             h2 = np.abs(h) ** 2
             caps = _batch_caps(cfg, h2, p, p)
             p_on = _allocate_batch(cfg, Scheme.ONOFF, h2, g, caps)
             p_wf = _allocate_batch(cfg_wf, Scheme.WATERFILL, h2, g, caps)
             # worst spread of p_i gamma_gi over uncapped relays; rows with none drop out
-            levels, free = p_wf * gamma_g, p_wf != caps
+            levels, free = p_wf * cfg.gamma_g, p_wf != caps
             spread = np.where(free, levels, -np.inf).max(axis=1) - np.where(free, levels, np.inf).min(axis=1)
             spread = spread[np.isfinite(spread)]
             assert spread.size > 0
             values = [
                 np.mean(np.count_nonzero(p_on, axis=1)),
                 np.mean(np.sum(p_wf / caps, axis=1)),
-                _mean_cap_fraction(cfg_st, Scheme.WATERFILL, p, p, spec.trials, seed, mi, ri),
+                # statistical waterfilling from the long-term caps alone, no draw
+                _mean_count(cfg_st, Scheme.WATERFILL, cfg.gamma_h[None], None, p),
                 float(m),
                 np.mean(np.all(p_wf == p_on, axis=1)),
                 spread.max(),
@@ -529,62 +559,114 @@ def _asymptotic_rows(spec, seed):
     return rows
 
 
-class TestAsymptoticCells:
-    """Cells run one per core in row blocks; neither may change a byte."""
+def _power_ratio_csvs(spec, seed):
+    """Each scheme's CSV with a full (trials, M) draw of its own per cell; statistical waterfilling draws none."""
+    csvs = {}
+    for token in spec.schemes:
+        scheme, mode = SCHEME_NAMES[token]
+        rows = ["scheme,M,r,trials,effective_relay_count"]
+        for mi, m in enumerate(spec.m_grid):
+            for ri, r in enumerate(spec.r_grid):
+                p, cfg = _cell_setup(spec, m, r, mode)
+                if mode is CsitMode.STATISTICAL:
+                    h2, g = cfg.gamma_h[None], None
+                else:
+                    rng = derive_rng(derive_seed(seed, STREAM_MISC, mi), STREAM_CHANNELS, ri)
+                    h, g = sample_channel_batch(cfg, spec.trials, rng)
+                    h2 = np.abs(h) ** 2
+                count = _mean_count(cfg, scheme, h2, g, p)
+                rows.append(f"{token},{m},{r:.17g},{spec.trials},{count:.17g}")
+        csvs[f"{spec.name}_{token}.csv"] = ("\n".join(rows) + "\n").encode()
+    return csvs
+
+
+class TestRelayCountCells:
+    """Both (M, r) kinds run their cells one per core in row blocks; neither may change a byte."""
 
     # not a multiple of the block rows at any of these M, and over one block at M = 1
-    TRIALS = experiments._BLOCK_ENTRIES + 1
+    TRIALS = sim._BLOCK_ENTRIES + 1
 
-    def _run(self, tmp_path, monkeypatch, m_grid, cores, seed=0):
+    def _run(self, tmp_path, monkeypatch, kind, m_grid, cores, seed=0, out=None):
         monkeypatch.setattr(sim, "_usable_cores", lambda: cores)
-        spec = load_spec(_write(tmp_path, ASYMPTOTIC.format(m_grid=m_grid, trials=self.TRIALS)))
-        out = tmp_path / f"out{cores}"
-        run_experiment(spec, out, seed=seed)
-        return spec, (out / "asymptotic_study.csv").read_bytes()
+        spec = load_spec(_write(tmp_path, RELAY_COUNT_KINDS[kind].format(m_grid=m_grid, trials=self.TRIALS)))
+        paths = run_experiment(spec, out or tmp_path / f"out{cores}", seed=seed)
+        return spec, {p.name: p.read_bytes() for p in paths if p.suffix == ".csv"}
 
-    def test_bytes_identical_for_any_core_count(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("kind", RELAY_COUNT_KINDS)
+    def test_bytes_identical_for_any_core_count(self, tmp_path, monkeypatch, capsys, kind):
         m_grid = [1, 2, 3, 32]
-        assert all(self.TRIALS % (experiments._BLOCK_ENTRIES // m) for m in m_grid)
-        _, one = self._run(tmp_path, monkeypatch, m_grid, 1)
+        assert all(self.TRIALS % (sim._BLOCK_ENTRIES // m) for m in m_grid)
+        _, one = self._run(tmp_path, monkeypatch, kind, m_grid, 1)
         # more workers than cores, switching threads as often as it can
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            _, four = self._run(tmp_path, monkeypatch, m_grid, 4)
+            _, four = self._run(tmp_path, monkeypatch, kind, m_grid, 4)
         finally:
             sys.setswitchinterval(interval)
+        assert len(one) == (1 if kind == "asymptotic_study" else 4)
         assert one == four
 
     def test_rows_match_one_full_batch_pass(self, tmp_path, monkeypatch, capsys):
-        spec, data = self._run(tmp_path, monkeypatch, [2, 8, 32], 2, seed=3)
-        rows = data.decode().splitlines()[1:]
+        spec, csvs = self._run(tmp_path, monkeypatch, "asymptotic_study", [2, 8, 32], 2, seed=3)
+        rows = csvs["asymptotic_study.csv"].decode().splitlines()[1:]
         # the water-level spread column is written as 0, and so was it computed
         assert rows == _asymptotic_rows(spec, 3)
         assert {row.rsplit(",", 1)[1] for row in rows} == {"0"}
 
+    def test_power_ratio_matches_one_full_draw_per_scheme(self, tmp_path, monkeypatch, capsys):
+        # the schemes now share each cell's one draw, worked in row blocks
+        spec, csvs = self._run(tmp_path, monkeypatch, "power_ratio_vs_distance", [1, 2, 3, 32], 2, seed=3)
+        assert csvs == _power_ratio_csvs(spec, 3)
+
+    @pytest.mark.parametrize("kind", RELAY_COUNT_KINDS)
     @pytest.mark.parametrize("cores,budget,workers", [(1, 10, 1), (64, 10, 8), (64, 3, 3), (64, 1, 1), (2, 10, 2)])
-    def test_pool_size(self, tmp_path, monkeypatch, capsys, cores, budget, workers):
+    def test_pool_size(self, tmp_path, monkeypatch, capsys, kind, cores, budget, workers):
         # one worker per core, at most one per cell, and draw buffers within
         # budget x one cell's; a single worker runs the cells without a pool
         sizes = []
         real_pool = concurrent.futures.ThreadPoolExecutor
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", lambda n: sizes.append(n) or real_pool(n))
         monkeypatch.setattr(experiments, "MAX_TRIAL_ENTRIES", budget * self.TRIALS * 32)
-        self._run(tmp_path, monkeypatch, [1, 2, 3, 32], cores)
+        self._run(tmp_path, monkeypatch, kind, [1, 2, 3, 32], cores)
         assert sizes == ([workers] if workers > 1 else [])
 
-    def test_failing_cell_reaches_the_caller_and_leaves_nothing(self, tmp_path, monkeypatch, capsys):
-        real = experiments._mean_cap_fraction
+    @pytest.mark.parametrize("kind", RELAY_COUNT_KINDS)
+    @pytest.mark.parametrize("out,before", [("out4", []), ("given", ["given"]), ("kept/new/deeper", ["kept"])])
+    def test_failing_cell_reaches_the_caller_and_leaves_nothing(self, tmp_path, monkeypatch, capsys, kind, out, before):
+        # the run removes the directories it made, and none that was there before
+        real = experiments._relay_counts
 
         def failing(cfg, *args):
             if cfg.M == 3:
                 raise ValueError("cell at M = 3 failed")
             return real(cfg, *args)
 
-        monkeypatch.setattr(experiments, "_mean_cap_fraction", failing)
+        for name in before:
+            (tmp_path / name).mkdir()
+        monkeypatch.setattr(experiments, "_relay_counts", failing)
         with pytest.raises(ValueError, match="cell at M = 3 failed"):
-            self._run(tmp_path, monkeypatch, [1, 2, 3, 32], 4)
-        assert list((tmp_path / "out4").iterdir()) == []
+            self._run(tmp_path, monkeypatch, kind, [1, 2, 3, 32], 4, out=tmp_path / out)
+        assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == sorted(["scenario.yaml", *before])
+
+
+class TestOneDrawPerCell:
+    """A power-ratio run draws each (M, r) cell's channels once for all its schemes."""
+
+    def _draws(self, tmp_path, monkeypatch, schemes):
+        sizes = []
+        real = sim.sample_channel_batch
+        monkeypatch.setattr(sim, "sample_channel_batch", lambda cfg, n, *args: sizes.append(n) or real(cfg, n, *args))
+        spec = load_spec(_write(tmp_path, POWER_RATIO.format(schemes=schemes, m_grid=[2, 3, 5], trials=300)))
+        run_experiment(spec, tmp_path / "out")
+        return sizes
+
+    def test_drawn_schemes_share_one_draw(self, tmp_path, monkeypatch, capsys):
+        # 3 M x 2 r cells, each drawn once for on-off and partial waterfilling together
+        assert self._draws(tmp_path, monkeypatch, "[onoff, waterfill_partial, maxpower]") == [300] * 6
+
+    def test_max_power_and_statistical_waterfill_draw_nothing(self, tmp_path, monkeypatch, capsys):
+        assert self._draws(tmp_path, monkeypatch, "[maxpower, waterfill_statistical]") == []
 
 
 BLER_T2 = """\
@@ -630,7 +712,7 @@ class TestMonteCarloBatches:
         monkeypatch.setattr(sim, "_relay_batch_tallies", failing)
         with pytest.raises(ValueError, match="max_power batch of 808 frames failed"):
             self._run(tmp_path, monkeypatch, 4, 1)
-        assert list((tmp_path / "out4_1").iterdir()) == []
+        assert not (tmp_path / "out4_1").exists()
 
 
 class TestPlotScript:

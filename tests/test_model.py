@@ -19,7 +19,7 @@ from relaypower.model import (
 
 def _cfg(**kw):
     base = dict(
-        M=3, T=3, p_s=10.0, p_r=10.0, N0=1.0,
+        M=3, p_s=10.0, p_r=10.0, N0=1.0,
         gamma_h=np.ones(3), gamma_g=np.ones(3),
     )
     base.update(kw)
@@ -50,7 +50,7 @@ class TestNetworkConfig:
             _cfg(constraint_kind="long_term")
 
     @pytest.mark.parametrize("field,value", [
-        ("M", 0), ("T", 0), ("p_s", 0.0), ("p_r", -1.0), ("N0", 0.0),
+        ("M", 0), ("p_s", 0.0), ("p_r", -1.0), ("N0", 0.0),
     ])
     def test_rejects_nonpositive_scalars(self, field, value):
         with pytest.raises(ValueError):
@@ -168,7 +168,7 @@ class TestChannelBuffers:
     @pytest.mark.parametrize("m", [1, 2, 8, 32])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bit_identical_to_expression(self, m, seed):
-        cfg = _cfg(M=m, T=m, gamma_h=np.geomspace(0.01, 100.0, m), gamma_g=np.full(m, 1.0 / 0.3**2))
+        cfg = _cfg(M=m, gamma_h=np.geomspace(0.01, 100.0, m), gamma_g=np.full(m, 1.0 / 0.3**2))
         ref_rng = np.random.default_rng(seed)
         ref_h, ref_g = _draw_by_expression(cfg, 777, ref_rng)
         # a buffer larger than the draw, already holding an earlier draw

@@ -54,7 +54,7 @@ PUBLIC_NAMES = [
 ]
 
 # csit_mode is the one allocation input: it fixes the caps and the allocator
-NETWORK_CONFIG_FIELDS = ["M", "T", "p_s", "p_r", "N0", "gamma_h", "gamma_g", "csit_mode"]
+NETWORK_CONFIG_FIELDS = ["M", "p_s", "p_r", "N0", "gamma_h", "gamma_g", "csit_mode"]
 
 EXPERIMENT_SPEC_FIELDS = [
     "kind", "name", "seed", "M", "p_s", "p_r", "N0", "gamma_h", "gamma_g",

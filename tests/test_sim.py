@@ -40,21 +40,21 @@ from relaypower.sim import (
 )
 
 
-def _cfg(m=2, t=2, **kw):
-    base = dict(M=m, T=t, p_s=10.0, p_r=10.0, N0=1.0,
+def _cfg(m=2, **kw):
+    base = dict(M=m, p_s=10.0, p_r=10.0, N0=1.0,
                 gamma_h=np.ones(m), gamma_g=np.ones(m))
     base.update(kw)
     return NetworkConfig(**base)
 
 
-def _stat_cfg(m=2, t=2, **kw):
-    return _cfg(m, t, csit_mode="statistical", **kw)
+def _stat_cfg(m=2, **kw):
+    return _cfg(m, csit_mode="statistical", **kw)
 
 
 class TestPhysicalChain:
     def test_noiseless_receive_and_decode_are_exact(self):
         code = generate_codebook(3, seed=0)
-        cfg = _cfg(3, 3)
+        cfg = _cfg(3)
         chan = sample_channels(cfg, 5)
         caps = amplifier_caps(cfg, chan.h)
         alloc = PowerAllocation(p=caps, caps=caps)
@@ -111,7 +111,7 @@ class TestPhysicalChain:
 
     def _frame(self):
         code = generate_codebook(3, seed=0)
-        cfg = _cfg(3, 3)
+        cfg = _cfg(3)
         chan = sample_channels(cfg, 4)
         caps = amplifier_caps(cfg, chan.h)
         p = caps.copy()
@@ -212,7 +212,7 @@ class TestBatchDecoder:
     def test_noiseless_receives_decode_exactly(self):
         t = 5
         code = generate_codebook(t, seed=1)
-        cfg = _cfg(t, t)
+        cfg = _cfg(t)
         chan = sample_channels(cfg, 2)
         caps = amplifier_caps(cfg, chan.h)
         c = effective_code_matrix(code, chan.f, np.sqrt(caps), cfg.p_s)
@@ -235,9 +235,9 @@ class TestBatchDecoder:
     def test_relay_tallies_match_direct_distances(self, m, scheme, mode):
         n = min(200, _batch_size(m))  # T = 12 runs 64-frame batches
         if mode == "statistical":
-            cfg = _stat_cfg(m, m, p_s=3.0, p_r=3.0, gamma_g=np.linspace(0.5, 2.0, m))
+            cfg = _stat_cfg(m, p_s=3.0, p_r=3.0, gamma_g=np.linspace(0.5, 2.0, m))
         else:
-            cfg = _cfg(m, m, csit_mode=mode, p_s=3.0, p_r=3.0)
+            cfg = _cfg(m, csit_mode=mode, p_s=3.0, p_r=3.0)
         code = generate_codebook(m, seed=m)
         tables = _DecodeTables.for_block(m)
         for bi in range(3):
@@ -285,7 +285,7 @@ class TestBatchWorkspace:
         (Scheme.WATERFILL, "statistical"),
     ])
     def test_reused_workspace_matches_fresh_allocation(self, m, scheme, mode):
-        cfg = _cfg(m, m, csit_mode=mode, p_s=3.0, p_r=3.0, gamma_g=np.linspace(0.5, 2.0, m))
+        cfg = _cfg(m, csit_mode=mode, p_s=3.0, p_r=3.0, gamma_g=np.linspace(0.5, 2.0, m))
         code = generate_codebook(m, seed=m)
         tables = _DecodeTables.for_block(m)
         ws = _BatchWorkspace(700, m, m)
@@ -303,7 +303,7 @@ class TestBatchWorkspace:
     @pytest.mark.parametrize("n0", [0.0, 1.0])
     def test_one_frame_matches_fresh_allocation(self, n0):
         code = generate_codebook(3, seed=0)
-        cfg = _cfg(3, 3)
+        cfg = _cfg(3)
         chan = sample_channels(cfg, 4)
         caps = amplifier_caps(cfg, chan.h)
         alloc = PowerAllocation(p=caps * [0.0, 0.5, 1.0], caps=caps)
@@ -336,7 +336,7 @@ class TestBatchPool:
     ])
     def test_only_batches_at_small_block_lengths_share_the_cores(self, pool_sizes, t, grid, frames, workers):
         for scheme in (Scheme.MAX_POWER, Scheme.DIRECT_LINK):
-            run_monte_carlo(_cfg(t, t), scheme, grid, frames, seed=0)
+            run_monte_carlo(_cfg(t), scheme, grid, frames, seed=0)
         assert pool_sizes == ([] if workers is None else [workers, workers])
 
 
@@ -379,13 +379,6 @@ class TestRunMonteCarlo:
         with pytest.raises(ValueError, match="csit_mode"):
             run_monte_carlo(_cfg(), Scheme.WATERFILL, [10.0], 1000, seed=0)
 
-    def test_block_length_must_match_relay_count(self):
-        cfg = _cfg(m=3, t=2)
-        with pytest.raises(ValueError, match="T == M"):
-            run_monte_carlo(cfg, Scheme.ONOFF, [10.0], 1000, seed=0)
-        # the direct link has no dispersion matrices to constrain
-        run_monte_carlo(cfg, Scheme.DIRECT_LINK, [10.0], 1000, seed=0)
-
     def test_deterministic_and_shard_invariant(self):
         cfg = _cfg()
         runs = [
@@ -406,7 +399,7 @@ class TestRunMonteCarlo:
         cfg = _cfg()
         res = run_monte_carlo(cfg, Scheme.MAX_POWER, [0.0, 5.0], 4000, seed=2)
         assert np.all(res.block_errors <= res.bit_errors)
-        assert np.all(res.bit_errors <= cfg.T * res.block_errors)
+        assert np.all(res.bit_errors <= cfg.M * res.block_errors)
         assert np.all(res.frames == 4000)
 
     def test_deep_noise_floor_decodes_at_chance(self):
@@ -435,8 +428,9 @@ class TestRunMonteCarlo:
     def test_direct_link_matches_rayleigh_bpsk_theory(self):
         # coherent BPSK over unit-variance Rayleigh at average SNR gbar
         # has BER (1 - sqrt(gbar/(1+gbar)))/2; network sweep puts the
-        # full budget P = N0 * 10^(snr/10) on the source
-        cfg = _cfg(m=1, t=2)
+        # full budget P = N0 * 10^(snr/10) on the source; M = 2 sets the
+        # block length, two BPSK symbols per block
+        cfg = _cfg(m=2)
         res = run_monte_carlo(cfg, Scheme.DIRECT_LINK, [10.0], 100_000, seed=8,
                               network_power_sweep=True)
         gbar = 10.0
@@ -446,7 +440,7 @@ class TestRunMonteCarlo:
 
 @functools.lru_cache(maxsize=None)
 def _unsharded(t, frames, scheme, mode):
-    return run_monte_carlo(_cfg(t, t, csit_mode=mode), scheme, [8.0], frames, seed=11)
+    return run_monte_carlo(_cfg(t, csit_mode=mode), scheme, [8.0], frames, seed=11)
 
 
 class TestShardInvariance:
@@ -460,7 +454,7 @@ class TestShardInvariance:
         ref = _unsharded(t, frames, scheme, mode)
         assert ref.block_errors[0] > 0
         for shards in counts:
-            res = run_monte_carlo(_cfg(t, t, csit_mode=mode), scheme, [8.0], frames,
+            res = run_monte_carlo(_cfg(t, csit_mode=mode), scheme, [8.0], frames,
                                   seed=11, shards=shards)
             np.testing.assert_array_equal(res.block_errors, ref.block_errors)
             np.testing.assert_array_equal(res.bit_errors, ref.bit_errors)
@@ -473,8 +467,8 @@ class TestStatisticalAllocation:
         gamma_h = np.array([2.0, 1.0, 2.0, 1.0, 1.0])
         gamma_g = np.array([3.0, 3.0, 2.0, 1.0, 3.0])
         p = 5547.996686297584
-        stat = _stat_cfg(5, 5, p_s=p, p_r=p, gamma_h=gamma_h, gamma_g=gamma_g)
-        partial = _cfg(5, 5, csit_mode="partial", p_s=p, p_r=p, gamma_h=gamma_h, gamma_g=gamma_g)
+        stat = _stat_cfg(5, p_s=p, p_r=p, gamma_h=gamma_h, gamma_g=gamma_g)
+        partial = _cfg(5, csit_mode="partial", p_s=p, p_r=p, gamma_h=gamma_h, gamma_g=gamma_g)
         # partial CSIT's short-term caps at |h_i|^2 = gamma_hi are the long-term caps
         h2 = np.broadcast_to(gamma_h, (3, 5))
         caps, caps_partial = _batch_caps(stat, h2, p, p), _batch_caps(partial, h2, p, p)
@@ -487,7 +481,7 @@ class TestStatisticalAllocation:
 
 class TestEffectiveRelayCount:
     def test_domain_errors(self):
-        cfg = _cfg(4, 4)
+        cfg = _cfg(4)
         with pytest.raises(ValueError, match="direct"):
             effective_relay_count(cfg, Scheme.DIRECT_LINK, [0.5], 10, seed=0)
         with pytest.raises(ValueError, match="inside"):
@@ -500,7 +494,7 @@ class TestEffectiveRelayCount:
                 effective_relay_count(cfg, Scheme.ONOFF, [r, 0.5], 10, seed=0)
 
     def test_max_power_scores_m_everywhere(self):
-        cfg = _cfg(4, 4, p_s=6.3, p_r=6.3)
+        cfg = _cfg(4, p_s=6.3, p_r=6.3)
         counts = effective_relay_count(cfg, Scheme.MAX_POWER, [0.1, 0.5, 0.9], 500, seed=0)
         np.testing.assert_allclose(counts, 4.0, rtol=1e-12)
 
@@ -508,18 +502,18 @@ class TestEffectiveRelayCount:
         # equal variances put every cap at the same height, so the water
         # covers them all and the count is exactly M, channel-free
         monkeypatch.setattr("relaypower.sim.sample_channel_batch", None)
-        cfg = _stat_cfg(4, 4, p_s=6.3, p_r=6.3)
+        cfg = _stat_cfg(4, p_s=6.3, p_r=6.3)
         counts = effective_relay_count(cfg, Scheme.WATERFILL, [0.3, 0.7], 50, seed=0)
         np.testing.assert_allclose(counts, 4.0, rtol=1e-12)
 
     def test_onoff_limits(self):
-        cfg = _cfg(4, 4, p_s=6.3, p_r=6.3)
+        cfg = _cfg(4, p_s=6.3, p_r=6.3)
         counts = effective_relay_count(cfg, Scheme.ONOFF, [0.05, 0.95], 3000, seed=1)
         assert counts[0] >= 0.95 * 4
         assert counts[1] <= 1.2
 
     def test_partial_waterfill_near_source(self):
-        cfg = _cfg(4, 4, p_s=6.3, p_r=6.3, csit_mode="partial")
+        cfg = _cfg(4, p_s=6.3, p_r=6.3, csit_mode="partial")
         counts = effective_relay_count(cfg, Scheme.WATERFILL, [0.05], 2000, seed=2)
         assert counts[0] >= 0.95 * 4
 
@@ -532,7 +526,7 @@ class TestExtremePowers:
                                              (Scheme.WATERFILL, "statistical"),
                                              (Scheme.MAX_POWER, "perfect")])
     def test_sweeps_to_300_db_stay_finite(self, scheme, mode, network_power_sweep):
-        cfg = _stat_cfg(4, 4) if mode == "statistical" else _cfg(4, 4, csit_mode=mode)
+        cfg = _stat_cfg(4) if mode == "statistical" else _cfg(4, csit_mode=mode)
         res = run_monte_carlo(cfg, scheme, [-300.0, -100.0, 0.0, 100.0, 300.0], 1000, seed=0,
                               network_power_sweep=network_power_sweep)
         assert np.all(np.isfinite(res.bler)) and np.all(np.isfinite(res.ber))

@@ -40,9 +40,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         spec = load_spec(args.spec_file)
         if args.print_config:
-            resolved = spec.resolved()
-            if args.seed is not None:
-                resolved["seed"] = args.seed
+            resolved = spec.resolved() | {"seed": spec.run_seed(args.seed)}
             sys.stdout.write(yaml.safe_dump(resolved, sort_keys=True, default_flow_style=False))
             return 0
         run_experiment(

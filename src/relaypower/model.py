@@ -202,14 +202,15 @@ def amplifier_caps(cfg: NetworkConfig, h: np.ndarray | None = None) -> np.ndarra
     return _batch_caps(cfg, np.abs(h) ** 2, cfg.p_s, cfg.p_r)
 
 
-def _batch_caps(cfg: NetworkConfig, h2: np.ndarray, p_s: float, p_r: float) -> np.ndarray:
+def _batch_caps(cfg: NetworkConfig, h2: np.ndarray, p_s: float, p_r: float,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Amplifier caps under cfg's constraint for first-hop gains h2 = |h|^2 of any shape.
 
-    The long-term caps are one (M,) vector broadcast to h2's shape as a
-    read-only view.
+    Short-term caps go into out when it is given. The long-term caps are
+    one (M,) vector broadcast to h2's shape as a read-only view.
     """
     if cfg.constraint_kind is ConstraintKind.SHORT_TERM:
-        return p_r / (p_s * h2 + cfg.N0)
+        return np.divide(p_r, np.add(np.multiply(h2, p_s, out=out), cfg.N0, out=out), out=out)
     return np.broadcast_to(p_r / (p_s * cfg.gamma_h + cfg.N0), h2.shape)
 
 
@@ -220,26 +221,42 @@ def sample_channels(cfg: NetworkConfig, seed_or_rng) -> ChannelRealization:
     return ChannelRealization(h=h[0], g=g[0])
 
 
+# Entries of the float block that takes sample_channel_batch's normal draws
+# when the caller has no scratch of its own: each part of H and G is drawn
+# through it in chunks of whole rows. A Generator's normal stream does not
+# depend on how the calls split it, so the chunks give the bits of one
+# full-size draw. At 2^15 entries (256 KB) a (10 000, 32) part takes 10 calls
+_DRAW_CHUNK = 2**15
+
+
 class ChannelBuffers:
     """Storage for sample_channel_batch draws of up to `size` = n * M entries, reused across calls.
 
-    Holds one float block for the normal draws and one complex block per
-    hop, about 40 bytes per entry; a caller that draws many batches keeps
-    one instance instead of mapping fresh memory for every batch. A caller
-    with float scratch of its own (at least `size` entries) passes it as
-    `normal`, and the draws go there.
+    Holds one complex block per hop, 32 bytes per entry, and a float block
+    of at most _DRAW_CHUNK entries (one row when M is larger) for the
+    normal draws; a caller that draws many batches keeps one instance
+    instead of mapping fresh memory for every batch. A caller with float
+    scratch of its own passes it as `normal`, and the draws go there, in
+    chunks of as many whole rows as it holds.
     """
 
     def __init__(self, size: int, normal: np.ndarray | None = None):
-        self._normal = np.empty(size) if normal is None else normal[:size]
+        self._normal = np.empty(min(size, _DRAW_CHUNK)) if normal is None else normal
         self._h = np.empty(size, dtype=np.complex128)
         self._g = np.empty(size, dtype=np.complex128)
 
     def views(self, n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(normal, h, g) blocks of shape (n, m) at the head of the buffers."""
-        if n * m > self._normal.size:
-            raise ValueError(f"a ({n}, {m}) draw needs {n * m} entries; the buffers hold {self._normal.size}")
-        return tuple(b[: n * m].reshape(n, m) for b in (self._normal, self._h, self._g))
+        """(normal, h, g) views: h and g of shape (n, m) at the head of the buffers, normal of shape (rows, m).
+
+        normal holds as many whole rows as fit, at most n and at least one.
+        """
+        if n * m > self._h.size:
+            raise ValueError(f"a ({n}, {m}) draw needs {n * m} entries; the buffers hold {self._h.size}")
+        if self._normal.size < m:
+            self._normal = np.empty(m)
+        rows = min(n, self._normal.size // m)
+        return (self._normal[: rows * m].reshape(rows, m),
+                *(b[: n * m].reshape(n, m) for b in (self._h, self._g)))
 
 
 def sample_channel_batch(cfg: NetworkConfig, n: int, rng: np.random.Generator,
@@ -248,15 +265,18 @@ def sample_channel_batch(cfg: NetworkConfig, n: int, rng: np.random.Generator,
 
     The four normal blocks are drawn in the order Re h, Im h, Re g, Im g,
     each scaled by sqrt(gamma / 2) into its part of H or G: the same bits
-    as (x + 1j y) sqrt(gamma / 2), from the same stream positions. With
-    buffers, H and G are views into them that the next draw overwrites.
+    as (x + 1j y) sqrt(gamma / 2), from the same stream positions. Each
+    block is drawn in chunks of the buffers' normal rows. With buffers, H
+    and G are views into them that the next draw overwrites.
     """
     normal, h, g = (buffers or ChannelBuffers(n * cfg.M)).views(n, cfg.M)
+    step = normal.shape[0]
     for out, gamma in ((h, cfg.gamma_h), (g, cfg.gamma_g)):
         scale = np.sqrt(gamma / 2.0)
         for part in (out.real, out.imag):
-            rng.standard_normal(out=normal)
-            np.multiply(normal, scale, out=part)
+            for lo in range(0, n, step):
+                chunk = rng.standard_normal(out=normal[: n - lo])
+                np.multiply(chunk, scale, out=part[lo: lo + step])
     return h, g
 
 

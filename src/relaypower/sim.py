@@ -241,13 +241,19 @@ def _allocate_batch(
     h2: np.ndarray,
     g: np.ndarray | None,
     caps: np.ndarray,
+    gains_out: tuple[np.ndarray, np.ndarray] = (None, None),
 ) -> np.ndarray:
-    """Relay powers (n, M) of one scheme under cfg's CSIT mode and caps = _batch_caps(cfg, h2, ...)."""
+    """Relay powers (n, M) of one scheme under cfg's CSIT mode and caps = _batch_caps(cfg, h2, ...).
+
+    On-off writes |g|^2 and alpha = h2 |g|^2 into the two arrays of
+    gains_out when they are given.
+    """
     if scheme is Scheme.MAX_POWER:
         return caps
     if scheme is Scheme.ONOFF:
-        g2 = np.abs(g) ** 2
-        return np.where(solve_onoff_masks(h2 * g2, g2, caps), caps, 0.0)
+        g2_out, alpha_out = gains_out
+        g2 = np.square(np.abs(g, out=g2_out), out=g2_out)
+        return np.where(solve_onoff_masks(np.multiply(h2, g2, out=alpha_out), g2, caps), caps, 0.0)
     if cfg.csit_mode is CsitMode.STATISTICAL:
         # long-term caps repeat one row, so the allocation does too: solve that row once.
         # The objective's a_i = eta gamma_gi gamma_hi never reach the kernel: sum_i ln(a_i)
@@ -256,29 +262,51 @@ def _allocate_batch(
     return solve_waterfill_batch(cfg.gamma_g, caps)
 
 
-# Entries per row block of a _relay_counts draw: a float64 (rows, M) temporary
-# stays under 64 KB, and the blocks reuse heap memory. With 12 000 entries
-# (96 KB temporaries) glibc trimmed and refaulted the worker heaps on some
-# runs: an asym_m32 run took 4 k to 47 k minor faults on a 2-vCPU host,
-# against a steady 4 k at 8000
-_BLOCK_ENTRIES = 8000
+# Entries per row block of a _relay_counts draw. Each block costs a few dozen
+# numpy calls whatever its size, and with 8000-entry blocks (625 on-off blocks
+# in an asym_m32 run, 159 k Python-level calls under cProfile) two workers
+# mostly took turns on the interpreter lock. In fresh processes on a 2-vCPU
+# host, asym_m32 took 1.02-1.05 s with two workers against 1.19-1.36 s with
+# one; at 32 000 entries it takes 0.72-0.79 s with two. Its 256 KB
+# temporaries cost minor faults, since glibc trims the heap top after a free
+# of 64 KB or more: 35-39 k per run instead of 2-6 k, 0.12 s of system time.
+# 64 000 entries gave no further gain for 6 MB more peak RSS
+_BLOCK_ENTRIES = 32000
 
 # The _relay_counts labels read from its channel draw; "equal" is the
 # fraction of rows on which on-off and partial waterfilling allocate alike
 _DRAWN_COUNTS = ("onoff", "waterfill_partial", "equal")
 
 
-def _relay_counts(cfg: NetworkConfig, n: int, rng: np.random.Generator, buffers: ChannelBuffers | None,
+class _CountWorkspace:
+    """The channel buffers of a _relay_counts draw of up to trials x m entries, and its block arrays.
+
+    A worker keeps one and reuses it from cell to cell and block to block.
+    The block arrays take a row block's |h|^2, |g|^2, caps and alpha =
+    |h|^2 |g|^2, _BLOCK_ENTRIES of each, or one row when m is larger; the
+    allocation kernels keep their own temporaries.
+    """
+
+    def __init__(self, trials: int, m: int):
+        self.channels = ChannelBuffers(trials * m)
+        self._blocks = np.empty((4, max(_BLOCK_ENTRIES, m)))
+
+    def block(self, rows: int, m: int) -> tuple[np.ndarray, ...]:
+        """(h2, g2, caps, alpha) views of shape (rows, m)."""
+        return tuple(b[: rows * m].reshape(rows, m) for b in self._blocks)
+
+
+def _relay_counts(cfg: NetworkConfig, n: int, rng: np.random.Generator, ws: _CountWorkspace | None,
                   wanted) -> dict[str, float]:
     """E[sum_i p_i / P_i] over n trials of cfg per scheme label, and "equal".
 
     Max power spends every cap, so it scores M exactly, and statistical
     waterfilling allocates from the variances alone: neither draws. The
     wanted labels of _DRAWN_COUNTS come from one draw of n rows from rng
-    into buffers, under short-term caps (cfg's CSIT mode must be perfect
-    or partial); with none wanted nothing is drawn. Both allocators treat
-    rows independently, so they work in row blocks; each mean then sums
-    its full column as one array.
+    into ws (a fresh workspace when None), under short-term caps (cfg's
+    CSIT mode must be perfect or partial); with none wanted nothing is
+    drawn. Both allocators treat rows independently, so they work in row
+    blocks; each mean then sums its full column as one array.
     """
     stat = dataclasses.replace(cfg, csit_mode=CsitMode.STATISTICAL)
     # one row of long-term caps, which read only the variances
@@ -288,15 +316,18 @@ def _relay_counts(cfg: NetworkConfig, n: int, rng: np.random.Generator, buffers:
     drawn = [label for label in _DRAWN_COUNTS if label in wanted]
     if not drawn:
         return counts
+    ws = ws or _CountWorkspace(n, cfg.M)
     columns = np.empty((len(drawn), n))
-    h, g = sample_channel_batch(cfg, n, rng, buffers)
+    h, g = sample_channel_batch(cfg, n, rng, ws.channels)
     step = max(1, _BLOCK_ENTRIES // cfg.M)
     for lo in range(0, n, step):
         rows = slice(lo, lo + step)
-        h2 = np.abs(h[rows]) ** 2
-        caps = _batch_caps(cfg, h2, cfg.p_s, cfg.p_r)
+        h2, g2, caps, alpha = ws.block(min(step, n - lo), cfg.M)
+        np.square(np.abs(h[rows], out=h2), out=h2)
+        _batch_caps(cfg, h2, cfg.p_s, cfg.p_r, out=caps)
         # "equal" reads both allocations, each other label one
-        p_on = _allocate_batch(cfg, Scheme.ONOFF, h2, g[rows], caps) if drawn != ["waterfill_partial"] else None
+        p_on = (_allocate_batch(cfg, Scheme.ONOFF, h2, g[rows], caps, (g2, alpha))
+                if drawn != ["waterfill_partial"] else None)
         p_wf = _allocate_batch(cfg, Scheme.WATERFILL, h2, g[rows], caps) if drawn != ["onoff"] else None
         for label, column in zip(drawn, columns):
             column[rows] = (np.count_nonzero(p_on, axis=1) if label == "onoff"

@@ -479,12 +479,29 @@ class TestRunFailures:
         with pytest.raises(SpecError, match="at least 1000"):
             run_experiment(spec, tmp_path / "out", frames_override=10)
 
-    def test_failed_run_leaves_no_partial_files(self, tmp_path):
+    def test_failed_run_leaves_no_partial_files(self, tmp_path, monkeypatch):
         spec = load_spec(_write(tmp_path, MINIMAL["bler_vs_snr"]))
+        assert len(spec.schemes) > 1
+        real = experiments.run_monte_carlo
+        runs = []
+
+        def failing(*args, **kwargs):
+            if runs:  # the first scheme's CSV is written by then
+                raise ValueError("second scheme failed")
+            runs.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_monte_carlo", failing)
         out = tmp_path / "out"
-        with pytest.raises(ValueError):
-            run_experiment(spec, out, seed=-1)  # rejected by the stream derivation
+        with pytest.raises(ValueError, match="second scheme failed"):
+            run_experiment(spec, out)
         assert not out.exists()
+
+    def test_negative_seed_rejected_before_the_run(self, tmp_path):
+        spec = load_spec(_write(tmp_path, MINIMAL["bler_vs_snr"]))
+        with pytest.raises(SpecError, match="--seed must be non-negative"):
+            run_experiment(spec, tmp_path / "out", seed=-1)
+        assert not (tmp_path / "out").exists()
 
 
 ASYMPTOTIC = """\
@@ -752,6 +769,17 @@ class TestCli:
         resolved = yaml.safe_load(captured.out)
         assert resolved["seed"] == 5
         assert resolved["network"]["M"] == 2
+
+    @pytest.mark.parametrize("print_config", [False, True])
+    def test_negative_seed_exits_two(self, tmp_path, capsys, print_config):
+        path = _write(tmp_path, MINIMAL["bler_vs_snr"])
+        out = tmp_path / "results"
+        flags = ["--print-config"] if print_config else []
+        assert main(["run", str(path), "--out-dir", str(out), "--seed", "-1", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seed must be non-negative\n"
+        assert not out.exists()
 
     def test_bad_spec_exits_two(self, tmp_path, capsys):
         path = _write(tmp_path, "kind: nonsense\nnetwork: {}\n")

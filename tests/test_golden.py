@@ -3,8 +3,10 @@
 Together the scenarios run every scheme token, heterogeneous variances, the
 direct link in both BER sweeps and an asymptotic cell with M > 20, so a
 refactor of the channel, cap or allocation path that moves any output bit
-fails here. To re-pin after a change that is meant to move outputs, print
-_digests(tmp_path, kind) for each kind and paste the result.
+fails here. One more power-ratio scenario draws 33 001 trials per cell, so
+its relay counts span many row blocks and draw chunks at every M. To re-pin
+after a change that is meant to move outputs, print _digests(tmp_path, name)
+for each scenario name and paste the result.
 """
 
 import hashlib
@@ -83,9 +85,19 @@ network:
   gamma_h: [0.9, 1.7, 0.4]
   gamma_g: [1.4, 0.6, 2.2]
 """,
+    "power_ratio_multi_block": """\
+kind: power_ratio_vs_distance
+name: power_ratio_multi_block
+schemes: [onoff, waterfill_partial, waterfill_statistical, maxpower]
+m_grid: [1, 3, 32]
+r_grid: [0.3, 0.6]
+network_power_db: 15.0
+trials: 33001
+network: {}
+""",
 }
 
-# SHA-256 of every CSV each scenario writes at its seed (0)
+# SHA-256 of every CSV each scenario writes at its seed (0); the keys of SCENARIOS are scenario names
 DIGESTS = {
     "asymptotic_study": {
         "asymptotic_study.csv":
@@ -125,6 +137,16 @@ DIGESTS = {
         "convergence.csv":
             "9b60695b5ae8d73512d011cd750fbbd818e823a8849bde91e49c374bbc469366",
     },
+    "power_ratio_multi_block": {
+        "power_ratio_multi_block_maxpower.csv":
+            "a600d82e3dbf06185398e0468fd2331be652c02777f7ca1b48031c3424b3ec9f",
+        "power_ratio_multi_block_onoff.csv":
+            "ad38ac5d6296333c2de80ee2794bd6c2ee7d276b63f081808c0020e4b3e95389",
+        "power_ratio_multi_block_waterfill_partial.csv":
+            "aadb045d8a9223d26ae4e1ebf1aa5fafcda183e4c616ba164b0a1af71174f8a6",
+        "power_ratio_multi_block_waterfill_statistical.csv":
+            "0bce2521502d8229f33b1a50e0809a694a1c73f7092376650d35a1d0e4cd5156",
+    },
     "power_ratio_vs_distance": {
         "power_ratio_vs_distance_maxpower.csv":
             "98f88f8957db9e46de3621d0305fad2ed3c04279fcebf97f2a10ed39ec6cc93b",
@@ -142,22 +164,24 @@ DIGESTS = {
 }
 
 
-def _digests(tmp_path, kind):
-    scenario = tmp_path / f"{kind}.yaml"
-    scenario.write_text(SCENARIOS[kind])
-    paths = run_experiment(load_spec(scenario), tmp_path / kind)
+def _digests(tmp_path, name):
+    scenario = tmp_path / f"{name}.yaml"
+    scenario.write_text(SCENARIOS[name])
+    paths = run_experiment(load_spec(scenario), tmp_path / name)
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths if p.suffix == ".csv"}
 
 
 def test_every_kind_and_scheme_is_pinned():
-    assert {k.value for k in _RUNNERS} == set(SCENARIOS) == set(DIGESTS)
-    schemes = {kind: set(yaml.safe_load(text).get("schemes", [])) for kind, text in SCENARIOS.items()}
+    assert set(SCENARIOS) == set(DIGESTS)
+    assert {k.value for k in _RUNNERS} == {yaml.safe_load(text)["kind"] for text in SCENARIOS.values()}
+    assert {k.value for k in _RUNNERS} <= set(SCENARIOS)  # each kind's own scenario keeps the kind's name
+    schemes = {name: set(yaml.safe_load(text).get("schemes", [])) for name, text in SCENARIOS.items()}
     assert set().union(*schemes.values()) == set(SCHEME_NAMES)
     assert "direct" in schemes["ber_vs_distance"] & schemes["ber_vs_network_power"]
     for kind in ("bler_vs_snr", "power_ratio_vs_distance", "ber_vs_network_power"):
         assert "waterfill_statistical" in schemes[kind]
 
 
-@pytest.mark.parametrize("kind", sorted(SCENARIOS))
-def test_csv_digests(tmp_path, kind):
-    assert _digests(tmp_path, kind) == DIGESTS[kind]
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_csv_digests(tmp_path, name):
+    assert _digests(tmp_path, name) == DIGESTS[name]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from relaypower import model
 from relaypower.model import (
     ChannelBuffers,
     ChannelRealization,
@@ -180,6 +181,37 @@ class TestChannelBuffers:
             assert h.shape == g.shape == (777, m)
             assert h.tobytes() == ref_h.tobytes() and g.tobytes() == ref_g.tobytes()
             assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("n,m", [
+        (11_000, 3),  # 33 000 entries: one chunk of 10 922 rows, then 78 rows
+        (2, model._DRAW_CHUNK + 5),  # a row larger than the chunk, one row per chunk
+        (1, 7),
+        (1, model._DRAW_CHUNK + 5),
+        (2 * model._DRAW_CHUNK, 1),  # exactly two chunks
+    ])
+    def test_chunked_draw_matches_one_full_size_draw(self, n, m):
+        cfg = _cfg(M=m, gamma_h=np.geomspace(0.01, 100.0, m), gamma_g=np.full(m, 2.5))
+        ref_rng = np.random.default_rng(5)
+        ref_h, ref_g = _draw_by_expression(cfg, n, ref_rng)
+        buffers = ChannelBuffers(n * m)
+        assert buffers.views(n, m)[0].size == max(m, min(n * m, model._DRAW_CHUNK // m * m))
+        for buf in (None, buffers):
+            rng = np.random.default_rng(5)
+            h, g = sample_channel_batch(cfg, n, rng, buf)
+            assert h.tobytes() == ref_h.tobytes() and g.tobytes() == ref_g.tobytes()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5, 9, 24, 25])
+    def test_any_chunk_size_gives_the_same_bits(self, monkeypatch, chunk):
+        # 8 rows of 3: chunks of whole rows, one row when the chunk is smaller
+        monkeypatch.setattr(model, "_DRAW_CHUNK", chunk)
+        cfg = _cfg(gamma_h=np.array([0.5, 1.0, 4.0]), gamma_g=np.array([3.0, 0.2, 1.0]))
+        ref_rng = np.random.default_rng(9)
+        ref_h, ref_g = _draw_by_expression(cfg, 8, ref_rng)
+        rng = np.random.default_rng(9)
+        h, g = sample_channel_batch(cfg, 8, rng, ChannelBuffers(24))
+        assert h.tobytes() == ref_h.tobytes() and g.tobytes() == ref_g.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_draws_are_views_into_the_buffers(self):
         cfg = _cfg()

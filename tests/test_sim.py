@@ -518,6 +518,22 @@ class TestEffectiveRelayCount:
         assert counts[0] >= 0.95 * 4
 
 
+class TestCountWorkspace:
+    """A relay-count worker reuses one workspace from cell to cell; no cell may see another's arrays."""
+
+    # over one row block at M = 1, and not a multiple of the block rows at any M below
+    TRIALS = sim._BLOCK_ENTRIES + 1
+
+    def test_reused_workspace_gives_the_counts_of_fresh_ones(self):
+        labels = ("onoff", "waterfill_partial", "equal")
+        ws = sim._CountWorkspace(self.TRIALS, 32)
+        for seed, m in enumerate([32, 3, 1, 32]):
+            assert self.TRIALS % (sim._BLOCK_ENTRIES // m)
+            cfg = _cfg(m, p_s=3.0, p_r=3.0, gamma_h=np.full(m, 4.0), gamma_g=np.full(m, 1.5), csit_mode="partial")
+            reused = sim._relay_counts(cfg, self.TRIALS, np.random.default_rng(seed), ws, labels)
+            assert reused == sim._relay_counts(cfg, self.TRIALS, np.random.default_rng(seed), None, labels)
+
+
 class TestExtremePowers:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("network_power_sweep", [False, True])

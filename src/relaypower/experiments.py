@@ -30,7 +30,6 @@ from .sim import (
     MIN_FRAMES,
     Scheme,
     SimResult,
-    _CountWorkspace,
     _db_power,
     _distance_variances,
     _in_linear_range,
@@ -63,8 +62,8 @@ SCHEME_NAMES = {
 
 MAX_STUDY_RELAYS = 1024  # largest M of the kinds that only allocate
 # trials x largest M: the channel entries of one (trials, M) draw, 32 bytes
-# each in a worker's channel buffers (537 MB at the bound). A convergence run
-# also holds its trajectory, counted in 40-byte entries
+# each in a worker's workspace (537 MB at the bound). A convergence run also
+# holds its trajectory, counted in 40-byte entries
 MAX_TRIAL_ENTRIES = 2**24
 
 
@@ -231,17 +230,23 @@ def _node_powers(v: _Validator, x: float) -> list[float]:
     return [_node_power(v.n0, x, m) for m in v.data["m_grid"]]
 
 
-def _collect_lines(node, prefix: str, out: dict[str, int]) -> None:
+def _collect_lines(where: str, node, prefix: str, out: dict[str, int]) -> None:
+    """The line of every key path under node into out; SpecError at a key that repeats in its mapping."""
     out.setdefault(prefix or "<root>", node.start_mark.line + 1)
     if isinstance(node, yaml.MappingNode):
+        seen = set()
         for key_node, value_node in node.value:
             key = str(key_node.value)
             path = f"{prefix}.{key}" if prefix else key
-            out[path] = key_node.start_mark.line + 1
-            _collect_lines(value_node, path, out)
+            line = key_node.start_mark.line + 1
+            if key in seen:
+                raise SpecError(f"{where}:{line}: duplicate key {path!r}")
+            seen.add(key)
+            out[path] = line
+            _collect_lines(where, value_node, path, out)
     elif isinstance(node, yaml.SequenceNode):
         for i, item in enumerate(node.value):
-            _collect_lines(item, f"{prefix}[{i}]", out)
+            _collect_lines(where, item, f"{prefix}[{i}]", out)
 
 
 def load_spec(path) -> ExperimentSpec:
@@ -260,7 +265,7 @@ def load_spec(path) -> ExperimentSpec:
     if node is None:
         raise SpecError(f"{path}:1: scenario file is empty")
     lines: dict[str, int] = {}
-    _collect_lines(node, "", lines)
+    _collect_lines(str(path), node, "", lines)
     data = yaml.safe_load(text)
     if not isinstance(data, dict):
         raise SpecError(f"{path}:1: scenario must be a mapping")
@@ -293,9 +298,9 @@ def _check_trials(v: _Validator, kind: ExperimentKind) -> int:
     m = max(v.data["m_grid"])
     trajectory = 0
     if kind is ExperimentKind.CONVERGENCE:
-        # the trajectory holds M booleans and two floats per (trial, iterate): peak
-        # RSS grew by 18, 24 and 45 B per (trial, iterate) at M = 2, 8 and 32
-        # (20 000 trials, 10 against 100 iterations; 2-vCPU host, numpy 2.4)
+        # the trajectory holds M booleans and one float per (trial, iterate), counted
+        # as M + 16 B: peak RSS grew by 10, 16 and 36 B per (trial, iterate) at
+        # M = 2, 8 and 32 (20 000 trials, 10 against 100 iterations; 2-vCPU host, numpy 2.4)
         iterations = _check_iterations(v, kind) if "iterations" in v.data else _TOP_FIELDS[kind]["iterations"]
         trajectory = math.ceil((iterations + 1) * (m + 16) / 40)
     if trials * (m + trajectory) > MAX_TRIAL_ENTRIES:
@@ -361,8 +366,8 @@ def _validate(path: str, data: dict, lines: dict[str, int]) -> ExperimentSpec:
         v.fail("network", "network must be a mapping")
 
     name = data.get("name", kind.value)
-    if not isinstance(name, str) or not name or "/" in name:
-        v.fail("name", "name must be a non-empty string without '/'")
+    if not isinstance(name, str) or not name or "/" in name or "\0" in name:
+        v.fail("name", "name must be a non-empty string without '/' or NUL")
     seed = 0
     if "seed" in data:
         seed = v.integer(data, "", "seed", minimum=0)
@@ -530,13 +535,14 @@ def _run_convergence(spec, outputs, seed, shards, frames):
         alpha = h2 * g2
         masks, _, _, iterates = solve_onoff_batch(alpha, g2, caps, history=spec.iterations + 1)
         ac, bc = alpha * caps, g2 * caps
-        # f0 at each iterate, one (n, M) pattern at a time, then at the optimum
-        f0 = np.stack(
-            [np.sum(np.where(on, ac, 0.0), axis=1) / (1.0 + np.sum(np.where(on, bc, 0.0), axis=1))
-             for on in [*iterates.swapaxes(0, 1), masks]],
-            axis=1,
-        )
-        means = np.mean(f0[:, :-1] / f0[:, -1:], axis=0)
+        # f0 at the optimum, then at each iterate over it, one (n, M) pattern at a time
+        f0 = (np.sum(np.where(on, ac, 0.0), axis=1) / (1.0 + np.sum(np.where(on, bc, 0.0), axis=1))
+              for on in [masks, *iterates.swapaxes(0, 1)])
+        optimum = next(f0)
+        ratios = np.empty((spec.trials, spec.iterations + 1))
+        for k, value in enumerate(f0):
+            ratios[:, k] = value / optimum
+        means = np.mean(ratios, axis=0)
         for k in range(spec.iterations + 1):
             rows.append(f"{m},{k},{_fmt(means[k])}")
     return [outputs.write(f"{spec.name}.csv", header, rows)]
@@ -599,10 +605,10 @@ def _cell_counts(spec, stream, wanted) -> list:
 
     The network power is split evenly over the source and the m relays.
     Every cell has its own stream, so cells run one per core, each worker
-    reusing one _CountWorkspace; the workers' channel buffers together hold
-    at most MAX_TRIAL_ENTRIES entries. With 32 000-entry row blocks two
-    workers overlap: asym_m32 took 0.72-0.79 s pooled against 1.22-1.26 s
-    with one worker, in fresh processes on a 2-vCPU host.
+    reusing one workspace from cell to cell; the workers' channel draws
+    together hold at most MAX_TRIAL_ENTRIES entries. With 32 000-entry row
+    blocks two workers overlap: asym_m32 took 0.72-0.79 s pooled against
+    1.22-1.26 s with one worker, in fresh processes on a 2-vCPU host.
     """
     def counts(cell, ws):
         mi, m, ri, r = cell
@@ -611,9 +617,7 @@ def _cell_counts(spec, stream, wanted) -> list:
         return m, r, _relay_counts(cfg, spec.trials, stream(mi, ri), ws, wanted)
 
     cells = [(mi, m, ri, r) for mi, m in enumerate(spec.m_grid) for ri, r in enumerate(spec.r_grid)]
-    entries = spec.trials * max(spec.m_grid)
-    return _map_jobs(counts, cells, lambda: _CountWorkspace(spec.trials, max(spec.m_grid)),
-                     max(1, MAX_TRIAL_ENTRIES // entries))
+    return _map_jobs(counts, cells, max(1, MAX_TRIAL_ENTRIES // (spec.trials * max(spec.m_grid))))
 
 
 def _run_power_ratio(spec, outputs, seed, shards, frames):

@@ -221,56 +221,44 @@ def sample_channels(cfg: NetworkConfig, seed_or_rng) -> ChannelRealization:
     return ChannelRealization(h=h[0], g=g[0])
 
 
-# Entries of the float block that takes sample_channel_batch's normal draws
-# when the caller has no scratch of its own: each part of H and G is drawn
-# through it in chunks of whole rows. A Generator's normal stream does not
-# depend on how the calls split it, so the chunks give the bits of one
-# full-size draw. At 2^15 entries (256 KB) a (10 000, 32) part takes 10 calls
+# Entries of the float block that takes sample_channel_batch's normal draws:
+# each part of H and G is drawn through it in chunks of whole rows, one row
+# when M is larger. A Generator's normal stream does not depend on how the
+# calls split it, so the chunks give the bits of one full-size draw. At 2^15
+# entries (256 KB) a (10 000, 32) part takes 10 calls
 _DRAW_CHUNK = 2**15
 
 
-class ChannelBuffers:
-    """Storage for sample_channel_batch draws of up to `size` = n * M entries, reused across calls.
+class Workspace(dict):
+    """Flat arrays by name, reused from call to call: one per worker.
 
-    Holds one complex block per hop, 32 bytes per entry, and a float block
-    of at most _DRAW_CHUNK entries (one row when M is larger) for the
-    normal draws; a caller that draws many batches keeps one instance
-    instead of mapping fresh memory for every batch. A caller with float
-    scratch of its own passes it as `normal`, and the draws go there, in
-    chunks of as many whole rows as it holds.
+    A caller that works many batches keeps one instance, so its batches
+    write into the same memory instead of mapping fresh pages every time;
+    what it takes out is a view that the next take of that name overwrites.
     """
 
-    def __init__(self, size: int, normal: np.ndarray | None = None):
-        self._normal = np.empty(min(size, _DRAW_CHUNK)) if normal is None else normal
-        self._h = np.empty(size, dtype=np.complex128)
-        self._g = np.empty(size, dtype=np.complex128)
-
-    def views(self, n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(normal, h, g) views: h and g of shape (n, m) at the head of the buffers, normal of shape (rows, m).
-
-        normal holds as many whole rows as fit, at most n and at least one.
-        """
-        if n * m > self._h.size:
-            raise ValueError(f"a ({n}, {m}) draw needs {n * m} entries; the buffers hold {self._h.size}")
-        if self._normal.size < m:
-            self._normal = np.empty(m)
-        rows = min(n, self._normal.size // m)
-        return (self._normal[: rows * m].reshape(rows, m),
-                *(b[: n * m].reshape(n, m) for b in (self._h, self._g)))
+    def take(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        """A view of shape at the head of the array under name, replaced when too small or of another dtype."""
+        size = math.prod(shape)
+        buf = self.get(name)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self[name] = np.empty(size, dtype=dtype)
+        return buf[:size].reshape(shape)
 
 
-def sample_channel_batch(cfg: NetworkConfig, n: int, rng: np.random.Generator,
-                         buffers: ChannelBuffers | None = None):
+def sample_channel_batch(cfg: NetworkConfig, n: int, rng: np.random.Generator, ws: Workspace | None = None):
     """Draw n iid realizations at once; returns (H, G) of shape (n, M).
 
     The four normal blocks are drawn in the order Re h, Im h, Re g, Im g,
     each scaled by sqrt(gamma / 2) into its part of H or G: the same bits
     as (x + 1j y) sqrt(gamma / 2), from the same stream positions. Each
-    block is drawn in chunks of the buffers' normal rows. With buffers, H
-    and G are views into them that the next draw overwrites.
+    block is drawn in chunks of _DRAW_CHUNK entries under ws's "normal".
+    With ws, H and G are its "h" and "g", which the next draw overwrites.
     """
-    normal, h, g = (buffers or ChannelBuffers(n * cfg.M)).views(n, cfg.M)
-    step = normal.shape[0]
+    ws = Workspace() if ws is None else ws
+    step = max(1, min(n, _DRAW_CHUNK // cfg.M))
+    normal = ws.take("normal", (step, cfg.M))
+    h, g = (ws.take(name, (n, cfg.M), np.complex128) for name in ("h", "g"))
     for out, gamma in ((h, cfg.gamma_h), (g, cfg.gamma_g)):
         scale = np.sqrt(gamma / 2.0)
         for part in (out.real, out.imag):

@@ -30,11 +30,11 @@ import numpy as np
 
 from .codebook import LdCodebook, codeword_signs, generate_codebook
 from .model import (
-    ChannelBuffers,
     ChannelRealization,
     CsitMode,
     NetworkConfig,
     PowerAllocation,
+    Workspace,
     _batch_caps,
     _finite_array,
     _finite_scalar,
@@ -145,8 +145,8 @@ def transmit_frame(
     N0 = _finite_scalar(N0, "N0", allow_zero=True)
     q = np.sqrt(allocation.p)
     s = codeword_signs(t)[index]
-    ws = _BatchWorkspace(1, m, t)
-    _, r = _transmit_batch(code, (math.sqrt(p_s) * q * chan.f)[None], (q * chan.g)[None], s[None], N0, rng, ws)
+    _, r = _transmit_batch(code, (math.sqrt(p_s) * q * chan.f)[None], (q * chan.g)[None], s[None], N0, rng,
+                           Workspace())
     return r[0]
 
 
@@ -278,35 +278,18 @@ _BLOCK_ENTRIES = 32000
 _DRAWN_COUNTS = ("onoff", "waterfill_partial", "equal")
 
 
-class _CountWorkspace:
-    """The channel buffers of a _relay_counts draw of up to trials x m entries, and its block arrays.
-
-    A worker keeps one and reuses it from cell to cell and block to block.
-    The block arrays take a row block's |h|^2, |g|^2, caps and alpha =
-    |h|^2 |g|^2, _BLOCK_ENTRIES of each, or one row when m is larger; the
-    allocation kernels keep their own temporaries.
-    """
-
-    def __init__(self, trials: int, m: int):
-        self.channels = ChannelBuffers(trials * m)
-        self._blocks = np.empty((4, max(_BLOCK_ENTRIES, m)))
-
-    def block(self, rows: int, m: int) -> tuple[np.ndarray, ...]:
-        """(h2, g2, caps, alpha) views of shape (rows, m)."""
-        return tuple(b[: rows * m].reshape(rows, m) for b in self._blocks)
-
-
-def _relay_counts(cfg: NetworkConfig, n: int, rng: np.random.Generator, ws: _CountWorkspace | None,
+def _relay_counts(cfg: NetworkConfig, n: int, rng: np.random.Generator, ws: Workspace,
                   wanted) -> dict[str, float]:
     """E[sum_i p_i / P_i] over n trials of cfg per scheme label, and "equal".
 
     Max power spends every cap, so it scores M exactly, and statistical
     waterfilling allocates from the variances alone: neither draws. The
     wanted labels of _DRAWN_COUNTS come from one draw of n rows from rng
-    into ws (a fresh workspace when None), under short-term caps (cfg's
-    CSIT mode must be perfect or partial); with none wanted nothing is
-    drawn. Both allocators treat rows independently, so they work in row
-    blocks; each mean then sums its full column as one array.
+    into ws, under short-term caps (cfg's CSIT mode must be perfect or
+    partial); with none wanted nothing is drawn. Both allocators treat rows
+    independently, so they work in row blocks, whose |h|^2, |g|^2, caps and
+    alpha = |h|^2 |g|^2 are ws arrays too; the allocation kernels keep
+    their own temporaries. Each mean then sums its full column as one array.
     """
     stat = dataclasses.replace(cfg, csit_mode=CsitMode.STATISTICAL)
     # one row of long-term caps, which read only the variances
@@ -316,13 +299,12 @@ def _relay_counts(cfg: NetworkConfig, n: int, rng: np.random.Generator, ws: _Cou
     drawn = [label for label in _DRAWN_COUNTS if label in wanted]
     if not drawn:
         return counts
-    ws = ws or _CountWorkspace(n, cfg.M)
     columns = np.empty((len(drawn), n))
-    h, g = sample_channel_batch(cfg, n, rng, ws.channels)
+    h, g = sample_channel_batch(cfg, n, rng, ws)
     step = max(1, _BLOCK_ENTRIES // cfg.M)
     for lo in range(0, n, step):
         rows = slice(lo, lo + step)
-        h2, g2, caps, alpha = ws.block(min(step, n - lo), cfg.M)
+        h2, g2, caps, alpha = (ws.take(name, (min(step, n - lo), cfg.M)) for name in ("h2", "g2", "caps", "alpha"))
         np.square(np.abs(h[rows], out=h2), out=h2)
         _batch_caps(cfg, h2, cfg.p_s, cfg.p_r, out=caps)
         # "equal" reads both allocations, each other label one
@@ -358,33 +340,6 @@ class _DecodeTables:
         return cls(signs=signs, popcounts=popcounts, pairs=(iu, ju), basis=basis)
 
 
-class _BatchWorkspace:
-    """Every (n, .) array of a relay batch of up to `frames` frames, reused from batch to batch.
-
-    A worker keeps one, so its batches write into the same memory instead
-    of mapping and faulting fresh pages every time; what a batch reads out
-    of it is a view that the next batch overwrites. An array that nothing
-    reads again takes the next result in place: q = sqrt(p) overwrites
-    |h|^2, the two gain vectors overwrite h and g. One complex scratch
-    block, seen as floats, takes each normal draw before it is scaled
-    into place, sqrt(p_s) q, and the forwarded relay noise. The decoder's
-    real stack X and its statistics, the largest arrays of a batch, live
-    here too; the allocation kernels keep their own temporaries.
-    """
-
-    def __init__(self, frames: int, m: int, t: int):
-        self.h2 = np.empty((frames, m))
-        self.c = np.empty((frames, t, t), dtype=np.complex128)
-        self.r = np.empty((frames, t), dtype=np.complex128)
-        self.relay_noise = np.empty((frames, m, t), dtype=np.complex128)
-        self.x = np.empty((frames, 2 * t, t + 1))
-        self.stats = np.empty((frames, t, t + 1))
-        # floats for the largest draw, (n, M, T); complex entries for the (n, T) noise sum
-        self.scratch = np.empty(-(-frames * max(m * t, 2 * t) // 2), dtype=np.complex128)
-        self.draws = self.scratch.view(np.float64)
-        self.channels = ChannelBuffers(frames * m, normal=self.draws)
-
-
 def _transmit_batch(
     code: LdCodebook,
     gains: np.ndarray,
@@ -392,35 +347,38 @@ def _transmit_batch(
     s: np.ndarray,
     N0: float,
     rng: np.random.Generator,
-    ws: _BatchWorkspace,
+    ws: Workspace,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Effective matrices C (n, T, T) and receives r (n, T) of n frames, as views into ws.
+    """Effective matrices C (n, T, T) and receives r (n, T) of n frames, as ws's "c" and "r".
 
     gains[b, i] = sqrt(p_s) q_i f_i weighs A_i in C, noise_gains[b, i] =
     q_i g_i weighs relay i's forwarded noise, and s (n, T) holds the sent
     signs. Each sum over relays is one complex GEMM against the stacked
-    dispersion matrices. N0 = 0 returns r = C s and draws nothing.
+    dispersion matrices. N0 = 0 returns r = C s and draws nothing. Each
+    normal draw, and then the (n, T) noise sum seen as complex, goes
+    through ws's "normal".
     """
     n = gains.shape[0]
     m, t, _ = code.matrices.shape
-    c, r = ws.c[:n], ws.r[:n]
+    c = ws.take("c", (n, t, t), np.complex128)
+    r = ws.take("r", (n, t), np.complex128)
     np.matmul(gains, code.matrices.reshape(m, t * t), out=c.reshape(n, t * t))
     np.matmul(c, s[:, :, None], out=r[:, :, None])
     if N0 > 0.0:
         scale = math.sqrt(N0 / 2.0)
         # relay noise real then imaginary, then w real then imaginary: the
         # draws of scale (x + 1j y), each scaled into its part
-        relay_noise = ws.relay_noise[:n]
+        relay_noise = ws.take("relay_noise", (n, m, t), np.complex128)
         for part in (relay_noise.real, relay_noise.imag):
-            np.multiply(rng.standard_normal(out=ws.draws[: part.size].reshape(part.shape)), scale, out=part)
+            np.multiply(rng.standard_normal(out=ws.take("normal", part.shape)), scale, out=part)
         # sum_i (q_i g_i n_i)^T A_i^T: row b holds the scaled n_i back to back,
         # block i of the stack is A_i^T
         relay_noise *= noise_gains[:, :, None]
         r += np.matmul(relay_noise.reshape(n, m * t), code.matrices.transpose(0, 2, 1).reshape(m * t, t),
-                       out=ws.scratch[: n * t].reshape(n, t))
+                       out=ws.take("normal", (n, 2 * t)).view(np.complex128))
         # then + w, a part at a time: complex addition adds the parts
         for part in (r.real, r.imag):
-            w_part = rng.standard_normal(out=ws.draws[: n * t].reshape(n, t))
+            w_part = rng.standard_normal(out=ws.take("normal", (n, t)))
             w_part *= scale
             part += w_part
     return c, r
@@ -435,15 +393,20 @@ def _relay_batch_tallies(
     p_r: float,
     n: int,
     rng: np.random.Generator,
-    ws: _BatchWorkspace,
+    ws: Workspace,
 ) -> tuple[int, int]:
-    """Block and bit errors of n frames drawn from rng, worked in ws."""
-    h, g = sample_channel_batch(cfg, n, rng, ws.channels)
-    h2 = np.square(np.abs(h, out=ws.h2[:n]), out=ws.h2[:n])
+    """Block and bit errors of n frames drawn from rng, worked in ws.
+
+    An array that nothing reads again takes the next result in place:
+    q = sqrt(p) overwrites |h|^2, and the two gain vectors overwrite h and g.
+    """
+    h, g = sample_channel_batch(cfg, n, rng, ws)
+    h2 = ws.take("h2", h.shape)
+    np.square(np.abs(h, out=h2), out=h2)
     q = np.sqrt(_allocate_batch(cfg, scheme, h2, g, _batch_caps(cfg, h2, p_s, p_r)), out=h2)
     k = rng.integers(0, code.n_codewords, size=n)
     # the plain products (sqrt(p_s) q) h g and q g, in place over h and g
-    gains = np.multiply(np.multiply(q, math.sqrt(p_s), out=ws.draws[: q.size].reshape(q.shape)), h, out=h)
+    gains = np.multiply(np.multiply(q, math.sqrt(p_s), out=ws.take("normal", q.shape)), h, out=h)
     gains *= g
     noise_gains = np.multiply(q, g, out=g)
     c, r = _transmit_batch(code, gains, noise_gains, tables.signs[k], cfg.N0, rng, ws)
@@ -451,7 +414,7 @@ def _relay_batch_tallies(
     return int(np.count_nonzero(k_hat != k)), int(tables.popcounts[k ^ k_hat].sum())
 
 
-def _ml_decode_batch(c: np.ndarray, r: np.ndarray, tables: _DecodeTables, ws: _BatchWorkspace) -> np.ndarray:
+def _ml_decode_batch(c: np.ndarray, r: np.ndarray, tables: _DecodeTables, ws: Workspace) -> np.ndarray:
     """Exhaustive ML indices for effective matrices c (n, T, T) and receives r (n, T).
 
     BPSK symbols are real, so ||r - C s||^2 = ||r||^2 + tr Re(C^H C)
@@ -460,15 +423,15 @@ def _ml_decode_batch(c: np.ndarray, r: np.ndarray, tables: _DecodeTables, ws: _B
     of shape (n, 2T, T+1), X[:, :, :T]^T X = [Re(C^H C) | Re(C^H r)].
     Dropping the terms every candidate shares and the factor 2 leaves one
     real GEMM of [Re(C^H C)_{i<j}, -Re(C^H r)] against tables.basis. Ties
-    go to the smallest index. X and the statistics are views into ws.
+    go to the smallest index. X and the statistics are ws's "x" and "stats".
     """
     n, t, _ = c.shape
-    x = ws.x[:n]
+    x = ws.take("x", (n, 2 * t, t + 1))
     x[:, :t, :t] = c.real
     x[:, t:, :t] = c.imag
     x[:, :t, t] = r.real
     x[:, t:, t] = r.imag
-    stats = np.matmul(x[:, :, :t].transpose(0, 2, 1), x, out=ws.stats[:n])
+    stats = np.matmul(x[:, :, :t].transpose(0, 2, 1), x, out=ws.take("stats", (n, t, t + 1)))
     iu, ju = tables.pairs
     return np.argmin(np.concatenate([stats[:, iu, ju], -stats[:, :, t]], axis=1) @ tables.basis.T, axis=1)
 
@@ -507,7 +470,7 @@ def run_monte_carlo(
     for statistical waterfilling, whose long-term caps are the same in
     every frame: it is solved once per batch and repeated. Batch b of
     point i draws from stream (seed, i, b) wherever it runs, and every
-    batch works in a reused batch workspace. At T <= 2 the batches run
+    batch works in its worker's Workspace. At T <= 2 the batches run
     one per usable core, each worker with its own workspace; at larger T
     they run in turn, because BLAS already spreads their products over
     the cores. The tallies are integer sums, so neither the shard count,
@@ -547,8 +510,7 @@ def run_monte_carlo(
             return _direct_batch_tallies(cfg.M, net_power, cfg.N0, n, rng)
         return _relay_batch_tallies(cfg, scheme, code, tables, p_s, p_r, n, rng, ws)
 
-    workspace = (lambda: None) if direct else (lambda: _BatchWorkspace(min(batch, frames), cfg.M, cfg.M))
-    results = _map_jobs(tallies, jobs, workspace, len(jobs) if cfg.M <= _POOL_MAX_BLOCK else 1)
+    results = _map_jobs(tallies, jobs, len(jobs) if cfg.M <= _POOL_MAX_BLOCK else 1)
     block_errors = np.zeros(grid.shape[0], dtype=np.int64)
     bit_errors = np.zeros(grid.shape[0], dtype=np.int64)
     for (pi, _), (blk, bits) in zip(jobs, results):
@@ -582,25 +544,24 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _map_jobs(fn, jobs: list, workspace, max_workers: int) -> list:
+def _map_jobs(fn, jobs: list, max_workers: int) -> list:
     """[fn(job, ws) for job in jobs] on one thread per usable core, at most max_workers.
 
-    Each thread makes its ws = workspace() once and hands it to every job it
-    runs. Results keep the order of jobs. With one worker the jobs run in
-    the calling thread. A failing job's error is raised once the jobs not
-    yet started are cancelled and the running ones have finished.
+    Each thread makes one Workspace ws and hands it to every job it runs.
+    Results keep the order of jobs. With one worker the jobs run in the
+    calling thread. A failing job's error is raised once the jobs not yet
+    started are cancelled and the running ones have finished.
     """
-    workers = min(_usable_cores(), len(jobs), max_workers)
-    if workers <= 1:
-        ws = workspace()
-        return [fn(job, ws) for job in jobs]
     local = threading.local()
 
     def run(job):
         if not hasattr(local, "ws"):
-            local.ws = workspace()
+            local.ws = Workspace()
         return fn(job, local.ws)
 
+    workers = min(_usable_cores(), len(jobs), max_workers)
+    if workers <= 1:
+        return [run(job) for job in jobs]
     # imported here, not at the top: 7 ms that every run without a pool would pay
     from concurrent.futures import ThreadPoolExecutor
 
@@ -630,7 +591,8 @@ def effective_relay_count(cfg: NetworkConfig, scheme: Scheme, r_grid, trials: in
     gammas = [_distance_variances(r) for r in grid.tolist()]
     label = scheme_label(scheme, cfg.csit_mode)
     counts = np.empty(grid.shape[0])
+    ws = Workspace()
     for ri, (gamma_h, gamma_g) in enumerate(gammas):
         cfg_r = dataclasses.replace(cfg, gamma_h=np.full(cfg.M, gamma_h), gamma_g=np.full(cfg.M, gamma_g))
-        counts[ri] = _relay_counts(cfg_r, trials, derive_rng(seed, STREAM_CHANNELS, ri), None, [label])[label]
+        counts[ri] = _relay_counts(cfg_r, trials, derive_rng(seed, STREAM_CHANNELS, ri), ws, [label])[label]
     return counts

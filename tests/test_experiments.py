@@ -197,6 +197,20 @@ class TestValidation:
         msg = self._err(tmp_path, MINIMAL["bler_vs_snr"].replace("direct", "onoff"))
         assert "duplicate scheme" in msg
 
+    def test_duplicate_top_level_key_anchored_to_the_second(self, tmp_path):
+        msg = self._err(tmp_path, MINIMAL["power_ratio_vs_distance"] + "trials: 200\n")
+        assert "scenario.yaml:8:" in msg and "duplicate key 'trials'" in msg
+
+    def test_duplicate_network_key_anchored_to_the_second(self, tmp_path):
+        msg = self._err(tmp_path, MINIMAL["bler_vs_snr"] + "  M: 12\n")
+        assert "scenario.yaml:7:" in msg and "duplicate key 'network.M'" in msg
+
+    @pytest.mark.parametrize("name", ["a/b", "a\\0b"])
+    def test_name_with_slash_or_nul_anchored_to_its_line(self, tmp_path, name):
+        text = MINIMAL["bler_vs_snr"].replace("kind: bler_vs_snr\n", f'kind: bler_vs_snr\nname: "{name}"\n')
+        msg = self._err(tmp_path, text)
+        assert "scenario.yaml:2:" in msg and "name must be a non-empty string without '/' or NUL" in msg
+
     def test_direct_rejected_in_power_ratio(self, tmp_path):
         msg = self._err(tmp_path,
                         MINIMAL["power_ratio_vs_distance"].replace("maxpower", "direct"))

@@ -5,12 +5,12 @@ import pytest
 
 from relaypower import model
 from relaypower.model import (
-    ChannelBuffers,
     ChannelRealization,
     ConstraintKind,
     CsitMode,
     NetworkConfig,
     PowerAllocation,
+    Workspace,
     amplifier_caps,
     overall_noise_variance,
     sample_channel_batch,
@@ -164,7 +164,7 @@ def _draw_by_expression(cfg, n, rng):
 
 
 class TestChannelBuffers:
-    """The in-place draw, with and without caller buffers, against the complex expression."""
+    """The in-place draw, with and without a caller workspace, against the complex expression."""
 
     @pytest.mark.parametrize("m", [1, 2, 8, 32])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -172,10 +172,10 @@ class TestChannelBuffers:
         cfg = _cfg(M=m, gamma_h=np.geomspace(0.01, 100.0, m), gamma_g=np.full(m, 1.0 / 0.3**2))
         ref_rng = np.random.default_rng(seed)
         ref_h, ref_g = _draw_by_expression(cfg, 777, ref_rng)
-        # a buffer larger than the draw, already holding an earlier draw
-        buffers = ChannelBuffers(1000 * m)
-        sample_channel_batch(cfg, 1000, np.random.default_rng(seed + 10), buffers)
-        for buf in (None, buffers):
+        # a workspace larger than the draw, already holding an earlier draw
+        ws = Workspace()
+        sample_channel_batch(cfg, 1000, np.random.default_rng(seed + 10), ws)
+        for buf in (None, ws):
             rng = np.random.default_rng(seed)
             h, g = sample_channel_batch(cfg, 777, rng, buf)
             assert h.shape == g.shape == (777, m)
@@ -193,13 +193,13 @@ class TestChannelBuffers:
         cfg = _cfg(M=m, gamma_h=np.geomspace(0.01, 100.0, m), gamma_g=np.full(m, 2.5))
         ref_rng = np.random.default_rng(5)
         ref_h, ref_g = _draw_by_expression(cfg, n, ref_rng)
-        buffers = ChannelBuffers(n * m)
-        assert buffers.views(n, m)[0].size == max(m, min(n * m, model._DRAW_CHUNK // m * m))
-        for buf in (None, buffers):
+        ws = Workspace()
+        for buf in (None, ws):
             rng = np.random.default_rng(5)
             h, g = sample_channel_batch(cfg, n, rng, buf)
             assert h.tobytes() == ref_h.tobytes() and g.tobytes() == ref_g.tobytes()
             assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert ws["normal"].size == max(m, min(n * m, model._DRAW_CHUNK // m * m))
 
     @pytest.mark.parametrize("chunk", [1, 2, 5, 9, 24, 25])
     def test_any_chunk_size_gives_the_same_bits(self, monkeypatch, chunk):
@@ -209,22 +209,32 @@ class TestChannelBuffers:
         ref_rng = np.random.default_rng(9)
         ref_h, ref_g = _draw_by_expression(cfg, 8, ref_rng)
         rng = np.random.default_rng(9)
-        h, g = sample_channel_batch(cfg, 8, rng, ChannelBuffers(24))
+        h, g = sample_channel_batch(cfg, 8, rng, Workspace())
         assert h.tobytes() == ref_h.tobytes() and g.tobytes() == ref_g.tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_draws_are_views_into_the_buffers(self):
         cfg = _cfg()
-        buffers = ChannelBuffers(30)
-        h1, _ = sample_channel_batch(cfg, 10, np.random.default_rng(0), buffers)
+        ws = Workspace()
+        h1, _ = sample_channel_batch(cfg, 10, np.random.default_rng(0), ws)
         first = h1.copy()
-        h2, _ = sample_channel_batch(cfg, 10, np.random.default_rng(1), buffers)
+        h2, _ = sample_channel_batch(cfg, 10, np.random.default_rng(1), ws)
         assert np.shares_memory(h1, h2)
         assert not np.array_equal(h1, first)  # overwritten by the second draw
 
-    def test_too_small_buffers_rejected(self):
-        with pytest.raises(ValueError, match="needs 33 entries; the buffers hold 30"):
-            sample_channel_batch(_cfg(), 11, np.random.default_rng(0), ChannelBuffers(30))
+
+class TestWorkspace:
+    def test_take_reuses_the_head_and_grows_on_demand(self):
+        ws = Workspace()
+        a = ws.take("a", (3, 4))
+        assert a.shape == (3, 4) and a.dtype == np.float64
+        assert np.shares_memory(ws.take("a", (2, 5)), a)  # 10 entries fit in 12
+        grown = ws.take("a", (13,))
+        assert not np.shares_memory(grown, a) and ws["a"].size == 13
+        complex_a = ws.take("a", (2,), np.complex128)  # another dtype replaces the array
+        assert complex_a.dtype == np.complex128 and not np.shares_memory(complex_a, grown)
+        assert np.shares_memory(ws.take("a", (1,), np.complex128), complex_a)
+        assert not np.shares_memory(ws.take("b", (3, 4)), ws.take("a", (2,), np.complex128))
 
 
 class TestOverallNoiseVariance:

@@ -15,6 +15,7 @@ from relaypower.model import (
     ChannelRealization,
     NetworkConfig,
     PowerAllocation,
+    Workspace,
     _batch_caps,
     amplifier_caps,
     overall_noise_variance,
@@ -27,7 +28,6 @@ from relaypower.sim import (
     SimResult,
     _allocate_batch,
     _batch_size,
-    _BatchWorkspace,
     _DecodeTables,
     _ml_decode_batch,
     _relay_batch_tallies,
@@ -205,7 +205,7 @@ class TestBatchDecoder:
             allocs.append(alloc)
             c.append(effective_code_matrix(code, chan.f, np.sqrt(p), p_s))
             r.append(transmit_frame(code, chan, alloc, p_s, 1.0, k, rng))
-        got = _ml_decode_batch(np.stack(c), np.stack(r), _DecodeTables.for_block(t), _BatchWorkspace(frames, t, t))
+        got = _ml_decode_batch(np.stack(c), np.stack(r), _DecodeTables.for_block(t), Workspace())
         want = [ml_decode(code, chan, alloc, p_s, rx) for chan, alloc, rx in zip(chans, allocs, r)]
         assert got.tolist() == want
 
@@ -219,13 +219,13 @@ class TestBatchDecoder:
         tables = _DecodeTables.for_block(t)
         r = tables.signs @ c.T
         cs = np.broadcast_to(c, (2**t, t, t))
-        np.testing.assert_array_equal(_ml_decode_batch(cs, r, tables, _BatchWorkspace(2**t, t, t)), np.arange(2**t))
+        np.testing.assert_array_equal(_ml_decode_batch(cs, r, tables, Workspace()), np.arange(2**t))
 
     def test_silent_network_ties_to_index_zero(self):
         tables = _DecodeTables.for_block(3)
         c = np.zeros((2, 3, 3), dtype=complex)
         r = np.array([[1.0, -2.0, 0.5j], [0.0, 0.0, 0.0]])
-        np.testing.assert_array_equal(_ml_decode_batch(c, r, tables, _BatchWorkspace(2, 3, 3)), [0, 0])
+        np.testing.assert_array_equal(_ml_decode_batch(c, r, tables, Workspace()), [0, 0])
 
     @pytest.mark.parametrize("m", [2, 4, 8, 12])
     @pytest.mark.parametrize("scheme,mode", [
@@ -243,7 +243,7 @@ class TestBatchDecoder:
         for bi in range(3):
             rng_got = derive_rng(9, STREAM_FRAMES, 0, bi)
             rng_want = derive_rng(9, STREAM_FRAMES, 0, bi)
-            ws = _BatchWorkspace(n, m, m)
+            ws = Workspace()
             got = _relay_batch_tallies(cfg, scheme, code, tables, 3.0, 3.0, n, rng_got, ws)
             want = _direct_distance_tallies(cfg, scheme, code, 3.0, 3.0, n, rng_want)
             assert got == want
@@ -274,7 +274,7 @@ def _fresh_batch(cfg, scheme, code, tables, p_s, p_r, n, rng):
     q = np.sqrt(_allocate_batch(cfg, scheme, h2, g, _batch_caps(cfg, h2, p_s, p_r)))
     k = rng.integers(0, code.n_codewords, size=n)
     c, r = _fresh_transmit(code, math.sqrt(p_s) * q * h * g, q * g, tables.signs[k], cfg.N0, rng)
-    k_hat = _ml_decode_batch(c, r, tables, _BatchWorkspace(n, cfg.M, code.T))
+    k_hat = _ml_decode_batch(c, r, tables, Workspace())
     return c, r, (int(np.count_nonzero(k_hat != k)), int(tables.popcounts[k ^ k_hat].sum()))
 
 
@@ -288,7 +288,7 @@ class TestBatchWorkspace:
         cfg = _cfg(m, csit_mode=mode, p_s=3.0, p_r=3.0, gamma_g=np.linspace(0.5, 2.0, m))
         code = generate_codebook(m, seed=m)
         tables = _DecodeTables.for_block(m)
-        ws = _BatchWorkspace(700, m, m)
+        ws = Workspace()
         # a full batch, then a short one over the first batch's leftovers
         for bi, n in enumerate([700, 301]):
             rng_got = derive_rng(4, STREAM_FRAMES, 0, bi)
@@ -297,7 +297,7 @@ class TestBatchWorkspace:
             c, r, want = _fresh_batch(cfg, scheme, code, tables, 3.0, 3.0, n, rng_want)
             assert got == want
             assert got[0] > 0
-            assert ws.c[:n].tobytes() == c.tobytes() and ws.r[:n].tobytes() == r.tobytes()
+            assert ws["c"][: c.size].tobytes() == c.tobytes() and ws["r"][: r.size].tobytes() == r.tobytes()
             assert rng_got.bit_generator.state == rng_want.bit_generator.state
 
     @pytest.mark.parametrize("n0", [0.0, 1.0])
@@ -526,12 +526,15 @@ class TestCountWorkspace:
 
     def test_reused_workspace_gives_the_counts_of_fresh_ones(self):
         labels = ("onoff", "waterfill_partial", "equal")
-        ws = sim._CountWorkspace(self.TRIALS, 32)
-        for seed, m in enumerate([32, 3, 1, 32]):
+        ws = Workspace()
+        # the workspace grows at M = 3 and 32, then serves M = 3 from its larger arrays
+        for seed, m in enumerate([1, 3, 32, 3]):
             assert self.TRIALS % (sim._BLOCK_ENTRIES // m)
             cfg = _cfg(m, p_s=3.0, p_r=3.0, gamma_h=np.full(m, 4.0), gamma_g=np.full(m, 1.5), csit_mode="partial")
-            reused = sim._relay_counts(cfg, self.TRIALS, np.random.default_rng(seed), ws, labels)
-            assert reused == sim._relay_counts(cfg, self.TRIALS, np.random.default_rng(seed), None, labels)
+            rng_reused, rng_fresh = np.random.default_rng(seed), np.random.default_rng(seed)
+            reused = sim._relay_counts(cfg, self.TRIALS, rng_reused, ws, labels)
+            assert reused == sim._relay_counts(cfg, self.TRIALS, rng_fresh, Workspace(), labels)
+            assert rng_reused.bit_generator.state == rng_fresh.bit_generator.state
 
 
 class TestExtremePowers:

@@ -6,13 +6,16 @@ included, nothing pre-whitened) and decodes by exhaustive maximum
 likelihood over all 2^T codewords. Frames are simulated in fixed-size
 batches; batch b of SNR point i always consumes the stream derived from
 (seed, point i, batch b), so splitting the batches across shards cannot
-change any tally.
+change any tally. The allocators draw nothing, so every relay scheme of a
+run would read the same numbers from that stream: the relay schemes that
+share M, N0 and the variances run together, from one codebook and one
+draw of each batch, and their curves are paired (common random numbers).
 
 A batch is BLAS work. The receive is r = sqrt(p_s) sum_i q_i f_i A_i s
 + sum_i q_i g_i A_i n_i + w (Jing & Hassibi, IEEE TWC 2006), and each sum
 over relays is one complex GEMM once the dispersion stack is reshaped:
 the effective matrices are (n, M) gains @ (M, T^2) matrices, the forwarded
-relay noise (n, M T) scaled draws @ (M T, T) stacked transposes. The
+relay noise (n, M T) weighted draws @ (M T, T) stacked transposes. The
 decoder needs only Re(C^H C) and Re(C^H r), one real batched product.
 """
 
@@ -145,8 +148,9 @@ def transmit_frame(
     N0 = _finite_scalar(N0, "N0", allow_zero=True)
     q = np.sqrt(allocation.p)
     s = codeword_signs(t)[index]
-    _, r = _transmit_batch(code, (math.sqrt(p_s) * q * chan.f)[None], (q * chan.g)[None], s[None], N0, rng,
-                           Workspace())
+    ws = Workspace()
+    noise = _draw_noise(1, m, t, N0, rng, ws)
+    _, r = _transmit_batch(code, (math.sqrt(p_s) * q * chan.f)[None], (q * chan.g)[None], s[None], noise, ws)
     return r[0]
 
 
@@ -340,23 +344,42 @@ class _DecodeTables:
         return cls(signs=signs, popcounts=popcounts, pairs=(iu, ju), basis=basis)
 
 
+def _draw_noise(n: int, m: int, t: int, N0: float, rng: np.random.Generator,
+                ws: Workspace) -> tuple[np.ndarray, np.ndarray] | None:
+    """Relay noise (n, M, T) and destination noise w (n, T) of n frames, as ws's "relay_noise" and "w".
+
+    Both are drawn as scale (x + 1j y), scale = sqrt(N0 / 2): the relay
+    noise real then imaginary, then w real then imaginary, each normal block
+    through ws's "normal" and then scaled into its part. N0 = 0 returns None
+    and draws nothing.
+    """
+    if N0 == 0.0:
+        return None
+    scale = math.sqrt(N0 / 2.0)
+    relay_noise = ws.take("relay_noise", (n, m, t), np.complex128)
+    w = ws.take("w", (n, t), np.complex128)
+    for part in (relay_noise.real, relay_noise.imag, w.real, w.imag):
+        np.multiply(rng.standard_normal(out=ws.take("normal", part.shape)), scale, out=part)
+    return relay_noise, w
+
+
 def _transmit_batch(
     code: LdCodebook,
     gains: np.ndarray,
     noise_gains: np.ndarray,
     s: np.ndarray,
-    N0: float,
-    rng: np.random.Generator,
+    noise: tuple[np.ndarray, np.ndarray] | None,
     ws: Workspace,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Effective matrices C (n, T, T) and receives r (n, T) of n frames, as ws's "c" and "r".
 
     gains[b, i] = sqrt(p_s) q_i f_i weighs A_i in C, noise_gains[b, i] =
-    q_i g_i weighs relay i's forwarded noise, and s (n, T) holds the sent
-    signs. Each sum over relays is one complex GEMM against the stacked
-    dispersion matrices. N0 = 0 returns r = C s and draws nothing. Each
-    normal draw, and then the (n, T) noise sum seen as complex, goes
-    through ws's "normal".
+    q_i g_i weighs relay i's forwarded noise, s (n, T) holds the sent signs
+    and noise the (relay noise, w) of _draw_noise, which this only reads:
+    the weighted relay noise is ws's "weighted_noise", and its (n, T) sum
+    seen as complex goes through ws's "normal". Each sum over relays is one
+    complex GEMM against the stacked dispersion matrices. With no noise
+    r = C s.
     """
     n = gains.shape[0]
     m, t, _ = code.matrices.shape
@@ -364,29 +387,20 @@ def _transmit_batch(
     r = ws.take("r", (n, t), np.complex128)
     np.matmul(gains, code.matrices.reshape(m, t * t), out=c.reshape(n, t * t))
     np.matmul(c, s[:, :, None], out=r[:, :, None])
-    if N0 > 0.0:
-        scale = math.sqrt(N0 / 2.0)
-        # relay noise real then imaginary, then w real then imaginary: the
-        # draws of scale (x + 1j y), each scaled into its part
-        relay_noise = ws.take("relay_noise", (n, m, t), np.complex128)
-        for part in (relay_noise.real, relay_noise.imag):
-            np.multiply(rng.standard_normal(out=ws.take("normal", part.shape)), scale, out=part)
-        # sum_i (q_i g_i n_i)^T A_i^T: row b holds the scaled n_i back to back,
+    if noise is not None:
+        relay_noise, w = noise
+        # sum_i (q_i g_i n_i)^T A_i^T: row b holds the weighted n_i back to back,
         # block i of the stack is A_i^T
-        relay_noise *= noise_gains[:, :, None]
-        r += np.matmul(relay_noise.reshape(n, m * t), code.matrices.transpose(0, 2, 1).reshape(m * t, t),
+        weighted = np.multiply(relay_noise, noise_gains[:, :, None],
+                               out=ws.take("weighted_noise", relay_noise.shape, np.complex128))
+        r += np.matmul(weighted.reshape(n, m * t), code.matrices.transpose(0, 2, 1).reshape(m * t, t),
                        out=ws.take("normal", (n, 2 * t)).view(np.complex128))
-        # then + w, a part at a time: complex addition adds the parts
-        for part in (r.real, r.imag):
-            w_part = rng.standard_normal(out=ws.take("normal", (n, t)))
-            w_part *= scale
-            part += w_part
+        r += w
     return c, r
 
 
 def _relay_batch_tallies(
-    cfg: NetworkConfig,
-    scheme: Scheme,
+    runs: list[tuple[NetworkConfig, Scheme]],
     code: LdCodebook,
     tables: _DecodeTables,
     p_s: float,
@@ -394,24 +408,42 @@ def _relay_batch_tallies(
     n: int,
     rng: np.random.Generator,
     ws: Workspace,
-) -> tuple[int, int]:
-    """Block and bit errors of n frames drawn from rng, worked in ws.
+) -> list[tuple[int, int]]:
+    """Block and bit errors of n frames drawn from rng for each (cfg, scheme) of runs, worked in ws.
 
-    An array that nothing reads again takes the next result in place:
-    q = sqrt(p) overwrites |h|^2, and the two gain vectors overwrite h and g.
+    The runs share M, N0 and the variances, so one draw serves them all, in
+    the order a one-scheme batch takes it: h and g, the codeword indices,
+    then the relay noise and w (_draw_noise). Each run then takes its caps,
+    allocation, gains, transmit and decode from those draws. No run writes
+    over them: |h|^2, h, g, the scaled relay noise and w keep their ws
+    arrays, and each run's caps, q, gain vectors, weighted noise, C and r
+    are ws arrays of their own that the next run reuses.
     """
+    cfg = runs[0][0]
+    m, t = code.M, code.T
+    # "normal" at the largest shape this batch takes it (relay noise, or the
+    # complex noise sum at T = 1), so a worker's first batch maps it once
+    ws.take("normal", (n, max(m, 2) * t))
     h, g = sample_channel_batch(cfg, n, rng, ws)
+    k = rng.integers(0, code.n_codewords, size=n)
+    noise = _draw_noise(n, m, t, cfg.N0, rng, ws)
     h2 = ws.take("h2", h.shape)
     np.square(np.abs(h, out=h2), out=h2)
-    q = np.sqrt(_allocate_batch(cfg, scheme, h2, g, _batch_caps(cfg, h2, p_s, p_r)), out=h2)
-    k = rng.integers(0, code.n_codewords, size=n)
-    # the plain products (sqrt(p_s) q) h g and q g, in place over h and g
-    gains = np.multiply(np.multiply(q, math.sqrt(p_s), out=ws.take("normal", q.shape)), h, out=h)
-    gains *= g
-    noise_gains = np.multiply(q, g, out=g)
-    c, r = _transmit_batch(code, gains, noise_gains, tables.signs[k], cfg.N0, rng, ws)
-    k_hat = _ml_decode_batch(c, r, tables, ws)
-    return int(np.count_nonzero(k_hat != k)), int(tables.popcounts[k ^ k_hat].sum())
+    s = tables.signs[k]
+    tallies = []
+    for cfg, scheme in runs:
+        caps = _batch_caps(cfg, h2, p_s, p_r, out=ws.take("caps", h.shape))
+        p = _allocate_batch(cfg, scheme, h2, g, caps, (ws.take("g2", h.shape), ws.take("alpha", h.shape)))
+        q = np.sqrt(p, out=ws.take("q", h.shape))
+        # the plain products q g and (sqrt(p_s) q) h g
+        noise_gains = np.multiply(q, g, out=ws.take("noise_gains", h.shape, np.complex128))
+        q *= math.sqrt(p_s)
+        gains = np.multiply(q, h, out=ws.take("gains", h.shape, np.complex128))
+        gains *= g
+        c, r = _transmit_batch(code, gains, noise_gains, s, noise, ws)
+        k_hat = _ml_decode_batch(c, r, tables, ws)
+        tallies.append((int(np.count_nonzero(k_hat != k)), int(tables.popcounts[k ^ k_hat].sum())))
+    return tallies
 
 
 def _ml_decode_batch(c: np.ndarray, r: np.ndarray, tables: _DecodeTables, ws: Workspace) -> np.ndarray:
@@ -475,19 +507,42 @@ def run_monte_carlo(
     they run in turn, because BLAS already spreads their products over
     the cores. The tallies are integer sums, so neither the shard count,
     which only partitions the fixed batch schedule, nor the number of
-    cores changes them.
+    cores changes them. This is the one-scheme call of _run_schemes, which
+    gives every relay scheme of a run the same codebook and the same draws
+    of each batch, so the tallies here are those the scheme scores there,
+    paired with the other schemes' (common random numbers).
+    """
+    return _run_schemes([(cfg, scheme)], snr_grid_db, frames, seed,
+                        network_power_sweep=network_power_sweep, shards=shards)[0]
+
+
+def _run_schemes(runs: list[tuple[NetworkConfig, Scheme]], snr_grid_db, frames: int, seed: int, *,
+                 network_power_sweep: bool = False, shards: int = 1) -> list[SimResult]:
+    """run_monte_carlo of each (cfg, scheme) of runs, every relay scheme from one draw per (point, batch).
+
+    The relay schemes of runs must share M, N0 and the variances; they then
+    share the codebook and each batch's draws, and each (point, batch) job
+    scores all of them (_relay_batch_tallies). The direct link draws its own
+    numbers, so it runs alone. Anything else is a ValueError.
     """
     if frames < MIN_FRAMES:
         raise ValueError(f"frames must be at least {MIN_FRAMES}")
     if shards < 1:
         raise ValueError("shards must be at least 1")
-    _check_compat(cfg, scheme)
+    for c, scheme in runs:
+        _check_compat(c, scheme)
+    cfg = runs[0][0]
+    if any(c.M != cfg.M or c.N0 != cfg.N0 or not np.array_equal(c.gamma_h, cfg.gamma_h)
+           or not np.array_equal(c.gamma_g, cfg.gamma_g) for c, _ in runs):
+        raise ValueError("schemes run together must share M, N0, gamma_h and gamma_g")
+    direct = any(scheme is Scheme.DIRECT_LINK for _, scheme in runs)
+    if direct and len(runs) > 1:
+        raise ValueError("the direct link draws its own numbers: run it alone")
     grid = np.atleast_1d(np.asarray(snr_grid_db, dtype=np.float64))
     if grid.size == 0:
         raise ValueError("snr grid must be non-empty")
 
     start = time.perf_counter()
-    direct = scheme is Scheme.DIRECT_LINK
     if direct:
         code = None
         tables = None
@@ -507,26 +562,25 @@ def run_monte_carlo(
         rng = derive_rng(seed, STREAM_FRAMES, pi, bi)
         p_s, p_r, net_power = powers[pi]
         if direct:
-            return _direct_batch_tallies(cfg.M, net_power, cfg.N0, n, rng)
-        return _relay_batch_tallies(cfg, scheme, code, tables, p_s, p_r, n, rng, ws)
+            return [_direct_batch_tallies(cfg.M, net_power, cfg.N0, n, rng)]
+        return _relay_batch_tallies(runs, code, tables, p_s, p_r, n, rng, ws)
 
     results = _map_jobs(tallies, jobs, len(jobs) if cfg.M <= _POOL_MAX_BLOCK else 1)
-    block_errors = np.zeros(grid.shape[0], dtype=np.int64)
-    bit_errors = np.zeros(grid.shape[0], dtype=np.int64)
-    for (pi, _), (blk, bits) in zip(jobs, results):
-        block_errors[pi] += blk
-        bit_errors[pi] += bits
-
-    return SimResult(
-        scheme=scheme_label(scheme, cfg.csit_mode),
+    # errors[run, point, block or bit]
+    errors = np.zeros((len(runs), grid.shape[0], 2), dtype=np.int64)
+    for (pi, _), scored in zip(jobs, results):
+        errors[:, pi] += scored
+    elapsed = time.perf_counter() - start
+    return [SimResult(
+        scheme=scheme_label(scheme, c.csit_mode),
         seed=seed,
         block_bits=cfg.M,
         snr_db=grid,
         frames=np.full(grid.shape[0], frames, dtype=np.int64),
-        block_errors=block_errors,
-        bit_errors=bit_errors,
-        elapsed_s=time.perf_counter() - start,
-    )
+        block_errors=errors[ri, :, 0],
+        bit_errors=errors[ri, :, 1],
+        elapsed_s=elapsed,
+    ) for ri, (c, scheme) in enumerate(runs)]
 
 
 # Largest block length T whose batches run one per core. From T = 3 on, BLAS

@@ -496,16 +496,14 @@ class TestRunFailures:
     def test_failed_run_leaves_no_partial_files(self, tmp_path, monkeypatch):
         spec = load_spec(_write(tmp_path, MINIMAL["bler_vs_snr"]))
         assert len(spec.schemes) > 1
-        real = experiments.run_monte_carlo
-        runs = []
+        real = experiments._OutputSet.write
 
-        def failing(*args, **kwargs):
-            if runs:  # the first scheme's CSV is written by then
+        def failing(outputs, *args):
+            if outputs.paths:  # the first scheme's CSV is written by then
                 raise ValueError("second scheme failed")
-            runs.append(1)
-            return real(*args, **kwargs)
+            return real(outputs, *args)
 
-        monkeypatch.setattr(experiments, "run_monte_carlo", failing)
+        monkeypatch.setattr(experiments._OutputSet, "write", failing)
         out = tmp_path / "out"
         with pytest.raises(ValueError, match="second scheme failed"):
             run_experiment(spec, out)
@@ -735,10 +733,10 @@ class TestMonteCarloBatches:
     def test_failing_batch_reaches_the_caller_and_leaves_nothing(self, tmp_path, monkeypatch, capsys):
         real = sim._relay_batch_tallies
 
-        def failing(cfg, scheme, code, tables, p_s, p_r, n, rng, ws):
-            if scheme is Scheme.MAX_POWER and n < 4096:
+        def failing(runs, code, tables, p_s, p_r, n, rng, ws):
+            if any(scheme is Scheme.MAX_POWER for _, scheme in runs) and n < 4096:
                 raise ValueError(f"max_power batch of {n} frames failed")
-            return real(cfg, scheme, code, tables, p_s, p_r, n, rng, ws)
+            return real(runs, code, tables, p_s, p_r, n, rng, ws)
 
         monkeypatch.setattr(sim, "_relay_batch_tallies", failing)
         with pytest.raises(ValueError, match="max_power batch of 808 frames failed"):

@@ -166,7 +166,7 @@ class TestPhysicalChain:
 
 
 def _direct_distance_tallies(cfg, scheme, code, p_s, p_r, n, rng):
-    """_relay_batch_tallies with every candidate's receive built and measured directly."""
+    """One scheme's _relay_batch_tallies with every candidate's receive built and measured directly."""
     h, g = sample_channel_batch(cfg, n, rng)
     h2 = np.abs(h) ** 2
     q = np.sqrt(_allocate_batch(cfg, scheme, h2, g, _batch_caps(cfg, h2, p_s, p_r)))
@@ -244,7 +244,7 @@ class TestBatchDecoder:
             rng_got = derive_rng(9, STREAM_FRAMES, 0, bi)
             rng_want = derive_rng(9, STREAM_FRAMES, 0, bi)
             ws = Workspace()
-            got = _relay_batch_tallies(cfg, scheme, code, tables, 3.0, 3.0, n, rng_got, ws)
+            [got] = _relay_batch_tallies([(cfg, scheme)], code, tables, 3.0, 3.0, n, rng_got, ws)
             want = _direct_distance_tallies(cfg, scheme, code, 3.0, 3.0, n, rng_want)
             assert got == want
             assert got[0] > 0
@@ -268,7 +268,7 @@ def _fresh_transmit(code, gains, noise_gains, s, N0, rng):
 
 
 def _fresh_batch(cfg, scheme, code, tables, p_s, p_r, n, rng):
-    """_relay_batch_tallies with every array allocated afresh; returns (C, r, tallies)."""
+    """One scheme's _relay_batch_tallies with every array allocated afresh; returns (C, r, tallies)."""
     h, g = sample_channel_batch(cfg, n, rng)
     h2 = np.abs(h) ** 2
     q = np.sqrt(_allocate_batch(cfg, scheme, h2, g, _batch_caps(cfg, h2, p_s, p_r)))
@@ -293,7 +293,7 @@ class TestBatchWorkspace:
         for bi, n in enumerate([700, 301]):
             rng_got = derive_rng(4, STREAM_FRAMES, 0, bi)
             rng_want = derive_rng(4, STREAM_FRAMES, 0, bi)
-            got = _relay_batch_tallies(cfg, scheme, code, tables, 3.0, 3.0, n, rng_got, ws)
+            [got] = _relay_batch_tallies([(cfg, scheme)], code, tables, 3.0, 3.0, n, rng_got, ws)
             c, r, want = _fresh_batch(cfg, scheme, code, tables, 3.0, 3.0, n, rng_want)
             assert got == want
             assert got[0] > 0
@@ -314,6 +314,143 @@ class TestBatchWorkspace:
                                   codeword_signs(3)[6][None], n0, ref)
         assert r.tobytes() == want[0].tobytes()
         assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("m", [1, 2, 12])
+    def test_first_batch_maps_each_array_once(self, m):
+        mapped = []
+
+        class Counting(Workspace):
+            def take(self, name, shape, dtype=np.float64):
+                before = self.get(name)
+                view = super().take(name, shape, dtype)
+                if self[name] is not before:
+                    mapped.append(name)
+                return view
+
+        code = generate_codebook(m, seed=m)
+        _relay_batch_tallies(_relay_runs(m), code, _DecodeTables.for_block(m), 3.0, 3.0, _batch_size(m),
+                             derive_rng(4, STREAM_FRAMES, 0, 0), Counting())
+        assert len(mapped) == len(set(mapped))
+
+
+# the four relay schemes, each under a CSIT mode it allows
+RELAY_SCHEMES = [(Scheme.ONOFF, "perfect"), (Scheme.WATERFILL, "partial"), (Scheme.WATERFILL, "statistical"),
+                 (Scheme.MAX_POWER, "perfect")]
+
+
+def _relay_runs(m):
+    """(cfg, scheme) of every relay scheme over one network of m relays with unequal gamma_g."""
+    return [(_cfg(m, csit_mode=mode, gamma_g=np.linspace(0.5, 2.0, m)), scheme) for scheme, mode in RELAY_SCHEMES]
+
+
+class TestSharedDraws:
+    """The relay schemes of a run score from one draw per (point, batch), each as if it ran alone."""
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 12])
+    @pytest.mark.parametrize("network_power_sweep", [False, True])
+    def test_every_subset_scores_each_scheme_as_alone(self, m, network_power_sweep):
+        runs = _relay_runs(m)
+        p_s, p_r, _ = sim._point_powers(runs[0][0], 8.0, network_power_sweep)
+        n = min(300, _batch_size(m))
+        code = generate_codebook(m, seed=m)
+        tables = _DecodeTables.for_block(m)
+        alone, states = [], []
+        for cfg, scheme in runs:
+            rng = derive_rng(5, STREAM_FRAMES, 0, 0)
+            alone.append(_fresh_batch(cfg, scheme, code, tables, p_s, p_r, n, rng)[2])
+            states.append(rng.bit_generator.state)
+        assert all(state == states[0] for state in states)
+        assert sum(blk for blk, _ in alone) > 0
+        ws = Workspace()
+        for mask in range(1, 2 ** len(runs)):
+            subset = [i for i in range(len(runs)) if mask >> i & 1]
+            # reversed, a scheme that wrote over a shared draw would change a later one's tallies
+            for order in (subset, subset[::-1]):
+                rng = derive_rng(5, STREAM_FRAMES, 0, 0)
+                got = _relay_batch_tallies([runs[i] for i in order], code, tables, p_s, p_r, n, rng, ws)
+                assert got == [alone[i] for i in order]
+                assert rng.bit_generator.state == states[0]
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 12])
+    @pytest.mark.parametrize("network_power_sweep", [False, True])
+    def test_run_tallies_match_one_scheme_runs(self, m, network_power_sweep):
+        runs = _relay_runs(m)
+        kw = dict(network_power_sweep=network_power_sweep)
+        alone = [run_monte_carlo(cfg, scheme, [4.0, 10.0], 1000, m, **kw) for cfg, scheme in runs]
+        for order in (list(range(len(runs))), list(range(len(runs)))[::-1]):
+            together = sim._run_schemes([runs[i] for i in order], [4.0, 10.0], 1000, m, **kw)
+            for i, res in zip(order, together):
+                assert res.scheme == alone[i].scheme
+                np.testing.assert_array_equal(res.block_errors, alone[i].block_errors)
+                np.testing.assert_array_equal(res.bit_errors, alone[i].bit_errors)
+
+    @pytest.mark.parametrize("other", [
+        _cfg(3), _cfg(2, N0=2.0), _cfg(2, gamma_h=np.full(2, 2.0)), _cfg(2, gamma_g=np.array([1.0, 0.5])),
+    ])
+    def test_runs_that_cannot_share_draws_are_rejected(self, other):
+        with pytest.raises(ValueError, match="must share M, N0, gamma_h and gamma_g"):
+            sim._run_schemes([(_cfg(2), Scheme.ONOFF), (other, Scheme.MAX_POWER)], [5.0], 1000, seed=0)
+
+    def test_direct_link_runs_alone(self):
+        with pytest.raises(ValueError, match="direct link"):
+            sim._run_schemes([(_cfg(2), Scheme.ONOFF), (_cfg(2), Scheme.DIRECT_LINK)], [5.0], 1000, seed=0)
+
+
+class TestRelayChainOracle:
+    """Simulated BLER against error probabilities of the chain written out independently.
+
+    Given the channel, every A_i is unitary, so the destination noise is
+    white with variance s2 = N0 (1 + sum_i q_i^2 |g_i|^2) per complex entry
+    (Jing & Hassibi, IEEE TWC 2006) and ML decoding is Euclidean: codewords
+    k and l have pairwise error probability erfc(||C (s_k - s_l)|| / (2 s)) / 2.
+    Codeword k's error probability lies between the largest of its pairwise
+    terms and their sum, which coincide at T = 1. Each check allows 4
+    standard errors: under the normal approximation a correct chain fails
+    one with probability about 6e-5, and the four checks below (two SNRs at
+    M = 1, two schemes at M = 2) together with under 3e-4; the seeds are
+    fixed, so the outcome is too.
+    """
+
+    FRAMES = 60_000
+
+    def test_single_relay_matches_the_exact_average(self):
+        integrate = pytest.importorskip("scipy.integrate")
+        cfg = _cfg(1)
+        res = run_monte_carlo(cfg, Scheme.MAX_POWER, [10.0, 20.0], self.FRAMES, seed=21)
+        for snr_db, bler, se in zip(res.snr_db, res.bler, res.stderr_bler):
+            p = 10.0 ** (snr_db / 10.0)  # p_s = p_r at N0 = 1
+
+            def error(y, x):  # x = |h|^2, y = |g|^2, both Exp(1); max power spends the cap
+                cap = p / (p * x + 1.0)
+                return 0.5 * math.erfc(math.sqrt(p * cap * x * y / (1.0 + cap * y))) * math.exp(-x - y)
+
+            exact, _ = integrate.dblquad(error, 0.0, math.inf, 0.0, math.inf, epsabs=1e-10)
+            assert abs(bler - exact) <= 4.0 * se, (snr_db, bler, exact, se)
+
+    def test_two_relays_lie_between_the_pairwise_bounds(self):
+        special = pytest.importorskip("scipy.special")
+        m, snr_db = 2, 14.0
+        runs = [(_cfg(m), Scheme.MAX_POWER), (_cfg(m), Scheme.ONOFF)]
+        p = 10.0 ** (snr_db / 10.0)
+        code = generate_codebook(m, seed=22)
+        signs = codeword_signs(m)
+        diffs = (signs[:, None, :] - signs[None, :, :]).reshape(-1, m)  # row k 2^T + l is s_k - s_l
+        for (cfg, scheme), res in zip(runs, sim._run_schemes(runs, [snr_db], self.FRAMES, seed=22)):
+            # the oracle's own channel draws, allocated by the kernels under test
+            h, g = sample_channel_batch(cfg, 100_000, np.random.default_rng(23))
+            h2 = np.abs(h) ** 2
+            q = np.sqrt(_allocate_batch(cfg, scheme, h2, g, _batch_caps(cfg, h2, p, p)))
+            c = math.sqrt(p) * np.einsum("bm,mtj->btj", q * h * g, code.matrices)
+            sigma = np.sqrt(cfg.N0 * (1.0 + np.sum(q**2 * np.abs(g) ** 2, axis=1)))
+            dist = np.linalg.norm((c.reshape(-1, m) @ diffs.T).reshape(-1, m, 4**m), axis=1).reshape(-1, 2**m, 2**m)
+            pairwise = 0.5 * special.erfc(dist / (2.0 * sigma[:, None, None]))
+            pairwise[:, np.arange(2**m), np.arange(2**m)] = 0.0
+            lower = np.mean(np.max(pairwise, axis=2), axis=1)  # codewords equally likely
+            upper = np.mean(np.sum(pairwise, axis=2), axis=1)
+            bler, se = res.bler[0], res.stderr_bler[0]
+            tol_lower = 4.0 * math.hypot(se, np.std(lower) / math.sqrt(lower.size))
+            tol_upper = 4.0 * math.hypot(se, np.std(upper) / math.sqrt(upper.size))
+            assert np.mean(lower) - tol_lower <= bler <= np.mean(upper) + tol_upper, (res.scheme, bler)
 
 
 @pytest.fixture

@@ -32,6 +32,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .model import _finite_array
 from .rng import STREAM_CODEBOOK, derive_rng
 
 # Exhaustive ML decoding scans all 2^T codewords, and the generation guard
@@ -147,7 +148,7 @@ class LdCodebook:
     matrices: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.matrices, dtype=np.complex128).copy()
+        a = _finite_array(self.matrices, "dispersion stack", np.complex128).copy()
         t = _check_stack(a)
         if t > MAX_BLOCK:
             raise ValueError(f"block length {t} exceeds the supported maximum {MAX_BLOCK}")
@@ -227,20 +228,25 @@ def save_codebook(path, code: LdCodebook) -> None:
 
 
 def load_codebook(path) -> LdCodebook:
-    """Inverse of save_codebook; validates shape and unitarity."""
+    """Inverse of save_codebook; a malformed file is a ValueError that starts with the path."""
     with open(path) as fh:
         lines = [ln for ln in (line.strip() for line in fh) if ln]
     try:
         t = int(lines[0])
+        if t < 1:
+            raise ValueError("block length below 1")
     except (IndexError, ValueError) as exc:
         raise ValueError(f"{path}: malformed codebook header") from exc
     expected = 1 + t * t
     if len(lines) != expected:
         raise ValueError(f"{path}: expected {expected} lines, found {len(lines)}")
     mats = np.empty((t * t, t), dtype=np.complex128)
-    for n, line in enumerate(lines[1:]):
-        vals = np.array([float(x) for x in line.split()])
-        if vals.shape[0] != 2 * t:
-            raise ValueError(f"{path}: matrix {n // t} row {n % t} has wrong width")
-        mats[n] = vals[0::2] + 1j * vals[1::2]
-    return LdCodebook(matrices=mats.reshape(t, t, t))
+    try:
+        for n, line in enumerate(lines[1:]):
+            vals = np.array([float(x) for x in line.split()])
+            if vals.shape[0] != 2 * t:
+                raise ValueError(f"matrix {n // t} row {n % t} has wrong width")
+            mats[n].real, mats[n].imag = vals[0::2], vals[1::2]
+        return LdCodebook(matrices=mats.reshape(t, t, t))
+    except ValueError as exc:  # a non-numeric entry, a wrong width, or a stack LdCodebook rejects
+        raise ValueError(f"{path}: {exc}") from exc

@@ -37,7 +37,6 @@ from .sim import (
     _node_power,
     _relay_counts,
     _run_schemes,
-    run_monte_carlo,
     scheme_label,
 )
 
@@ -549,31 +548,10 @@ def _run_convergence(spec, outputs, seed, shards, frames):
     return [outputs.write(f"{spec.name}.csv", header, rows)]
 
 
-def _scheme_results(spec, tokens, m, gamma_h, gamma_g, grid, frames, seed, shards,
-                    network_power_sweep=False) -> dict:
-    """SimResult per scheme token of one cell at relay count m.
-
-    The relay schemes run in one _run_schemes call, which gives them one
-    codebook and one draw per (point, batch); the direct link runs in its
-    own run_monte_carlo call.
-    """
-    runs = {token: _scheme_config(spec, token, m, gamma_h, gamma_g, 1.0, 1.0) for token in tokens}
-    relay = [token for token in tokens if token != "direct"]
-    results = {}
-    if relay:
-        results = dict(zip(relay, _run_schemes([runs[token] for token in relay], grid, frames, seed,
-                                               network_power_sweep=network_power_sweep, shards=shards)))
-    if "direct" in runs:
-        results["direct"] = run_monte_carlo(*runs["direct"], grid, frames, seed,
-                                            network_power_sweep=network_power_sweep, shards=shards)
-    return results
-
-
 def _run_bler_vs_snr(spec, outputs, seed, shards, frames):
-    results = _scheme_results(spec, spec.schemes, spec.M, *spec.gammas_for(spec.M), spec.snr_db,
-                              frames, seed, shards)
-    return [outputs.write(f"{spec.name}_{token}.csv", SimResult.CSV_HEADER, results[token].to_csv_rows())
-            for token in spec.schemes]
+    runs = [_scheme_config(spec, token, spec.M, *spec.gammas_for(spec.M), 1.0, 1.0) for token in spec.schemes]
+    return [outputs.write(f"{spec.name}_{token}.csv", SimResult.CSV_HEADER, res.to_csv_rows())
+            for token, res in zip(spec.schemes, _run_schemes(runs, spec.snr_db, frames, seed, shards=shards))]
 
 
 def _run_ber_vs_distance(spec, outputs, seed, shards, frames):
@@ -596,20 +574,21 @@ def _run_link_sweep(spec, outputs, shards, frames, x_name, cells):
     """One BER CSV per scheme over the M grid at network-power operating points.
 
     cells(mi, m) yields (gamma_h, gamma_g, snr grid, x values, seed) for
-    each cell at relay count m; x fills the column x_name. The relay
-    schemes of a cell run in one call, so they share the cell's codebook
+    each cell at relay count m; x fills the column x_name. The schemes of
+    a cell run in one call, so the relay schemes share the cell's codebook
     and every batch's draws, and their curves are paired (common random
     numbers). The direct link has no relays: it runs the cells of the
     first M only, which sets its block length, and its M column reads 0.
+    A later M with no scheme left, as under schemes [direct], runs nothing.
     """
     header = f"scheme,M,{x_name},frames,block_errors,bit_errors,bler,ber,stderr_bler"
     rows = {token: [] for token in spec.schemes}
     for mi, m in enumerate(spec.m_grid):
         tokens = [token for token in spec.schemes if token != "direct" or mi == 0]
-        for gamma_h, gamma_g, grid, x, cell_seed in cells(mi, m):
-            results = _scheme_results(spec, tokens, m, gamma_h, gamma_g, grid, frames, cell_seed, shards,
-                                      network_power_sweep=True)
-            for token, res in results.items():
+        for gamma_h, gamma_g, grid, x, cell_seed in cells(mi, m) if tokens else ():
+            runs = [_scheme_config(spec, token, m, gamma_h, gamma_g, 1.0, 1.0) for token in tokens]
+            results = _run_schemes(runs, grid, frames, cell_seed, network_power_sweep=True, shards=shards)
+            for token, res in zip(tokens, results):
                 rows[token] += res.to_csv_rows([f"{token},{0 if token == 'direct' else m},{_fmt(v)}" for v in x])
     return [outputs.write(f"{spec.name}_{token}.csv", header, rows[token]) for token in spec.schemes]
 

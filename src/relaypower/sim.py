@@ -7,9 +7,11 @@ likelihood over all 2^T codewords. Frames are simulated in fixed-size
 batches; batch b of SNR point i always consumes the stream derived from
 (seed, point i, batch b), so splitting the batches across shards cannot
 change any tally. The allocators draw nothing, so every relay scheme of a
-run would read the same numbers from that stream: the relay schemes that
-share M, N0 and the variances run together, from one codebook and one
-draw of each batch, and their curves are paired (common random numbers).
+run would read the same numbers from that stream. The schemes that share
+M, N0 and the variances therefore run as one job list: each batch job
+scores the relay schemes from one codebook and one draw, so their curves
+are paired (common random numbers), and the direct link from the batch's
+stream read afresh.
 
 A batch is BLAS work. The receive is r = sqrt(p_s) sum_i q_i f_i A_i s
 + sum_i q_i g_i A_i n_i + w (Jing & Hassibi, IEEE TWC 2006), and each sum
@@ -508,9 +510,9 @@ def run_monte_carlo(
     the cores. The tallies are integer sums, so neither the shard count,
     which only partitions the fixed batch schedule, nor the number of
     cores changes them. This is the one-scheme call of _run_schemes, which
-    gives every relay scheme of a run the same codebook and the same draws
-    of each batch, so the tallies here are those the scheme scores there,
-    paired with the other schemes' (common random numbers).
+    runs every scheme of a cell, the direct link included, in one job list:
+    the tallies here are those the scheme scores there, where the relay
+    schemes' are paired (common random numbers).
     """
     return _run_schemes([(cfg, scheme)], snr_grid_db, frames, seed,
                         network_power_sweep=network_power_sweep, shards=shards)[0]
@@ -518,12 +520,13 @@ def run_monte_carlo(
 
 def _run_schemes(runs: list[tuple[NetworkConfig, Scheme]], snr_grid_db, frames: int, seed: int, *,
                  network_power_sweep: bool = False, shards: int = 1) -> list[SimResult]:
-    """run_monte_carlo of each (cfg, scheme) of runs, every relay scheme from one draw per (point, batch).
+    """run_monte_carlo of each (cfg, scheme) of runs, every scheme from each (point, batch) job's stream.
 
-    The relay schemes of runs must share M, N0 and the variances; they then
-    share the codebook and each batch's draws, and each (point, batch) job
-    scores all of them (_relay_batch_tallies). The direct link draws its own
-    numbers, so it runs alone. Anything else is a ValueError.
+    The runs must share M, N0 and the variances, or this is a ValueError.
+    Each (point, batch) job scores every relay scheme of runs from one draw
+    of its stream and one codebook (_relay_batch_tallies), and the direct
+    link from that stream read afresh from its start (_direct_batch_tallies),
+    so each run's tallies are those it scores alone.
     """
     if frames < MIN_FRAMES:
         raise ValueError(f"frames must be at least {MIN_FRAMES}")
@@ -535,18 +538,13 @@ def _run_schemes(runs: list[tuple[NetworkConfig, Scheme]], snr_grid_db, frames: 
     if any(c.M != cfg.M or c.N0 != cfg.N0 or not np.array_equal(c.gamma_h, cfg.gamma_h)
            or not np.array_equal(c.gamma_g, cfg.gamma_g) for c, _ in runs):
         raise ValueError("schemes run together must share M, N0, gamma_h and gamma_g")
-    direct = any(scheme is Scheme.DIRECT_LINK for _, scheme in runs)
-    if direct and len(runs) > 1:
-        raise ValueError("the direct link draws its own numbers: run it alone")
     grid = np.atleast_1d(np.asarray(snr_grid_db, dtype=np.float64))
     if grid.size == 0:
         raise ValueError("snr grid must be non-empty")
 
     start = time.perf_counter()
-    if direct:
-        code = None
-        tables = None
-    else:
+    relay = [run for run in runs if run[1] is not Scheme.DIRECT_LINK]
+    if relay:  # the direct link needs no codebook
         code = generate_codebook(cfg.M, seed)
         tables = _DecodeTables.for_block(cfg.M)
 
@@ -559,11 +557,11 @@ def _run_schemes(runs: list[tuple[NetworkConfig, Scheme]], snr_grid_db, frames: 
     def tallies(job, ws):
         pi, bi = job
         n = min(batch, frames - bi * batch)
-        rng = derive_rng(seed, STREAM_FRAMES, pi, bi)
         p_s, p_r, net_power = powers[pi]
-        if direct:
-            return [_direct_batch_tallies(cfg.M, net_power, cfg.N0, n, rng)]
-        return _relay_batch_tallies(runs, code, tables, p_s, p_r, n, rng, ws)
+        scored = iter(_relay_batch_tallies(relay, code, tables, p_s, p_r, n,
+                                           derive_rng(seed, STREAM_FRAMES, pi, bi), ws) if relay else ())
+        return [_direct_batch_tallies(cfg.M, net_power, cfg.N0, n, derive_rng(seed, STREAM_FRAMES, pi, bi))
+                if scheme is Scheme.DIRECT_LINK else next(scored) for _, scheme in runs]
 
     results = _map_jobs(tallies, jobs, len(jobs) if cfg.M <= _POOL_MAX_BLOCK else 1)
     # errors[run, point, block or bit]

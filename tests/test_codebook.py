@@ -1,5 +1,7 @@
 """Dispersion-matrix codebooks, their worst-pair eigenvalue and generation guard."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -117,6 +119,16 @@ class TestGenerate:
     def test_non_unitary_stack_rejected(self):
         mats = np.stack([np.eye(2, dtype=complex), 2 * np.eye(2, dtype=complex)])
         with pytest.raises(ValueError, match="unitary"):
+            LdCodebook(matrices=mats)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_entry_rejected(self, bad):
+        # a NaN passes a "deviation above the tolerance" test, since every comparison with it is false
+        with pytest.raises(ValueError, match="finite"):
+            LdCodebook(matrices=np.full((2, 2, 2), bad, dtype=complex))
+        mats = generate_codebook(3, seed=1).matrices.copy()
+        mats[2, 1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
             LdCodebook(matrices=mats)
 
 
@@ -355,3 +367,31 @@ class TestSerialization:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_codebook(tmp_path / "absent.txt")
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "malformed codebook header"),
+        ("x\n1 0\n", "malformed codebook header"),
+        ("-1\n1 0\n", "malformed codebook header"),
+        ("0\n", "malformed codebook header"),
+        ("1\n", "expected 2 lines, found 1"),
+        ("1\nzz 0\n", "could not convert string to float: 'zz'"),
+        ("2\n1 0 0 0\n0 0 1 0\n1 0 0 0\n0 0 1 0 5\n", "matrix 1 row 1 has wrong width"),
+        ("1\nnan 0\n", "entries must be finite"),
+        ("1\n1 inf\n", "entries must be finite"),
+        ("1\n2 0\n", "not unitary"),
+    ])
+    def test_malformed_file_error_starts_with_the_path(self, tmp_path, text, message):
+        path = tmp_path / "code.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{message}"):
+            load_codebook(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_saved_codebook_with_a_non_finite_entry_rejected(self, tmp_path, bad):
+        path = tmp_path / "code.txt"
+        save_codebook(path, generate_codebook(3, seed=1))
+        lines = path.read_text().splitlines()
+        lines[4] = " ".join([bad, *lines[4].split()[1:]])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*finite"):
+            load_codebook(path)

@@ -1,6 +1,7 @@
 """Scenario files, experiment runners, and the command-line entry point."""
 
 import concurrent.futures
+import hashlib
 import re
 import sys
 
@@ -456,7 +457,25 @@ class TestDerivedValues:
         assert not (tmp_path / "out").exists()
 
 
+# the direct link runs the first M only, so the cells at M = 2 have no scheme left
+DIRECT_ONLY_SWEEP = """\
+kind: ber_vs_distance
+name: direct_only
+schemes: [direct]
+m_grid: [1, 2]
+r_grid: [0.3, 0.7]
+network_power_db: 12.0
+frames: 1000
+network: {}
+"""
+
+
 class TestDeterminism:
+    def test_direct_only_link_sweep_is_pinned(self, tmp_path):
+        paths = run_experiment(load_spec(_write(tmp_path, DIRECT_ONLY_SWEEP)), tmp_path / "out")
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths if p.suffix == ".csv"}
+        assert digests == {"direct_only_direct.csv": "d23f869a4e85e894410b9606f5a426fae67e9d5e6c71427f91007656b2974995"}
+
     def test_rerun_is_byte_identical(self, tmp_path):
         spec = load_spec(_write(tmp_path, MINIMAL["ber_vs_distance"]))
         texts = []

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from relaypower import sim
 from relaypower.codebook import codeword_signs, generate_codebook
+from relaypower.experiments import load_spec, run_experiment
 from relaypower.model import (
     ChannelRealization,
     NetworkConfig,
@@ -391,9 +392,20 @@ class TestSharedDraws:
         with pytest.raises(ValueError, match="must share M, N0, gamma_h and gamma_g"):
             sim._run_schemes([(_cfg(2), Scheme.ONOFF), (other, Scheme.MAX_POWER)], [5.0], 1000, seed=0)
 
-    def test_direct_link_runs_alone(self):
-        with pytest.raises(ValueError, match="direct link"):
-            sim._run_schemes([(_cfg(2), Scheme.ONOFF), (_cfg(2), Scheme.DIRECT_LINK)], [5.0], 1000, seed=0)
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    @pytest.mark.parametrize("network_power_sweep", [False, True])
+    def test_direct_link_anywhere_in_the_list_scores_as_alone(self, position, network_power_sweep):
+        runs = _relay_runs(2)
+        runs.insert(position, (runs[0][0], Scheme.DIRECT_LINK))
+        kw = dict(network_power_sweep=network_power_sweep)
+        # 9000 frames: two full batches and one of 808 per point
+        together = sim._run_schemes(runs, [4.0, 10.0], 9000, 3, **kw)
+        for (cfg, scheme), res in zip(runs, together):
+            alone = run_monte_carlo(cfg, scheme, [4.0, 10.0], 9000, 3, **kw)
+            assert res.scheme == alone.scheme
+            np.testing.assert_array_equal(res.block_errors, alone.block_errors)
+            np.testing.assert_array_equal(res.bit_errors, alone.bit_errors)
+        assert together[position].scheme == "direct_link" and together[position].block_errors.sum() > 0
 
 
 class TestRelayChainOracle:
@@ -406,9 +418,10 @@ class TestRelayChainOracle:
     Codeword k's error probability lies between the largest of its pairwise
     terms and their sum, which coincide at T = 1. Each check allows 4
     standard errors: under the normal approximation a correct chain fails
-    one with probability about 6e-5, and the four checks below (two SNRs at
-    M = 1, two schemes at M = 2) together with under 3e-4; the seeds are
-    fixed, so the outcome is too.
+    one with probability about 6e-5, and the seven checks below (two SNRs at
+    M = 1; max power, on-off and statistical waterfilling at M = 2; partial
+    waterfilling at M = 4; max power under a network-power sweep) together
+    with under 5e-4; the seeds are fixed, so the outcome is too.
     """
 
     FRAMES = 60_000
@@ -427,30 +440,45 @@ class TestRelayChainOracle:
             exact, _ = integrate.dblquad(error, 0.0, math.inf, 0.0, math.inf, epsabs=1e-10)
             assert abs(bler - exact) <= 4.0 * se, (snr_db, bler, exact, se)
 
-    def test_two_relays_lie_between_the_pairwise_bounds(self):
+    @pytest.mark.parametrize("m,snr_db,schemes,network_power_sweep", [
+        pytest.param(2, 14.0, [(Scheme.MAX_POWER, "perfect"), (Scheme.ONOFF, "perfect")], False,
+                     id="M2-maxpower-onoff"),
+        # long-term caps
+        pytest.param(2, 18.0, [(Scheme.WATERFILL, "statistical")], False, id="M2-waterfill-statistical"),
+        pytest.param(4, 14.0, [(Scheme.WATERFILL, "partial")], False, id="M4-waterfill-partial"),
+        # 20 dB of network power, split evenly over the source and two relays
+        pytest.param(2, 20.0, [(Scheme.MAX_POWER, "perfect")], True, id="M2-maxpower-network-power"),
+    ])
+    def test_relays_lie_between_the_pairwise_bounds(self, m, snr_db, schemes, network_power_sweep):
         special = pytest.importorskip("scipy.special")
-        m, snr_db = 2, 14.0
-        runs = [(_cfg(m), Scheme.MAX_POWER), (_cfg(m), Scheme.ONOFF)]
-        p = 10.0 ** (snr_db / 10.0)
+        runs = [(_cfg(m, csit_mode=mode), scheme) for scheme, mode in schemes]
+        p = 10.0 ** (snr_db / 10.0) / (m + 1 if network_power_sweep else 1)  # p_s = p_r at N0 = 1
         code = generate_codebook(m, seed=22)
         signs = codeword_signs(m)
         diffs = (signs[:, None, :] - signs[None, :, :]).reshape(-1, m)  # row k 2^T + l is s_k - s_l
-        for (cfg, scheme), res in zip(runs, sim._run_schemes(runs, [snr_db], self.FRAMES, seed=22)):
+        patterns, pair_pattern = np.unique(diffs, axis=0, return_inverse=True)  # its 3^T distinct rows
+        results = sim._run_schemes(runs, [snr_db], self.FRAMES, seed=22, network_power_sweep=network_power_sweep)
+        for (cfg, scheme), res in zip(runs, results):
             # the oracle's own channel draws, allocated by the kernels under test
             h, g = sample_channel_batch(cfg, 100_000, np.random.default_rng(23))
             h2 = np.abs(h) ** 2
             q = np.sqrt(_allocate_batch(cfg, scheme, h2, g, _batch_caps(cfg, h2, p, p)))
             c = math.sqrt(p) * np.einsum("bm,mtj->btj", q * h * g, code.matrices)
             sigma = np.sqrt(cfg.N0 * (1.0 + np.sum(q**2 * np.abs(g) ** 2, axis=1)))
-            dist = np.linalg.norm((c.reshape(-1, m) @ diffs.T).reshape(-1, m, 4**m), axis=1).reshape(-1, 2**m, 2**m)
-            pairwise = 0.5 * special.erfc(dist / (2.0 * sigma[:, None, None]))
-            pairwise[:, np.arange(2**m), np.arange(2**m)] = 0.0
-            lower = np.mean(np.max(pairwise, axis=2), axis=1)  # codewords equally likely
-            upper = np.mean(np.sum(pairwise, axis=2), axis=1)
+            lower, upper = np.empty(h.shape[0]), np.empty(h.shape[0])
+            for lo in range(0, h.shape[0], 4000):  # (4000, 4^T) pairwise terms at a time
+                rows = slice(lo, lo + 4000)
+                dist = np.linalg.norm(c[rows] @ patterns.T, axis=1)
+                pairwise = 0.5 * special.erfc(dist / (2.0 * sigma[rows, None]))[:, pair_pattern]
+                pairwise = pairwise.reshape(-1, 2**m, 2**m)
+                pairwise[:, np.arange(2**m), np.arange(2**m)] = 0.0
+                lower[rows] = np.mean(np.max(pairwise, axis=2), axis=1)  # codewords equally likely
+                upper[rows] = np.mean(np.sum(pairwise, axis=2), axis=1)
             bler, se = res.bler[0], res.stderr_bler[0]
             tol_lower = 4.0 * math.hypot(se, np.std(lower) / math.sqrt(lower.size))
             tol_upper = 4.0 * math.hypot(se, np.std(upper) / math.sqrt(upper.size))
-            assert np.mean(lower) - tol_lower <= bler <= np.mean(upper) + tol_upper, (res.scheme, bler)
+            assert np.mean(lower) - tol_lower <= bler <= np.mean(upper) + tol_upper, \
+                (res.scheme, bler, np.mean(lower), np.mean(upper))
 
 
 @pytest.fixture
@@ -475,6 +503,13 @@ class TestBatchPool:
         for scheme in (Scheme.MAX_POWER, Scheme.DIRECT_LINK):
             run_monte_carlo(_cfg(t), scheme, grid, frames, seed=0)
         assert pool_sizes == ([] if workers is None else [workers, workers])
+
+    def test_relay_schemes_and_the_direct_link_share_one_pool(self, pool_sizes, tmp_path, capsys):
+        path = tmp_path / "scenario.yaml"
+        path.write_text("kind: bler_vs_snr\nschemes: [onoff, maxpower, direct]\nsnr_db: [5.0]\n"
+                        "frames: 9000\nnetwork:\n  M: 2\n")
+        run_experiment(load_spec(path), tmp_path / "out")
+        assert pool_sizes == [3]  # 3 batches, one worker each
 
 
 class TestSchemeLabel:

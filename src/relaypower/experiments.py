@@ -22,7 +22,7 @@ import numpy as np
 import yaml
 
 from .codebook import MAX_BLOCK
-from .model import CsitMode, NetworkConfig, _batch_caps, sample_channel_batch
+from .model import CsitMode, NetworkConfig, _batch_caps, _sample_channel_powers, sample_channel_batch
 from .objectives import SADDLE_MIN_TRIALS, saddle_point_error
 from .onoff import MAX_ITERATIONS, solve_onoff_batch
 from .rng import STREAM_CHANNELS, STREAM_MISC, derive_rng, derive_seed
@@ -61,9 +61,10 @@ SCHEME_NAMES = {
 }
 
 MAX_STUDY_RELAYS = 1024  # largest M of the kinds that only allocate
-# trials x largest M: the channel entries of one (trials, M) draw, 32 bytes
-# each in a worker's workspace (537 MB at the bound). A convergence run also
-# holds its trajectory, counted in 40-byte entries
+# trials x largest M: the channel entries of one (trials, M) draw. The
+# relay counts and the convergence run keep only |h|^2 and |g|^2, 16 bytes
+# per entry in a worker's workspace (268 MB at the bound). A convergence run
+# also holds its trajectory, counted in 40-byte entries
 MAX_TRIAL_ENTRIES = 2**24
 
 
@@ -523,16 +524,19 @@ def run_experiment(spec: ExperimentSpec, out_dir, *, seed: int | None = None,
 
 
 def _run_convergence(spec, outputs, seed, shards, frames):
+    """Mean f0 of each on-off iterate over the optimum's, per M, from trials draws of stream (seed, mi).
+
+    Each M draws |h|^2 and |g|^2 only (_sample_channel_powers, 16 B per
+    entry), and its caps overwrite |h|^2 once alpha = |h|^2 |g|^2 is formed.
+    """
     header = "M,iteration,mean_normalized_objective"
     rows = []
     for mi, m in enumerate(spec.m_grid):
         gamma_h, gamma_g = spec.gammas_for(m)
         cfg, _ = _scheme_config(spec, "onoff", m, gamma_h, gamma_g, spec.p_s, spec.p_r)
-        h, g = sample_channel_batch(cfg, spec.trials, derive_rng(seed, STREAM_CHANNELS, mi))
-        h2 = np.abs(h) ** 2
-        caps = _batch_caps(cfg, h2, spec.p_s, spec.p_r)
-        g2 = np.abs(g) ** 2
+        h2, g2 = _sample_channel_powers(cfg, spec.trials, derive_rng(seed, STREAM_CHANNELS, mi))
         alpha = h2 * g2
+        caps = _batch_caps(cfg, h2, spec.p_s, spec.p_r, out=h2)  # |h|^2 is read for the last time
         masks, _, _, iterates = solve_onoff_batch(alpha, g2, caps, history=spec.iterations + 1)
         ac, bc = alpha * caps, g2 * caps
         # f0 at the optimum, then at each iterate over it, one (n, M) pattern at a time
@@ -599,9 +603,10 @@ def _cell_counts(spec, stream, wanted) -> list:
     The network power is split evenly over the source and the m relays.
     Every cell has its own stream, so cells run one per core, each worker
     reusing one workspace from cell to cell; the workers' channel draws
-    together hold at most MAX_TRIAL_ENTRIES entries. With 32 000-entry row
-    blocks two workers overlap: asym_m32 took 0.72-0.79 s pooled against
-    1.22-1.26 s with one worker, in fresh processes on a 2-vCPU host.
+    together hold at most MAX_TRIAL_ENTRIES entries, each as |h|^2 and |g|^2
+    (16 B). With 32 000-entry row blocks two workers overlap: asym_m32 took
+    0.72-0.79 s pooled against 1.22-1.26 s with one worker, in fresh
+    processes on a 2-vCPU host.
     """
     def counts(cell, ws):
         mi, m, ri, r = cell

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -221,11 +222,12 @@ def sample_channels(cfg: NetworkConfig, seed_or_rng) -> ChannelRealization:
     return ChannelRealization(h=h[0], g=g[0])
 
 
-# Entries of the float block that takes sample_channel_batch's normal draws:
-# each part of H and G is drawn through it in chunks of whole rows, one row
-# when M is larger. A Generator's normal stream does not depend on how the
-# calls split it, so the chunks give the bits of one full-size draw. At 2^15
-# entries (256 KB) a (10 000, 32) part takes 10 calls
+# Entries of the float block that takes a channel draw's normal chunks: each
+# part of H and G is drawn through it in chunks of whole rows, one row when M
+# is larger. A Generator's normal stream does not depend on how the calls
+# split it, so the chunks give the bits of one full-size draw. At 2^15
+# entries (256 KB) a (10 000, 32) part takes 10 calls; the power draw adds a
+# complex chunk of twice that size
 _DRAW_CHUNK = 2**15
 
 
@@ -246,26 +248,71 @@ class Workspace(dict):
         return buf[:size].reshape(shape)
 
 
+def _draw_count(n) -> int:
+    """n as a row count; ValueError unless it is an integer >= 0."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+        raise ValueError(f"n must be an integer >= 0, got {n!r}")
+    return int(n)
+
+
+def _scaled_chunks(cfg: NetworkConfig, n: int, rng: np.random.Generator, ws: Workspace):
+    """Yield (hop, imag, rows, chunk) over the normal draw of n channel rows, in stream order.
+
+    The four normal blocks come in the order Re h, Im h, Re g, Im g (hop 0
+    is h, 1 is g), each in chunks of whole rows under ws's "normal", scaled
+    in place by its hop's sqrt(gamma / 2). chunk holds the imaginary part
+    (imag) or the real part of that hop's rows, until the next yield.
+    """
+    step = max(1, min(n, _DRAW_CHUNK // cfg.M))
+    normal = ws.take("normal", (step, cfg.M))
+    for hop, gamma in enumerate((cfg.gamma_h, cfg.gamma_g)):
+        scale = np.sqrt(gamma / 2.0)
+        for imag in (False, True):
+            for lo in range(0, n, step):
+                chunk = rng.standard_normal(out=normal[: n - lo])
+                yield hop, imag, slice(lo, lo + step), np.multiply(chunk, scale, out=chunk)
+
+
 def sample_channel_batch(cfg: NetworkConfig, n: int, rng: np.random.Generator, ws: Workspace | None = None):
     """Draw n iid realizations at once; returns (H, G) of shape (n, M).
 
-    The four normal blocks are drawn in the order Re h, Im h, Re g, Im g,
-    each scaled by sqrt(gamma / 2) into its part of H or G: the same bits
-    as (x + 1j y) sqrt(gamma / 2), from the same stream positions. Each
-    block is drawn in chunks of _DRAW_CHUNK entries under ws's "normal".
-    With ws, H and G are its "h" and "g", which the next draw overwrites.
+    The normal chunks of _scaled_chunks go into their parts of H and G:
+    the same bits as (x + 1j y) sqrt(gamma / 2), from the same stream
+    positions. With ws, H and G are its "h" and "g", which the next draw
+    overwrites.
     """
+    n = _draw_count(n)
     ws = Workspace() if ws is None else ws
-    step = max(1, min(n, _DRAW_CHUNK // cfg.M))
-    normal = ws.take("normal", (step, cfg.M))
-    h, g = (ws.take(name, (n, cfg.M), np.complex128) for name in ("h", "g"))
-    for out, gamma in ((h, cfg.gamma_h), (g, cfg.gamma_g)):
-        scale = np.sqrt(gamma / 2.0)
-        for part in (out.real, out.imag):
-            for lo in range(0, n, step):
-                chunk = rng.standard_normal(out=normal[: n - lo])
-                np.multiply(chunk, scale, out=part[lo: lo + step])
-    return h, g
+    out = [ws.take(name, (n, cfg.M), np.complex128) for name in ("h", "g")]
+    for hop, imag, rows, chunk in _scaled_chunks(cfg, n, rng, ws):
+        (out[hop].imag if imag else out[hop].real)[rows] = chunk
+    return out[0], out[1]
+
+
+def _sample_channel_powers(cfg: NetworkConfig, n: int, rng: np.random.Generator, ws: Workspace | None = None):
+    """|H|^2 and |G|^2 of sample_channel_batch(cfg, n, rng), bit for bit, as (n, M) floats.
+
+    The draw reads the same stream positions, but keeps 16 B per entry
+    instead of 32: each real chunk goes into its power array, and each
+    imaginary chunk joins the real parts stored there in ws's "chunk", a
+    complex buffer whose np.abs, squared, overwrites them. (np.hypot is not
+    numpy's complex absolute: its last bit differs on about a third of
+    entries.) With ws, the powers are its "h2" and "g2", which the next
+    draw overwrites.
+    """
+    n = _draw_count(n)
+    ws = Workspace() if ws is None else ws
+    out = [ws.take(name, (n, cfg.M)) for name in ("h2", "g2")]
+    for hop, imag, rows, chunk in _scaled_chunks(cfg, n, rng, ws):
+        power = out[hop][rows]
+        if not imag:
+            power[...] = chunk
+            continue
+        both = ws.take("chunk", chunk.shape, np.complex128)
+        both.real = power
+        both.imag = chunk
+        np.square(np.abs(both, out=power), out=power)
+    return out[0], out[1]
 
 
 def overall_noise_variance(p: np.ndarray, g: np.ndarray, N0: float) -> float:

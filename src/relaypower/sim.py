@@ -43,6 +43,7 @@ from .model import (
     _batch_caps,
     _finite_array,
     _finite_scalar,
+    _sample_channel_powers,
     sample_channel_batch,
 )
 from .onoff import solve_onoff_masks
@@ -245,20 +246,18 @@ def _allocate_batch(
     cfg: NetworkConfig,
     scheme: Scheme,
     h2: np.ndarray,
-    g: np.ndarray | None,
+    g2: np.ndarray | None,
     caps: np.ndarray,
-    gains_out: tuple[np.ndarray, np.ndarray] = (None, None),
+    alpha_out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Relay powers (n, M) of one scheme under cfg's CSIT mode and caps = _batch_caps(cfg, h2, ...).
 
-    On-off writes |g|^2 and alpha = h2 |g|^2 into the two arrays of
-    gains_out when they are given.
+    h2 = |h|^2 and g2 = |g|^2 are the channel powers; only on-off reads
+    them, and it writes alpha = h2 g2 into alpha_out when that is given.
     """
     if scheme is Scheme.MAX_POWER:
         return caps
     if scheme is Scheme.ONOFF:
-        g2_out, alpha_out = gains_out
-        g2 = np.square(np.abs(g, out=g2_out), out=g2_out)
         return np.where(solve_onoff_masks(np.multiply(h2, g2, out=alpha_out), g2, caps), caps, 0.0)
     if cfg.csit_mode is CsitMode.STATISTICAL:
         # long-term caps repeat one row, so the allocation does too: solve that row once.
@@ -290,12 +289,14 @@ def _relay_counts(cfg: NetworkConfig, n: int, rng: np.random.Generator, ws: Work
 
     Max power spends every cap, so it scores M exactly, and statistical
     waterfilling allocates from the variances alone: neither draws. The
-    wanted labels of _DRAWN_COUNTS come from one draw of n rows from rng
-    into ws, under short-term caps (cfg's CSIT mode must be perfect or
-    partial); with none wanted nothing is drawn. Both allocators treat rows
-    independently, so they work in row blocks, whose |h|^2, |g|^2, caps and
-    alpha = |h|^2 |g|^2 are ws arrays too; the allocation kernels keep
-    their own temporaries. Each mean then sums its full column as one array.
+    wanted labels of _DRAWN_COUNTS come from one draw of n rows of |h|^2
+    and |g|^2 from rng into ws (_sample_channel_powers, 16 B per entry),
+    under short-term caps (cfg's CSIT mode must be perfect or partial);
+    with none wanted nothing is drawn. Both allocators treat rows
+    independently, so they work in row blocks: row slices of the two
+    powers, with caps and alpha = |h|^2 |g|^2 in block-sized ws arrays; the
+    allocation kernels keep their own temporaries. Each mean then sums its
+    full column as one array.
     """
     stat = dataclasses.replace(cfg, csit_mode=CsitMode.STATISTICAL)
     # one row of long-term caps, which read only the variances
@@ -306,17 +307,16 @@ def _relay_counts(cfg: NetworkConfig, n: int, rng: np.random.Generator, ws: Work
     if not drawn:
         return counts
     columns = np.empty((len(drawn), n))
-    h, g = sample_channel_batch(cfg, n, rng, ws)
+    h2_all, g2_all = _sample_channel_powers(cfg, n, rng, ws)
     step = max(1, _BLOCK_ENTRIES // cfg.M)
     for lo in range(0, n, step):
         rows = slice(lo, lo + step)
-        h2, g2, caps, alpha = (ws.take(name, (min(step, n - lo), cfg.M)) for name in ("h2", "g2", "caps", "alpha"))
-        np.square(np.abs(h[rows], out=h2), out=h2)
+        h2, g2 = h2_all[rows], g2_all[rows]
+        caps, alpha = (ws.take(name, h2.shape) for name in ("caps", "alpha"))
         _batch_caps(cfg, h2, cfg.p_s, cfg.p_r, out=caps)
         # "equal" reads both allocations, each other label one
-        p_on = (_allocate_batch(cfg, Scheme.ONOFF, h2, g[rows], caps, (g2, alpha))
-                if drawn != ["waterfill_partial"] else None)
-        p_wf = _allocate_batch(cfg, Scheme.WATERFILL, h2, g[rows], caps) if drawn != ["onoff"] else None
+        p_on = _allocate_batch(cfg, Scheme.ONOFF, h2, g2, caps, alpha) if drawn != ["waterfill_partial"] else None
+        p_wf = _allocate_batch(cfg, Scheme.WATERFILL, h2, g2, caps) if drawn != ["onoff"] else None
         for label, column in zip(drawn, columns):
             column[rows] = (np.count_nonzero(p_on, axis=1) if label == "onoff"
                             else np.sum(p_wf / caps, axis=1) if label == "waterfill_partial"
@@ -418,8 +418,9 @@ def _relay_batch_tallies(
     then the relay noise and w (_draw_noise). Each run then takes its caps,
     allocation, gains, transmit and decode from those draws. No run writes
     over them: |h|^2, h, g, the scaled relay noise and w keep their ws
-    arrays, and each run's caps, q, gain vectors, weighted noise, C and r
-    are ws arrays of their own that the next run reuses.
+    arrays, and so does |g|^2, squared once when an on-off run reads it.
+    Each run's caps, q, gain vectors, weighted noise, C and r are ws arrays
+    of their own that the next run reuses.
     """
     cfg = runs[0][0]
     m, t = code.M, code.T
@@ -431,11 +432,15 @@ def _relay_batch_tallies(
     noise = _draw_noise(n, m, t, cfg.N0, rng, ws)
     h2 = ws.take("h2", h.shape)
     np.square(np.abs(h, out=h2), out=h2)
+    g2 = None
+    if any(scheme is Scheme.ONOFF for _, scheme in runs):
+        g2 = ws.take("g2", h.shape)
+        np.square(np.abs(g, out=g2), out=g2)
     s = tables.signs[k]
     tallies = []
     for cfg, scheme in runs:
         caps = _batch_caps(cfg, h2, p_s, p_r, out=ws.take("caps", h.shape))
-        p = _allocate_batch(cfg, scheme, h2, g, caps, (ws.take("g2", h.shape), ws.take("alpha", h.shape)))
+        p = _allocate_batch(cfg, scheme, h2, g2, caps, ws.take("alpha", h.shape))
         q = np.sqrt(p, out=ws.take("q", h.shape))
         # the plain products q g and (sqrt(p_s) q) h g
         noise_gains = np.multiply(q, g, out=ws.take("noise_gains", h.shape, np.complex128))
@@ -539,8 +544,8 @@ def _run_schemes(runs: list[tuple[NetworkConfig, Scheme]], snr_grid_db, frames: 
            or not np.array_equal(c.gamma_g, cfg.gamma_g) for c, _ in runs):
         raise ValueError("schemes run together must share M, N0, gamma_h and gamma_g")
     grid = np.atleast_1d(np.asarray(snr_grid_db, dtype=np.float64))
-    if grid.size == 0:
-        raise ValueError("snr grid must be non-empty")
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError(f"snr grid must be a non-empty 1-d array, got shape {grid.shape}")
 
     start = time.perf_counter()
     relay = [run for run in runs if run[1] is not Scheme.DIRECT_LINK]
@@ -637,6 +642,8 @@ def effective_relay_count(cfg: NetworkConfig, scheme: Scheme, r_grid, trials: in
     if trials < 1:
         raise ValueError("trials must be at least 1")
     grid = np.atleast_1d(np.asarray(r_grid, dtype=np.float64))
+    if grid.ndim != 1:
+        raise ValueError(f"relay distances must be a 1-d array, got shape {grid.shape}")
     if np.any(grid <= 0.0) or np.any(grid >= 1.0):
         raise ValueError("relay distances must lie strictly inside (0, 1)")
     _check_compat(cfg, scheme)

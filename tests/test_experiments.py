@@ -570,10 +570,10 @@ def _cell_setup(spec, m, r, mode):
     return p, NetworkConfig(M=m, p_s=p, p_r=p, N0=spec.N0, gamma_h=gamma_h, gamma_g=gamma_g, csit_mode=mode)
 
 
-def _mean_count(cfg, scheme, h2, g, p):
-    """E[sum_i p_i / P_i] of one scheme over all rows of h2 and g in one pass."""
+def _mean_count(cfg, scheme, h2, g2, p):
+    """E[sum_i p_i / P_i] of one scheme over all rows of h2 and g2 in one pass."""
     caps = _batch_caps(cfg, h2, p, p)
-    return float(np.mean(np.sum(_allocate_batch(cfg, scheme, h2, g, caps) / caps, axis=1)))
+    return float(np.mean(np.sum(_allocate_batch(cfg, scheme, h2, g2, caps) / caps, axis=1)))
 
 
 def _asymptotic_rows(spec, seed):
@@ -585,10 +585,10 @@ def _asymptotic_rows(spec, seed):
             _, cfg_wf = _cell_setup(spec, m, r, CsitMode.PARTIAL)
             _, cfg_st = _cell_setup(spec, m, r, CsitMode.STATISTICAL)
             h, g = sample_channel_batch(cfg, spec.trials, derive_rng(seed, STREAM_CHANNELS, mi, ri))
-            h2 = np.abs(h) ** 2
+            h2, g2 = np.abs(h) ** 2, np.abs(g) ** 2
             caps = _batch_caps(cfg, h2, p, p)
-            p_on = _allocate_batch(cfg, Scheme.ONOFF, h2, g, caps)
-            p_wf = _allocate_batch(cfg_wf, Scheme.WATERFILL, h2, g, caps)
+            p_on = _allocate_batch(cfg, Scheme.ONOFF, h2, g2, caps)
+            p_wf = _allocate_batch(cfg_wf, Scheme.WATERFILL, h2, g2, caps)
             # worst spread of p_i gamma_gi over uncapped relays; rows with none drop out
             levels, free = p_wf * cfg.gamma_g, p_wf != caps
             spread = np.where(free, levels, -np.inf).max(axis=1) - np.where(free, levels, np.inf).min(axis=1)
@@ -617,12 +617,12 @@ def _power_ratio_csvs(spec, seed):
             for ri, r in enumerate(spec.r_grid):
                 p, cfg = _cell_setup(spec, m, r, mode)
                 if mode is CsitMode.STATISTICAL:
-                    h2, g = cfg.gamma_h[None], None
+                    h2, g2 = cfg.gamma_h[None], None
                 else:
                     rng = derive_rng(derive_seed(seed, STREAM_MISC, mi), STREAM_CHANNELS, ri)
                     h, g = sample_channel_batch(cfg, spec.trials, rng)
-                    h2 = np.abs(h) ** 2
-                count = _mean_count(cfg, scheme, h2, g, p)
+                    h2, g2 = np.abs(h) ** 2, np.abs(g) ** 2
+                count = _mean_count(cfg, scheme, h2, g2, p)
                 rows.append(f"{token},{m},{r:.17g},{spec.trials},{count:.17g}")
         csvs[f"{spec.name}_{token}.csv"] = ("\n".join(rows) + "\n").encode()
     return csvs
@@ -703,8 +703,8 @@ class TestOneDrawPerCell:
 
     def _draws(self, tmp_path, monkeypatch, schemes):
         sizes = []
-        real = sim.sample_channel_batch
-        monkeypatch.setattr(sim, "sample_channel_batch", lambda cfg, n, *args: sizes.append(n) or real(cfg, n, *args))
+        real = sim._sample_channel_powers
+        monkeypatch.setattr(sim, "_sample_channel_powers", lambda cfg, n, *args: sizes.append(n) or real(cfg, n, *args))
         spec = load_spec(_write(tmp_path, POWER_RATIO.format(schemes=schemes, m_grid=[2, 3, 5], trials=300)))
         run_experiment(spec, tmp_path / "out")
         return sizes

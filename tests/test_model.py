@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaypower import model
 from relaypower.model import (
@@ -11,6 +13,7 @@ from relaypower.model import (
     NetworkConfig,
     PowerAllocation,
     Workspace,
+    _sample_channel_powers,
     amplifier_caps,
     overall_noise_variance,
     sample_channel_batch,
@@ -221,6 +224,62 @@ class TestChannelBuffers:
         h2, _ = sample_channel_batch(cfg, 10, np.random.default_rng(1), ws)
         assert np.shares_memory(h1, h2)
         assert not np.array_equal(h1, first)  # overwritten by the second draw
+
+
+@st.composite
+def _power_draws(draw):
+    """(m, n, seed): M from 1 to 1024, n at 1, around one chunk of rows, or over several."""
+    m = draw(st.integers(1, 1024))
+    step = model._DRAW_CHUNK // m
+    n = draw(st.sampled_from([1, step - 1, step, step + 1, 3 * step + draw(st.integers(1, step - 1))]))
+    return m, n, draw(st.integers(0, 2**32 - 1))
+
+
+class TestChannelPowers:
+    """The power draw against the squared magnitudes of the complex draw, bit for bit."""
+
+    @settings(max_examples=60)
+    @given(draw=_power_draws(), grown=st.booleans())
+    def test_bit_identical_to_squared_complex_draw(self, draw, grown):
+        m, n, seed = draw
+        # unequal variances over seven decades on each hop
+        spread = np.random.default_rng(seed)
+        cfg = _cfg(M=m, gamma_h=10.0 ** spread.uniform(-3, 4, m), gamma_g=10.0 ** spread.uniform(-3, 4, m))
+        ref_rng = np.random.default_rng(seed)
+        h, g = sample_channel_batch(cfg, n, ref_rng)
+        ws = Workspace()
+        if grown:  # every array larger than this draw needs, filled by an earlier one
+            sample_channel_batch(cfg, n + 7, np.random.default_rng(seed + 1), ws)
+            _sample_channel_powers(cfg, n + 7, np.random.default_rng(seed + 1), ws)
+        rng = np.random.default_rng(seed)
+        h2, g2 = _sample_channel_powers(cfg, n, rng, ws)
+        assert h2.shape == g2.shape == (n, m) and h2.dtype == g2.dtype == np.float64
+        assert h2.tobytes() == np.square(np.abs(h)).tobytes()
+        assert g2.tobytes() == np.square(np.abs(g)).tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_without_a_workspace_and_as_its_views(self):
+        cfg = _cfg(gamma_h=np.array([0.5, 1.0, 4.0]), gamma_g=np.array([3.0, 0.2, 1.0]))
+        h, g = sample_channel_batch(cfg, 50, np.random.default_rng(2))
+        h2, g2 = _sample_channel_powers(cfg, 50, np.random.default_rng(2))
+        assert h2.tobytes() == np.square(np.abs(h)).tobytes() and g2.tobytes() == np.square(np.abs(g)).tobytes()
+        ws = Workspace()
+        h2, g2 = _sample_channel_powers(cfg, 50, np.random.default_rng(2), ws)
+        assert np.shares_memory(h2, ws["h2"]) and np.shares_memory(g2, ws["g2"])
+
+    @pytest.mark.parametrize("draw", [sample_channel_batch, _sample_channel_powers])
+    @pytest.mark.parametrize("n", [-1, 2.5, 3.0, "3", None, True])
+    def test_row_count_must_be_a_non_negative_integer(self, draw, n):
+        with pytest.raises(ValueError, match=r"n must be an integer >= 0"):
+            draw(_cfg(), n, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("draw", [sample_channel_batch, _sample_channel_powers])
+    def test_zero_and_numpy_integer_row_counts(self, draw):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        assert all(a.shape == (0, 3) for a in draw(_cfg(), 0, rng))
+        assert rng.bit_generator.state == state
+        assert all(a.shape == (4, 3) for a in draw(_cfg(), np.int64(4), rng))
 
 
 class TestWorkspace:

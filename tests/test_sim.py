@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relaypower import sim
+from relaypower import model, sim
 from relaypower.codebook import codeword_signs, generate_codebook
 from relaypower.experiments import load_spec, run_experiment
 from relaypower.model import (
@@ -170,7 +170,7 @@ def _direct_distance_tallies(cfg, scheme, code, p_s, p_r, n, rng):
     """One scheme's _relay_batch_tallies with every candidate's receive built and measured directly."""
     h, g = sample_channel_batch(cfg, n, rng)
     h2 = np.abs(h) ** 2
-    q = np.sqrt(_allocate_batch(cfg, scheme, h2, g, _batch_caps(cfg, h2, p_s, p_r)))
+    q = np.sqrt(_allocate_batch(cfg, scheme, h2, np.abs(g) ** 2, _batch_caps(cfg, h2, p_s, p_r)))
     k = rng.integers(0, code.n_codewords, size=n)
     c = math.sqrt(p_s) * np.einsum("bm,mtj->btj", q * h * g, code.matrices)
     cands = np.einsum("btj,kj->bkt", c, codeword_signs(code.T))
@@ -272,7 +272,7 @@ def _fresh_batch(cfg, scheme, code, tables, p_s, p_r, n, rng):
     """One scheme's _relay_batch_tallies with every array allocated afresh; returns (C, r, tallies)."""
     h, g = sample_channel_batch(cfg, n, rng)
     h2 = np.abs(h) ** 2
-    q = np.sqrt(_allocate_batch(cfg, scheme, h2, g, _batch_caps(cfg, h2, p_s, p_r)))
+    q = np.sqrt(_allocate_batch(cfg, scheme, h2, np.abs(g) ** 2, _batch_caps(cfg, h2, p_s, p_r)))
     k = rng.integers(0, code.n_codewords, size=n)
     c, r = _fresh_transmit(code, math.sqrt(p_s) * q * h * g, q * g, tables.signs[k], cfg.N0, rng)
     k_hat = _ml_decode_batch(c, r, tables, Workspace())
@@ -462,7 +462,7 @@ class TestRelayChainOracle:
             # the oracle's own channel draws, allocated by the kernels under test
             h, g = sample_channel_batch(cfg, 100_000, np.random.default_rng(23))
             h2 = np.abs(h) ** 2
-            q = np.sqrt(_allocate_batch(cfg, scheme, h2, g, _batch_caps(cfg, h2, p, p)))
+            q = np.sqrt(_allocate_batch(cfg, scheme, h2, np.abs(g) ** 2, _batch_caps(cfg, h2, p, p)))
             c = math.sqrt(p) * np.einsum("bm,mtj->btj", q * h * g, code.matrices)
             sigma = np.sqrt(cfg.N0 * (1.0 + np.sum(q**2 * np.abs(g) ** 2, axis=1)))
             lower, upper = np.empty(h.shape[0]), np.empty(h.shape[0])
@@ -544,6 +544,12 @@ class TestRunMonteCarlo:
             run_monte_carlo(cfg, Scheme.ONOFF, [10.0], 1000, seed=0, shards=0)
         with pytest.raises(ValueError, match="non-empty"):
             run_monte_carlo(cfg, Scheme.ONOFF, [], 1000, seed=0)
+
+    def test_grid_must_be_one_dimensional(self, monkeypatch):
+        # rejected before any stream is drawn from
+        monkeypatch.setattr(sim, "derive_rng", None)
+        with pytest.raises(ValueError, match=r"snr grid must be a non-empty 1-d array, got shape \(1, 2\)"):
+            run_monte_carlo(_cfg(), Scheme.ONOFF, [[5.0, 10.0]], 1000, seed=0)
 
     def test_scheme_mode_compat(self):
         with pytest.raises(ValueError, match="csit_mode"):
@@ -665,6 +671,11 @@ class TestEffectiveRelayCount:
             with pytest.raises(ValueError, match=r"variance outside \[1e-50, 1e\+50\]"):
                 effective_relay_count(cfg, Scheme.ONOFF, [r, 0.5], 10, seed=0)
 
+    def test_grid_must_be_one_dimensional(self, monkeypatch):
+        monkeypatch.setattr(sim, "derive_rng", None)
+        with pytest.raises(ValueError, match=r"relay distances must be a 1-d array, got shape \(2, 1\)"):
+            effective_relay_count(_cfg(4), Scheme.ONOFF, [[0.3], [0.5]], 10, seed=0)
+
     def test_max_power_scores_m_everywhere(self):
         cfg = _cfg(4, p_s=6.3, p_r=6.3)
         counts = effective_relay_count(cfg, Scheme.MAX_POWER, [0.1, 0.5, 0.9], 500, seed=0)
@@ -673,7 +684,7 @@ class TestEffectiveRelayCount:
     def test_statistical_waterfill_is_symmetric_and_full(self, monkeypatch):
         # equal variances put every cap at the same height, so the water
         # covers them all and the count is exactly M, channel-free
-        monkeypatch.setattr("relaypower.sim.sample_channel_batch", None)
+        monkeypatch.setattr("relaypower.sim._sample_channel_powers", None)
         cfg = _stat_cfg(4, p_s=6.3, p_r=6.3)
         counts = effective_relay_count(cfg, Scheme.WATERFILL, [0.3, 0.7], 50, seed=0)
         np.testing.assert_allclose(counts, 4.0, rtol=1e-12)
@@ -707,6 +718,17 @@ class TestCountWorkspace:
             reused = sim._relay_counts(cfg, self.TRIALS, rng_reused, ws, labels)
             assert reused == sim._relay_counts(cfg, self.TRIALS, rng_fresh, Workspace(), labels)
             assert rng_reused.bit_generator.state == rng_fresh.bit_generator.state
+
+    @pytest.mark.parametrize("n,m", [(10_000, 32), (sim._BLOCK_ENTRIES + 1, 3)])
+    def test_workspace_holds_channel_powers_not_channels(self, n, m):
+        # |h|^2 and |g|^2 at 16 B per entry, plus fixed buffers: the float
+        # normal chunk, its complex twin, and one row block of caps and alpha
+        cfg = _cfg(m, p_s=3.0, p_r=3.0, gamma_h=np.full(m, 4.0), gamma_g=np.full(m, 1.5))
+        ws = Workspace()
+        sim._relay_counts(cfg, n, np.random.default_rng(0), ws, ("onoff", "waterfill_partial", "equal"))
+        assert not any(a.dtype == np.complex128 and a.size >= n * m for a in ws.values())
+        fixed = (8 + 16) * model._DRAW_CHUNK + 2 * 8 * sim._BLOCK_ENTRIES
+        assert sum(a.nbytes for a in ws.values()) <= 16 * n * m + fixed
 
 
 class TestExtremePowers:

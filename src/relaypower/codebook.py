@@ -20,9 +20,11 @@ Both scans split a difference pattern d = 2(h, t) into a head h, its first
 T - k entries, and a tail t, its last k = min(T, 4). With b[u, v]_ij =
 (A_i^H A_j)[u, v], G(h, t) = Q_H(h) + Q_T(t) + sum_u 2 h_u Y_u(t) and
 Y_u(t) = sum_v 2 t_v (b[u, v] + b[v, u]). The h = 0 patterns are Q_T of
-the tails with a positive lead; each block of 12 heads with a positive
-lead is one GEMM of [2h, 1] against [Y; Q_T] over all 3^k tails (inner
-dimension T - k + 1), plus its own quadratic forms Q_H(h).
+the tails with a positive lead. Each block of 12 heads with a positive
+lead meets [Y; Q_T] a few tails at a time: per piece of 8 tails, one GEMM
+of [2h, 1] against the piece's columns (inner dimension T - k + 1) into
+one reused buffer, plus the heads' own quadratic forms Q_H(h). Each piece
+is one batched Cholesky (or eigvalsh) of the scans.
 """
 
 from __future__ import annotations
@@ -44,11 +46,20 @@ _UNITARY_TOL = 1e-10
 _REGEN_ATTEMPTS = 8
 # A drawn codebook is kept only if every pattern Gram has lambda_min above this.
 _DIVERSITY_FLOOR = 1e-9
-# Tail length and heads per block of the Gram scans, 3^4 x 12 = 972 Grams per
-# Cholesky: at T = 12 (2 vCPUs, numpy 2.4) the guard's median went from 0.83 s,
-# with one GEMM over all 78 pair products per 1024 patterns, to 0.63 s.
+# Tail length, heads per block and tails per piece of the Gram scans: ten
+# pieces of 8 tails and one of 1 cover the 3^4 tails, up to 12 x 8 = 96 Grams
+# per Cholesky. A piece's GEMM (m.n.k = 12 x 2304 x 9 at T = 12) stays on the
+# calling thread, as OpenBLAS 0.3.31 splits this shape only above about 0.75 M;
+# one GEMM over all 81 tails (2.5 M) wakes a second thread, which then spins
+# through the single-threaded Cholesky calls. The 221 KB buffer stays in cache.
+# An even count keeps every Gram bit-equal to one GEMM over all 81 tails: with
+# an odd one, the one-row last head block at odd T (a GEMV in OpenBLAS)
+# rounded some entries differently. At T = 12 (2 vCPUs, numpy 2.4) the guard
+# took 0.44-0.72 s of wall and as much CPU, against 0.49-0.66 s of wall and
+# 0.96-1.31 s of CPU over all 81 tails at once.
 _TAIL = 4
 _HEAD_BLOCK = 12
+_TAIL_PIECE = 8
 
 
 def codeword_signs(T: int) -> np.ndarray:
@@ -80,10 +91,12 @@ def _difference_patterns(T: int) -> np.ndarray:
     return _sign_grid(T)[(3**T + 1) // 2:]
 
 
-def _check_stack(matrices: np.ndarray) -> int:
-    if matrices.ndim != 3 or not 1 <= matrices.shape[0] == matrices.shape[1] == matrices.shape[2]:
+def _check_stack(matrices) -> np.ndarray:
+    """matrices as a finite complex (T, T, T) array with T >= 1; not copied."""
+    a = _finite_array(matrices, "dispersion stack", np.complex128)
+    if a.ndim != 3 or not 1 <= a.shape[0] == a.shape[1] == a.shape[2]:
         raise ValueError("dispersion stack must have shape (T, T, T) with T >= 1")
-    return matrices.shape[0]
+    return a
 
 
 def _quadratic_form(b: np.ndarray):
@@ -96,8 +109,12 @@ def _quadratic_form(b: np.ndarray):
 
 
 def _pattern_grams(matrices: np.ndarray, shift: float):
-    """Yield G(d) - shift*I for every difference pattern d, in blocks (module docstring)."""
-    t = _check_stack(matrices)
+    """Yield G(d) - shift*I for every difference pattern d, in pieces (module docstring).
+
+    A yielded array is valid only until the next one: the head pieces share one buffer.
+    """
+    matrices = _check_stack(matrices)
+    t = matrices.shape[0]
     k = min(t, _TAIL)
     n_head = t - k
     b = np.einsum("itu,jtv->uvij", matrices.conj(), matrices)
@@ -114,11 +131,18 @@ def _pattern_grams(matrices: np.ndarray, shift: float):
     q_head = _quadratic_form(b[:n_head, :n_head])
     heads = np.ones(((3**n_head - 1) // 2, n_head + 1))  # rows [2h, 1]
     heads[:, :n_head] = 2.0 * _difference_patterns(n_head)
+    width = 2 * t * t  # float64 columns per tail
+    buf = np.empty(_HEAD_BLOCK * _TAIL_PIECE * width)
     for lo in range(0, heads.shape[0], _HEAD_BLOCK):
         block = heads[lo:lo + _HEAD_BLOCK]
-        grams = (block @ rhs).view(np.complex128).reshape(block.shape[0], -1, t, t)
-        grams += q_head(block[:, :n_head])[:, None]
-        yield grams.reshape(-1, t, t)
+        q_block = q_head(block[:, :n_head])[:, None]
+        for first in range(0, 3**k, _TAIL_PIECE):
+            cols = rhs[:, first * width:(first + _TAIL_PIECE) * width]
+            out = buf[:block.shape[0] * cols.shape[1]].reshape(block.shape[0], -1)
+            grams = np.matmul(block, cols, out=out).view(np.complex128)
+            grams = grams.reshape(block.shape[0], -1, t, t)
+            grams += q_block
+            yield grams.reshape(-1, t, t)
 
 
 def min_pairwise_eigenvalue(matrices: np.ndarray) -> float:
@@ -130,7 +154,7 @@ def is_full_diversity(matrices: np.ndarray) -> bool:
     """True when min_pairwise_eigenvalue(matrices) exceeds the 1e-9 floor.
 
     lambda_min(G) > eps exactly when G - eps*I has a Cholesky factor, so
-    each head/tail block of the module docstring, with -eps*I carried in
+    each head/tail piece of the module docstring, with -eps*I carried in
     Q_T, is one batched Cholesky; the first that fails ends the scan.
     """
     for grams in _pattern_grams(matrices, _DIVERSITY_FLOOR):
@@ -148,8 +172,8 @@ class LdCodebook:
     matrices: np.ndarray
 
     def __post_init__(self):
-        a = _finite_array(self.matrices, "dispersion stack", np.complex128).copy()
-        t = _check_stack(a)
+        a = _check_stack(self.matrices).copy()
+        t = a.shape[0]
         if t > MAX_BLOCK:
             raise ValueError(f"block length {t} exceeds the supported maximum {MAX_BLOCK}")
         eye = np.eye(t)

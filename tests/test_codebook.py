@@ -191,10 +191,11 @@ class TestDiversityGuard:
         assert [is_full_diversity(m) for m in stacks] == list(lams > 1e-9)
 
     @staticmethod
-    def _singular_at(t, head, rng):
-        """A Haar stack whose Gram is singular at one pattern d, and d's block.
+    def _singular_at(t, head, rng, tail=None):
+        """A Haar stack whose Gram is singular at one pattern d, and the index of d's piece.
 
-        head is an index into the head patterns, or None for the h = 0 block.
+        head is an index into the head patterns, or None for the h = 0 block;
+        tail is an index into the tail sign grid, drawn at random when None.
         A_1 = A_0 R with R unitary, R d = d and random phases on the complement
         of d, so G(d) has two equal columns while no other pattern is an
         eigenvector of R.
@@ -202,46 +203,95 @@ class TestDiversityGuard:
         k = codebook._TAIL
         if head is None:
             tails = codebook._difference_patterns(k)
-            d, block = np.concatenate([np.zeros(t - k), tails[rng.integers(len(tails))]]), 0
+            d, piece = np.concatenate([np.zeros(t - k), tails[rng.integers(len(tails))]]), 0
         else:
-            tails = codebook._sign_grid(k)
+            if tail is None:
+                tail = rng.integers(3**k)
             h = codebook._difference_patterns(t - k)[head]
-            d, block = np.concatenate([h, tails[rng.integers(len(tails))]]), 1 + head // codebook._HEAD_BLOCK
+            d = np.concatenate([h, codebook._sign_grid(k)[tail]])
+            pieces_per_block = -(-3**k // codebook._TAIL_PIECE)
+            piece = 1 + head // codebook._HEAD_BLOCK * pieces_per_block + tail // codebook._TAIL_PIECE
         mats = codebook._haar_stack(t, rng)
         assert is_full_diversity(mats)
         basis, _ = np.linalg.qr(np.column_stack([d, rng.standard_normal((t, t - 1))]) + 0j)
         phases = np.exp(1j * rng.uniform(0.5, 2 * np.pi - 0.5, t - 1))
         mats[1] = mats[0] @ (basis * np.concatenate([[1.0], phases])) @ basis.conj().T
-        return mats, block
+        return mats, piece
 
     @pytest.mark.parametrize("t", [7, 9])
     def test_rejects_a_stack_singular_on_one_pattern(self, t):
-        # the h = 0 block, the first and last head blocks, and both sides
-        # of the first head-block boundary
+        # the h = 0 block; the first and last head blocks and both sides of the
+        # first head-block boundary, at random tails; both sides of the first
+        # piece boundary, and the last piece of a block
         n_heads = (3 ** (t - codebook._TAIL) - 1) // 2
-        hb = codebook._HEAD_BLOCK
+        hb, tp = codebook._HEAD_BLOCK, codebook._TAIL_PIECE
+        last_tail = 3**codebook._TAIL - 1
         rng = np.random.default_rng(2)
-        for head in (None, 0, hb - 1, hb, n_heads - 1):
-            mats, block = self._singular_at(t, head, rng)
-            assert not is_full_diversity(mats), head
+        cases = [(None, None), (0, None), (hb - 1, None), (hb, None), (n_heads - 1, None),
+                 (0, tp - 1), (0, tp), (hb, last_tail), (n_heads - 1, last_tail)]
+        for head, tail in cases:
+            mats, piece = self._singular_at(t, head, rng, tail)
+            assert not is_full_diversity(mats), (head, tail)
             failing = []
             for i, grams in enumerate(codebook._pattern_grams(mats, 1e-9)):
                 try:
                     np.linalg.cholesky(grams)
                 except np.linalg.LinAlgError:
                     failing.append(i)
-            assert failing == [block], head
+            assert failing == [piece], (head, tail)
 
+    @pytest.mark.parametrize("tail_piece", [1, 3, 81])
     @pytest.mark.parametrize("head_block", [1, 5, 13, 1000])
-    def test_verdict_does_not_depend_on_the_head_block(self, monkeypatch, head_block):
+    def test_verdict_does_not_depend_on_the_head_block(self, monkeypatch, head_block, tail_piece):
         rng = np.random.default_rng(3)
         stacks = [self._singular_at(t, head, rng)[0] for t in (7, 9) for head in (None, 0, 12, 40)
                   if head is None or head < (3 ** (t - codebook._TAIL) - 1) // 2]
         stacks += [codebook._haar_stack(t, rng) for t in (5, 7, 9)]
         expected = [is_full_diversity(m) for m in stacks]
         monkeypatch.setattr(codebook, "_HEAD_BLOCK", head_block)
+        monkeypatch.setattr(codebook, "_TAIL_PIECE", tail_piece)
         assert [is_full_diversity(m) for m in stacks] == expected
         assert True in expected and False in expected
+
+    @staticmethod
+    def _whole_block_grams(matrices, shift):
+        """Every pattern Gram, each head block from one GEMM over all tails at once."""
+        t = matrices.shape[0]
+        k = min(t, codebook._TAIL)
+        n_head = t - k
+        b = np.einsum("itu,jtv->uvij", matrices.conj(), matrices)
+        tails = 2.0 * codebook._sign_grid(k)
+        q_tail = codebook._quadratic_form(b[n_head:, n_head:])(tails)
+        q_tail.reshape(-1, t * t)[:, ::t + 1] -= shift
+        out = [q_tail[(3**k + 1) // 2:]]
+        if n_head:
+            cross = b[:n_head, n_head:] + b[n_head:, :n_head].transpose(1, 0, 2, 3)
+            rhs = np.concatenate([np.einsum("nv,uvij->unij", tails, cross), q_tail[None]])
+            rhs = rhs.reshape(n_head + 1, -1).view(np.float64)
+            q_head = codebook._quadratic_form(b[:n_head, :n_head])
+            heads = np.ones(((3**n_head - 1) // 2, n_head + 1))
+            heads[:, :n_head] = 2.0 * codebook._difference_patterns(n_head)
+            for lo in range(0, heads.shape[0], codebook._HEAD_BLOCK):
+                block = heads[lo:lo + codebook._HEAD_BLOCK]
+                grams = (block @ rhs).view(np.complex128).reshape(block.shape[0], -1, t, t)
+                grams += q_head(block[:, :n_head])[:, None]
+                out.append(grams.reshape(-1, t, t))
+        return np.concatenate(out)
+
+    @pytest.mark.parametrize("tail_piece", [None, 2])
+    @pytest.mark.parametrize("t", range(1, 10))
+    def test_pieces_yield_every_pattern_once(self, monkeypatch, t, tail_piece):
+        # the pieces share one buffer, so each is copied before the next is
+        # drawn; the 81 tails end in a one-tail piece at both piece sizes
+        if tail_piece is not None:
+            monkeypatch.setattr(codebook, "_TAIL_PIECE", tail_piece)
+        mats = codebook._haar_stack(t, np.random.default_rng(t))
+        expected = self._whole_block_grams(mats, 1e-9)
+        assert expected.shape[0] == (3**t - 1) // 2
+        yielded = np.concatenate([g.copy() for g in codebook._pattern_grams(mats, 1e-9)])
+        expected_bytes = sorted(g.tobytes() for g in expected)
+        assert len(set(expected_bytes)) == len(expected_bytes)
+        assert sorted(g.tobytes() for g in yielded) == expected_bytes
 
     @settings(max_examples=60)
     @given(t=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
@@ -264,6 +314,21 @@ class TestDiversityGuard:
         mats = codebook._haar_stack(3, np.random.default_rng(4))
         mats[2] = mats[0]
         assert not is_full_diversity(mats)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_entry_rejected(self, bad):
+        # a NaN Gram entry used to pass every Cholesky call of the guard
+        mats = codebook._haar_stack(3, np.random.default_rng(5))
+        mats[1, 2, 0] = bad
+        for scan in (is_full_diversity, min_pairwise_eigenvalue):
+            with pytest.raises(ValueError, match="finite"):
+                scan(mats)
+
+    def test_real_stack_read_as_complex(self):
+        real = np.stack([np.eye(3), np.eye(3)[::-1], np.eye(3)[[1, 2, 0]]])
+        for scan in (is_full_diversity, min_pairwise_eigenvalue):
+            assert scan(real) == scan(real.astype(complex))
+        assert not is_full_diversity(np.stack([np.eye(3)] * 3))
 
     def test_shape_validation(self):
         for shape in ((2, 3, 3), (0, 0, 0)):

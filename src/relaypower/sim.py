@@ -19,12 +19,20 @@ over relays is one complex GEMM once the dispersion stack is reshaped:
 the effective matrices are (n, M) gains @ (M, T^2) matrices, the forwarded
 relay noise (n, M T) weighted draws @ (M T, T) stacked transposes. The
 decoder needs only Re(C^H C) and Re(C^H r), one real batched product.
+
+A run's jobs are its (point, batch) pairs. _map_jobs runs them one per
+usable core at every T and holds BLAS at one thread while they run. A
+batch's products are small: on a 2-vCPU host a T = 3 transmit of 4096
+frames took 15 ms on two OpenBLAS threads against 0.5-0.8 ms on one, and
+an idle BLAS thread spins beside the other worker.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import enum
+import functools
 import math
 import os
 import threading
@@ -509,15 +517,15 @@ def run_monte_carlo(
     for statistical waterfilling, whose long-term caps are the same in
     every frame: it is solved once per batch and repeated. Batch b of
     point i draws from stream (seed, i, b) wherever it runs, and every
-    batch works in its worker's Workspace. At T <= 2 the batches run
-    one per usable core, each worker with its own workspace; at larger T
-    they run in turn, because BLAS already spreads their products over
-    the cores. The tallies are integer sums, so neither the shard count,
-    which only partitions the fixed batch schedule, nor the number of
-    cores changes them. This is the one-scheme call of _run_schemes, which
-    runs every scheme of a cell, the direct link included, in one job list:
-    the tallies here are those the scheme scores there, where the relay
-    schemes' are paired (common random numbers).
+    batch works in its worker's Workspace. The batches run one per usable
+    core at every T, each worker with its own workspace and BLAS on its
+    own thread (_map_jobs). The tallies are integer sums, so neither the
+    shard count, which only partitions the fixed batch schedule, nor the
+    number of cores changes them. This is the one-scheme call of
+    _run_schemes, which runs every scheme of a cell, the direct link
+    included, in one job list: the tallies here are those the scheme
+    scores there, where the relay schemes' are paired (common random
+    numbers).
     """
     return _run_schemes([(cfg, scheme)], snr_grid_db, frames, seed,
                         network_power_sweep=network_power_sweep, shards=shards)[0]
@@ -556,8 +564,9 @@ def _run_schemes(runs: list[tuple[NetworkConfig, Scheme]], snr_grid_db, frames: 
     batch = _batch_size(cfg.M)
     n_batches = -(-frames // batch)
     powers = [_point_powers(cfg, float(snr), network_power_sweep) for snr in grid]
+    # shards past n_batches would be empty: shards stays the stride, not the loop count
     jobs = [(pi, bi) for pi in range(grid.shape[0])
-            for shard in range(shards) for bi in range(shard, n_batches, shards)]
+            for shard in range(min(shards, n_batches)) for bi in range(shard, n_batches, shards)]
 
     def tallies(job, ws):
         pi, bi = job
@@ -568,7 +577,7 @@ def _run_schemes(runs: list[tuple[NetworkConfig, Scheme]], snr_grid_db, frames: 
         return [_direct_batch_tallies(cfg.M, net_power, cfg.N0, n, derive_rng(seed, STREAM_FRAMES, pi, bi))
                 if scheme is Scheme.DIRECT_LINK else next(scored) for _, scheme in runs]
 
-    results = _map_jobs(tallies, jobs, len(jobs) if cfg.M <= _POOL_MAX_BLOCK else 1)
+    results = _map_jobs(tallies, jobs, len(jobs))
     # errors[run, point, block or bit]
     errors = np.zeros((len(runs), grid.shape[0], 2), dtype=np.int64)
     for (pi, _), scored in zip(jobs, results):
@@ -586,14 +595,6 @@ def _run_schemes(runs: list[tuple[NetworkConfig, Scheme]], snr_grid_db, frames: 
     ) for ri, (c, scheme) in enumerate(runs)]
 
 
-# Largest block length T whose batches run one per core. From T = 3 on, BLAS
-# spreads a batch's complex GEMMs over the cores by itself, and a second
-# batch thread only competes with it: 16-batch runs on a 2-core host took
-# 40-53 ms pooled against 60-86 ms in turn at T = 2, but were no faster
-# pooled at T = 3-6 (up to 15% slower at T = 4) and up to 2x slower at T = 8-12
-_POOL_MAX_BLOCK = 2
-
-
 def _usable_cores() -> int:
     """CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -602,12 +603,14 @@ def _usable_cores() -> int:
 
 
 def _map_jobs(fn, jobs: list, max_workers: int) -> list:
-    """[fn(job, ws) for job in jobs] on one thread per usable core, at most max_workers.
+    """[fn(job, ws) for job in jobs] on one thread per usable core, at most max_workers, BLAS on one thread.
 
     Each thread makes one Workspace ws and hands it to every job it runs.
     Results keep the order of jobs. With one worker the jobs run in the
-    calling thread. A failing job's error is raised once the jobs not yet
-    started are cancelled and the running ones have finished.
+    calling thread. However many workers run, BLAS is held at one thread
+    until the last job ends (_one_blas_thread), so a job's products run on
+    the thread that calls them. A failing job's error is raised once the
+    jobs not yet started are cancelled and the running ones have finished.
     """
     local = threading.local()
 
@@ -617,16 +620,71 @@ def _map_jobs(fn, jobs: list, max_workers: int) -> list:
         return fn(job, local.ws)
 
     workers = min(_usable_cores(), len(jobs), max_workers)
-    if workers <= 1:
-        return [run(job) for job in jobs]
-    # imported here, not at the top: 7 ms that every run without a pool would pay
-    from concurrent.futures import ThreadPoolExecutor
+    with _one_blas_thread():
+        if workers <= 1:
+            return [run(job) for job in jobs]
+        # imported here, not at the top: 7 ms that every run without a pool would pay
+        from concurrent.futures import ThreadPoolExecutor
 
-    pool = ThreadPoolExecutor(workers)
+        pool = ThreadPoolExecutor(workers)
+        try:
+            return list(pool.map(run, jobs))
+        finally:
+            pool.shutdown(cancel_futures=True)
+
+
+@functools.cache
+def _blas_thread_calls():
+    """OpenBLAS's (get_num_threads, set_num_threads) as numpy links it, or None under another BLAS.
+
+    numpy's wheels carry OpenBLAS with a scipy_openblas prefix and a 64_
+    suffix on its symbols; a system OpenBLAS has neither. A handle on
+    numpy's linalg extension finds the symbols of the libraries it links.
+    """
+    import ctypes
+
+    from numpy.linalg import _umath_linalg
+
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                 "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+        get, set_ = (getattr(lib, name.format(op), None) for op in ("get", "set"))
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+# The BLAS thread count each _one_blas_thread block found on entry, in the
+# order the blocks entered; the last block to leave restores the first count
+_blas_counts: list[int] = []
+_blas_counts_lock = threading.Lock()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold BLAS at one thread until the block ends; without OpenBLAS's setter, do nothing.
+
+    The count is process-wide, so blocks on other threads (two runs at
+    once) share one hold: the first sets 1, the last restores the count
+    the first found.
+    """
+    calls = _blas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    with _blas_counts_lock:
+        _blas_counts.append(get())
+        set_(1)
     try:
-        return list(pool.map(run, jobs))
+        yield
     finally:
-        pool.shutdown(cancel_futures=True)
+        with _blas_counts_lock:
+            count = _blas_counts.pop()
+            if not _blas_counts:
+                set_(count)
 
 
 def effective_relay_count(cfg: NetworkConfig, scheme: Scheme, r_grid, trials: int, seed: int) -> np.ndarray:

@@ -3,6 +3,7 @@
 import concurrent.futures
 import functools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -496,10 +497,10 @@ class TestBatchPool:
         (1, [5.0], 9000, 3),        # 3 batches, one worker each
         (2, [5.0, 10.0], 9000, 4),  # 6 batches over 4 cores
         (2, [5.0], 1000, None),     # one batch: nothing to share
-        (3, [5.0, 10.0], 9000, None),  # BLAS threads the products itself
-        (12, [5.0], 1000, None),
+        (3, [5.0, 10.0], 9000, 4),  # 6 batches over 4 cores
+        (12, [5.0], 1000, 4),       # 16 batches of 64 frames
     ])
-    def test_only_batches_at_small_block_lengths_share_the_cores(self, pool_sizes, t, grid, frames, workers):
+    def test_batches_share_the_cores_at_every_block_length(self, pool_sizes, t, grid, frames, workers):
         for scheme in (Scheme.MAX_POWER, Scheme.DIRECT_LINK):
             run_monte_carlo(_cfg(t), scheme, grid, frames, seed=0)
         assert pool_sizes == ([] if workers is None else [workers, workers])
@@ -510,6 +511,77 @@ class TestBatchPool:
                         "frames: 9000\nnetwork:\n  M: 2\n")
         run_experiment(load_spec(path), tmp_path / "out")
         assert pool_sizes == [3]  # 3 batches, one worker each
+
+
+class TestBlasPin:
+    """_map_jobs holds BLAS at one thread while its jobs run and restores the count it found."""
+
+    @pytest.fixture
+    def blas(self, monkeypatch):
+        """The counts a fake OpenBLAS at 3 threads was set to, in order; the last is the current one."""
+        counts = [3]
+        monkeypatch.setattr(sim, "_blas_thread_calls", lambda: (lambda: counts[-1], counts.append))
+        return counts
+
+    @pytest.mark.parametrize("cores", [1, 4])
+    def test_jobs_run_on_one_blas_thread(self, blas, monkeypatch, cores):
+        monkeypatch.setattr(sim, "_usable_cores", lambda: cores)
+        assert sim._map_jobs(lambda job, ws: blas[-1], list(range(8)), 8) == [1] * 8
+        assert blas == [3, 1, 3]
+
+    @pytest.mark.parametrize("cores", [1, 4])
+    def test_count_restored_after_a_failing_job(self, blas, monkeypatch, cores):
+        monkeypatch.setattr(sim, "_usable_cores", lambda: cores)
+
+        def fn(job, ws):
+            if job == 5:
+                raise ValueError("job 5 failed")
+            return job
+
+        with pytest.raises(ValueError, match="job 5 failed"):
+            sim._map_jobs(fn, list(range(8)), 8)
+        assert blas == [3, 1, 3]
+
+    def test_overlapping_calls_share_one_hold(self, blas, monkeypatch):
+        # 8 callers on 2 cores, switching threads as often as it can: every
+        # job sees 1, and the count the first caller found comes back
+        monkeypatch.setattr(sim, "_usable_cores", lambda: 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(8) as callers:
+                futures = [callers.submit(sim._map_jobs, lambda job, ws: blas[-1], list(range(50)), 50)
+                           for _ in range(8)]
+                seen = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert seen == [[1] * 50] * 8
+        assert blas[-1] == 3
+
+    @pytest.mark.parametrize("t", [3, 8, 12])
+    def test_tallies_do_not_depend_on_the_blas_thread_count(self, monkeypatch, t):
+        calls = sim._blas_thread_calls()
+        if calls is None:
+            pytest.skip("numpy's BLAS is not OpenBLAS")
+        get, set_ = calls
+        runs = [(_cfg(t), Scheme.ONOFF), (_cfg(t), Scheme.MAX_POWER)]
+        frames = max(sim.MIN_FRAMES, 2 * _batch_size(t) + 100)  # a short last batch too
+
+        def tallies():
+            return [(res.block_errors.tolist(), res.bit_errors.tolist())
+                    for res in sim._run_schemes(runs, [5.0, 10.0], frames, seed=13)]
+
+        count = get()
+        pinned = tallies()
+        assert get() == count
+        monkeypatch.setattr(sim, "_blas_thread_calls", lambda: None)
+        set_(2)
+        try:
+            threaded = tallies()
+        finally:
+            set_(count)
+        assert all(block[0] > 0 for block, _ in pinned)
+        assert threaded == pinned
 
 
 class TestSchemeLabel:
@@ -636,6 +708,28 @@ class TestShardInvariance:
                                   seed=11, shards=shards)
             np.testing.assert_array_equal(res.block_errors, ref.block_errors)
             np.testing.assert_array_equal(res.bit_errors, ref.bit_errors)
+
+
+    def test_shards_past_the_batch_count_run_the_same_jobs(self, monkeypatch, tmp_path, capsys):
+        # T = 8 runs 3 batches of 1024 frames per point; the empty shards
+        # past them are never looped over
+        seen = []
+        real = sim._map_jobs
+
+        def spy(fn, jobs, max_workers):
+            seen.append(jobs)
+            return real(fn, jobs, max_workers)
+
+        monkeypatch.setattr(sim, "_map_jobs", spy)
+        path = tmp_path / "scenario.yaml"
+        path.write_text("kind: bler_vs_snr\nschemes: [onoff, direct]\nsnr_db: [5.0, 10.0]\nframes: 3000\n"
+                        "network:\n  M: 8\n")
+        csvs = []
+        for shards in (1, 3, 10**12):
+            paths = run_experiment(load_spec(path), tmp_path / f"out{shards}", shards=shards)
+            csvs.append({p.name: p.read_bytes() for p in paths if p.suffix == ".csv"})
+        assert len(seen) == 3 and seen[2] == seen[1]
+        assert len(csvs[0]) == 2 and csvs[2] == csvs[0]
 
 
 class TestStatisticalAllocation:

@@ -1,6 +1,6 @@
 """Power allocation and Monte Carlo simulation for amplify-and-forward relay networks."""
 
-from .codebook import LdCodebook, generate_codebook, is_full_diversity, load_codebook, save_codebook
+from .codebook import LdCodebook, generate_codebook, is_full_diversity
 from .model import (
     ChannelRealization,
     ConstraintKind,
@@ -26,12 +26,7 @@ from .objectives import (
     pep_bound_statistical_exact,
     saddle_point_error,
 )
-from .onoff import (
-    onoff_m2_closed_form,
-    solve_onoff,
-    verify_stationarity,
-    vertex_enumeration_oracle,
-)
+from .onoff import onoff_m2_closed_form, solve_onoff
 from .sim import Scheme, SimResult, effective_relay_count, ml_decode, run_monte_carlo, transmit_frame
 from .waterfill import (
     WaterfillResult,
@@ -62,7 +57,6 @@ __all__ = [
     "f0_value",
     "generate_codebook",
     "is_full_diversity",
-    "load_codebook",
     "log_objective_J",
     "ml_decode",
     "onoff_m2_closed_form",
@@ -74,12 +68,9 @@ __all__ = [
     "run_monte_carlo",
     "saddle_point_error",
     "sample_channels",
-    "save_codebook",
     "solve_onoff",
     "solve_waterfill",
     "transmit_frame",
-    "verify_stationarity",
-    "vertex_enumeration_oracle",
     "waterfill_m2_closed_form",
     "__version__",
 ]

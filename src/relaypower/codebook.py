@@ -234,43 +234,3 @@ def _haar_stack(T: int, rng: np.random.Generator) -> np.ndarray:
         q, r = np.linalg.qr(z)
         mats[i] = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
     return mats
-
-
-def save_codebook(path, code: LdCodebook) -> None:
-    """Write the dispersion stack as plain text for exact replay.
-
-    First line is "T"; each matrix follows as T rows of interleaved
-    real/imaginary pairs with 17 significant digits, which round-trips
-    IEEE doubles exactly. lambda_min is never stored; a loaded codebook
-    computes it on first read.
-    """
-    lines = [str(code.T)]
-    for row in code.matrices.reshape(-1, code.T):
-        lines.append(" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_codebook(path) -> LdCodebook:
-    """Inverse of save_codebook; a malformed file is a ValueError that starts with the path."""
-    with open(path) as fh:
-        lines = [ln for ln in (line.strip() for line in fh) if ln]
-    try:
-        t = int(lines[0])
-        if t < 1:
-            raise ValueError("block length below 1")
-    except (IndexError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed codebook header") from exc
-    expected = 1 + t * t
-    if len(lines) != expected:
-        raise ValueError(f"{path}: expected {expected} lines, found {len(lines)}")
-    mats = np.empty((t * t, t), dtype=np.complex128)
-    try:
-        for n, line in enumerate(lines[1:]):
-            vals = np.array([float(x) for x in line.split()])
-            if vals.shape[0] != 2 * t:
-                raise ValueError(f"matrix {n // t} row {n % t} has wrong width")
-            mats[n].real, mats[n].imag = vals[0::2], vals[1::2]
-        return LdCodebook(matrices=mats.reshape(t, t, t))
-    except ValueError as exc:  # a non-numeric entry, a wrong width, or a stack LdCodebook rejects
-        raise ValueError(f"{path}: {exc}") from exc

@@ -64,7 +64,11 @@ MAX_STUDY_RELAYS = 1024  # largest M of the kinds that only allocate
 # trials x largest M: the channel entries of one (trials, M) draw. The
 # relay counts and the convergence run keep only |h|^2 and |g|^2, 16 bytes
 # per entry in a worker's workspace (268 MB at the bound). A convergence run
-# also holds its trajectory, counted in 40-byte entries
+# also holds its trajectory, counted in 40-byte entries, but the bound does
+# not hold its peak: at M = 64, 195 000 trials and 10 iterations it peaked
+# at 901 MB, since the on-off kernels solve all trials at once and allocate
+# several whole (trials, M) temporaries (sort keys and order, prefix sums,
+# gradients, one np.where per iterate)
 MAX_TRIAL_ENTRIES = 2**24
 
 

@@ -248,11 +248,11 @@ class Workspace(dict):
         return buf[:size].reshape(shape)
 
 
-def _draw_count(n) -> int:
-    """n as a row count; ValueError unless it is an integer >= 0."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
-        raise ValueError(f"n must be an integer >= 0, got {n!r}")
-    return int(n)
+def _count(x, name: str, low: int = 0) -> int:
+    """x as a count; ValueError naming it unless x is an integer >= low (bool is not)."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {x!r}")
+    return int(x)
 
 
 def _scaled_chunks(cfg: NetworkConfig, n: int, rng: np.random.Generator, ws: Workspace):
@@ -281,7 +281,7 @@ def sample_channel_batch(cfg: NetworkConfig, n: int, rng: np.random.Generator, w
     positions. With ws, H and G are its "h" and "g", which the next draw
     overwrites.
     """
-    n = _draw_count(n)
+    n = _count(n, "n")
     ws = Workspace() if ws is None else ws
     out = [ws.take(name, (n, cfg.M), np.complex128) for name in ("h", "g")]
     for hop, imag, rows, chunk in _scaled_chunks(cfg, n, rng, ws):
@@ -300,7 +300,7 @@ def _sample_channel_powers(cfg: NetworkConfig, n: int, rng: np.random.Generator,
     entries.) With ws, the powers are its "h2" and "g2", which the next
     draw overwrites.
     """
-    n = _draw_count(n)
+    n = _count(n, "n")
     ws = Workspace() if ws is None else ws
     out = [ws.take(name, (n, cfg.M)) for name in ("h2", "g2")]
     for hop, imag, rows, chunk in _scaled_chunks(cfg, n, rng, ws):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _finite_array, _finite_scalar, _positive_vector
+from .model import _count, _finite_array, _finite_scalar, _positive_vector
 from .rng import derive_rng
 
 _EULER_GAMMA = 0.5772156649015328606
@@ -289,8 +289,8 @@ def saddle_point_error(h, gamma_g, p, eta: float, trials: int, seed: int) -> Sad
     gamma_g = _positive_vector(gamma_g, h.shape[0], "gamma_g")
     p = _positive_vector(p, h.shape[0], "p", allow_zero=True)
     eta = _finite_scalar(eta, "eta", allow_zero=True)
-    if trials < SADDLE_MIN_TRIALS:
-        raise ValueError(f"trials must be at least {SADDLE_MIN_TRIALS} for a usable error bar")
+    # fewer trials leave no usable error bar
+    trials = _count(trials, "trials", SADDLE_MIN_TRIALS)
 
     h2 = np.abs(h) ** 2
     denom = 1.0 + float(np.dot(gamma_g, p))

@@ -24,11 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import PowerAllocation, _positive_batch, _positive_vector
-from .objectives import PerfectCsitObjective, f0_gradient, f0_value
+from .objectives import PerfectCsitObjective, f0_value
 
 MAX_ITERATIONS = 100
-# Exhaustive enumeration beyond this many relays is off the table.
-MAX_ORACLE_RELAYS = 20
 # solve_onoff_masks hands a row to the exact scan when some |h_i|^2 lies
 # within this relative distance of the row's f0: over 5e4 times the
 # update's rounding band at M = 40
@@ -76,11 +74,6 @@ def _check_gains(alpha, beta, caps) -> tuple[np.ndarray, np.ndarray]:
             raise ValueError(f"{name} must be finite and non-negative")
         checked.append(x)
     return checked[0], checked[1]
-
-
-def feedback_bits(allocation: PowerAllocation) -> str:
-    """On-off mask as a bitstring, relay 0 first; '1' means transmit at cap."""
-    return "".join("1" if on else "0" for on in allocation.active)
 
 
 def solve_onoff(
@@ -295,45 +288,6 @@ def _exact_optimum(alpha: np.ndarray, beta: np.ndarray, caps: np.ndarray) -> np.
                 best, k = f, j
         mask[order[:k]] = True
     return masks
-
-
-def vertex_enumeration_oracle(obj: PerfectCsitObjective, caps) -> PowerAllocation:
-    """Exact argmax of f0 over all 2^M vertices of the cap box.
-
-    Ties go to the vertex with fewer active relays, then to the
-    lexicographically smallest on-set. Refuses M > 20.
-    """
-    caps = _positive_vector(caps, obj.M, "caps")
-    m = obj.M
-    if m > MAX_ORACLE_RELAYS:
-        raise ValueError(f"vertex enumeration is limited to M <= {MAX_ORACLE_RELAYS}")
-    ac = obj.alpha * caps
-    bc = obj.beta * caps
-    # bit i of the row index = relay i active
-    masks = (np.arange(2**m)[:, None] >> np.arange(m)) & 1
-    a_sums = masks @ ac
-    b_sums = masks @ bc
-    values = a_sums / (1.0 + b_sums)
-    tied = np.nonzero(values == values.max())[0]
-    winner = min(tied, key=lambda i: (masks[i].sum(), tuple(np.nonzero(masks[i])[0])))
-    p = np.where(masks[winner].astype(bool), caps, 0.0)
-    return PowerAllocation(p=p, caps=caps)
-
-
-def verify_stationarity(obj: PerfectCsitObjective, allocation: PowerAllocation) -> bool:
-    """Check the vertex optimality certificate from the gradient signs.
-
-    True iff every active relay sees a strictly positive gradient and
-    every silent relay a non-positive one. An exactly zero gradient at a
-    cap therefore fails the certificate. Raises for non-vertex input.
-    """
-    caps = _positive_vector(allocation.caps, obj.M, "caps")
-    at_cap = allocation.p == caps
-    at_zero = allocation.p == 0.0
-    if not np.all(at_cap | at_zero):
-        raise ValueError("stationarity certificate is defined for vertices only")
-    grad = f0_gradient(obj, allocation.p)
-    return bool(np.all(grad[at_cap] > 0.0) and np.all(grad[at_zero] <= 0.0))
 
 
 def m2_discriminant(obj: PerfectCsitObjective, caps) -> M2Discriminant:

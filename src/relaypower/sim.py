@@ -49,6 +49,7 @@ from .model import (
     PowerAllocation,
     Workspace,
     _batch_caps,
+    _count,
     _finite_array,
     _finite_scalar,
     _sample_channel_powers,
@@ -112,11 +113,6 @@ class SimResult:
     def stderr_bler(self) -> np.ndarray:
         p = self.bler
         return np.sqrt(p * (1.0 - p) / self.frames)
-
-    @property
-    def stderr_ber(self) -> np.ndarray:
-        p = self.ber
-        return np.sqrt(p * (1.0 - p) / (self.frames * self.block_bits))
 
     def to_csv_rows(self, leads: list[str] | None = None) -> list[str]:
         """One row per point: its lead columns, by default scheme and snr_db, then the tallies."""
@@ -541,10 +537,8 @@ def _run_schemes(runs: list[tuple[NetworkConfig, Scheme]], snr_grid_db, frames: 
     link from that stream read afresh from its start (_direct_batch_tallies),
     so each run's tallies are those it scores alone.
     """
-    if frames < MIN_FRAMES:
-        raise ValueError(f"frames must be at least {MIN_FRAMES}")
-    if shards < 1:
-        raise ValueError("shards must be at least 1")
+    frames = _count(frames, "frames", MIN_FRAMES)
+    shards = _count(shards, "shards", 1)
     for c, scheme in runs:
         _check_compat(c, scheme)
     cfg = runs[0][0]
@@ -697,12 +691,11 @@ def effective_relay_count(cfg: NetworkConfig, scheme: Scheme, r_grid, trials: in
     """
     if scheme is Scheme.DIRECT_LINK:
         raise ValueError("effective relay count is undefined for the direct link")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    trials = _count(trials, "trials", 1)
     grid = np.atleast_1d(np.asarray(r_grid, dtype=np.float64))
     if grid.ndim != 1:
         raise ValueError(f"relay distances must be a 1-d array, got shape {grid.shape}")
-    if np.any(grid <= 0.0) or np.any(grid >= 1.0):
+    if not np.all((grid > 0.0) & (grid < 1.0)):  # a NaN fails too
         raise ValueError("relay distances must lie strictly inside (0, 1)")
     _check_compat(cfg, scheme)
     gammas = [_distance_variances(r) for r in grid.tolist()]

@@ -29,20 +29,12 @@ the coefficients a_i: sum_i ln(a_i) shifts every candidate's J equally.
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import PowerAllocation, _positive_batch, _positive_vector
 from .objectives import log_objective_J
-
-
-def _mu_interval(pg: np.ndarray) -> tuple[float, float]:
-    # mu_max is the last raw level, summed as the kernel sums it
-    m = pg.shape[0]
-    return 1.0 / m, float((1.0 + np.cumsum(np.sort(pg))[-1]) / m)
 
 
 @dataclass(frozen=True)
@@ -53,54 +45,6 @@ class WaterfillResult:
     mu_star: float
     J_star: float
     at_cap: np.ndarray
-
-
-def J_of_mu(obj, mu: float, caps) -> float:
-    """Surrogate objective as a function of the water level.
-
-    Levels outside [mu_min, mu_max] are clamped with a warning. With
-    C the uncapped set and Cbar its complement,
-
-        J = |C| ln(mu) - sum_C ln(gamma_gi) + sum_Cbar ln(P_i)
-            - M ln(1 + |C| mu + sum_Cbar P_i gamma_gi) + sum_i ln(a_i),
-
-    which equals log_objective_J at p_i = min(mu/gamma_gi, P_i). A relay
-    with P_i*gamma_gi == mu counts as capped; the two branches agree there.
-    """
-    caps = _positive_vector(caps, obj.M, "caps")
-    pg = caps * obj.gamma_g
-    mu_min, mu_max = _mu_interval(pg)
-    if mu < mu_min or mu > mu_max:
-        warnings.warn(
-            f"water level {mu:g} outside [{mu_min:g}, {mu_max:g}]; clamping",
-            stacklevel=2,
-        )
-        mu = min(max(mu, mu_min), mu_max)
-    capped = pg <= mu
-    n_free = int(obj.M - np.count_nonzero(capped))
-    denom = 1.0 + n_free * mu + float(np.sum(pg[capped]))
-    with np.errstate(divide="ignore"):
-        return float(
-            n_free * math.log(mu)
-            - np.sum(np.log(obj.gamma_g[~capped]))
-            + np.sum(np.log(caps[capped]))
-            - obj.M * math.log(denom)
-            + np.sum(np.log(obj.a))
-        )
-
-
-def derivative_J_wrt_mu(obj, mu: float, caps) -> float:
-    """dJ/d(ln mu) at a fixed membership pattern.
-
-    Equals |C| * (1 - M mu / (1 + |C| mu + sum_Cbar P_i gamma_gi)); zero at
-    the interior optimum, positive below it, negative above it.
-    """
-    caps = _positive_vector(caps, obj.M, "caps")
-    pg = caps * obj.gamma_g
-    capped = pg <= mu
-    n_free = obj.M - int(np.count_nonzero(capped))
-    denom = 1.0 + n_free * mu + float(np.sum(pg[capped]))
-    return n_free * (1.0 - obj.M * mu / denom)
 
 
 # A full scan can prefer a level other than the least clamped one only when
@@ -242,59 +186,3 @@ def waterfill_m2_closed_form(obj, caps) -> PowerAllocation:
     else:
         p = caps.copy()
     return PowerAllocation(p=p, caps=caps)
-
-
-# levels per chunk of grid_search_oracle: 32 KB float64 temporaries
-_ORACLE_CHUNK = 4096
-
-
-def grid_search_oracle(obj, caps, grid_points: int = 100_000) -> tuple[float, float]:
-    """Best water level over a dense uniform grid plus the candidate set.
-
-    Independent check for solve_waterfill: evaluates J directly from the
-    definition at p(mu) for grid_points levels spanning [mu_min, mu_max]
-    together with the clamped candidates, and returns (mu_best, J_best).
-    Raises ValueError when mu_max = (1 + sum_i P_i gamma_gi) / M overflows,
-    since no grid spans [mu_min, inf].
-    """
-    caps = _positive_vector(caps, obj.M, "caps")
-    with np.errstate(over="ignore"):
-        pg = caps * obj.gamma_g
-        mu_min, mu_max = _mu_interval(pg)
-    if not math.isfinite(mu_max):
-        raise ValueError("mu_max = (1 + sum_i caps_i gamma_gi) / M overflows; the grid needs a finite interval")
-    order = np.argsort(pg, kind="stable")
-    pg_sorted = pg[order]
-    ln_caps_sorted = np.log(caps[order])
-    ln_gamma_sorted = np.log(obj.gamma_g[order])
-    prefix_pg = np.concatenate([[0.0], np.cumsum(pg_sorted)])
-    prefix_ln_caps = np.concatenate([[0.0], np.cumsum(ln_caps_sorted)])
-    prefix_ln_gamma = np.concatenate([[0.0], np.cumsum(ln_gamma_sorted)])
-    with np.errstate(divide="ignore"):
-        sum_ln_a = float(np.sum(np.log(obj.a)))
-    # the candidate levels mu_j = (1 + prefix_pg[j]) / j, clamped into [mu_min, mu_max]
-    mu_cands = np.clip((1.0 + prefix_pg[1:]) / np.arange(1, obj.M + 1), mu_min, mu_max)
-    grid = np.concatenate([np.linspace(mu_min, mu_max, grid_points), mu_cands])
-
-    # J in chunks of _ORACLE_CHUNK levels keeps every temporary small. The
-    # first argmax over the chunks' first argmaxes is np.argmax's answer
-    # over the whole grid
-    picks = []
-    for lo in range(0, grid.shape[0], _ORACLE_CHUNK):
-        mu = grid[lo : lo + _ORACLE_CHUNK]
-        # number of capped relays at each level (ties count as capped)
-        idx = np.searchsorted(pg_sorted, mu, side="right")
-        n_free = obj.M - idx
-        denom = 1.0 + n_free * mu + prefix_pg[idx]
-        ln_gamma_free = prefix_ln_gamma[obj.M] - prefix_ln_gamma[idx]
-        j_vals = (
-            n_free * np.log(mu)
-            - ln_gamma_free
-            + prefix_ln_caps[idx]
-            - obj.M * np.log(denom)
-            + sum_ln_a
-        )
-        k = int(np.argmax(j_vals))
-        picks.append((lo + k, j_vals[k]))
-    best, j_best = picks[int(np.argmax([j for _, j in picks]))]
-    return float(grid[best]), float(j_best)

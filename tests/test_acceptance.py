@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import J_of_mu, derivative_J_wrt_mu, grid_search_oracle, vertex_enumeration_oracle
 from relaypower.codebook import generate_codebook
 from relaypower.experiments import load_spec, run_experiment
 from relaypower.model import (
@@ -33,7 +34,6 @@ from relaypower.onoff import (
     onoff_m2_closed_form,
     solve_onoff,
     solve_onoff_batch,
-    vertex_enumeration_oracle,
 )
 from relaypower.sim import (
     Scheme,
@@ -42,9 +42,6 @@ from relaypower.sim import (
     transmit_frame,
 )
 from relaypower.waterfill import (
-    J_of_mu,
-    derivative_J_wrt_mu,
-    grid_search_oracle,
     solve_waterfill,
     solve_waterfill_batch,
     waterfill_m2_closed_form,

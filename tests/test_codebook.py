@@ -1,7 +1,5 @@
 """Dispersion-matrix codebooks, their worst-pair eigenvalue and generation guard."""
 
-import re
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,9 +11,7 @@ from relaypower.codebook import (
     codeword_signs,
     generate_codebook,
     is_full_diversity,
-    load_codebook,
     min_pairwise_eigenvalue,
-    save_codebook,
 )
 from relaypower.experiments import load_spec, run_experiment
 from relaypower.rng import STREAM_CODEBOOK, derive_rng
@@ -418,45 +414,3 @@ class TestCache:
         value = code.lambda_min
         assert code.lambda_min == value
         assert calls == [(4, 4, 4)]
-
-
-class TestSerialization:
-    def test_round_trip_is_exact(self, tmp_path):
-        code = generate_codebook(4, seed=9)
-        path = tmp_path / "code.txt"
-        save_codebook(path, code)
-        loaded = load_codebook(path)
-        np.testing.assert_array_equal(loaded.matrices, code.matrices)
-        assert loaded.lambda_min == code.lambda_min
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(OSError):
-            load_codebook(tmp_path / "absent.txt")
-
-    @pytest.mark.parametrize("text,message", [
-        ("", "malformed codebook header"),
-        ("x\n1 0\n", "malformed codebook header"),
-        ("-1\n1 0\n", "malformed codebook header"),
-        ("0\n", "malformed codebook header"),
-        ("1\n", "expected 2 lines, found 1"),
-        ("1\nzz 0\n", "could not convert string to float: 'zz'"),
-        ("2\n1 0 0 0\n0 0 1 0\n1 0 0 0\n0 0 1 0 5\n", "matrix 1 row 1 has wrong width"),
-        ("1\nnan 0\n", "entries must be finite"),
-        ("1\n1 inf\n", "entries must be finite"),
-        ("1\n2 0\n", "not unitary"),
-    ])
-    def test_malformed_file_error_starts_with_the_path(self, tmp_path, text, message):
-        path = tmp_path / "code.txt"
-        path.write_text(text)
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{message}"):
-            load_codebook(path)
-
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
-    def test_saved_codebook_with_a_non_finite_entry_rejected(self, tmp_path, bad):
-        path = tmp_path / "code.txt"
-        save_codebook(path, generate_codebook(3, seed=1))
-        lines = path.read_text().splitlines()
-        lines[4] = " ".join([bad, *lines[4].split()[1:]])
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*finite"):
-            load_codebook(path)

@@ -357,9 +357,10 @@ class TestSaddlePointError:
         assert r.rel_error == (math.inf if r.mc_estimate == 0.0 else abs(r.mc_estimate - r.bound) / r.mc_estimate)
 
     def test_trials_floor(self):
-        with pytest.raises(ValueError, match="10000"):
-            saddle_point_error(np.ones(2), np.ones(2), np.ones(2),
-                               eta=1.0, trials=9999, seed=0)
+        for trials in (9999, 10_000.5, True):
+            with pytest.raises(ValueError, match=f"trials must be an integer >= 10000, got {trials}"):
+                saddle_point_error(np.ones(2), np.ones(2), np.ones(2),
+                                   eta=1.0, trials=trials, seed=0)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

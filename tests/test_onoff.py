@@ -7,18 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import verify_stationarity, vertex_enumeration_oracle
 from relaypower import onoff
 from relaypower.model import PowerAllocation
 from relaypower.objectives import PerfectCsitObjective, f0_gradient, f0_value
 from relaypower.onoff import (
-    feedback_bits,
     m2_discriminant,
     onoff_m2_closed_form,
     solve_onoff,
     solve_onoff_batch,
     solve_onoff_masks,
-    verify_stationarity,
-    vertex_enumeration_oracle,
 )
 
 
@@ -665,8 +663,3 @@ class TestM2ClosedForm:
         obj, caps = _obj_and_caps([1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
         with pytest.raises(ValueError, match="M = 2"):
             onoff_m2_closed_form(obj, caps)
-
-
-def test_feedback_bits():
-    alloc = PowerAllocation(p=np.array([1.0, 0.0, 2.0]), caps=np.array([1.0, 1.0, 2.0]))
-    assert feedback_bits(alloc) == "101"

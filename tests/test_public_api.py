@@ -3,6 +3,10 @@ adding or removing one shows up in a diff."""
 
 import dataclasses
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -32,7 +36,6 @@ PUBLIC_NAMES = [
     "f0_value",
     "generate_codebook",
     "is_full_diversity",
-    "load_codebook",
     "log_objective_J",
     "ml_decode",
     "onoff_m2_closed_form",
@@ -44,12 +47,9 @@ PUBLIC_NAMES = [
     "run_monte_carlo",
     "saddle_point_error",
     "sample_channels",
-    "save_codebook",
     "solve_onoff",
     "solve_waterfill",
     "transmit_frame",
-    "verify_stationarity",
-    "vertex_enumeration_oracle",
     "waterfill_m2_closed_form",
 ]
 
@@ -96,3 +96,14 @@ def test_traced_functions_keep_their_argument_names(module, name, arguments):
     assert inspect.isfunction(fn)
     parameters = inspect.signature(fn).parameters
     assert [a for a in arguments if a not in parameters] == []
+
+
+def test_package_loads_no_test_only_library():
+    # numpy and PyYAML are the runtime dependencies; the test-only libraries
+    # belong in tests/, beside the oracles that use them
+    root = str(Path(relaypower.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, relaypower, relaypower.cli; "
+            "print([m for m in ('scipy', 'mpmath', 'hypothesis', 'pytest') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

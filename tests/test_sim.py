@@ -601,7 +601,6 @@ class TestSimResult:
         assert res.bler[0] == pytest.approx(0.01)
         assert res.ber[0] == pytest.approx(0.006)
         assert res.stderr_bler[0] == pytest.approx(math.sqrt(0.01 * 0.99 / 1000))
-        assert res.stderr_ber[0] == pytest.approx(math.sqrt(0.006 * 0.994 / 2000))
         row = res.to_csv_rows()[0]
         assert row.startswith("onoff,10,1000,10,12,0.01")
         assert SimResult.CSV_HEADER.count(",") == row.count(",")
@@ -616,6 +615,12 @@ class TestRunMonteCarlo:
             run_monte_carlo(cfg, Scheme.ONOFF, [10.0], 1000, seed=0, shards=0)
         with pytest.raises(ValueError, match="non-empty"):
             run_monte_carlo(cfg, Scheme.ONOFF, [], 1000, seed=0)
+        # a float or bool count is rejected by name, not left to numpy or range
+        with pytest.raises(ValueError, match=r"frames must be an integer >= 1000, got 2000\.0"):
+            run_monte_carlo(cfg, Scheme.ONOFF, [10.0], 2000.0, seed=0)
+        for shards in (1.5, True):
+            with pytest.raises(ValueError, match=f"shards must be an integer >= 1, got {shards}"):
+                run_monte_carlo(cfg, Scheme.ONOFF, [10.0], 1000, seed=0, shards=shards)
 
     def test_grid_must_be_one_dimensional(self, monkeypatch):
         # rejected before any stream is drawn from
@@ -756,10 +761,12 @@ class TestEffectiveRelayCount:
         cfg = _cfg(4)
         with pytest.raises(ValueError, match="direct"):
             effective_relay_count(cfg, Scheme.DIRECT_LINK, [0.5], 10, seed=0)
-        with pytest.raises(ValueError, match="inside"):
-            effective_relay_count(cfg, Scheme.ONOFF, [1.0], 10, seed=0)
-        with pytest.raises(ValueError, match="trials"):
-            effective_relay_count(cfg, Scheme.ONOFF, [0.5], 0, seed=0)
+        for r in (1.0, np.nan):
+            with pytest.raises(ValueError, match="inside"):
+                effective_relay_count(cfg, Scheme.ONOFF, [0.5, r], 10, seed=0)
+        for trials in (0, 10.5, True):
+            with pytest.raises(ValueError, match=f"trials must be an integer >= 1, got {trials}"):
+                effective_relay_count(cfg, Scheme.ONOFF, [0.5], trials, seed=0)
         # 1/r^2 divides by zero, overflows, or leaves LINEAR_RANGE
         for r in (1.0e-200, 1.0e-160, 1.0e-30):
             with pytest.raises(ValueError, match=r"variance outside \[1e-50, 1e\+50\]"):

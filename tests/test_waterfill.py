@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from oracles import J_of_mu, derivative_J_wrt_mu, grid_search_oracle
 from relaypower import waterfill
 from relaypower.objectives import (
     PartialCsitObjective,
@@ -14,9 +16,6 @@ from relaypower.objectives import (
     log_objective_J,
 )
 from relaypower.waterfill import (
-    J_of_mu,
-    derivative_J_wrt_mu,
-    grid_search_oracle,
     solve_waterfill,
     solve_waterfill_batch,
     waterfill_m2_closed_form,
@@ -536,7 +535,7 @@ def _grid_oracle_in_one_pass(obj, caps, grid_points):
 class TestGridOracle:
     @pytest.mark.parametrize("chunk", [1, 7, 4096])
     def test_chunks_give_the_one_pass_bits(self, monkeypatch, chunk):
-        monkeypatch.setattr(waterfill, "_ORACLE_CHUNK", chunk)
+        monkeypatch.setattr(oracles, "_ORACLE_CHUNK", chunk)
         rng = np.random.default_rng(8)
         cases = [_random_instance(rng, int(rng.integers(1, 17))) for _ in range(40)]
         # a zero coefficient makes J -inf everywhere

@@ -1,5 +1,7 @@
 """Configuration, channel sampling, and cap computation."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -280,6 +282,21 @@ class TestChannelPowers:
         assert all(a.shape == (0, 3) for a in draw(_cfg(), 0, rng))
         assert rng.bit_generator.state == state
         assert all(a.shape == (4, 3) for a in draw(_cfg(), np.int64(4), rng))
+
+
+class TestCount:
+    @pytest.mark.parametrize(("x", "low"), [
+        (True, 0), (False, 0), (10.5, 1), (2000.0, 1000), (np.float64(3.0), 0),
+        ("3", 0), (None, 0), (-1, 0), (0, 1), (9999, 10_000),
+    ])
+    def test_rejected_by_name(self, x, low):
+        with pytest.raises(ValueError, match=re.escape(f"frames must be an integer >= {low}, got {x!r}")):
+            model._count(x, "frames", low)
+
+    @pytest.mark.parametrize(("x", "low"), [(0, 0), (1, 1), (np.int64(3), 1), (np.uint8(3), 0), (2**70, 1)])
+    def test_integers_at_or_above_the_floor_come_back_as_int(self, x, low):
+        n = model._count(x, "frames", low)
+        assert type(n) is int and n == x
 
 
 class TestWorkspace:

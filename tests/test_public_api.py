@@ -98,12 +98,19 @@ def test_traced_functions_keep_their_argument_names(module, name, arguments):
     assert [a for a in arguments if a not in parameters] == []
 
 
-def test_package_loads_no_test_only_library():
-    # numpy and PyYAML are the runtime dependencies; the test-only libraries
-    # belong in tests/, beside the oracles that use them
+@pytest.fixture(scope="module")
+def modules_loaded_by_the_package():
+    # a fresh interpreter, so that nothing this test session imported counts
     root = str(Path(relaypower.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, relaypower, relaypower.cli; "
-            "print([m for m in ('scipy', 'mpmath', 'hypothesis', 'pytest') if m in sys.modules])")
+    code = "import sys, relaypower, relaypower.cli; print('\\n'.join(sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return set(out.stdout.split())
+
+
+@pytest.mark.parametrize("library", ["scipy", "mpmath", "hypothesis", "pytest"])
+def test_package_loads_no_test_only_library(modules_loaded_by_the_package, library):
+    # numpy and PyYAML are the runtime dependencies; the test-only libraries
+    # belong in tests/, beside the oracles that use them
+    assert "relaypower.cli" in modules_loaded_by_the_package
+    assert library not in modules_loaded_by_the_package

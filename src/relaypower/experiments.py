@@ -64,12 +64,14 @@ MAX_STUDY_RELAYS = 1024  # largest M of the kinds that only allocate
 # trials x largest M: the channel entries of one (trials, M) draw. The
 # relay counts and the convergence run keep only |h|^2 and |g|^2, 16 bytes
 # per entry in a worker's workspace (268 MB at the bound). A convergence run
-# also holds its trajectory, counted in 40-byte entries, but the bound does
-# not hold its peak: at M = 64, 195 000 trials and 10 iterations it peaked
-# at 901 MB, since the on-off kernels solve all trials at once and allocate
-# several whole (trials, M) temporaries (sort keys and order, prefix sums,
-# gradients, one np.where per iterate)
+# also holds its trajectory, counted in 40-byte entries, and solves its
+# trials in row blocks of _CONVERGENCE_BLOCK entries, so the kernels'
+# temporaries stay block-sized: at M = 64, 195 000 trials and 10 iterations
+# (200 MB of draws) it peaked at 268 MB, against 901 MB solving all trials
+# at once (one fresh run each, 2-vCPU host, numpy 2.4)
 MAX_TRIAL_ENTRIES = 2**24
+# Channel entries of one convergence row block, 2^18 // M rows
+_CONVERGENCE_BLOCK = 2**18
 
 
 class SpecError(ValueError):
@@ -303,8 +305,9 @@ def _check_trials(v: _Validator, kind: ExperimentKind) -> int:
     m = max(v.data["m_grid"])
     trajectory = 0
     if kind is ExperimentKind.CONVERGENCE:
-        # the trajectory holds M booleans and one float per (trial, iterate), counted
-        # as M + 16 B: peak RSS grew by 10, 16 and 36 B per (trial, iterate) at
+        # the trajectory holds one float per (trial, iterate) and M booleans per
+        # (trial, iterate) of one row block, counted as M + 16 B per (trial, iterate),
+        # which covers both: peak RSS grew by 9, 15 and 29 B per (trial, iterate) at
         # M = 2, 8 and 32 (20 000 trials, 10 against 100 iterations; 2-vCPU host, numpy 2.4)
         iterations = _check_iterations(v, kind) if "iterations" in v.data else _TOP_FIELDS[kind]["iterations"]
         trajectory = math.ceil((iterations + 1) * (m + 16) / 40)
@@ -531,25 +534,34 @@ def _run_convergence(spec, outputs, seed, shards, frames):
     """Mean f0 of each on-off iterate over the optimum's, per M, from trials draws of stream (seed, mi).
 
     Each M draws |h|^2 and |g|^2 only (_sample_channel_powers, 16 B per
-    entry), and its caps overwrite |h|^2 once alpha = |h|^2 |g|^2 is formed.
+    entry) and solves them in blocks of _CONVERGENCE_BLOCK // M rows, or
+    one: the on-off kernels treat rows independently, so a block's rows
+    give the bits they give in one whole-array solve. A block's caps
+    overwrite its |h|^2 once alpha = |h|^2 |g|^2 is formed, and its f0
+    ratios fill its rows of one (trials, iterations + 1) array, whose
+    column means are taken over the whole array.
     """
     header = "M,iteration,mean_normalized_objective"
     rows = []
     for mi, m in enumerate(spec.m_grid):
         gamma_h, gamma_g = spec.gammas_for(m)
         cfg, _ = _scheme_config(spec, "onoff", m, gamma_h, gamma_g, spec.p_s, spec.p_r)
-        h2, g2 = _sample_channel_powers(cfg, spec.trials, derive_rng(seed, STREAM_CHANNELS, mi))
-        alpha = h2 * g2
-        caps = _batch_caps(cfg, h2, spec.p_s, spec.p_r, out=h2)  # |h|^2 is read for the last time
-        masks, _, _, iterates = solve_onoff_batch(alpha, g2, caps, history=spec.iterations + 1)
-        ac, bc = alpha * caps, g2 * caps
-        # f0 at the optimum, then at each iterate over it, one (n, M) pattern at a time
-        f0 = (np.sum(np.where(on, ac, 0.0), axis=1) / (1.0 + np.sum(np.where(on, bc, 0.0), axis=1))
-              for on in [masks, *iterates.swapaxes(0, 1)])
-        optimum = next(f0)
+        h2_all, g2_all = _sample_channel_powers(cfg, spec.trials, derive_rng(seed, STREAM_CHANNELS, mi))
         ratios = np.empty((spec.trials, spec.iterations + 1))
-        for k, value in enumerate(f0):
-            ratios[:, k] = value / optimum
+        step = max(1, _CONVERGENCE_BLOCK // m)
+        for lo in range(0, spec.trials, step):
+            block = slice(lo, lo + step)
+            h2, g2 = h2_all[block], g2_all[block]
+            alpha = h2 * g2
+            caps = _batch_caps(cfg, h2, spec.p_s, spec.p_r, out=h2)  # |h|^2 is read for the last time
+            masks, _, _, iterates = solve_onoff_batch(alpha, g2, caps, history=spec.iterations + 1)
+            ac, bc = alpha * caps, g2 * caps
+            # f0 at the optimum, then at each iterate over it, one (rows, M) pattern at a time
+            f0 = (np.sum(np.where(on, ac, 0.0), axis=1) / (1.0 + np.sum(np.where(on, bc, 0.0), axis=1))
+                  for on in [masks, *iterates.swapaxes(0, 1)])
+            optimum = next(f0)
+            for k, value in enumerate(f0):
+                ratios[block, k] = value / optimum
         means = np.mean(ratios, axis=0)
         for k in range(spec.iterations + 1):
             rows.append(f"{m},{k},{_fmt(means[k])}")

@@ -248,6 +248,116 @@ class Workspace(dict):
         return buf[:size].reshape(shape)
 
 
+# Rows at most this wide are sorted, reduced and scaled by the helpers
+# below one column at a time, one vector operation per column over all
+# rows. numpy's own axis=1 calls, and its broadcasts against a row or a
+# column, loop over the rows, which at width 2 is most of their cost: on
+# 4096 x 2 floats np.min took 134-216 us against 4-5 us for one np.minimum
+# of the two columns (2-vCPU host, numpy 2.4). Each helper returns numpy's
+# result bit for bit. The column sort keeps ties in order, which numpy's
+# argsort does only up to width 3 on an AVX-512 host, so the limit cannot
+# pass 3 with this sort
+_COLUMN_WIDTH = 2
+
+
+def _sorted_columns(x: np.ndarray, with_order: bool) -> tuple[list, list | None]:
+    """Each row of x sorted, ties in order and NaN last: (key columns, index columns or None).
+
+    A bubble sort over contiguous copies of the columns: a pair swaps only
+    where its second entry sorts strictly first, so equal keys, -0.0 and 0.0
+    among them, and NaNs keep their order.
+    """
+    w = x.shape[1]
+    keys = [x[:, j].copy() for j in range(w)]
+    order = [np.full(x.shape[0], j, dtype=np.intp) for j in range(w)] if with_order else None
+    for top in range(w - 1, 0, -1):
+        for j in range(top):
+            a, b = keys[j], keys[j + 1]
+            swap = ~(a <= b) & (b == b)  # b < a, or a is NaN and b is not
+            for cols in (keys,) if order is None else (keys, order):
+                cols[j], cols[j + 1] = np.where(swap, cols[j + 1], cols[j]), np.where(swap, cols[j], cols[j + 1])
+    return keys, order
+
+
+def _first_extreme(x: np.ndarray, extreme, arg) -> np.ndarray:
+    """arg(x, axis=1) of a 2-d x, np.argmin or np.argmax, from extreme, np.minimum or np.maximum, column by column.
+
+    extreme carries a NaN through, so a row's extreme is NaN exactly when
+    the row holds one, and then numpy's own call answers; otherwise the
+    first column equal to the extreme is numpy's first-index answer.
+    """
+    best = x[:, 0]
+    for j in range(1, x.shape[1]):
+        best = extreme(best, x[:, j])
+    if np.isnan(best).any():
+        return arg(x, axis=1)
+    index = np.full(x.shape[0], x.shape[1] - 1, dtype=np.intp)
+    for j in range(x.shape[1] - 2, -1, -1):
+        index = np.where(x[:, j] == best, j, index)
+    return index
+
+
+def _column_argmin(x: np.ndarray) -> np.ndarray:
+    """np.argmin(x, axis=1) of a 2-d float x, column by column at any width."""
+    return _first_extreme(x, np.minimum, np.argmin)
+
+
+def _row_argmax(x: np.ndarray) -> np.ndarray:
+    """np.argmax(x, axis=1) of a 2-d float x."""
+    if x.shape[1] > _COLUMN_WIDTH:
+        return np.argmax(x, axis=1)
+    return _first_extreme(x, np.maximum, np.argmax)
+
+
+def _row_argsort(x: np.ndarray) -> np.ndarray:
+    """np.argsort(x, axis=1) of a 2-d float x."""
+    if x.shape[1] > _COLUMN_WIDTH:
+        return np.argsort(x, axis=1)
+    order = np.empty(x.shape, dtype=np.intp)
+    for j, column in enumerate(_sorted_columns(x, True)[1]):
+        order[:, j] = column
+    return order
+
+
+def _row_sort(x: np.ndarray) -> None:
+    """x.sort(axis=1) of a 2-d float x, in place."""
+    if x.shape[1] > _COLUMN_WIDTH:
+        x.sort(axis=1)
+        return
+    for j, column in enumerate(_sorted_columns(x, False)[0]):
+        x[:, j] = column
+
+
+def _row_cumsum(x: np.ndarray) -> None:
+    """np.cumsum(x, axis=1, out=x) of a 2-d x: each column adds the one before it."""
+    if x.shape[1] > _COLUMN_WIDTH:
+        np.cumsum(x, axis=1, out=x)
+        return
+    for j in range(1, x.shape[1]):
+        np.add(x[:, j - 1], x[:, j], out=x[:, j])
+
+
+def _row_reduce(ufunc, x: np.ndarray) -> np.ndarray:
+    """ufunc.reduce(x, axis=1) of a 2-d x, as np.min (np.minimum) or np.any (np.logical_or) take it."""
+    if x.shape[1] > _COLUMN_WIDTH:
+        return ufunc.reduce(x, axis=1)
+    out = x[:, 0].copy()
+    for j in range(1, x.shape[1]):
+        ufunc(out, x[:, j], out=out)
+    return out
+
+
+def _by_column(op, x: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """op(x, v, out=out) for a 2-d x and a row v of its width, one column at a time at widths up to _COLUMN_WIDTH."""
+    if x.shape[1] > _COLUMN_WIDTH:
+        return op(x, v, out=out)
+    if out is None:
+        out = np.empty(x.shape, dtype=np.result_type(x, v))
+    for j in range(x.shape[1]):
+        op(x[:, j], v[j], out=out[:, j])
+    return out
+
+
 def _count(x, name: str, low: int = 0) -> int:
     """x as a count; ValueError naming it unless x is an integer >= low (bool is not)."""
     if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < low:
@@ -270,7 +380,7 @@ def _scaled_chunks(cfg: NetworkConfig, n: int, rng: np.random.Generator, ws: Wor
         for imag in (False, True):
             for lo in range(0, n, step):
                 chunk = rng.standard_normal(out=normal[: n - lo])
-                yield hop, imag, slice(lo, lo + step), np.multiply(chunk, scale, out=chunk)
+                yield hop, imag, slice(lo, lo + step), _by_column(np.multiply, chunk, scale, chunk)
 
 
 def sample_channel_batch(cfg: NetworkConfig, n: int, rng: np.random.Generator, ws: Workspace | None = None):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import PowerAllocation, _positive_batch, _positive_vector
+from .model import PowerAllocation, _positive_batch, _positive_vector, _row_argmax, _row_argsort, _row_cumsum
 from .objectives import PerfectCsitObjective, f0_value
 
 MAX_ITERATIONS = 100
@@ -210,7 +210,9 @@ def solve_onoff_masks(alpha: np.ndarray, beta: np.ndarray, caps: np.ndarray) -> 
     the three perfbench workloads, at seed 0 or 17. Tested against an exact
     certificate for M = 1..40 with ties and 1-ulp near-ties at f0(S*),
     heavy and light relays next to it, zero gains, and alpha and beta
-    scaled by 1e-150..1e150. Memory is O(n M).
+    scaled by 1e-150..1e150. Memory is O(n M). The sort, prefix sums and
+    argmax go through model's _row_* helpers, which at M <= 2 work one
+    column at a time over all rows, with numpy's bits.
     """
     caps = _positive_batch(caps, "caps")
     alpha, beta = _check_gains(alpha, beta, caps)
@@ -220,15 +222,15 @@ def solve_onoff_masks(alpha: np.ndarray, beta: np.ndarray, caps: np.ndarray) -> 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         keys = beta / alpha
         rows = np.arange(0, n * m, m)
-        order = np.argsort(keys, axis=1)
+        order = _row_argsort(keys)
         order += rows[:, None]  # flat indices
         # column k - 1 holds A and 1 + B of the k strongest relays
         a = np.take(alpha * caps, order)
         b = np.take(beta * caps, order)
-        np.cumsum(a, axis=1, out=a)
-        np.cumsum(b, axis=1, out=b)
+        _row_cumsum(a)
+        _row_cumsum(b)
         b += 1.0
-        j = np.argmax(a / b, axis=1)
+        j = _row_argmax(a / b)
         pick = rows + j
         a_set = np.take(a, pick)
         b_set = np.take(b, pick)

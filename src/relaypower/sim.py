@@ -13,12 +13,17 @@ scores the relay schemes from one codebook and one draw, so their curves
 are paired (common random numbers), and the direct link from the batch's
 stream read afresh.
 
-A batch is BLAS work. The receive is r = sqrt(p_s) sum_i q_i f_i A_i s
-+ sum_i q_i g_i A_i n_i + w (Jing & Hassibi, IEEE TWC 2006), and each sum
-over relays is one complex GEMM once the dispersion stack is reshaped:
-the effective matrices are (n, M) gains @ (M, T^2) matrices, the forwarded
-relay noise (n, M T) weighted draws @ (M T, T) stacked transposes. The
-decoder needs only Re(C^H C) and Re(C^H r), one real batched product.
+A batch is vector work over its frames. The receive is r = sqrt(p_s)
+sum_i q_i f_i A_i s + sum_i q_i g_i A_i n_i + w (Jing & Hassibi, IEEE TWC
+2006), and each sum over relays is one complex GEMM once the dispersion
+stack is reshaped: the effective matrices are (n, M) gains @ (M, T^2)
+matrices, the forwarded relay noise (n, M T) weighted draws @ (M T, T)
+stacked transposes. The decoder needs only Re(C^H C) and Re(C^H r), one
+real batched product. numpy runs a stacked product of tiny matrices as
+one BLAS call per frame, so at small T the per-frame products C s and
+the decoder's statistics are instead built column by column, one vector
+operation per term over the whole batch (_COLUMN_TRANSMIT_T,
+_COLUMN_DECODE_T).
 
 A run's jobs are its (point, batch) pairs. _map_jobs runs them one per
 usable core at every T and holds BLAS at one thread while they run. A
@@ -49,9 +54,11 @@ from .model import (
     PowerAllocation,
     Workspace,
     _batch_caps,
+    _column_argmin,
     _count,
     _finite_array,
     _finite_scalar,
+    _row_reduce,
     _sample_channel_powers,
     sample_channel_batch,
 )
@@ -60,6 +67,17 @@ from .rng import STREAM_CHANNELS, STREAM_FRAMES, derive_rng
 from .waterfill import solve_waterfill_batch
 
 MIN_FRAMES = 1000
+
+# Block lengths up to which the transmit's C s and the decoder's statistics
+# are built column by column over the batch, one vector operation per
+# column, instead of by a stacked product that numpy runs as one BLAS call
+# per frame. With s = +-1 each product in C s is exact, so its column sums
+# round as the BLAS sums of up to three terms do: r keeps its bits. The
+# decoder's multiply-adds round differently from the batched product, but
+# no decision moved: 0 of 2.87 M at T = 2 and of 1.15 M at T = 1, over
+# every relay scheme from -10 to 40 dB
+_COLUMN_TRANSMIT_T = 3
+_COLUMN_DECODE_T = 2
 
 
 class Scheme(enum.Enum):
@@ -385,20 +403,37 @@ def _transmit_batch(
     the weighted relay noise is ws's "weighted_noise", and its (n, T) sum
     seen as complex goes through ws's "normal". Each sum over relays is one
     complex GEMM against the stacked dispersion matrices. With no noise
-    r = C s.
+    r = C s. Up to T = _COLUMN_TRANSMIT_T, C s is summed column by column
+    over the batch, each term through ws's "product", and the relay noise
+    is weighted one noise entry at a time, with the bits of the stacked
+    product and of the broadcast one; above it, they are those products.
     """
     n = gains.shape[0]
     m, t, _ = code.matrices.shape
     c = ws.take("c", (n, t, t), np.complex128)
     r = ws.take("r", (n, t), np.complex128)
     np.matmul(gains, code.matrices.reshape(m, t * t), out=c.reshape(n, t * t))
-    np.matmul(c, s[:, :, None], out=r[:, :, None])
+    by_columns = t <= _COLUMN_TRANSMIT_T
+    if by_columns:
+        product = ws.take("product", (n,))
+        for part, r_part in ((c.real, r.real), (c.imag, r.imag)):
+            for i in range(t):
+                np.multiply(part[:, i, 0], s[:, 0], out=r_part[:, i])
+                for j in range(1, t):
+                    r_part[:, i] += np.multiply(part[:, i, j], s[:, j], out=product)
+        r += 0.0  # BLAS adds to a zeroed r: where every term is -0.0 it gives +0.0
+    else:
+        np.matmul(c, s[:, :, None], out=r[:, :, None])
     if noise is not None:
         relay_noise, w = noise
         # sum_i (q_i g_i n_i)^T A_i^T: row b holds the weighted n_i back to back,
         # block i of the stack is A_i^T
-        weighted = np.multiply(relay_noise, noise_gains[:, :, None],
-                               out=ws.take("weighted_noise", relay_noise.shape, np.complex128))
+        weighted = ws.take("weighted_noise", relay_noise.shape, np.complex128)
+        if by_columns:  # entry j of every relay's n_i at once, each a flat strided product
+            for j in range(t):
+                np.multiply(relay_noise[:, :, j], noise_gains, out=weighted[:, :, j])
+        else:
+            np.multiply(relay_noise, noise_gains[:, :, None], out=weighted)
         r += np.matmul(weighted.reshape(n, m * t), code.matrices.transpose(0, 2, 1).reshape(m * t, t),
                        out=ws.take("normal", (n, 2 * t)).view(np.complex128))
         r += w
@@ -461,22 +496,47 @@ def _ml_decode_batch(c: np.ndarray, r: np.ndarray, tables: _DecodeTables, ws: Wo
     """Exhaustive ML indices for effective matrices c (n, T, T) and receives r (n, T).
 
     BPSK symbols are real, so ||r - C s||^2 = ||r||^2 + tr Re(C^H C)
-    + 2 sum_{i<j} s_i s_j Re(C^H C)_ij - 2 s . Re(C^H r). Both statistics
-    come from one real batched product: with X = [Re C | Re r ; Im C | Im r]
-    of shape (n, 2T, T+1), X[:, :, :T]^T X = [Re(C^H C) | Re(C^H r)].
-    Dropping the terms every candidate shares and the factor 2 leaves one
-    real GEMM of [Re(C^H C)_{i<j}, -Re(C^H r)] against tables.basis. Ties
-    go to the smallest index. X and the statistics are ws's "x" and "stats".
+    + 2 sum_{i<j} s_i s_j Re(C^H C)_ij - 2 s . Re(C^H r). Dropping the
+    terms every candidate shares and the factor 2 leaves one real GEMM of
+    the statistics [Re(C^H C)_{i<j}, -Re(C^H r)] against tables.basis. Ties
+    go to the smallest index.
+
+    Up to T = _COLUMN_DECODE_T the statistics are the rows of ws's (P, n)
+    "stats", each summed over the real then the imaginary parts by
+    multiply-adds over the batch (ws's "product" holds each term); the
+    (2^T, n) metrics, ws's "metrics", are one GEMM, and a scan over their
+    at most 4 rows takes the first minimum. Above it the statistics come
+    from one real batched product: with X = [Re C | Re r ; Im C | Im r] of
+    shape (n, 2T, T+1), X[:, :, :T]^T X = [Re(C^H C) | Re(C^H r)]. X and
+    the statistics are ws's "x" and "stats".
     """
     n, t, _ = c.shape
+    iu, ju = tables.pairs
+    if t <= _COLUMN_DECODE_T:
+        stats = ws.take("stats", (iu.size + t, n))
+        product = ws.take("product", (n,))
+        parts = ((c.real, r.real), (c.imag, r.imag))
+        for row, i, j in zip(stats, iu, ju):
+            _multiply_add(row, [(part[:, u, i], part[:, u, j]) for part, _ in parts for u in range(t)], product)
+        for row, i in zip(stats[iu.size:], range(t)):
+            _multiply_add(row, [(part[:, u, i], r_part[:, u]) for part, r_part in parts for u in range(t)], product)
+            np.negative(row, out=row)
+        metrics = np.matmul(tables.basis, stats, out=ws.take("metrics", (tables.basis.shape[0], n)))
+        return _column_argmin(metrics.T)
     x = ws.take("x", (n, 2 * t, t + 1))
     x[:, :t, :t] = c.real
     x[:, t:, :t] = c.imag
     x[:, :t, t] = r.real
     x[:, t:, t] = r.imag
     stats = np.matmul(x[:, :, :t].transpose(0, 2, 1), x, out=ws.take("stats", (n, t, t + 1)))
-    iu, ju = tables.pairs
     return np.argmin(np.concatenate([stats[:, iu, ju], -stats[:, :, t]], axis=1) @ tables.basis.T, axis=1)
+
+
+def _multiply_add(out: np.ndarray, terms: list, product: np.ndarray) -> None:
+    """out = the sum of a * b over the (a, b) of terms, added in order; product takes each term."""
+    np.multiply(*terms[0], out=out)
+    for a, b in terms[1:]:
+        out += np.multiply(a, b, out=product)
 
 
 def _direct_batch_tallies(
@@ -486,15 +546,28 @@ def _direct_batch_tallies(
     n: int,
     rng: np.random.Generator,
 ) -> tuple[int, int]:
-    """Coherent BPSK over one unit-variance Rayleigh coefficient per block."""
-    c = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
-    s = 1.0 - 2.0 * rng.integers(0, 2, size=(n, t))
+    """Coherent BPSK over one unit-variance Rayleigh coefficient per block.
+
+    The stream gives c = (x + 1j y) / sqrt(2), the bits b of the signs
+    s = 1 - 2 b, and w = sqrt(N0 / 2) (u + 1j v), in that order, and the
+    receive is r = sqrt(power) c s + w; a bit is read as 0 where
+    Re(conj(c) r) >= 0. All of it is worked in reals with numpy's complex
+    rounding: the division by sqrt(2) is a product with its reciprocal, and
+    r_r = sqrt(power) c_r s + sqrt(N0 / 2) u term by term. Only the last
+    sum rounds apart: numpy's complex product fuses c_r r_r into its sum
+    with the rounded c_i r_i, where this rounds c_r r_r first, so the two
+    signs can differ only where fl(c_r r_r) = -fl(c_i r_i) exactly.
+    """
+    c_r, c_i = (rng.standard_normal(n)[:, None] * (1.0 / math.sqrt(2.0)) for _ in range(2))
+    bits = rng.integers(0, 2, size=(n, t))
+    s = 1.0 - 2.0 * bits
     scale = math.sqrt(N0 / 2.0)
-    w = scale * (rng.standard_normal((n, t)) + 1j * rng.standard_normal((n, t)))
-    r = math.sqrt(power) * c[:, None] * s + w
-    detected = np.where((np.conj(c)[:, None] * r).real >= 0.0, 1.0, -1.0)
-    errs = detected != s
-    return int(np.count_nonzero(errs.any(axis=1))), int(np.count_nonzero(errs))
+    w_r, w_i = (rng.standard_normal((n, t)) * scale for _ in range(2))
+    amp = math.sqrt(power)
+    statistic = c_r * ((amp * c_r) * s + w_r)
+    statistic += c_i * ((amp * c_i) * s + w_i)
+    errs = (statistic >= 0.0) == (bits == 1)
+    return int(np.count_nonzero(_row_reduce(np.logical_or, errs))), int(np.count_nonzero(errs))
 
 
 def run_monte_carlo(

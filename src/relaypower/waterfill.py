@@ -19,6 +19,10 @@ The batch solver therefore takes that minimum's clamped level directly,
 in O(n M) memory, and scores J over all M candidates only the rare rows
 where another level lies within rounding reach of it, so it returns the
 same bits as a full scan (tested up to M = 200 and P*gamma_g ~ 1e300).
+Its row sort, prefix sums, minimum and near-tie test, and its products
+and quotients with a row of per-relay values, go through model's
+_row_* helpers and _by_column, which at M <= 2 work one column at a time
+over all rows and return numpy's bits.
 
 That kernel is the only code that picks a water level. Partial CSIT runs
 it per frame, statistical CSIT on the one row of long-term caps per batch,
@@ -33,7 +37,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PowerAllocation, _positive_batch, _positive_vector
+from .model import (
+    PowerAllocation,
+    _by_column,
+    _positive_batch,
+    _positive_vector,
+    _row_cumsum,
+    _row_reduce,
+    _row_sort,
+)
 from .objectives import log_objective_J
 
 
@@ -111,7 +123,7 @@ def solve_waterfill_batch(gamma_g: np.ndarray, caps: np.ndarray) -> np.ndarray:
     # named rather than a temporary: freeing the levels before the division
     # raised asym_m32's peak RSS by 2.6 MB (glibc heap layout, M = 32)
     mu_star = _water_levels(gamma_g, caps)
-    return np.minimum(mu_star / gamma_g[None, :], caps)
+    return np.minimum(_by_column(np.divide, np.broadcast_to(mu_star, caps.shape), gamma_g), caps)
 
 
 def _water_levels(gamma_g: np.ndarray, caps: np.ndarray) -> np.ndarray:
@@ -119,23 +131,23 @@ def _water_levels(gamma_g: np.ndarray, caps: np.ndarray) -> np.ndarray:
     m = caps.shape[1]
     # one buffer goes from the products to the clamped levels in place; the
     # in-place ufuncs round exactly as their out-of-place forms
-    mu = caps * gamma_g
+    mu = _by_column(np.multiply, caps, gamma_g)
     # only the sorted values are used, and equal floats are interchangeable,
-    # so any sort kind gives the same bits; the default one is the faster
-    # at large M (6x at M = 32)
-    mu.sort(axis=1)
-    np.cumsum(mu, axis=1, out=mu)
+    # so any sort kind gives the same bits; numpy's default one is the faster
+    # at large M (6x at M = 32), and at M <= 2 a column sort beats both
+    _row_sort(mu)
+    _row_cumsum(mu)
     mu += 1.0
-    mu /= np.arange(1, m + 1)
+    _by_column(np.divide, mu, np.arange(1, m + 1), mu)
     # clamp into [1/M, mu_max]: a raw level is at least 1/j >= 1/M in floats
     # too, so only the upper end binds
     mu_max = mu[:, -1:].copy()
     np.minimum(mu, mu_max, out=mu)
     # the clamp is monotone, so the least clamped level is the clamped
     # level at the argmin of the raw ones, the V-shape's minimum
-    mu_star = np.min(mu, axis=1, keepdims=True)
+    mu_star = _row_reduce(np.minimum, mu)[:, None]
     near = (mu > mu_star) & (mu <= mu_star * (1.0 + _NEAR_TIE_RTOL))
-    rescore = np.any(near, axis=1)
+    rescore = _row_reduce(np.logical_or, near)
     if np.any(rescore):
         mu_rows = mu[rescore]
         best = _best_candidate(gamma_g, caps[rescore], mu_rows)

@@ -20,7 +20,8 @@ from relaypower.experiments import (
     load_spec,
     run_experiment,
 )
-from relaypower.model import CsitMode, NetworkConfig, _batch_caps, sample_channel_batch
+from relaypower.model import CsitMode, NetworkConfig, _batch_caps, _sample_channel_powers, sample_channel_batch
+from relaypower.onoff import solve_onoff_batch
 from relaypower.rng import STREAM_CHANNELS, STREAM_MISC, derive_rng, derive_seed
 from relaypower.sim import Scheme, _allocate_batch
 
@@ -696,6 +697,42 @@ class TestRelayCountCells:
         with pytest.raises(ValueError, match="cell at M = 3 failed"):
             self._run(tmp_path, monkeypatch, kind, [1, 2, 3, 32], 4, out=tmp_path / out)
         assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == sorted(["scenario.yaml", *before])
+
+
+def _whole_array_convergence(spec, seed):
+    """The convergence CSV rows from one solve of all trials per M: the reference for the row blocks."""
+    rows = []
+    for mi, m in enumerate(spec.m_grid):
+        gamma_h, gamma_g = spec.gammas_for(m)
+        cfg, _ = experiments._scheme_config(spec, "onoff", m, gamma_h, gamma_g, spec.p_s, spec.p_r)
+        h2, g2 = _sample_channel_powers(cfg, spec.trials, derive_rng(seed, STREAM_CHANNELS, mi))
+        alpha = h2 * g2
+        caps = _batch_caps(cfg, h2, spec.p_s, spec.p_r, out=h2)
+        masks, _, _, iterates = solve_onoff_batch(alpha, g2, caps, history=spec.iterations + 1)
+        ac, bc = alpha * caps, g2 * caps
+        f0 = (np.sum(np.where(on, ac, 0.0), axis=1) / (1.0 + np.sum(np.where(on, bc, 0.0), axis=1))
+              for on in [masks, *iterates.swapaxes(0, 1)])
+        optimum = next(f0)
+        ratios = np.empty((spec.trials, spec.iterations + 1))
+        for k, value in enumerate(f0):
+            ratios[:, k] = value / optimum
+        means = np.mean(ratios, axis=0)
+        rows += [f"{m},{k},{means[k]:.17g}" for k in range(spec.iterations + 1)]
+    return rows
+
+
+class TestConvergenceBlocks:
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_bytes_of_one_whole_array_solve(self, tmp_path, offset):
+        # trials one short of, equal to and one past the row block at M = 64; one block at M = 3
+        trials = experiments._CONVERGENCE_BLOCK // 64 + offset
+        text = (MINIMAL["convergence"].replace("m_grid: [2, 4]", "m_grid: [3, 64]")
+                .replace("trials: 200", f"trials: {trials}"))
+        spec = load_spec(_write(tmp_path, text))
+        [csv_path] = [p for p in run_experiment(spec, tmp_path / "out", seed=2) if p.suffix == ".csv"]
+        rows = csv_path.read_text().splitlines()
+        assert rows[1:] == _whole_array_convergence(spec, 2)
+        assert len(rows) == 1 + 2 * (spec.iterations + 1)
 
 
 class TestOneDrawPerCell:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from relaypower import model
 from relaypower.model import (
@@ -311,6 +312,62 @@ class TestWorkspace:
         assert complex_a.dtype == np.complex128 and not np.shares_memory(complex_a, grown)
         assert np.shares_memory(ws.take("a", (1,), np.complex128), complex_a)
         assert not np.shares_memory(ws.take("b", (3, 4)), ws.take("a", (2,), np.complex128))
+
+
+# entries that tie, sort apart by sign only, or sort last
+_SPECIAL_FLOATS = [0.0, -0.0, 1.0, -1.0, 2.5, np.nan, np.inf, -np.inf]
+_ROWS = st.tuples(st.integers(0, 12), st.integers(1, 5))
+
+
+def _same_bits(got, want):
+    """Equal shape and dtype, and equal bits wherever want is not NaN (NaN where it is)."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    if want.dtype.kind == "f":
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        got, want = got[~np.isnan(want)], want[~np.isnan(want)]
+    assert got.tobytes() == want.tobytes()
+
+
+class TestRowHelpers:
+    """Each _row_* helper and _by_column give numpy's own call bit for bit, in column form at width <= 2 and beyond."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=hnp.arrays(np.float64, _ROWS, elements=st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats())))
+    def test_float_helpers_match_numpy(self, x):
+        _same_bits(model._row_argsort(x), np.argsort(x, axis=1))
+        got = x.copy()
+        model._row_sort(got)
+        _same_bits(got, np.sort(x, axis=1))
+        got = x.copy()
+        with np.errstate(invalid="ignore", over="ignore"):
+            model._row_cumsum(got)
+            _same_bits(got, np.cumsum(x, axis=1))
+        _same_bits(model._row_reduce(np.minimum, x), np.min(x, axis=1))
+        _same_bits(model._row_argmax(x), np.argmax(x, axis=1))
+        _same_bits(model._column_argmin(x), np.argmin(x, axis=1))
+        row = x[0] if x.shape[0] else np.ones(x.shape[1])
+        with np.errstate(all="ignore"):
+            for op in (np.multiply, np.divide):
+                _same_bits(model._by_column(op, x, row), op(x, row))
+                got = x.copy()
+                model._by_column(op, got, row, got)
+                _same_bits(got, op(x, row))
+
+    @settings(max_examples=100, deadline=None)
+    @given(x=hnp.arrays(np.bool_, _ROWS))
+    def test_any_matches_numpy(self, x):
+        _same_bits(model._row_reduce(np.logical_or, x), np.any(x, axis=1))
+
+    def test_the_width_switch_sits_at_two(self, monkeypatch):
+        # at width 2 the helpers take the column form, at width 3 numpy's call
+        def spy(*args, **kwargs):
+            raise AssertionError("numpy's sort was called")
+        x = np.array([[2.0, 1.0], [np.nan, 0.0]])
+        monkeypatch.setattr(np, "argsort", spy)
+        np.testing.assert_array_equal(model._row_argsort(x), [[1, 0], [1, 0]])
+        with pytest.raises(AssertionError, match="numpy's sort"):
+            model._row_argsort(np.zeros((1, 3)))
 
 
 class TestOverallNoiseVariance:

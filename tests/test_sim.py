@@ -211,8 +211,8 @@ class TestBatchDecoder:
         want = [ml_decode(code, chan, alloc, p_s, rx) for chan, alloc, rx in zip(chans, allocs, r)]
         assert got.tolist() == want
 
-    def test_noiseless_receives_decode_exactly(self):
-        t = 5
+    @pytest.mark.parametrize("t", [1, 2, 3, 5])
+    def test_noiseless_receives_decode_exactly(self, t):
         code = generate_codebook(t, seed=1)
         cfg = _cfg(t)
         chan = sample_channels(cfg, 2)
@@ -223,13 +223,33 @@ class TestBatchDecoder:
         cs = np.broadcast_to(c, (2**t, t, t))
         np.testing.assert_array_equal(_ml_decode_batch(cs, r, tables, Workspace()), np.arange(2**t))
 
-    def test_silent_network_ties_to_index_zero(self):
-        tables = _DecodeTables.for_block(3)
-        c = np.zeros((2, 3, 3), dtype=complex)
-        r = np.array([[1.0, -2.0, 0.5j], [0.0, 0.0, 0.0]])
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_silent_network_ties_to_index_zero(self, t):
+        tables = _DecodeTables.for_block(t)
+        c = np.zeros((2, t, t), dtype=complex)
+        r = np.array([[1.0, -2.0, 0.5j][:t], [0.0] * t])
         np.testing.assert_array_equal(_ml_decode_batch(c, r, tables, Workspace()), [0, 0])
 
-    @pytest.mark.parametrize("m", [2, 4, 8, 12])
+    @settings(max_examples=40, deadline=None)
+    @given(t=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), snr_db=st.floats(-20.0, 60.0))
+    def test_column_statistics_decide_as_the_stacked_product(self, t, seed, snr_db):
+        # both sides of _COLUMN_DECODE_T: at T <= 2 the column form against the
+        # batched product, at T = 3 the batched product against the column form
+        rng = np.random.default_rng(seed)
+        n = 500
+        c = (rng.standard_normal((n, t, t)) + 1j * rng.standard_normal((n, t, t))) * 10.0 ** (snr_db / 20.0)
+        c[rng.random(n) < 0.1] = 0.0  # silent networks tie every candidate
+        tables = _DecodeTables.for_block(t)
+        k = rng.integers(0, 2**t, size=n)
+        r = np.einsum("btj,bj->bt", c, tables.signs[k])
+        r += rng.standard_normal((n, t)) + 1j * rng.standard_normal((n, t))
+        got = _ml_decode_batch(c, r, tables, Workspace()).copy()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim, "_COLUMN_DECODE_T", 3 if t == 3 else 0)
+            want = _ml_decode_batch(c, r, tables, Workspace())
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 8, 12])
     @pytest.mark.parametrize("scheme,mode", [
         (Scheme.ONOFF, "perfect"), (Scheme.MAX_POWER, "perfect"), (Scheme.WATERFILL, "partial"),
         (Scheme.WATERFILL, "statistical"),
@@ -317,6 +337,22 @@ class TestBatchWorkspace:
         assert r.tobytes() == want[0].tobytes()
         assert rng.bit_generator.state == ref.bit_generator.state
 
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n0", [0.0, 1.0])
+    def test_column_transmit_keeps_the_stacked_bits(self, t, n0):
+        # C s column by column up to T = 3 and by the stacked product at T = 4,
+        # silent relays and silent networks included
+        code = generate_codebook(t, seed=t)
+        rng = np.random.default_rng(t)
+        n = 300
+        gains = (rng.standard_normal((n, t)) + 1j * rng.standard_normal((n, t))) * (rng.random((n, t)) < 0.8)
+        gains[:20] = 0.0
+        s = codeword_signs(t)[rng.integers(0, 2**t, size=n)]
+        noise = sim._draw_noise(n, t, t, n0, np.random.default_rng(0), Workspace())
+        c, r = sim._transmit_batch(code, gains, gains, s, noise, Workspace())
+        want_c, want_r = _fresh_transmit(code, gains, gains, s, n0, np.random.default_rng(0))
+        assert c.tobytes() == want_c.tobytes() and r.tobytes() == want_r.tobytes()
+
     @pytest.mark.parametrize("m", [1, 2, 12])
     def test_first_batch_maps_each_array_once(self, m):
         mapped = []
@@ -333,6 +369,43 @@ class TestBatchWorkspace:
         _relay_batch_tallies(_relay_runs(m), code, _DecodeTables.for_block(m), 3.0, 3.0, _batch_size(m),
                              derive_rng(4, STREAM_FRAMES, 0, 0), Counting())
         assert len(mapped) == len(set(mapped))
+
+
+def _complex_direct_tallies(t, power, N0, n, rng):
+    """The direct link's tallies from complex c, w and r: the reference for sim's real form."""
+    c = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
+    s = 1.0 - 2.0 * rng.integers(0, 2, size=(n, t))
+    scale = math.sqrt(N0 / 2.0)
+    w = scale * (rng.standard_normal((n, t)) + 1j * rng.standard_normal((n, t)))
+    r = math.sqrt(power) * c[:, None] * s + w
+    detected = np.where((np.conj(c)[:, None] * r).real >= 0.0, 1.0, -1.0)
+    errs = detected != s
+    return int(np.count_nonzero(errs.any(axis=1))), int(np.count_nonzero(errs))
+
+
+class TestDirectLink:
+    @pytest.mark.parametrize("t", [1, 2, 3, 12])
+    @pytest.mark.parametrize("power", [sim.LINEAR_RANGE[0], 1.0, 30.0, sim.LINEAR_RANGE[1]])
+    @pytest.mark.parametrize("n0", [0.0, 1.0])
+    def test_real_form_tallies_as_the_complex_one(self, t, power, n0):
+        for bi in range(3):
+            rng_got = derive_rng(5, STREAM_FRAMES, t, bi)
+            rng_want = derive_rng(5, STREAM_FRAMES, t, bi)
+            got = sim._direct_batch_tallies(t, power, n0, 2000, rng_got)
+            assert got == _complex_direct_tallies(t, power, n0, 2000, rng_want)
+            assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+    def test_a_zero_statistic_reads_as_bit_zero(self):
+        # a zero coefficient and noise make Re(conj(c) r) = 0 in every slot: each sent 1 is missed
+        class Zeros:
+            def standard_normal(self, size):
+                return np.zeros(size)
+
+            def integers(self, low, high, size):
+                return np.ones(size, dtype=np.int64)
+
+        assert sim._direct_batch_tallies(3, 1.0, 1.0, 5, Zeros()) == (5, 15)
+        assert _complex_direct_tallies(3, 1.0, 1.0, 5, Zeros()) == (5, 15)
 
 
 # the four relay schemes, each under a CSIT mode it allows

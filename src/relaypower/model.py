@@ -250,13 +250,16 @@ class Workspace(dict):
 
 # Rows at most this wide are sorted, reduced and scaled by the helpers
 # below one column at a time, one vector operation per column over all
-# rows. numpy's own axis=1 calls, and its broadcasts against a row or a
-# column, loop over the rows, which at width 2 is most of their cost: on
-# 4096 x 2 floats np.min took 134-216 us against 4-5 us for one np.minimum
-# of the two columns (2-vCPU host, numpy 2.4). Each helper returns numpy's
-# result bit for bit. The column sort keeps ties in order, which numpy's
-# argsort does only up to width 3 on an AVX-512 host, so the limit cannot
-# pass 3 with this sort
+# rows, and sim's transmit and decoder take their column forms up to this
+# block length. numpy's own axis=1 calls, and its broadcasts against a row
+# or a column, loop over the rows, which at width 2 is most of their cost:
+# on 4096 x 2 floats np.min took 134-216 us against 4-5 us for one
+# np.minimum of the two columns (2-vCPU host, numpy 2.4). Each helper
+# returns numpy's result bit for bit. Past 2 that needs more than this
+# code checks: the column sort keeps ties in order, which numpy's argsort
+# does only up to width 3 on an AVX-512 host, and a column C s of three
+# terms keeps the stacked product's bits only if the BLAS adds them in
+# index order
 _COLUMN_WIDTH = 2
 
 

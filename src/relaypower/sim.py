@@ -22,8 +22,8 @@ stacked transposes. The decoder needs only Re(C^H C) and Re(C^H r), one
 real batched product. numpy runs a stacked product of tiny matrices as
 one BLAS call per frame, so at small T the per-frame products C s and
 the decoder's statistics are instead built column by column, one vector
-operation per term over the whole batch (_COLUMN_TRANSMIT_T,
-_COLUMN_DECODE_T).
+operation per term over the whole batch, for block lengths up to
+model._COLUMN_WIDTH, the limit of every column form.
 
 A run's jobs are its (point, batch) pairs. _map_jobs runs them one per
 usable core at every T and holds BLAS at one thread while they run. A
@@ -53,6 +53,7 @@ from .model import (
     NetworkConfig,
     PowerAllocation,
     Workspace,
+    _COLUMN_WIDTH,
     _batch_caps,
     _column_argmin,
     _count,
@@ -67,17 +68,6 @@ from .rng import STREAM_CHANNELS, STREAM_FRAMES, derive_rng
 from .waterfill import solve_waterfill_batch
 
 MIN_FRAMES = 1000
-
-# Block lengths up to which the transmit's C s and the decoder's statistics
-# are built column by column over the batch, one vector operation per
-# column, instead of by a stacked product that numpy runs as one BLAS call
-# per frame. With s = +-1 each product in C s is exact, so its column sums
-# round as the BLAS sums of up to three terms do: r keeps its bits. The
-# decoder's multiply-adds round differently from the batched product, but
-# no decision moved: 0 of 2.87 M at T = 2 and of 1.15 M at T = 1, over
-# every relay scheme from -10 to 40 dB
-_COLUMN_TRANSMIT_T = 3
-_COLUMN_DECODE_T = 2
 
 
 class Scheme(enum.Enum):
@@ -403,17 +393,20 @@ def _transmit_batch(
     the weighted relay noise is ws's "weighted_noise", and its (n, T) sum
     seen as complex goes through ws's "normal". Each sum over relays is one
     complex GEMM against the stacked dispersion matrices. With no noise
-    r = C s. Up to T = _COLUMN_TRANSMIT_T, C s is summed column by column
-    over the batch, each term through ws's "product", and the relay noise
-    is weighted one noise entry at a time, with the bits of the stacked
-    product and of the broadcast one; above it, they are those products.
+    r = C s. Up to T = _COLUMN_WIDTH, C s is summed column by column over
+    the batch, each term through ws's "product", and the relay noise is
+    weighted one noise entry at a time; above it, they are the stacked and
+    the broadcast products. With s = +-1 each term of C s is exact, and a
+    sum of two exact terms rounds the same in either order, so r keeps the
+    stacked product's value whatever the BLAS; r += 0.0 gives an all-zero
+    sum the +0.0 of a BLAS that adds into a zeroed r.
     """
     n = gains.shape[0]
     m, t, _ = code.matrices.shape
     c = ws.take("c", (n, t, t), np.complex128)
     r = ws.take("r", (n, t), np.complex128)
     np.matmul(gains, code.matrices.reshape(m, t * t), out=c.reshape(n, t * t))
-    by_columns = t <= _COLUMN_TRANSMIT_T
+    by_columns = t <= _COLUMN_WIDTH
     if by_columns:
         product = ws.take("product", (n,))
         for part, r_part in ((c.real, r.real), (c.imag, r.imag)):
@@ -421,7 +414,7 @@ def _transmit_batch(
                 np.multiply(part[:, i, 0], s[:, 0], out=r_part[:, i])
                 for j in range(1, t):
                     r_part[:, i] += np.multiply(part[:, i, j], s[:, j], out=product)
-        r += 0.0  # BLAS adds to a zeroed r: where every term is -0.0 it gives +0.0
+        r += 0.0
     else:
         np.matmul(c, s[:, :, None], out=r[:, :, None])
     if noise is not None:
@@ -501,18 +494,21 @@ def _ml_decode_batch(c: np.ndarray, r: np.ndarray, tables: _DecodeTables, ws: Wo
     the statistics [Re(C^H C)_{i<j}, -Re(C^H r)] against tables.basis. Ties
     go to the smallest index.
 
-    Up to T = _COLUMN_DECODE_T the statistics are the rows of ws's (P, n)
+    Up to T = _COLUMN_WIDTH the statistics are the rows of ws's (P, n)
     "stats", each summed over the real then the imaginary parts by
     multiply-adds over the batch (ws's "product" holds each term); the
     (2^T, n) metrics, ws's "metrics", are one GEMM, and a scan over their
-    at most 4 rows takes the first minimum. Above it the statistics come
-    from one real batched product: with X = [Re C | Re r ; Im C | Im r] of
-    shape (n, 2T, T+1), X[:, :, :T]^T X = [Re(C^H C) | Re(C^H r)]. X and
-    the statistics are ws's "x" and "stats".
+    at most 4 rows takes the first minimum. Their last bits differ from the
+    batched product's, but no decision moved: 0 of 2.87 M at T = 2 and of
+    1.15 M at T = 1, over every relay scheme from -10 to 40 dB. Above it
+    the statistics come from one real batched product: with
+    X = [Re C | Re r ; Im C | Im r] of shape (n, 2T, T+1),
+    X[:, :, :T]^T X = [Re(C^H C) | Re(C^H r)]. X and the statistics are
+    ws's "x" and "stats".
     """
     n, t, _ = c.shape
     iu, ju = tables.pairs
-    if t <= _COLUMN_DECODE_T:
+    if t <= _COLUMN_WIDTH:
         stats = ws.take("stats", (iu.size + t, n))
         product = ws.take("product", (n,))
         parts = ((c.real, r.real), (c.imag, r.imag))

@@ -723,16 +723,23 @@ def _whole_array_convergence(spec, seed):
 
 class TestConvergenceBlocks:
     @pytest.mark.parametrize("offset", [-1, 0, 1])
-    def test_bytes_of_one_whole_array_solve(self, tmp_path, offset):
+    def test_bytes_of_one_whole_array_solve(self, tmp_path, monkeypatch, offset):
         # trials one short of, equal to and one past the row block at M = 64; one block at M = 3
         trials = experiments._CONVERGENCE_BLOCK // 64 + offset
         text = (MINIMAL["convergence"].replace("m_grid: [2, 4]", "m_grid: [3, 64]")
                 .replace("trials: 200", f"trials: {trials}"))
         spec = load_spec(_write(tmp_path, text))
+        shapes = []
+        real = experiments.solve_onoff_batch
+        monkeypatch.setattr(experiments, "solve_onoff_batch", lambda alpha, *a, **k: shapes.append(alpha.shape)
+                            or real(alpha, *a, **k))
         [csv_path] = [p for p in run_experiment(spec, tmp_path / "out", seed=2) if p.suffix == ".csv"]
         rows = csv_path.read_text().splitlines()
         assert rows[1:] == _whole_array_convergence(spec, 2)
         assert len(rows) == 1 + 2 * (spec.iterations + 1)
+        # no solve takes more than a block's rows, and each M's solves cover its trials once
+        block = experiments._CONVERGENCE_BLOCK // 64
+        assert shapes == [(trials, 3)] + [(min(block, trials - lo), 64) for lo in range(0, trials, block)]
 
 
 class TestOneDrawPerCell:

@@ -233,7 +233,7 @@ class TestBatchDecoder:
     @settings(max_examples=40, deadline=None)
     @given(t=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), snr_db=st.floats(-20.0, 60.0))
     def test_column_statistics_decide_as_the_stacked_product(self, t, seed, snr_db):
-        # both sides of _COLUMN_DECODE_T: at T <= 2 the column form against the
+        # both sides of _COLUMN_WIDTH: at T <= 2 the column form against the
         # batched product, at T = 3 the batched product against the column form
         rng = np.random.default_rng(seed)
         n = 500
@@ -245,7 +245,7 @@ class TestBatchDecoder:
         r += rng.standard_normal((n, t)) + 1j * rng.standard_normal((n, t))
         got = _ml_decode_batch(c, r, tables, Workspace()).copy()
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(sim, "_COLUMN_DECODE_T", 3 if t == 3 else 0)
+            patch.setattr(sim, "_COLUMN_WIDTH", 3 if t == 3 else 0)
             want = _ml_decode_batch(c, r, tables, Workspace())
         np.testing.assert_array_equal(got, want)
 
@@ -340,8 +340,8 @@ class TestBatchWorkspace:
     @pytest.mark.parametrize("t", [1, 2, 3, 4])
     @pytest.mark.parametrize("n0", [0.0, 1.0])
     def test_column_transmit_keeps_the_stacked_bits(self, t, n0):
-        # C s column by column up to T = 3 and by the stacked product at T = 4,
-        # silent relays and silent networks included
+        # C s column by column up to T = 2 and by the stacked product at T = 3
+        # and 4, silent relays and silent networks included
         code = generate_codebook(t, seed=t)
         rng = np.random.default_rng(t)
         n = 300

@@ -23,7 +23,7 @@ import yaml
 
 from .codebook import MAX_BLOCK
 from .model import CsitMode, NetworkConfig, _batch_caps, _sample_channel_powers, sample_channel_batch
-from .objectives import SADDLE_MIN_TRIALS, saddle_point_error
+from .objectives import _MC_CHUNK, SADDLE_MIN_TRIALS, saddle_point_error
 from .onoff import MAX_ITERATIONS, solve_onoff_batch
 from .rng import STREAM_CHANNELS, STREAM_MISC, derive_rng, derive_seed
 from .sim import (
@@ -659,30 +659,32 @@ def _run_asymptotic(spec, outputs, seed, shards, frames):
 
 
 def _run_saddle(spec, outputs, seed, shards, frames):
+    """One row per M: the saddle-point bound against its Monte Carlo estimate, averaged over the instances.
+
+    Instance j of M index mi draws its channel h from stream (seed, mi, j)
+    and its Monte Carlo kernels from its own seed, so the (M, instance)
+    pairs run as one job list, one per core. Each job draws its kernels in
+    chunks of at most _MC_CHUNK trials, and the workers' chunks together
+    hold at most MAX_TRIAL_ENTRIES channel entries.
+    """
     header = "M,instances,trials,mean_mc_estimate,mean_bound,mean_rel_error,stderr"
+    cfgs = [_scheme_config(spec, "onoff", m, *spec.gammas_for(m), spec.p_s, spec.p_r)[0] for m in spec.m_grid]
+
+    def compare(job, ws):
+        mi, j = job
+        cfg = cfgs[mi]
+        h = sample_channel_batch(cfg, 1, derive_rng(seed, STREAM_CHANNELS, mi, j))[0][0]
+        caps = _batch_caps(cfg, np.abs(h) ** 2, spec.p_s, spec.p_r)
+        return saddle_point_error(h, cfg.gamma_g, caps, spec.eta, spec.trials, derive_seed(seed, STREAM_MISC, mi, j))
+
+    jobs = [(mi, j) for mi in range(len(spec.m_grid)) for j in range(spec.instances)]
+    comps = _map_jobs(compare, jobs, max(1, MAX_TRIAL_ENTRIES // (min(spec.trials, _MC_CHUNK) * max(spec.m_grid))))
     rows = []
     for mi, m in enumerate(spec.m_grid):
-        gamma_h, gamma_g = spec.gammas_for(m)
-        cfg, _ = _scheme_config(spec, "onoff", m, gamma_h, gamma_g, spec.p_s, spec.p_r)
-        rel_errors = []
-        variances = []
-        mc_values = []
-        bounds = []
-        for j in range(spec.instances):
-            h = sample_channel_batch(cfg, 1, derive_rng(seed, STREAM_CHANNELS, mi, j))[0][0]
-            caps = _batch_caps(cfg, np.abs(h) ** 2, spec.p_s, spec.p_r)
-            comp = saddle_point_error(
-                h, gamma_g, caps, spec.eta, spec.trials, derive_seed(seed, STREAM_MISC, mi, j)
-            )
-            rel_errors.append(comp.rel_error)
-            variances.append(comp.rel_error_stderr**2)
-            mc_values.append(comp.mc_estimate)
-            bounds.append(comp.bound)
-        stderr = float(np.sqrt(np.sum(variances)) / spec.instances)
-        rows.append(
-            f"{m},{spec.instances},{spec.trials},{_fmt(np.mean(mc_values))},"
-            f"{_fmt(np.mean(bounds))},{_fmt(np.mean(rel_errors))},{_fmt(stderr)}"
-        )
+        cell = comps[mi * spec.instances:(mi + 1) * spec.instances]
+        means = (np.mean([getattr(comp, name) for comp in cell]) for name in ("mc_estimate", "bound", "rel_error"))
+        stderr = float(np.sqrt(np.sum([comp.rel_error_stderr**2 for comp in cell])) / spec.instances)
+        rows.append(f"{m},{spec.instances},{spec.trials},{','.join(map(_fmt, means))},{_fmt(stderr)}")
     return [outputs.write(f"{spec.name}.csv", header, rows)]
 
 

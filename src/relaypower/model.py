@@ -386,17 +386,19 @@ def _scaled_chunks(cfg: NetworkConfig, n: int, rng: np.random.Generator, ws: Wor
                 yield hop, imag, slice(lo, lo + step), _by_column(np.multiply, chunk, scale, chunk)
 
 
-def sample_channel_batch(cfg: NetworkConfig, n: int, rng: np.random.Generator, ws: Workspace | None = None):
+def sample_channel_batch(cfg: NetworkConfig, n: int, rng: np.random.Generator, ws: Workspace | None = None,
+                         out: tuple[np.ndarray, np.ndarray] | None = None):
     """Draw n iid realizations at once; returns (H, G) of shape (n, M).
 
     The normal chunks of _scaled_chunks go into their parts of H and G:
     the same bits as (x + 1j y) sqrt(gamma / 2), from the same stream
     positions. With ws, H and G are its "h" and "g", which the next draw
-    overwrites.
+    overwrites; with out, a pair of (n, M) complex arrays, they are those.
     """
     n = _count(n, "n")
     ws = Workspace() if ws is None else ws
-    out = [ws.take(name, (n, cfg.M), np.complex128) for name in ("h", "g")]
+    if out is None:
+        out = [ws.take(name, (n, cfg.M), np.complex128) for name in ("h", "g")]
     for hop, imag, rows, chunk in _scaled_chunks(cfg, n, rng, ws):
         (out[hop].imag if imag else out[hop].real)[rows] = chunk
     return out[0], out[1]

@@ -25,11 +25,15 @@ the decoder's statistics are instead built column by column, one vector
 operation per term over the whole batch, for block lengths up to
 model._COLUMN_WIDTH, the limit of every column form.
 
-A run's jobs are its (point, batch) pairs. _map_jobs runs them one per
-usable core at every T and holds BLAS at one thread while they run. A
-batch's products are small: on a 2-vCPU host a T = 3 transmit of 4096
-frames took 15 ms on two OpenBLAS threads against 0.5-0.8 ms on one, and
-an idle BLAS thread spins beside the other worker.
+A run's jobs are runs of _BATCHES_PER_JOB consecutive batches of one
+point, in shard order, up to T = model._COLUMN_WIDTH, and single batches
+above it. Each batch of a job draws from its own stream into its rows of
+the job's arrays, and the job scores all its rows at once, so the tallies
+do not depend on the grouping. _map_jobs runs the jobs one per usable
+core at every T and holds BLAS at one thread while they run. A job's
+products are small: on a 2-vCPU host a T = 3 transmit of 4096 frames took
+15 ms on two OpenBLAS threads against 0.5-0.8 ms on one, and an idle BLAS
+thread spins beside the other worker.
 """
 
 from __future__ import annotations
@@ -164,7 +168,7 @@ def transmit_frame(
     q = np.sqrt(allocation.p)
     s = codeword_signs(t)[index]
     ws = Workspace()
-    noise = _draw_noise(1, m, t, N0, rng, ws)
+    noise = _draw_noise([(1, rng)], m, t, N0, ws)
     _, r = _transmit_batch(code, (math.sqrt(p_s) * q * chan.f)[None], (q * chan.g)[None], s[None], noise, ws)
     return r[0]
 
@@ -193,9 +197,20 @@ def _batch_size(t: int) -> int:
     The decoder holds 2^T float64 metrics per frame plus its (2T, T+1)
     float64 statistics buffer, 8 (2^T + 2T(T+1)) B. The metrics of one
     batch stay at or below 2 MiB for every T up to MAX_BLOCK = 12; that
-    bound holds per worker with a batch in flight.
+    bound holds per worker with a job in flight, as the jobs of two
+    batches at T <= 2 hold 256 KiB.
     """
     return min(4096, max(64, 2**21 // (2**t * t)))
+
+
+# Batches per Monte Carlo job at block lengths up to _COLUMN_WIDTH; one above
+# it. A T <= 2 batch works in numpy calls of a few thousand entries, and two
+# workers mostly took turns on the interpreter lock around them: with one
+# batch per job a pooled bler_m2 run made 13 100-15 100 voluntary context
+# switches, with two 5 000-5 700, and its run_s fell 20% (2-vCPU host). Two
+# batches hold 496 B per frame of workspace at M = T = 2, and bler_m2's peak
+# RSS rose from 46.1 to 50.8 MB; three took 4% more off run_s for 55.8 MB
+_BATCHES_PER_JOB = 2
 
 
 def _check_compat(cfg: NetworkConfig, scheme: Scheme) -> None:
@@ -358,22 +373,33 @@ class _DecodeTables:
         return cls(signs=signs, popcounts=popcounts, pairs=(iu, ju), basis=basis)
 
 
-def _draw_noise(n: int, m: int, t: int, N0: float, rng: np.random.Generator,
-                ws: Workspace) -> tuple[np.ndarray, np.ndarray] | None:
-    """Relay noise (n, M, T) and destination noise w (n, T) of n frames, as ws's "relay_noise" and "w".
+def _batch_rows(batches: list):
+    """(rows, frames, stream) of each (frames, stream) batch of a job: its slice of the job's rows, in order."""
+    lo = 0
+    for n, rng in batches:
+        yield slice(lo, lo + n), n, rng
+        lo += n
 
-    Both are drawn as scale (x + 1j y), scale = sqrt(N0 / 2): the relay
-    noise real then imaginary, then w real then imaginary, each normal block
-    through ws's "normal" and then scaled into its part. N0 = 0 returns None
-    and draws nothing.
+
+def _draw_noise(batches: list, m: int, t: int, N0: float,
+                ws: Workspace) -> tuple[np.ndarray, np.ndarray] | None:
+    """Relay noise (n, M, T) and destination noise w (n, T) of a job's batches, as ws's "relay_noise" and "w".
+
+    n is the frame total of the (frames, stream) batches, and each batch
+    draws into its own rows. Both are drawn as scale (x + 1j y), scale =
+    sqrt(N0 / 2): per batch the relay noise real then imaginary, then w
+    real then imaginary, each normal block through ws's "normal" and then
+    scaled into its part. N0 = 0 returns None and draws nothing.
     """
     if N0 == 0.0:
         return None
+    n = sum(size for size, _ in batches)
     scale = math.sqrt(N0 / 2.0)
     relay_noise = ws.take("relay_noise", (n, m, t), np.complex128)
     w = ws.take("w", (n, t), np.complex128)
-    for part in (relay_noise.real, relay_noise.imag, w.real, w.imag):
-        np.multiply(rng.standard_normal(out=ws.take("normal", part.shape)), scale, out=part)
+    for rows, _, rng in _batch_rows(batches):
+        for part in (relay_noise[rows].real, relay_noise[rows].imag, w[rows].real, w[rows].imag):
+            np.multiply(rng.standard_normal(out=ws.take("normal", part.shape)), scale, out=part)
     return relay_noise, w
 
 
@@ -389,24 +415,38 @@ def _transmit_batch(
 
     gains[b, i] = sqrt(p_s) q_i f_i weighs A_i in C, noise_gains[b, i] =
     q_i g_i weighs relay i's forwarded noise, s (n, T) holds the sent signs
-    and noise the (relay noise, w) of _draw_noise, which this only reads:
-    the weighted relay noise is ws's "weighted_noise", and its (n, T) sum
-    seen as complex goes through ws's "normal". Each sum over relays is one
-    complex GEMM against the stacked dispersion matrices. With no noise
-    r = C s. Up to T = _COLUMN_WIDTH, C s is summed column by column over
-    the batch, each term through ws's "product", and the relay noise is
-    weighted one noise entry at a time; above it, they are the stacked and
-    the broadcast products. With s = +-1 each term of C s is exact, and a
-    sum of two exact terms rounds the same in either order, so r keeps the
-    stacked product's value whatever the BLAS; r += 0.0 gives an all-zero
-    sum the +0.0 of a BLAS that adds into a zeroed r.
+    and noise the (relay noise, w) of _draw_noise, which this only reads.
+    Each sum over relays is one complex GEMM against the stacked dispersion
+    matrices. The noise sum comes first: the weighted relay noise goes
+    through ws's "c", of C's (n, M, T) size as M = T, and its (n, T) sum
+    seen as complex through ws's "normal"; then C overwrites "c", and
+    r = C s, r += the noise sum, r += w, the additions in that order. With
+    no noise r = C s. Up to T = _COLUMN_WIDTH, C s is summed column by
+    column over the batch, each term through ws's "product", and the relay
+    noise is weighted one noise entry at a time; above it, they are the
+    stacked and the broadcast products. With s = +-1 each term of C s is
+    exact, and a sum of two exact terms rounds the same in either order, so
+    r keeps the stacked product's value whatever the BLAS; r += 0.0 gives an
+    all-zero sum the +0.0 of a BLAS that adds into a zeroed r.
     """
     n = gains.shape[0]
     m, t, _ = code.matrices.shape
+    by_columns = t <= _COLUMN_WIDTH
+    if noise is not None:
+        relay_noise, w = noise
+        # sum_i (q_i g_i n_i)^T A_i^T: row b holds the weighted n_i back to back,
+        # block i of the stack is A_i^T
+        weighted = ws.take("c", relay_noise.shape, np.complex128)
+        if by_columns:  # entry j of every relay's n_i at once, each a flat strided product
+            for j in range(t):
+                np.multiply(relay_noise[:, :, j], noise_gains, out=weighted[:, :, j])
+        else:
+            np.multiply(relay_noise, noise_gains[:, :, None], out=weighted)
+        noise_sum = np.matmul(weighted.reshape(n, m * t), code.matrices.transpose(0, 2, 1).reshape(m * t, t),
+                              out=ws.take("normal", (n, 2 * t)).view(np.complex128))
     c = ws.take("c", (n, t, t), np.complex128)
     r = ws.take("r", (n, t), np.complex128)
     np.matmul(gains, code.matrices.reshape(m, t * t), out=c.reshape(n, t * t))
-    by_columns = t <= _COLUMN_WIDTH
     if by_columns:
         product = ws.take("product", (n,))
         for part, r_part in ((c.real, r.real), (c.imag, r.imag)):
@@ -418,17 +458,7 @@ def _transmit_batch(
     else:
         np.matmul(c, s[:, :, None], out=r[:, :, None])
     if noise is not None:
-        relay_noise, w = noise
-        # sum_i (q_i g_i n_i)^T A_i^T: row b holds the weighted n_i back to back,
-        # block i of the stack is A_i^T
-        weighted = ws.take("weighted_noise", relay_noise.shape, np.complex128)
-        if by_columns:  # entry j of every relay's n_i at once, each a flat strided product
-            for j in range(t):
-                np.multiply(relay_noise[:, :, j], noise_gains, out=weighted[:, :, j])
-        else:
-            np.multiply(relay_noise, noise_gains[:, :, None], out=weighted)
-        r += np.matmul(weighted.reshape(n, m * t), code.matrices.transpose(0, 2, 1).reshape(m * t, t),
-                       out=ws.take("normal", (n, 2 * t)).view(np.complex128))
+        r += noise_sum
         r += w
     return c, r
 
@@ -439,29 +469,34 @@ def _relay_batch_tallies(
     tables: _DecodeTables,
     p_s: float,
     p_r: float,
-    n: int,
-    rng: np.random.Generator,
+    batches: list[tuple[int, np.random.Generator]],
     ws: Workspace,
 ) -> list[tuple[int, int]]:
-    """Block and bit errors of n frames drawn from rng for each (cfg, scheme) of runs, worked in ws.
+    """Block and bit errors of a job's (frames, stream) batches for each (cfg, scheme) of runs, worked in ws.
 
-    The runs share M, N0 and the variances, so one draw serves them all, in
-    the order a one-scheme batch takes it: h and g, the codeword indices,
-    then the relay noise and w (_draw_noise). Each run then takes its caps,
-    allocation, gains, transmit and decode from those draws. No run writes
-    over them: |h|^2, h, g, the scaled relay noise and w keep their ws
-    arrays, and so does |g|^2, squared once when an on-off run reads it.
-    Each run's caps, q, gain vectors, weighted noise, C and r are ws arrays
+    The runs share M, N0 and the variances, so one draw serves them all.
+    Each batch draws from its own stream into its consecutive rows of the
+    job's ws arrays, in the order a one-batch job takes it: h and g, the
+    codeword indices, then the relay noise and w (_draw_noise). Each run
+    then takes its caps, allocation, gains, transmit and decode once over
+    all the job's rows, so its tallies are the sums of one-batch jobs'. No
+    run writes over the draws: |h|^2, h, g, the scaled relay noise and w
+    keep their ws arrays, and so does |g|^2, squared once when an on-off
+    run reads it. Each run's caps, q, gain vectors, C and r are ws arrays
     of their own that the next run reuses.
     """
     cfg = runs[0][0]
     m, t = code.M, code.T
-    # "normal" at the largest shape this batch takes it (relay noise, or the
-    # complex noise sum at T = 1), so a worker's first batch maps it once
+    n = sum(size for size, _ in batches)
+    # "normal" at the largest shape this job takes it (relay noise, or the
+    # complex noise sum at T = 1), so a worker's first job maps it once
     ws.take("normal", (n, max(m, 2) * t))
-    h, g = sample_channel_batch(cfg, n, rng, ws)
-    k = rng.integers(0, code.n_codewords, size=n)
-    noise = _draw_noise(n, m, t, cfg.N0, rng, ws)
+    h, g = (ws.take(name, (n, m), np.complex128) for name in ("h", "g"))
+    k = np.empty(n, dtype=np.int64)
+    for rows, size, rng in _batch_rows(batches):
+        sample_channel_batch(cfg, size, rng, ws, out=(h[rows], g[rows]))
+        k[rows] = rng.integers(0, code.n_codewords, size=size)
+    noise = _draw_noise(batches, m, t, cfg.N0, ws)
     h2 = ws.take("h2", h.shape)
     np.square(np.abs(h, out=h2), out=h2)
     g2 = None
@@ -535,30 +570,35 @@ def _multiply_add(out: np.ndarray, terms: list, product: np.ndarray) -> None:
         out += np.multiply(a, b, out=product)
 
 
-def _direct_batch_tallies(
-    t: int,
-    power: float,
-    N0: float,
-    n: int,
-    rng: np.random.Generator,
-) -> tuple[int, int]:
-    """Coherent BPSK over one unit-variance Rayleigh coefficient per block.
+def _direct_batch_tallies(t: int, power: float, N0: float,
+                          batches: list[tuple[int, np.random.Generator]]) -> tuple[int, int]:
+    """Coherent BPSK over one unit-variance Rayleigh coefficient per block, over a job's (frames, stream) batches.
 
-    The stream gives c = (x + 1j y) / sqrt(2), the bits b of the signs
-    s = 1 - 2 b, and w = sqrt(N0 / 2) (u + 1j v), in that order, and the
-    receive is r = sqrt(power) c s + w; a bit is read as 0 where
-    Re(conj(c) r) >= 0. All of it is worked in reals with numpy's complex
-    rounding: the division by sqrt(2) is a product with its reciprocal, and
-    r_r = sqrt(power) c_r s + sqrt(N0 / 2) u term by term. Only the last
-    sum rounds apart: numpy's complex product fuses c_r r_r into its sum
-    with the rounded c_i r_i, where this rounds c_r r_r first, so the two
-    signs can differ only where fl(c_r r_r) = -fl(c_i r_i) exactly.
+    Each stream gives its batch's c = (x + 1j y) / sqrt(2), the bits b of
+    the signs s = 1 - 2 b, and w = sqrt(N0 / 2) (u + 1j v), in that order,
+    into the batch's rows; the receive is r = sqrt(power) c s + w, and a bit
+    is read as 0 where Re(conj(c) r) >= 0. All of it is worked in reals with
+    numpy's complex rounding: the division by sqrt(2) is a product with its
+    reciprocal, and r_r = sqrt(power) c_r s + sqrt(N0 / 2) u term by term.
+    Only the last sum rounds apart: numpy's complex product fuses c_r r_r
+    into its sum with the rounded c_i r_i, where this rounds c_r r_r first,
+    so the two signs can differ only where fl(c_r r_r) = -fl(c_i r_i) exactly.
     """
-    c_r, c_i = (rng.standard_normal(n)[:, None] * (1.0 / math.sqrt(2.0)) for _ in range(2))
-    bits = rng.integers(0, 2, size=(n, t))
+    n = sum(size for size, _ in batches)
+    c_r, c_i = np.empty((n, 1)), np.empty((n, 1))
+    bits = np.empty((n, t), dtype=np.int64)
+    w_r, w_i = np.empty((n, t)), np.empty((n, t))
+    for rows, size, rng in _batch_rows(batches):
+        for part in (c_r[rows, 0], c_i[rows, 0]):
+            rng.standard_normal(out=part)
+        bits[rows] = rng.integers(0, 2, size=(size, t))
+        for part in (w_r[rows], w_i[rows]):
+            rng.standard_normal(out=part)
+    c_r *= 1.0 / math.sqrt(2.0)
+    c_i *= 1.0 / math.sqrt(2.0)
+    w_r *= math.sqrt(N0 / 2.0)
+    w_i *= math.sqrt(N0 / 2.0)
     s = 1.0 - 2.0 * bits
-    scale = math.sqrt(N0 / 2.0)
-    w_r, w_i = (rng.standard_normal((n, t)) * scale for _ in range(2))
     amp = math.sqrt(power)
     statistic = c_r * ((amp * c_r) * s + w_r)
     statistic += c_i * ((amp * c_i) * s + w_i)
@@ -580,13 +620,14 @@ def run_monte_carlo(
 
     The allocator runs per frame under the configured CSIT mode, except
     for statistical waterfilling, whose long-term caps are the same in
-    every frame: it is solved once per batch and repeated. Batch b of
+    every frame: it is solved once per job and repeated. Batch b of
     point i draws from stream (seed, i, b) wherever it runs, and every
-    batch works in its worker's Workspace. The batches run one per usable
-    core at every T, each worker with its own workspace and BLAS on its
-    own thread (_map_jobs). The tallies are integer sums, so neither the
-    shard count, which only partitions the fixed batch schedule, nor the
-    number of cores changes them. This is the one-scheme call of
+    job, of two batches up to T = 2 and of one above, works in its
+    worker's Workspace. The jobs run one per usable core at every T, each
+    worker with its own workspace and BLAS on its own thread (_map_jobs).
+    The tallies are integer sums, so neither the shard count, which only
+    orders the fixed batch schedule, nor the grouping of batches into jobs,
+    nor the number of cores changes them. This is the one-scheme call of
     _run_schemes, which runs every scheme of a cell, the direct link
     included, in one job list: the tallies here are those the scheme
     scores there, where the relay schemes' are paired (common random
@@ -598,13 +639,16 @@ def run_monte_carlo(
 
 def _run_schemes(runs: list[tuple[NetworkConfig, Scheme]], snr_grid_db, frames: int, seed: int, *,
                  network_power_sweep: bool = False, shards: int = 1) -> list[SimResult]:
-    """run_monte_carlo of each (cfg, scheme) of runs, every scheme from each (point, batch) job's stream.
+    """run_monte_carlo of each (cfg, scheme) of runs, every scheme from each batch's stream.
 
     The runs must share M, N0 and the variances, or this is a ValueError.
-    Each (point, batch) job scores every relay scheme of runs from one draw
-    of its stream and one codebook (_relay_batch_tallies), and the direct
-    link from that stream read afresh from its start (_direct_batch_tallies),
-    so each run's tallies are those it scores alone.
+    Each point's batches, in shard order, form jobs of _BATCHES_PER_JOB
+    consecutive batches up to T = _COLUMN_WIDTH, of one above it. A job
+    scores every relay scheme of runs from one draw of each of its
+    batches' streams and one codebook (_relay_batch_tallies), and the
+    direct link from those streams read afresh from their start
+    (_direct_batch_tallies), so each run's tallies are those it scores
+    alone, one batch at a time.
     """
     frames = _count(frames, "frames", MIN_FRAMES)
     shards = _count(shards, "shards", 1)
@@ -628,16 +672,19 @@ def _run_schemes(runs: list[tuple[NetworkConfig, Scheme]], snr_grid_db, frames: 
     n_batches = -(-frames // batch)
     powers = [_point_powers(cfg, float(snr), network_power_sweep) for snr in grid]
     # shards past n_batches would be empty: shards stays the stride, not the loop count
-    jobs = [(pi, bi) for pi in range(grid.shape[0])
-            for shard in range(min(shards, n_batches)) for bi in range(shard, n_batches, shards)]
+    order = [bi for shard in range(min(shards, n_batches)) for bi in range(shard, n_batches, shards)]
+    per_job = _BATCHES_PER_JOB if cfg.M <= _COLUMN_WIDTH else 1
+    jobs = [(pi, order[lo:lo + per_job]) for pi in range(grid.shape[0]) for lo in range(0, n_batches, per_job)]
 
     def tallies(job, ws):
-        pi, bi = job
-        n = min(batch, frames - bi * batch)
+        pi, group = job
         p_s, p_r, net_power = powers[pi]
-        scored = iter(_relay_batch_tallies(relay, code, tables, p_s, p_r, n,
-                                           derive_rng(seed, STREAM_FRAMES, pi, bi), ws) if relay else ())
-        return [_direct_batch_tallies(cfg.M, net_power, cfg.N0, n, derive_rng(seed, STREAM_FRAMES, pi, bi))
+
+        def batches():
+            return [(min(batch, frames - bi * batch), derive_rng(seed, STREAM_FRAMES, pi, bi)) for bi in group]
+
+        scored = iter(_relay_batch_tallies(relay, code, tables, p_s, p_r, batches(), ws) if relay else ())
+        return [_direct_batch_tallies(cfg.M, net_power, cfg.N0, batches())
                 if scheme is Scheme.DIRECT_LINK else next(scored) for _, scheme in runs]
 
     results = _map_jobs(tallies, jobs, len(jobs))

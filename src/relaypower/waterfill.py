@@ -25,7 +25,7 @@ _row_* helpers and _by_column, which at M <= 2 work one column at a time
 over all rows and return numpy's bits.
 
 That kernel is the only code that picks a water level. Partial CSIT runs
-it per frame, statistical CSIT on the one row of long-term caps per batch,
+it per frame, statistical CSIT on the one row of long-term caps per job,
 and the scalar solve_waterfill is a one-row wrapper, so the same (gamma_g, caps) gets the
 same allocation bits under every CSIT mode. The level never depends on
 the coefficients a_i: sum_i ln(a_i) shifts every candidate's J equally.

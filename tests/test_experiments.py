@@ -21,6 +21,7 @@ from relaypower.experiments import (
     run_experiment,
 )
 from relaypower.model import CsitMode, NetworkConfig, _batch_caps, _sample_channel_powers, sample_channel_batch
+from relaypower.objectives import SaddleComparison, saddle_point_error
 from relaypower.onoff import solve_onoff_batch
 from relaypower.rng import STREAM_CHANNELS, STREAM_MISC, derive_rng, derive_seed
 from relaypower.sim import Scheme, _allocate_batch
@@ -796,15 +797,72 @@ class TestMonteCarloBatches:
     def test_failing_batch_reaches_the_caller_and_leaves_nothing(self, tmp_path, monkeypatch, capsys):
         real = sim._relay_batch_tallies
 
-        def failing(runs, code, tables, p_s, p_r, n, rng, ws):
+        def failing(runs, code, tables, p_s, p_r, batches, ws):
+            n = sum(size for size, _ in batches)
             if any(scheme is Scheme.MAX_POWER for _, scheme in runs) and n < 4096:
                 raise ValueError(f"max_power batch of {n} frames failed")
-            return real(runs, code, tables, p_s, p_r, n, rng, ws)
+            return real(runs, code, tables, p_s, p_r, batches, ws)
 
         monkeypatch.setattr(sim, "_relay_batch_tallies", failing)
         with pytest.raises(ValueError, match="max_power batch of 808 frames failed"):
             self._run(tmp_path, monkeypatch, 4, 1)
         assert not (tmp_path / "out4_1").exists()
+
+
+def _one_at_a_time_saddle(spec, seed):
+    """The saddle CSV rows from one instance after another: the reference for the job list."""
+    rows = []
+    for mi, m in enumerate(spec.m_grid):
+        gamma_h, gamma_g = spec.gammas_for(m)
+        cfg, _ = experiments._scheme_config(spec, "onoff", m, gamma_h, gamma_g, spec.p_s, spec.p_r)
+        comps = []
+        for j in range(spec.instances):
+            h = sample_channel_batch(cfg, 1, derive_rng(seed, STREAM_CHANNELS, mi, j))[0][0]
+            caps = _batch_caps(cfg, np.abs(h) ** 2, spec.p_s, spec.p_r)
+            comps.append(saddle_point_error(h, gamma_g, caps, spec.eta, spec.trials,
+                                            derive_seed(seed, STREAM_MISC, mi, j)))
+        stderr = float(np.sqrt(np.sum([c.rel_error_stderr**2 for c in comps])) / spec.instances)
+        means = [np.mean([getattr(c, name) for c in comps]) for name in ("mc_estimate", "bound", "rel_error")]
+        rows.append(f"{m},{spec.instances},{spec.trials},{','.join(f'{v:.17g}' for v in means)},{stderr:.17g}")
+    return rows
+
+
+class TestSaddleJobs:
+    """A saddle study's (M, instance) pairs are one job list; the worker count may not change a byte."""
+
+    def test_bytes_of_one_instance_at_a_time_at_one_and_two_workers(self, tmp_path, monkeypatch, capsys):
+        text = (MINIMAL["saddle_study"].replace("m_grid: [2]", "m_grid: [1, 2, 3]")
+                .replace("instances: 2", "instances: 3"))
+        spec = load_spec(_write(tmp_path, text))
+        job_lists = []
+        real = experiments._map_jobs
+        monkeypatch.setattr(experiments, "_map_jobs",
+                            lambda fn, jobs, most: job_lists.append(list(jobs)) or real(fn, jobs, most))
+        csvs = []
+        for cores in (1, 2):
+            monkeypatch.setattr(sim, "_usable_cores", lambda: cores)
+            [path] = [p for p in run_experiment(spec, tmp_path / f"out{cores}", seed=3) if p.suffix == ".csv"]
+            csvs.append(path.read_bytes())
+        assert csvs[1] == csvs[0]
+        assert csvs[0].decode().splitlines()[1:] == _one_at_a_time_saddle(spec, 3)
+        assert job_lists == [[(mi, j) for mi in range(3) for j in range(3)]] * 2
+
+    @pytest.mark.parametrize("m_grid,trials,workers", [
+        ([1, 2, 3], 10_000, MAX_TRIAL_ENTRIES // 30_000),
+        ([2, 1024], 10_000, 1),    # one (10 000, 1024) chunk takes most of the bound
+        ([64], 1_000_000, 26),     # chunks of 10 000 trials, not all the trials at once
+    ])
+    def test_workers_hold_at_most_the_trial_bound(self, tmp_path, monkeypatch, m_grid, trials, workers):
+        text = (MINIMAL["saddle_study"].replace("m_grid: [2]", f"m_grid: {m_grid}")
+                .replace("trials: 10000", f"trials: {trials}"))
+        spec = load_spec(_write(tmp_path, text))
+        bounds = []
+        real = experiments._map_jobs
+        monkeypatch.setattr(experiments, "_map_jobs", lambda fn, jobs, most: bounds.append(most) or real(fn, jobs, most))
+        # only the bound is checked: each comparison is a constant
+        monkeypatch.setattr(experiments, "saddle_point_error", lambda *args: SaddleComparison(1.0, 0.0, 1.0, 0.0))
+        run_experiment(spec, tmp_path / "out")
+        assert bounds == [workers]
 
 
 class TestPlotScript:

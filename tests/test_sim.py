@@ -1,6 +1,7 @@
 """Monte Carlo chain: physical model, decoding, tallies, sharding."""
 
 import concurrent.futures
+import dataclasses
 import functools
 import math
 import sys
@@ -266,7 +267,7 @@ class TestBatchDecoder:
             rng_got = derive_rng(9, STREAM_FRAMES, 0, bi)
             rng_want = derive_rng(9, STREAM_FRAMES, 0, bi)
             ws = Workspace()
-            [got] = _relay_batch_tallies([(cfg, scheme)], code, tables, 3.0, 3.0, n, rng_got, ws)
+            [got] = _relay_batch_tallies([(cfg, scheme)], code, tables, 3.0, 3.0, [(n, rng_got)], ws)
             want = _direct_distance_tallies(cfg, scheme, code, 3.0, 3.0, n, rng_want)
             assert got == want
             assert got[0] > 0
@@ -315,7 +316,7 @@ class TestBatchWorkspace:
         for bi, n in enumerate([700, 301]):
             rng_got = derive_rng(4, STREAM_FRAMES, 0, bi)
             rng_want = derive_rng(4, STREAM_FRAMES, 0, bi)
-            [got] = _relay_batch_tallies([(cfg, scheme)], code, tables, 3.0, 3.0, n, rng_got, ws)
+            [got] = _relay_batch_tallies([(cfg, scheme)], code, tables, 3.0, 3.0, [(n, rng_got)], ws)
             c, r, want = _fresh_batch(cfg, scheme, code, tables, 3.0, 3.0, n, rng_want)
             assert got == want
             assert got[0] > 0
@@ -348,7 +349,7 @@ class TestBatchWorkspace:
         gains = (rng.standard_normal((n, t)) + 1j * rng.standard_normal((n, t))) * (rng.random((n, t)) < 0.8)
         gains[:20] = 0.0
         s = codeword_signs(t)[rng.integers(0, 2**t, size=n)]
-        noise = sim._draw_noise(n, t, t, n0, np.random.default_rng(0), Workspace())
+        noise = sim._draw_noise([(n, np.random.default_rng(0))], t, t, n0, Workspace())
         c, r = sim._transmit_batch(code, gains, gains, s, noise, Workspace())
         want_c, want_r = _fresh_transmit(code, gains, gains, s, n0, np.random.default_rng(0))
         assert c.tobytes() == want_c.tobytes() and r.tobytes() == want_r.tobytes()
@@ -366,8 +367,8 @@ class TestBatchWorkspace:
                 return view
 
         code = generate_codebook(m, seed=m)
-        _relay_batch_tallies(_relay_runs(m), code, _DecodeTables.for_block(m), 3.0, 3.0, _batch_size(m),
-                             derive_rng(4, STREAM_FRAMES, 0, 0), Counting())
+        _relay_batch_tallies(_relay_runs(m), code, _DecodeTables.for_block(m), 3.0, 3.0,
+                             [(_batch_size(m), derive_rng(4, STREAM_FRAMES, 0, 0))], Counting())
         assert len(mapped) == len(set(mapped))
 
 
@@ -391,20 +392,23 @@ class TestDirectLink:
         for bi in range(3):
             rng_got = derive_rng(5, STREAM_FRAMES, t, bi)
             rng_want = derive_rng(5, STREAM_FRAMES, t, bi)
-            got = sim._direct_batch_tallies(t, power, n0, 2000, rng_got)
+            got = sim._direct_batch_tallies(t, power, n0, [(2000, rng_got)])
             assert got == _complex_direct_tallies(t, power, n0, 2000, rng_want)
             assert rng_got.bit_generator.state == rng_want.bit_generator.state
 
     def test_a_zero_statistic_reads_as_bit_zero(self):
         # a zero coefficient and noise make Re(conj(c) r) = 0 in every slot: each sent 1 is missed
         class Zeros:
-            def standard_normal(self, size):
-                return np.zeros(size)
+            def standard_normal(self, size=None, out=None):
+                if out is None:
+                    return np.zeros(size)
+                out[...] = 0.0
+                return out
 
             def integers(self, low, high, size):
                 return np.ones(size, dtype=np.int64)
 
-        assert sim._direct_batch_tallies(3, 1.0, 1.0, 5, Zeros()) == (5, 15)
+        assert sim._direct_batch_tallies(3, 1.0, 1.0, [(5, Zeros())]) == (5, 15)
         assert _complex_direct_tallies(3, 1.0, 1.0, 5, Zeros()) == (5, 15)
 
 
@@ -442,7 +446,7 @@ class TestSharedDraws:
             # reversed, a scheme that wrote over a shared draw would change a later one's tallies
             for order in (subset, subset[::-1]):
                 rng = derive_rng(5, STREAM_FRAMES, 0, 0)
-                got = _relay_batch_tallies([runs[i] for i in order], code, tables, p_s, p_r, n, rng, ws)
+                got = _relay_batch_tallies([runs[i] for i in order], code, tables, p_s, p_r, [(n, rng)], ws)
                 assert got == [alone[i] for i in order]
                 assert rng.bit_generator.state == states[0]
 
@@ -480,6 +484,108 @@ class TestSharedDraws:
             np.testing.assert_array_equal(res.block_errors, alone.block_errors)
             np.testing.assert_array_equal(res.bit_errors, alone.bit_errors)
         assert together[position].scheme == "direct_link" and together[position].block_errors.sum() > 0
+
+
+class TestGroupedJobs:
+    """Up to T = _COLUMN_WIDTH a Monte Carlo job scores two batches at once, each drawn from its own stream."""
+
+    # a full batch, then a short last one
+    SIZES = (4096, 777)
+
+    @staticmethod
+    def _streams():
+        return [derive_rng(6, STREAM_FRAMES, 0, bi) for bi in range(2)]
+
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_relay_tallies_and_streams_are_those_of_one_batch_calls(self, t):
+        runs = _relay_runs(t)
+        code = generate_codebook(t, seed=t)
+        tables = _DecodeTables.for_block(t)
+        ws = Workspace()
+        streams, ref = self._streams(), self._streams()
+        alone = [_relay_batch_tallies(runs, code, tables, 3.0, 3.0, [(n, rng)], ws) for n, rng in zip(self.SIZES, ref)]
+        got = _relay_batch_tallies(runs, code, tables, 3.0, 3.0, list(zip(self.SIZES, streams)), ws)
+        assert got == [(a[0] + b[0], a[1] + b[1]) for a, b in zip(*alone)]
+        assert all(block > 0 for block, _ in got)
+        assert [rng.bit_generator.state for rng in streams] == [rng.bit_generator.state for rng in ref]
+
+    @pytest.mark.parametrize("t", [1, 2])
+    @pytest.mark.parametrize("n0", [0.0, 1.0])
+    def test_direct_tallies_and_streams_are_those_of_one_batch_calls(self, t, n0):
+        streams, ref = self._streams(), self._streams()
+        alone = [sim._direct_batch_tallies(t, 9.0, n0, [(n, rng)]) for n, rng in zip(self.SIZES, ref)]
+        got = sim._direct_batch_tallies(t, 9.0, n0, list(zip(self.SIZES, streams)))
+        assert got == (alone[0][0] + alone[1][0], alone[0][1] + alone[1][1])
+        assert (got[0] > 0) == (n0 > 0.0)  # without noise every bit is read right
+        assert [rng.bit_generator.state for rng in streams] == [rng.bit_generator.state for rng in ref]
+
+    @pytest.mark.parametrize("t", [1, 2])
+    @pytest.mark.parametrize("n0", [0.0, 1.0])
+    def test_noise_rows_are_those_of_one_batch_draws(self, t, n0):
+        streams, ref = self._streams(), self._streams()
+        alone = [sim._draw_noise([(n, rng)], t, t, n0, Workspace()) for n, rng in zip(self.SIZES, ref)]
+        got = sim._draw_noise(list(zip(self.SIZES, streams)), t, t, n0, Workspace())
+        if n0 == 0.0:
+            assert got is None and alone == [None, None]
+        else:
+            for grouped, parts in zip(got, zip(*alone)):
+                assert grouped.tobytes() == np.concatenate(parts).tobytes()
+        assert [rng.bit_generator.state for rng in streams] == [rng.bit_generator.state for rng in ref]
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_jobs_take_two_consecutive_batches_up_to_the_column_width(self, monkeypatch, t, shards):
+        # 5 batches per point, in shard order 0..4 or 0, 3, 1, 4, 2
+        frames = 5 * 4096 - 100
+        def position(rng):
+            return rng.bit_generator.state["state"]["state"]
+
+        fresh = {position(derive_rng(7, STREAM_FRAMES, pi, bi)): (pi, bi) for pi in range(2) for bi in range(5)}
+        seen = {"relay": [], "direct": []}
+
+        def spy(kind, real, at):  # at: the position of the batches argument
+            def call(*args):
+                seen[kind].append([(fresh[position(rng)], n) for n, rng in args[at]])
+                return real(*args)
+            return call
+
+        monkeypatch.setattr(sim, "_relay_batch_tallies", spy("relay", sim._relay_batch_tallies, 5))
+        monkeypatch.setattr(sim, "_direct_batch_tallies", spy("direct", sim._direct_batch_tallies, 3))
+        monkeypatch.setattr(sim, "_usable_cores", lambda: 1)
+        runs = [(_cfg(t), Scheme.MAX_POWER), (_cfg(t), Scheme.DIRECT_LINK)]
+        sim._run_schemes(runs, [5.0, 10.0], frames, seed=7, shards=shards)
+        order = [0, 1, 2, 3, 4] if shards == 1 else [0, 3, 1, 4, 2]
+        per_job = 2 if t <= model._COLUMN_WIDTH else 1
+        want = [[((pi, bi), 4096 if bi < 4 else 3996) for bi in order[lo:lo + per_job]]
+                for pi in range(2) for lo in range(0, 5, per_job)]
+        assert seen == {"relay": want, "direct": want}
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_any_shard_count_gives_identical_bytes(self, monkeypatch, tmp_path, capsys, m):
+        # 5 batches per point: two jobs of two and one of one at shards 1, 3 and 7, on 2 workers
+        monkeypatch.setattr(sim, "_usable_cores", lambda: 2)
+        path = tmp_path / "scenario.yaml"
+        path.write_text("kind: bler_vs_snr\nschemes: [onoff, waterfill_partial, waterfill_statistical, maxpower, "
+                        f"direct]\nsnr_db: [6.0, 12.0]\nframes: {5 * 4096 - 100}\nnetwork:\n  M: {m}\n")
+        csvs = []
+        for shards in (1, 3, 7):
+            paths = run_experiment(load_spec(path), tmp_path / f"out{shards}", shards=shards)
+            csvs.append({p.name: p.read_bytes() for p in paths if p.suffix == ".csv"})
+        assert len(csvs[0]) == 5 and csvs[1] == csvs[0] and csvs[2] == csvs[0]
+
+    # a two-batch job's arrays at M = T = 2, in bytes per frame: h, g, w, r,
+    # noise_gains, gains and the (n, 2, 2) relay noise and c (64 each) as
+    # complex; normal (4 floats), h2, g2, caps, alpha, q, product (1 float),
+    # stats (3) and metrics (4) as floats
+    BYTES_PER_FRAME = 496
+
+    def test_worker_footprint_at_two_relays(self):
+        code = generate_codebook(2, seed=2)
+        ws = Workspace()
+        batches = [(4096, derive_rng(8, STREAM_FRAMES, 0, bi)) for bi in range(2)]
+        _relay_batch_tallies(_relay_runs(2), code, _DecodeTables.for_block(2), 3.0, 3.0, batches, ws)
+        assert "weighted_noise" not in ws
+        assert sum(a.nbytes for a in ws.values()) == self.BYTES_PER_FRAME * 8192
 
 
 class TestRelayChainOracle:
@@ -567,8 +673,8 @@ def pool_sizes(monkeypatch):
 
 class TestBatchPool:
     @pytest.mark.parametrize("t,grid,frames,workers", [
-        (1, [5.0], 9000, 3),        # 3 batches, one worker each
-        (2, [5.0, 10.0], 9000, 4),  # 6 batches over 4 cores
+        (1, [5.0], 9000, 2),        # 3 batches in jobs of 2 and 1, one worker each
+        (2, [5.0, 10.0], 9000, 4),  # 4 jobs of 2 and 1 batches over 4 cores
         (2, [5.0], 1000, None),     # one batch: nothing to share
         (3, [5.0, 10.0], 9000, 4),  # 6 batches over 4 cores
         (12, [5.0], 1000, 4),       # 16 batches of 64 frames
@@ -583,7 +689,7 @@ class TestBatchPool:
         path.write_text("kind: bler_vs_snr\nschemes: [onoff, maxpower, direct]\nsnr_db: [5.0]\n"
                         "frames: 9000\nnetwork:\n  M: 2\n")
         run_experiment(load_spec(path), tmp_path / "out")
-        assert pool_sizes == [3]  # 3 batches, one worker each
+        assert pool_sizes == [2]  # 3 batches in jobs of 2 and 1, one worker each
 
 
 class TestBlasPin:

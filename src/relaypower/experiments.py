@@ -22,7 +22,7 @@ import numpy as np
 import yaml
 
 from .codebook import MAX_BLOCK
-from .model import CsitMode, NetworkConfig, _batch_caps, _sample_channel_powers, sample_channel_batch
+from .model import CsitMode, NetworkConfig, _batch_caps, sample_channel_batch
 from .objectives import _MC_CHUNK, SADDLE_MIN_TRIALS, saddle_point_error
 from .onoff import MAX_ITERATIONS, solve_onoff_batch
 from .rng import STREAM_CHANNELS, STREAM_MISC, derive_rng, derive_seed
@@ -35,6 +35,7 @@ from .sim import (
     _in_linear_range,
     _map_jobs,
     _node_power,
+    _power_blocks,
     _relay_counts,
     _run_schemes,
     scheme_label,
@@ -63,15 +64,13 @@ SCHEME_NAMES = {
 MAX_STUDY_RELAYS = 1024  # largest M of the kinds that only allocate
 # trials x largest M: the channel entries of one (trials, M) draw. The
 # relay counts and the convergence run keep only |h|^2 and |g|^2, 16 bytes
-# per entry in a worker's workspace (268 MB at the bound). A convergence run
-# also holds its trajectory, counted in 40-byte entries, and solves its
-# trials in row blocks of _CONVERGENCE_BLOCK entries, so the kernels'
-# temporaries stay block-sized: at M = 64, 195 000 trials and 10 iterations
-# (200 MB of draws) it peaked at 268 MB, against 901 MB solving all trials
-# at once (one fresh run each, 2-vCPU host, numpy 2.4)
+# per entry in a worker's workspace (268 MB at the bound), and solve them in
+# row blocks of model._BLOCK_ENTRIES entries; a convergence cell also holds
+# its trajectory (_convergence_entries). At M = 64, 195 000 trials and 10
+# iterations (200 MB of draws) a convergence run peaked at 901 MB solving all
+# trials at once, 268 MB in 2^18-entry blocks and 248 MB in 2^15-entry ones
+# (one fresh run each, 2-vCPU host, numpy 2.4)
 MAX_TRIAL_ENTRIES = 2**24
-# Channel entries of one convergence row block, 2^18 // M rows
-_CONVERGENCE_BLOCK = 2**18
 
 
 class SpecError(ValueError):
@@ -305,16 +304,19 @@ def _check_trials(v: _Validator, kind: ExperimentKind) -> int:
     m = max(v.data["m_grid"])
     trajectory = 0
     if kind is ExperimentKind.CONVERGENCE:
-        # the trajectory holds one float per (trial, iterate) and M booleans per
-        # (trial, iterate) of one row block, counted as M + 16 B per (trial, iterate),
-        # which covers both: peak RSS grew by 9, 15 and 29 B per (trial, iterate) at
-        # M = 2, 8 and 32 (20 000 trials, 10 against 100 iterations; 2-vCPU host, numpy 2.4)
         iterations = _check_iterations(v, kind) if "iterations" in v.data else _TOP_FIELDS[kind]["iterations"]
-        trajectory = math.ceil((iterations + 1) * (m + 16) / 40)
+        trajectory = _convergence_entries(m, iterations) - m
     if trials * (m + trajectory) > MAX_TRIAL_ENTRIES:
         entries = f"(largest M + {trajectory} trajectory entries)" if trajectory else "largest M"
         v.fail("trials", f"trials x {entries} must be at most {MAX_TRIAL_ENTRIES}")
     return trials
+
+
+def _convergence_entries(m: int, iterations: int) -> int:
+    # a convergence trial's M channel entries plus its trajectory (one float and, in a row block, M booleans
+    # per iterate), counted as M + 16 B per iterate in 40-byte entries: peak RSS grew by 9, 15 and 29 B per
+    # (trial, iterate) at M = 2, 8 and 32 (20 000 trials, 10 against 100 iterations; 2-vCPU host, numpy 2.4)
+    return m + math.ceil((iterations + 1) * (m + 16) / 40)
 
 
 def _check_iterations(v: _Validator, kind: ExperimentKind) -> int:
@@ -533,27 +535,20 @@ def run_experiment(spec: ExperimentSpec, out_dir, *, seed: int | None = None,
 def _run_convergence(spec, outputs, seed, shards, frames):
     """Mean f0 of each on-off iterate over the optimum's, per M, from trials draws of stream (seed, mi).
 
-    Each M draws |h|^2 and |g|^2 only (_sample_channel_powers, 16 B per
-    entry) and solves them in blocks of _CONVERGENCE_BLOCK // M rows, or
-    one: the on-off kernels treat rows independently, so a block's rows
-    give the bits they give in one whole-array solve. A block's caps
-    overwrite its |h|^2 once alpha = |h|^2 |g|^2 is formed, and its f0
-    ratios fill its rows of one (trials, iterations + 1) array, whose
-    column means are taken over the whole array.
+    Every M has its own stream, so the M cells run one per core, each worker
+    reusing one workspace; the workers' cells together hold at most
+    MAX_TRIAL_ENTRIES entries as _check_trials counts them. A cell draws
+    |h|^2 and |g|^2 once and solves them in row blocks (_power_blocks): the
+    on-off kernels treat rows independently, so a block gives the bits of a
+    whole-array solve. Its f0 ratios fill its rows of one (trials,
+    iterations + 1) array, whose column means are taken over the whole array.
     """
-    header = "M,iteration,mean_normalized_objective"
-    rows = []
-    for mi, m in enumerate(spec.m_grid):
-        gamma_h, gamma_g = spec.gammas_for(m)
-        cfg, _ = _scheme_config(spec, "onoff", m, gamma_h, gamma_g, spec.p_s, spec.p_r)
-        h2_all, g2_all = _sample_channel_powers(cfg, spec.trials, derive_rng(seed, STREAM_CHANNELS, mi))
+    def means(cell, ws):
+        mi, m = cell
+        cfg, _ = _scheme_config(spec, "onoff", m, *spec.gammas_for(m), spec.p_s, spec.p_r)
         ratios = np.empty((spec.trials, spec.iterations + 1))
-        step = max(1, _CONVERGENCE_BLOCK // m)
-        for lo in range(0, spec.trials, step):
-            block = slice(lo, lo + step)
-            h2, g2 = h2_all[block], g2_all[block]
+        for rows, h2, g2, caps in _power_blocks(cfg, spec.trials, derive_rng(seed, STREAM_CHANNELS, mi), ws):
             alpha = h2 * g2
-            caps = _batch_caps(cfg, h2, spec.p_s, spec.p_r, out=h2)  # |h|^2 is read for the last time
             masks, _, _, iterates = solve_onoff_batch(alpha, g2, caps, history=spec.iterations + 1)
             ac, bc = alpha * caps, g2 * caps
             # f0 at the optimum, then at each iterate over it, one (rows, M) pattern at a time
@@ -561,11 +556,13 @@ def _run_convergence(spec, outputs, seed, shards, frames):
                   for on in [masks, *iterates.swapaxes(0, 1)])
             optimum = next(f0)
             for k, value in enumerate(f0):
-                ratios[block, k] = value / optimum
-        means = np.mean(ratios, axis=0)
-        for k in range(spec.iterations + 1):
-            rows.append(f"{m},{k},{_fmt(means[k])}")
-    return [outputs.write(f"{spec.name}.csv", header, rows)]
+                ratios[rows, k] = value / optimum
+        return np.mean(ratios, axis=0)
+
+    workers = max(1, MAX_TRIAL_ENTRIES // (spec.trials * _convergence_entries(max(spec.m_grid), spec.iterations)))
+    cells = _map_jobs(means, list(enumerate(spec.m_grid)), workers)
+    rows = [f"{m},{k},{_fmt(value)}" for m, cell in zip(spec.m_grid, cells) for k, value in enumerate(cell)]
+    return [outputs.write(f"{spec.name}.csv", "M,iteration,mean_normalized_objective", rows)]
 
 
 def _run_bler_vs_snr(spec, outputs, seed, shards, frames):

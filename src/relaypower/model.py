@@ -222,13 +222,18 @@ def sample_channels(cfg: NetworkConfig, seed_or_rng) -> ChannelRealization:
     return ChannelRealization(h=h[0], g=g[0])
 
 
-# Entries of the float block that takes a channel draw's normal chunks: each
-# part of H and G is drawn through it in chunks of whole rows, one row when M
-# is larger. A Generator's normal stream does not depend on how the calls
-# split it, so the chunks give the bits of one full-size draw. At 2^15
-# entries (256 KB) a (10 000, 32) part takes 10 calls; the power draw adds a
-# complex chunk of twice that size
-_DRAW_CHUNK = 2**15
+# Entries per vector row block, in whole rows (one row when M is larger): the
+# chunks in which a channel draw takes its normals (a Generator's normal
+# stream does not depend on how the calls split it, so the chunks give the
+# bits of one full-size draw) and the blocks in which the allocation-only
+# kinds solve (sim._power_blocks). Each block costs a few dozen numpy calls
+# whatever its size: with 8000-entry blocks two workers mostly took turns on
+# the interpreter lock, and asym_m32 took 1.02-1.05 s on two against
+# 1.19-1.36 s on one (fresh processes, 2-vCPU host), 0.72-0.79 s on two at
+# 32 000 entries. 64 000 gave no further gain for 6 MB more peak RSS. Blocks
+# of 256 KB cost minor faults, as glibc trims the heap top after a free of
+# 64 KB or more: 35-39 k per asym_m32 run, 0.12 s of system time
+_BLOCK_ENTRIES = 2**15
 
 
 class Workspace(dict):
@@ -371,12 +376,12 @@ def _count(x, name: str, low: int = 0) -> int:
 def _scaled_chunks(cfg: NetworkConfig, n: int, rng: np.random.Generator, ws: Workspace):
     """Yield (hop, imag, rows, chunk) over the normal draw of n channel rows, in stream order.
 
-    The four normal blocks come in the order Re h, Im h, Re g, Im g (hop 0
-    is h, 1 is g), each in chunks of whole rows under ws's "normal", scaled
-    in place by its hop's sqrt(gamma / 2). chunk holds the imaginary part
-    (imag) or the real part of that hop's rows, until the next yield.
+    The four normal blocks come in the order Re h, Im h, Re g, Im g (hop 0 is
+    h, 1 is g), each in chunks of _BLOCK_ENTRIES // M rows, or one, under ws's
+    "normal", scaled in place by its hop's sqrt(gamma / 2). chunk holds the
+    imaginary part (imag) or the real part of that hop's rows until the next yield.
     """
-    step = max(1, min(n, _DRAW_CHUNK // cfg.M))
+    step = max(1, min(n, _BLOCK_ENTRIES // cfg.M))
     normal = ws.take("normal", (step, cfg.M))
     for hop, gamma in enumerate((cfg.gamma_h, cfg.gamma_g)):
         scale = np.sqrt(gamma / 2.0)

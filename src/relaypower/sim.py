@@ -57,6 +57,7 @@ from .model import (
     NetworkConfig,
     PowerAllocation,
     Workspace,
+    _BLOCK_ENTRIES,
     _COLUMN_WIDTH,
     _batch_caps,
     _column_argmin,
@@ -294,16 +295,19 @@ def _allocate_batch(
     return solve_waterfill_batch(cfg.gamma_g, caps)
 
 
-# Entries per row block of a _relay_counts draw. Each block costs a few dozen
-# numpy calls whatever its size, and with 8000-entry blocks (625 on-off blocks
-# in an asym_m32 run, 159 k Python-level calls under cProfile) two workers
-# mostly took turns on the interpreter lock. In fresh processes on a 2-vCPU
-# host, asym_m32 took 1.02-1.05 s with two workers against 1.19-1.36 s with
-# one; at 32 000 entries it takes 0.72-0.79 s with two. Its 256 KB
-# temporaries cost minor faults, since glibc trims the heap top after a free
-# of 64 KB or more: 35-39 k per run instead of 2-6 k, 0.12 s of system time.
-# 64 000 entries gave no further gain for 6 MB more peak RSS
-_BLOCK_ENTRIES = 32000
+def _power_blocks(cfg: NetworkConfig, n: int, rng: np.random.Generator, ws: Workspace):
+    """Yield (rows, h2, g2, caps) per block of _BLOCK_ENTRIES // M rows, or one, of n rows of |h|^2 and |g|^2.
+
+    The powers are drawn once from rng into ws (_sample_channel_powers, 16 B per entry); a block's
+    short-term caps (cfg's CSIT mode must be perfect or partial) are ws's "caps", which the next overwrites.
+    """
+    h2_all, g2_all = _sample_channel_powers(cfg, n, rng, ws)
+    step = max(1, _BLOCK_ENTRIES // cfg.M)
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        h2 = h2_all[rows]
+        yield rows, h2, g2_all[rows], _batch_caps(cfg, h2, cfg.p_s, cfg.p_r, out=ws.take("caps", h2.shape))
+
 
 # The _relay_counts labels read from its channel draw; "equal" is the
 # fraction of rows on which on-off and partial waterfilling allocate alike
@@ -316,14 +320,12 @@ def _relay_counts(cfg: NetworkConfig, n: int, rng: np.random.Generator, ws: Work
 
     Max power spends every cap, so it scores M exactly, and statistical
     waterfilling allocates from the variances alone: neither draws. The
-    wanted labels of _DRAWN_COUNTS come from one draw of n rows of |h|^2
-    and |g|^2 from rng into ws (_sample_channel_powers, 16 B per entry),
-    under short-term caps (cfg's CSIT mode must be perfect or partial);
-    with none wanted nothing is drawn. Both allocators treat rows
-    independently, so they work in row blocks: row slices of the two
-    powers, with caps and alpha = |h|^2 |g|^2 in block-sized ws arrays; the
-    allocation kernels keep their own temporaries. Each mean then sums its
-    full column as one array.
+    wanted labels of _DRAWN_COUNTS come from one draw of n rows from rng
+    into ws, worked in row blocks (_power_blocks); with none wanted nothing
+    is drawn. Both allocators treat rows independently, so a block's rows
+    give the bits of one whole-array solve; alpha = |h|^2 |g|^2 is a
+    block-sized ws array, and the allocation kernels keep their own
+    temporaries. Each mean then sums its full column as one array.
     """
     stat = dataclasses.replace(cfg, csit_mode=CsitMode.STATISTICAL)
     # one row of long-term caps, which read only the variances
@@ -334,15 +336,10 @@ def _relay_counts(cfg: NetworkConfig, n: int, rng: np.random.Generator, ws: Work
     if not drawn:
         return counts
     columns = np.empty((len(drawn), n))
-    h2_all, g2_all = _sample_channel_powers(cfg, n, rng, ws)
-    step = max(1, _BLOCK_ENTRIES // cfg.M)
-    for lo in range(0, n, step):
-        rows = slice(lo, lo + step)
-        h2, g2 = h2_all[rows], g2_all[rows]
-        caps, alpha = (ws.take(name, h2.shape) for name in ("caps", "alpha"))
-        _batch_caps(cfg, h2, cfg.p_s, cfg.p_r, out=caps)
+    for rows, h2, g2, caps in _power_blocks(cfg, n, rng, ws):
         # "equal" reads both allocations, each other label one
-        p_on = _allocate_batch(cfg, Scheme.ONOFF, h2, g2, caps, alpha) if drawn != ["waterfill_partial"] else None
+        p_on = (_allocate_batch(cfg, Scheme.ONOFF, h2, g2, caps, ws.take("alpha", h2.shape))
+                if drawn != ["waterfill_partial"] else None)
         p_wf = _allocate_batch(cfg, Scheme.WATERFILL, h2, g2, caps) if drawn != ["onoff"] else None
         for label, column in zip(drawn, columns):
             column[rows] = (np.count_nonzero(p_on, axis=1) if label == "onoff"
@@ -451,9 +448,7 @@ def _transmit_batch(
         product = ws.take("product", (n,))
         for part, r_part in ((c.real, r.real), (c.imag, r.imag)):
             for i in range(t):
-                np.multiply(part[:, i, 0], s[:, 0], out=r_part[:, i])
-                for j in range(1, t):
-                    r_part[:, i] += np.multiply(part[:, i, j], s[:, j], out=product)
+                _multiply_add(r_part[:, i], [(part[:, i, j], s[:, j]) for j in range(t)], product)
         r += 0.0
     else:
         np.matmul(c, s[:, :, None], out=r[:, :, None])
@@ -600,9 +595,12 @@ def _direct_batch_tallies(t: int, power: float, N0: float,
     w_i *= math.sqrt(N0 / 2.0)
     s = 1.0 - 2.0 * bits
     amp = math.sqrt(power)
-    statistic = c_r * ((amp * c_r) * s + w_r)
-    statistic += c_i * ((amp * c_i) * s + w_i)
-    errs = (statistic >= 0.0) == (bits == 1)
+    # each half of c_r r_r + c_i r_i formed in place in its w: the same products and sums
+    for c, w in ((c_r, w_r), (c_i, w_i)):
+        w += (amp * c) * s
+        w *= c
+    w_r += w_i
+    errs = (w_r >= 0.0) == (bits == 1)
     return int(np.count_nonzero(_row_reduce(np.logical_or, errs))), int(np.count_nonzero(errs))
 
 

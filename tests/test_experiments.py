@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from relaypower import experiments, sim
+from relaypower import experiments, model, sim
 from relaypower.cli import main
 from relaypower.experiments import (
     MAX_TRIAL_ENTRIES,
@@ -634,7 +634,7 @@ class TestRelayCountCells:
     """Both (M, r) kinds run their cells one per core in row blocks; neither may change a byte."""
 
     # not a multiple of the block rows at any of these M, and over one block at M = 1
-    TRIALS = sim._BLOCK_ENTRIES + 1
+    TRIALS = model._BLOCK_ENTRIES + 1
 
     def _run(self, tmp_path, monkeypatch, kind, m_grid, cores, seed=0, out=None):
         monkeypatch.setattr(sim, "_usable_cores", lambda: cores)
@@ -645,7 +645,7 @@ class TestRelayCountCells:
     @pytest.mark.parametrize("kind", RELAY_COUNT_KINDS)
     def test_bytes_identical_for_any_core_count(self, tmp_path, monkeypatch, capsys, kind):
         m_grid = [1, 2, 3, 32]
-        assert all(self.TRIALS % (sim._BLOCK_ENTRIES // m) for m in m_grid)
+        assert all(self.TRIALS % (model._BLOCK_ENTRIES // m) for m in m_grid)
         _, one = self._run(tmp_path, monkeypatch, kind, m_grid, 1)
         # more workers than cores, switching threads as often as it can
         interval = sys.getswitchinterval()
@@ -723,13 +723,19 @@ def _whole_array_convergence(spec, seed):
 
 
 class TestConvergenceBlocks:
+    """A convergence run solves each M in row blocks, one M per core; neither may change a byte."""
+
+    def _spec(self, tmp_path, m_grid, trials, iterations=6):
+        text = (MINIMAL["convergence"].replace("m_grid: [2, 4]", f"m_grid: {m_grid}")
+                .replace("trials: 200", f"trials: {trials}").replace("iterations: 6", f"iterations: {iterations}"))
+        return load_spec(_write(tmp_path, text))
+
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_bytes_of_one_whole_array_solve(self, tmp_path, monkeypatch, offset):
         # trials one short of, equal to and one past the row block at M = 64; one block at M = 3
-        trials = experiments._CONVERGENCE_BLOCK // 64 + offset
-        text = (MINIMAL["convergence"].replace("m_grid: [2, 4]", "m_grid: [3, 64]")
-                .replace("trials: 200", f"trials: {trials}"))
-        spec = load_spec(_write(tmp_path, text))
+        block = model._BLOCK_ENTRIES // 64
+        trials = block + offset
+        spec = self._spec(tmp_path, [3, 64], trials)
         shapes = []
         real = experiments.solve_onoff_batch
         monkeypatch.setattr(experiments, "solve_onoff_batch", lambda alpha, *a, **k: shapes.append(alpha.shape)
@@ -738,9 +744,49 @@ class TestConvergenceBlocks:
         rows = csv_path.read_text().splitlines()
         assert rows[1:] == _whole_array_convergence(spec, 2)
         assert len(rows) == 1 + 2 * (spec.iterations + 1)
-        # no solve takes more than a block's rows, and each M's solves cover its trials once
-        block = experiments._CONVERGENCE_BLOCK // 64
-        assert shapes == [(trials, 3)] + [(min(block, trials - lo), 64) for lo in range(0, trials, block)]
+        # no solve takes more than a block's rows, and each M's solves cover its trials once, in order;
+        # the M run on pool threads, so only each M's own solves keep their order
+        by_m = {m: [n for n, width in shapes if width == m] for m in (3, 64)}
+        assert by_m == {3: [trials], 64: [min(block, trials - lo) for lo in range(0, trials, block)]}
+        assert len(shapes) == 1 + len(by_m[64])
+
+    def test_bytes_identical_for_any_core_count(self, tmp_path, monkeypatch, capsys):
+        # several blocks at every M, the last one short
+        spec = self._spec(tmp_path, [1, 2, 3, 64], model._BLOCK_ENTRIES // 64 * 3 + 5)
+        csvs = []
+        for cores in (1, 4):
+            monkeypatch.setattr(sim, "_usable_cores", lambda: cores)
+            # more workers than cores, switching threads as often as it can
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                [path] = [p for p in run_experiment(spec, tmp_path / f"out{cores}", seed=5) if p.suffix == ".csv"]
+            finally:
+                sys.setswitchinterval(interval)
+            csvs.append(path.read_bytes())
+        assert csvs[1] == csvs[0]
+        assert csvs[0].decode().splitlines()[1:] == _whole_array_convergence(spec, 5)
+
+    @pytest.mark.parametrize("m_grid,trials,iterations,workers", [
+        ([1, 2, 3], 100_000, 1, 41),    # (3 + 1 trajectory entry) x 100 000 per cell
+        ([2, 4], 1000, 10, 1677),       # 4 + 6 entries per trial at the largest M
+        ([64], 195_000, 10, 1),         # 64 + 22 entries: one cell takes most of the bound
+        # the trials bound at M = 2 and 100 iterations: the 46 trajectory entries per trial decide
+        # it, where the draws alone (2 entries) would let 24 such cells run at once
+        ([2], MAX_TRIAL_ENTRIES // 48, 100, 1),
+    ])
+    def test_workers_hold_at_most_the_trial_bound(self, tmp_path, monkeypatch, m_grid, trials, iterations, workers):
+        spec = self._spec(tmp_path, m_grid, trials, iterations)
+        bounds = []
+
+        def spy(fn, jobs, most):
+            # only the job list and its bound are checked: every cell's means read 1
+            bounds.append((most, [m for _, m in jobs]))
+            return [np.ones(iterations + 1)] * len(jobs)
+
+        monkeypatch.setattr(experiments, "_map_jobs", spy)
+        run_experiment(spec, tmp_path / "out")
+        assert bounds == [(workers, m_grid)]
 
 
 class TestOneDrawPerCell:

@@ -190,10 +190,10 @@ class TestChannelBuffers:
 
     @pytest.mark.parametrize("n,m", [
         (11_000, 3),  # 33 000 entries: one chunk of 10 922 rows, then 78 rows
-        (2, model._DRAW_CHUNK + 5),  # a row larger than the chunk, one row per chunk
+        (2, model._BLOCK_ENTRIES + 5),  # a row larger than the chunk, one row per chunk
         (1, 7),
-        (1, model._DRAW_CHUNK + 5),
-        (2 * model._DRAW_CHUNK, 1),  # exactly two chunks
+        (1, model._BLOCK_ENTRIES + 5),
+        (2 * model._BLOCK_ENTRIES, 1),  # exactly two chunks
     ])
     def test_chunked_draw_matches_one_full_size_draw(self, n, m):
         cfg = _cfg(M=m, gamma_h=np.geomspace(0.01, 100.0, m), gamma_g=np.full(m, 2.5))
@@ -205,12 +205,12 @@ class TestChannelBuffers:
             h, g = sample_channel_batch(cfg, n, rng, buf)
             assert h.tobytes() == ref_h.tobytes() and g.tobytes() == ref_g.tobytes()
             assert rng.bit_generator.state == ref_rng.bit_generator.state
-        assert ws["normal"].size == max(m, min(n * m, model._DRAW_CHUNK // m * m))
+        assert ws["normal"].size == max(m, min(n * m, model._BLOCK_ENTRIES // m * m))
 
     @pytest.mark.parametrize("chunk", [1, 2, 5, 9, 24, 25])
     def test_any_chunk_size_gives_the_same_bits(self, monkeypatch, chunk):
         # 8 rows of 3: chunks of whole rows, one row when the chunk is smaller
-        monkeypatch.setattr(model, "_DRAW_CHUNK", chunk)
+        monkeypatch.setattr(model, "_BLOCK_ENTRIES", chunk)
         cfg = _cfg(gamma_h=np.array([0.5, 1.0, 4.0]), gamma_g=np.array([3.0, 0.2, 1.0]))
         ref_rng = np.random.default_rng(9)
         ref_h, ref_g = _draw_by_expression(cfg, 8, ref_rng)
@@ -233,7 +233,7 @@ class TestChannelBuffers:
 def _power_draws(draw):
     """(m, n, seed): M from 1 to 1024, n at 1, around one chunk of rows, or over several."""
     m = draw(st.integers(1, 1024))
-    step = model._DRAW_CHUNK // m
+    step = model._BLOCK_ENTRIES // m
     n = draw(st.sampled_from([1, step - 1, step, step + 1, 3 * step + draw(st.integers(1, step - 1))]))
     return m, n, draw(st.integers(0, 2**32 - 1))
 

@@ -981,25 +981,52 @@ class TestEffectiveRelayCount:
         assert counts[0] >= 0.95 * 4
 
 
+class TestPowerBlocks:
+    """_power_blocks yields row slices of one whole-array power draw and its short-term caps."""
+
+    @pytest.mark.parametrize("m", [1, 3, 32, model._BLOCK_ENTRIES + 1])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 2])  # rows past a whole number of blocks, or short of one
+    @pytest.mark.parametrize("mode", ["perfect", "partial"])
+    def test_blocks_are_slices_of_the_whole_array_draw(self, m, extra, mode):
+        step = max(1, model._BLOCK_ENTRIES // m)
+        n = max(0, 2 * step + extra)
+        cfg = _cfg(m, p_s=3.0, p_r=2.0, gamma_h=np.geomspace(0.1, 10.0, m), gamma_g=np.full(m, 1.5),
+                   csit_mode=mode)
+        ref_rng = np.random.default_rng(m + extra)
+        ref_h2, ref_g2 = (a.copy() for a in model._sample_channel_powers(cfg, n, ref_rng))
+        ref_caps = _batch_caps(cfg, ref_h2, cfg.p_s, cfg.p_r)
+        ws = Workspace()
+        rng = np.random.default_rng(m + extra)
+        starts = []
+        for rows, h2, g2, caps in sim._power_blocks(cfg, n, rng, ws):
+            starts.append(rows.start)
+            assert h2.shape == g2.shape == caps.shape == ref_h2[rows].shape
+            for got, ref in ((h2, ref_h2), (g2, ref_g2), (caps, ref_caps)):
+                assert got.tobytes() == ref[rows].tobytes()
+            assert np.shares_memory(caps, ws["caps"])
+        assert starts == list(range(0, n, step))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 class TestCountWorkspace:
     """A relay-count worker reuses one workspace from cell to cell; no cell may see another's arrays."""
 
     # over one row block at M = 1, and not a multiple of the block rows at any M below
-    TRIALS = sim._BLOCK_ENTRIES + 1
+    TRIALS = model._BLOCK_ENTRIES + 1
 
     def test_reused_workspace_gives_the_counts_of_fresh_ones(self):
         labels = ("onoff", "waterfill_partial", "equal")
         ws = Workspace()
         # the workspace grows at M = 3 and 32, then serves M = 3 from its larger arrays
         for seed, m in enumerate([1, 3, 32, 3]):
-            assert self.TRIALS % (sim._BLOCK_ENTRIES // m)
+            assert self.TRIALS % (model._BLOCK_ENTRIES // m)
             cfg = _cfg(m, p_s=3.0, p_r=3.0, gamma_h=np.full(m, 4.0), gamma_g=np.full(m, 1.5), csit_mode="partial")
             rng_reused, rng_fresh = np.random.default_rng(seed), np.random.default_rng(seed)
             reused = sim._relay_counts(cfg, self.TRIALS, rng_reused, ws, labels)
             assert reused == sim._relay_counts(cfg, self.TRIALS, rng_fresh, Workspace(), labels)
             assert rng_reused.bit_generator.state == rng_fresh.bit_generator.state
 
-    @pytest.mark.parametrize("n,m", [(10_000, 32), (sim._BLOCK_ENTRIES + 1, 3)])
+    @pytest.mark.parametrize("n,m", [(10_000, 32), (model._BLOCK_ENTRIES + 1, 3)])
     def test_workspace_holds_channel_powers_not_channels(self, n, m):
         # |h|^2 and |g|^2 at 16 B per entry, plus fixed buffers: the float
         # normal chunk, its complex twin, and one row block of caps and alpha
@@ -1007,7 +1034,7 @@ class TestCountWorkspace:
         ws = Workspace()
         sim._relay_counts(cfg, n, np.random.default_rng(0), ws, ("onoff", "waterfill_partial", "equal"))
         assert not any(a.dtype == np.complex128 and a.size >= n * m for a in ws.values())
-        fixed = (8 + 16) * model._DRAW_CHUNK + 2 * 8 * sim._BLOCK_ENTRIES
+        fixed = (8 + 16) * model._BLOCK_ENTRIES + 2 * 8 * model._BLOCK_ENTRIES
         assert sum(a.nbytes for a in ws.values()) <= 16 * n * m + fixed
 
 

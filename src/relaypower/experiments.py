@@ -27,6 +27,7 @@ from .objectives import _MC_CHUNK, SADDLE_MIN_TRIALS, saddle_point_error
 from .onoff import MAX_ITERATIONS, solve_onoff_batch
 from .rng import STREAM_CHANNELS, STREAM_MISC, derive_rng, derive_seed
 from .sim import (
+    MAX_TRIAL_ENTRIES,
     MIN_FRAMES,
     Scheme,
     SimResult,
@@ -62,15 +63,6 @@ SCHEME_NAMES = {
 }
 
 MAX_STUDY_RELAYS = 1024  # largest M of the kinds that only allocate
-# trials x largest M: the channel entries of one (trials, M) draw. The
-# relay counts and the convergence run keep only |h|^2 and |g|^2, 16 bytes
-# per entry in a worker's workspace (268 MB at the bound), and solve them in
-# row blocks of model._BLOCK_ENTRIES entries; a convergence cell also holds
-# its trajectory (_convergence_entries). At M = 64, 195 000 trials and 10
-# iterations (200 MB of draws) a convergence run peaked at 901 MB solving all
-# trials at once, 268 MB in 2^18-entry blocks and 248 MB in 2^15-entry ones
-# (one fresh run each, 2-vCPU host, numpy 2.4)
-MAX_TRIAL_ENTRIES = 2**24
 
 
 class SpecError(ValueError):
@@ -535,9 +527,8 @@ def run_experiment(spec: ExperimentSpec, out_dir, *, seed: int | None = None,
 def _run_convergence(spec, outputs, seed, shards, frames):
     """Mean f0 of each on-off iterate over the optimum's, per M, from trials draws of stream (seed, mi).
 
-    Every M has its own stream, so the M cells run one per core, each worker
-    reusing one workspace; the workers' cells together hold at most
-    MAX_TRIAL_ENTRIES entries as _check_trials counts them. A cell draws
+    Every M has its own stream, so the M cells are one _map_jobs list, each
+    weighted by its entries as _check_trials counts them. A cell draws
     |h|^2 and |g|^2 once and solves them in row blocks (_power_blocks): the
     on-off kernels treat rows independently, so a block gives the bits of a
     whole-array solve. Its f0 ratios fill its rows of one (trials,
@@ -559,8 +550,8 @@ def _run_convergence(spec, outputs, seed, shards, frames):
                 ratios[rows, k] = value / optimum
         return np.mean(ratios, axis=0)
 
-    workers = max(1, MAX_TRIAL_ENTRIES // (spec.trials * _convergence_entries(max(spec.m_grid), spec.iterations)))
-    cells = _map_jobs(means, list(enumerate(spec.m_grid)), workers)
+    cells = _map_jobs(means, list(enumerate(spec.m_grid)),
+                      [spec.trials * _convergence_entries(m, spec.iterations) for m in spec.m_grid])
     rows = [f"{m},{k},{_fmt(value)}" for m, cell in zip(spec.m_grid, cells) for k, value in enumerate(cell)]
     return [outputs.write(f"{spec.name}.csv", "M,iteration,mean_normalized_objective", rows)]
 
@@ -614,12 +605,9 @@ def _cell_counts(spec, stream, wanted) -> list:
     """(m, r, wanted relay counts) of each (M, r) cell in grid order, cell (mi, ri) drawn from stream(mi, ri).
 
     The network power is split evenly over the source and the m relays.
-    Every cell has its own stream, so cells run one per core, each worker
-    reusing one workspace from cell to cell; the workers' channel draws
-    together hold at most MAX_TRIAL_ENTRIES entries, each as |h|^2 and |g|^2
-    (16 B). With 32 000-entry row blocks two workers overlap: asym_m32 took
-    0.72-0.79 s pooled against 1.22-1.26 s with one worker, in fresh
-    processes on a 2-vCPU host.
+    Every cell has its own stream, so the cells are one _map_jobs list, each
+    weighted by its trials x m channel entries: asym_m32 took 0.72-0.79 s
+    pooled against 1.22-1.26 s on one worker (fresh processes, 2-vCPU host).
     """
     def counts(cell, ws):
         mi, m, ri, r = cell
@@ -628,7 +616,7 @@ def _cell_counts(spec, stream, wanted) -> list:
         return m, r, _relay_counts(cfg, spec.trials, stream(mi, ri), ws, wanted)
 
     cells = [(mi, m, ri, r) for mi, m in enumerate(spec.m_grid) for ri, r in enumerate(spec.r_grid)]
-    return _map_jobs(counts, cells, max(1, MAX_TRIAL_ENTRIES // (spec.trials * max(spec.m_grid))))
+    return _map_jobs(counts, cells, [spec.trials * m for _, m, _, _ in cells])
 
 
 def _run_power_ratio(spec, outputs, seed, shards, frames):
@@ -660,9 +648,8 @@ def _run_saddle(spec, outputs, seed, shards, frames):
 
     Instance j of M index mi draws its channel h from stream (seed, mi, j)
     and its Monte Carlo kernels from its own seed, so the (M, instance)
-    pairs run as one job list, one per core. Each job draws its kernels in
-    chunks of at most _MC_CHUNK trials, and the workers' chunks together
-    hold at most MAX_TRIAL_ENTRIES channel entries.
+    pairs are one _map_jobs list. Each job draws its kernels in chunks of at
+    most _MC_CHUNK trials, and is weighted by one chunk's channel entries.
     """
     header = "M,instances,trials,mean_mc_estimate,mean_bound,mean_rel_error,stderr"
     cfgs = [_scheme_config(spec, "onoff", m, *spec.gammas_for(m), spec.p_s, spec.p_r)[0] for m in spec.m_grid]
@@ -675,7 +662,7 @@ def _run_saddle(spec, outputs, seed, shards, frames):
         return saddle_point_error(h, cfg.gamma_g, caps, spec.eta, spec.trials, derive_seed(seed, STREAM_MISC, mi, j))
 
     jobs = [(mi, j) for mi in range(len(spec.m_grid)) for j in range(spec.instances)]
-    comps = _map_jobs(compare, jobs, max(1, MAX_TRIAL_ENTRIES // (min(spec.trials, _MC_CHUNK) * max(spec.m_grid))))
+    comps = _map_jobs(compare, jobs, [min(spec.trials, _MC_CHUNK) * spec.m_grid[mi] for mi, _ in jobs])
     rows = []
     for mi, m in enumerate(spec.m_grid):
         cell = comps[mi * spec.instances:(mi + 1) * spec.instances]

@@ -33,7 +33,8 @@ do not depend on the grouping. _map_jobs runs the jobs one per usable
 core at every T and holds BLAS at one thread while they run. A job's
 products are small: on a 2-vCPU host a T = 3 transmit of 4096 frames took
 15 ms on two OpenBLAS threads against 0.5-0.8 ms on one, and an idle BLAS
-thread spins beside the other worker.
+thread spins beside the other worker. _map_jobs alone bounds a pool's
+memory: jobs start in list order, each within MAX_TRIAL_ENTRIES or alone.
 """
 
 from __future__ import annotations
@@ -144,6 +145,11 @@ def effective_code_matrix(code: LdCodebook, f: np.ndarray, q: np.ndarray, p_s: f
     return math.sqrt(p_s) * np.einsum("m,mtj->tj", q * np.asarray(f), code.matrices)
 
 
+def _check_sizes(code: LdCodebook, chan: ChannelRealization, allocation: PowerAllocation) -> None:
+    if chan.M != code.M or allocation.M != code.M:
+        raise ValueError(f"channel and allocation sizes {chan.M} and {allocation.M} must match the codebook's {code.M}")
+
+
 def transmit_frame(
     code: LdCodebook,
     chan: ChannelRealization,
@@ -160,9 +166,8 @@ def transmit_frame(
     N0 = 0 reproduces the noiseless receive exactly and draws nothing.
     """
     t, m = code.T, code.M
-    if chan.M != m or allocation.M != m:
-        raise ValueError("channel and allocation sizes must match the codebook")
-    if not 0 <= index < code.n_codewords:
+    _check_sizes(code, chan, allocation)
+    if _count(index, "index") >= code.n_codewords:
         raise ValueError(f"codeword index out of range [0, {code.n_codewords})")
     p_s = _finite_scalar(p_s, "p_s")
     N0 = _finite_scalar(N0, "N0", allow_zero=True)
@@ -182,6 +187,7 @@ def ml_decode(
     r: np.ndarray,
 ) -> int:
     """Exhaustive ML codeword index; distance ties go to the smallest index."""
+    _check_sizes(code, chan, allocation)
     p_s = _finite_scalar(p_s, "p_s")
     r = _finite_array(r, "r", np.complex128)
     if r.shape != (code.T,):
@@ -685,7 +691,7 @@ def _run_schemes(runs: list[tuple[NetworkConfig, Scheme]], snr_grid_db, frames: 
         return [_direct_batch_tallies(cfg.M, net_power, cfg.N0, batches())
                 if scheme is Scheme.DIRECT_LINK else next(scored) for _, scheme in runs]
 
-    results = _map_jobs(tallies, jobs, len(jobs))
+    results = _map_jobs(tallies, jobs)
     # errors[run, point, block or bit]
     errors = np.zeros((len(runs), grid.shape[0], 2), dtype=np.int64)
     for (pi, _), scored in zip(jobs, results):
@@ -710,33 +716,58 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _map_jobs(fn, jobs: list, max_workers: int) -> list:
-    """[fn(job, ws) for job in jobs] on one thread per usable core, at most max_workers, BLAS on one thread.
+# Channel entries the running jobs of one _map_jobs call may hold together.
+# The relay counts and the convergence run keep |h|^2 and |g|^2, 16 bytes per
+# entry in a worker's workspace (268 MB at the bound), and solve them in row
+# blocks of model._BLOCK_ENTRIES entries; a convergence cell also holds its
+# trajectory (experiments._convergence_entries). At M = 64, 195 000 trials
+# and 10 iterations (200 MB of draws) a convergence run peaked at 901 MB
+# solving all trials at once, 268 MB in 2^18-entry blocks and 248 MB in
+# 2^15-entry ones (one fresh run each, 2-vCPU host, numpy 2.4)
+MAX_TRIAL_ENTRIES = 2**24
 
-    Each thread makes one Workspace ws and hands it to every job it runs.
-    Results keep the order of jobs. With one worker the jobs run in the
-    calling thread. However many workers run, BLAS is held at one thread
-    until the last job ends (_one_blas_thread), so a job's products run on
-    the thread that calls them. A failing job's error is raised once the
-    jobs not yet started are cancelled and the running ones have finished.
+
+def _map_jobs(fn, jobs: list, weights: list | None = None) -> list:
+    """[fn(job, ws) for job in jobs] on one thread per usable core, at most one per job, BLAS on one thread.
+
+    weights[k] counts the channel entries job k holds (none without weights).
+    Jobs start in list order, each once its weight fits MAX_TRIAL_ENTRIES
+    beside the running jobs', or once they hold none: a job over the budget
+    runs without the others. Each thread makes one Workspace ws and hands it
+    to every job it runs. Results keep the order of jobs; with one worker the
+    jobs run in the calling thread. BLAS is held at one thread until the last
+    job ends (_one_blas_thread), so a job's products run on the thread that
+    calls them. A failing job's error is raised once the jobs no thread has
+    picked up are cancelled and the others have finished.
     """
     local = threading.local()
+    weights = [0] * len(jobs) if weights is None else weights
+    admit = threading.Condition()
+    turn = held = 0  # the next job to start; the running jobs' weights
 
-    def run(job):
-        if not hasattr(local, "ws"):
-            local.ws = Workspace()
-        return fn(job, local.ws)
+    def run(k):
+        nonlocal turn, held
+        with admit:
+            admit.wait_for(lambda: turn == k and (not held or held + weights[k] <= MAX_TRIAL_ENTRIES))
+            turn, held = turn + 1, held + weights[k]
+            admit.notify_all()
+        try:
+            return fn(jobs[k], vars(local).setdefault("ws", Workspace()))
+        finally:
+            with admit:
+                held -= weights[k]
+                admit.notify_all()
 
-    workers = min(_usable_cores(), len(jobs), max_workers)
+    workers = min(_usable_cores(), len(jobs))
     with _one_blas_thread():
         if workers <= 1:
-            return [run(job) for job in jobs]
+            return [run(k) for k in range(len(jobs))]
         # imported here, not at the top: 7 ms that every run without a pool would pay
         from concurrent.futures import ThreadPoolExecutor
 
         pool = ThreadPoolExecutor(workers)
         try:
-            return list(pool.map(run, jobs))
+            return list(pool.map(run, range(len(jobs))))
         finally:
             pool.shutdown(cancel_futures=True)
 

@@ -1,15 +1,17 @@
-"""Reference checks for the allocators, called by the tests only.
+"""Reference checks for the allocators and the job pool, called by the tests only.
 
 Each computes its answer independently of the kernel it checks:
 exhaustive vertex enumeration and the gradient-sign certificate for the
-on-off solver, and J(mu), dJ/d(ln mu) and a dense water-level grid for
-waterfilling. Test modules import them with `from oracles import ...`:
+on-off solver, J(mu), dJ/d(ln mu) and a dense water-level grid for
+waterfilling, and a record of the jobs that ran together for the pool's
+admission rule. Test modules import them with `from oracles import ...`:
 pytest puts tests/ on the path and does not collect this file.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -170,3 +172,45 @@ def grid_search_oracle(obj, caps, grid_points: int = 100_000) -> tuple[float, fl
         picks.append((lo + k, j_vals[k]))
     best, j_best = picks[int(np.argmax([j for _, j in picks]))]
     return float(grid[best]), float(j_best)
+
+
+class JobSpy:
+    """Stands in for sim._map_jobs: records each call and the jobs that ran beside each job.
+
+    Each call appends (jobs, weights) to calls and, to starts, a list of
+    (k, the indices of the jobs inside their function as job k entered it,
+    k included) in the order the jobs entered. The jobs run through the
+    wrapped _map_jobs, on stub(job, ws) in place of their function if a
+    stub is given.
+    """
+
+    def __init__(self, map_jobs, stub=None):
+        self.map_jobs, self.stub = map_jobs, stub
+        self.calls, self.starts = [], []
+
+    def __call__(self, fn, jobs, weights=None):
+        fn = self.stub or fn
+        lock, running, starts = threading.Lock(), set(), []
+        self.calls.append((list(jobs), weights))
+        self.starts.append(starts)
+
+        def run(indexed, ws):
+            k, job = indexed
+            with lock:
+                running.add(k)
+                starts.append((k, frozenset(running)))
+            try:
+                return fn(job, ws)
+            finally:
+                with lock:
+                    running.remove(k)
+
+        return self.map_jobs(run, list(enumerate(jobs)), weights)
+
+    def check(self, budget):
+        """Every job ran once, beside jobs whose weights fit the budget with its own, or that hold nothing."""
+        for (jobs, weights), starts in zip(self.calls, self.starts):
+            assert sorted(k for k, _ in starts) == list(range(len(jobs)))
+            for k, running in starts:
+                held = sum(weights[i] for i in running)
+                assert held <= budget or held == weights[k], (k, sorted(running))

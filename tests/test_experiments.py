@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 import yaml
+from oracles import JobSpy
 
 from relaypower import experiments, model, sim
 from relaypower.cli import main
@@ -646,16 +647,22 @@ class TestRelayCountCells:
     def test_bytes_identical_for_any_core_count(self, tmp_path, monkeypatch, capsys, kind):
         m_grid = [1, 2, 3, 32]
         assert all(self.TRIALS % (model._BLOCK_ENTRIES // m) for m in m_grid)
-        _, one = self._run(tmp_path, monkeypatch, kind, m_grid, 1)
-        # more workers than cores, switching threads as often as it can
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            _, four = self._run(tmp_path, monkeypatch, kind, m_grid, 4)
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(one) == (1 if kind == "asymptotic_study" else 4)
-        assert one == four
+        # an M = 32 cell fits beside the cells of M <= 3, but not beside another M = 32 cell
+        monkeypatch.setattr(sim, "MAX_TRIAL_ENTRIES", self.TRIALS * 40)
+        csvs = []
+        for cores in (1, 2, 4):
+            spy = JobSpy(sim._map_jobs)
+            monkeypatch.setattr(experiments, "_map_jobs", spy)
+            # more workers than cores, switching threads as often as it can
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                csvs.append(self._run(tmp_path, monkeypatch, kind, m_grid, cores)[1])
+            finally:
+                sys.setswitchinterval(interval)
+            spy.check(sim.MAX_TRIAL_ENTRIES)
+        assert len(csvs[0]) == (1 if kind == "asymptotic_study" else 4)
+        assert csvs[1] == csvs[0] and csvs[2] == csvs[0]
 
     def test_rows_match_one_full_batch_pass(self, tmp_path, monkeypatch, capsys):
         spec, csvs = self._run(tmp_path, monkeypatch, "asymptotic_study", [2, 8, 32], 2, seed=3)
@@ -670,16 +677,29 @@ class TestRelayCountCells:
         assert csvs == _power_ratio_csvs(spec, 3)
 
     @pytest.mark.parametrize("kind", RELAY_COUNT_KINDS)
-    @pytest.mark.parametrize("cores,budget,workers", [(1, 10, 1), (64, 10, 8), (64, 3, 3), (64, 1, 1), (2, 10, 2)])
+    @pytest.mark.parametrize("cores,budget,workers", [
+        (1, 10, 1), (64, 10, 8), (64, 3, 8), (64, 1, 8), (2, 10, 2),
+        (64, 0.5, 8),  # an M = 32 cell alone is over the budget
+    ])
     def test_pool_size(self, tmp_path, monkeypatch, capsys, kind, cores, budget, workers):
-        # one worker per core, at most one per cell, and draw buffers within
-        # budget x one cell's; a single worker runs the cells without a pool
+        # one worker per core, at most one per cell; each cell weighs its
+        # trials x M draws, and the cells running together hold at most
+        # budget M = 32 cells' worth, or one cell alone; a single worker runs
+        # the cells without a pool, in grid order
         sizes = []
         real_pool = concurrent.futures.ThreadPoolExecutor
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", lambda n: sizes.append(n) or real_pool(n))
-        monkeypatch.setattr(experiments, "MAX_TRIAL_ENTRIES", budget * self.TRIALS * 32)
+        monkeypatch.setattr(sim, "MAX_TRIAL_ENTRIES", int(budget * self.TRIALS * 32))
+        spy = JobSpy(sim._map_jobs)
+        monkeypatch.setattr(experiments, "_map_jobs", spy)
         self._run(tmp_path, monkeypatch, kind, [1, 2, 3, 32], cores)
         assert sizes == ([workers] if workers > 1 else [])
+        [(cells, weights)] = spy.calls
+        assert [(m, r) for _, m, _, r in cells] == [(m, r) for m in [1, 2, 3, 32] for r in [0.1, 0.6]]
+        assert weights == [self.TRIALS * m for _, m, _, _ in cells]
+        spy.check(sim.MAX_TRIAL_ENTRIES)
+        if workers == 1:
+            assert [k for k, _ in spy.starts[0]] == list(range(8))
 
     @pytest.mark.parametrize("kind", RELAY_COUNT_KINDS)
     @pytest.mark.parametrize("out,before", [("out4", []), ("given", ["given"]), ("kept/new/deeper", ["kept"])])
@@ -753,9 +773,13 @@ class TestConvergenceBlocks:
     def test_bytes_identical_for_any_core_count(self, tmp_path, monkeypatch, capsys):
         # several blocks at every M, the last one short
         spec = self._spec(tmp_path, [1, 2, 3, 64], model._BLOCK_ENTRIES // 64 * 3 + 5)
+        # the M = 64 cell (64 + 14 entries per trial at 6 iterations) fits beside the M = 1 cell only
+        monkeypatch.setattr(sim, "MAX_TRIAL_ENTRIES", spec.trials * 82)
         csvs = []
-        for cores in (1, 4):
+        for cores in (1, 2, 4):
             monkeypatch.setattr(sim, "_usable_cores", lambda: cores)
+            spy = JobSpy(sim._map_jobs)
+            monkeypatch.setattr(experiments, "_map_jobs", spy)
             # more workers than cores, switching threads as often as it can
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
@@ -763,30 +787,31 @@ class TestConvergenceBlocks:
                 [path] = [p for p in run_experiment(spec, tmp_path / f"out{cores}", seed=5) if p.suffix == ".csv"]
             finally:
                 sys.setswitchinterval(interval)
+            spy.check(sim.MAX_TRIAL_ENTRIES)
             csvs.append(path.read_bytes())
-        assert csvs[1] == csvs[0]
+        assert spy.calls[0][1] == [spec.trials * e for e in (4, 6, 7, 78)]
+        assert csvs[1] == csvs[0] and csvs[2] == csvs[0]
         assert csvs[0].decode().splitlines()[1:] == _whole_array_convergence(spec, 5)
 
-    @pytest.mark.parametrize("m_grid,trials,iterations,workers", [
-        ([1, 2, 3], 100_000, 1, 41),    # (3 + 1 trajectory entry) x 100 000 per cell
-        ([2, 4], 1000, 10, 1677),       # 4 + 6 entries per trial at the largest M
-        ([64], 195_000, 10, 1),         # 64 + 22 entries: one cell takes most of the bound
-        # the trials bound at M = 2 and 100 iterations: the 46 trajectory entries per trial decide
-        # it, where the draws alone (2 entries) would let 24 such cells run at once
-        ([2], MAX_TRIAL_ENTRIES // 48, 100, 1),
+    @pytest.mark.parametrize("m_grid,trials,iterations,entries", [
+        ([1, 2, 3], 100_000, 1, [2, 3, 4]),  # M + 1 trajectory entry per trial
+        ([2, 4], 1000, 10, [7, 10]),         # 2 + 5 and 4 + 6 entries per trial
+        ([64], 195_000, 10, [86]),           # 64 + 22 entries: one cell takes most of the bound
+        # the trials bound at M = 2 and 100 iterations: the 46 trajectory entries per trial weigh
+        # the cell at the bound, where the draws alone (2 entries) would let 24 such cells run at once
+        ([2], MAX_TRIAL_ENTRIES // 48, 100, [48]),
     ])
-    def test_workers_hold_at_most_the_trial_bound(self, tmp_path, monkeypatch, m_grid, trials, iterations, workers):
+    def test_workers_hold_at_most_the_trial_bound(self, tmp_path, monkeypatch, m_grid, trials, iterations, entries):
         spec = self._spec(tmp_path, m_grid, trials, iterations)
-        bounds = []
-
-        def spy(fn, jobs, most):
-            # only the job list and its bound are checked: every cell's means read 1
-            bounds.append((most, [m for _, m in jobs]))
-            return [np.ones(iterations + 1)] * len(jobs)
-
+        # only the job list, its weights and its admission are checked: every cell's means read 1
+        spy = JobSpy(sim._map_jobs, stub=lambda cell, ws: np.ones(iterations + 1))
         monkeypatch.setattr(experiments, "_map_jobs", spy)
         run_experiment(spec, tmp_path / "out")
-        assert bounds == [(workers, m_grid)]
+        [(cells, weights)] = spy.calls
+        assert [m for _, m in cells] == m_grid
+        assert weights == [trials * e for e in entries]
+        assert max(weights) <= MAX_TRIAL_ENTRIES
+        spy.check(MAX_TRIAL_ENTRIES)
 
 
 class TestOneDrawPerCell:
@@ -876,39 +901,41 @@ def _one_at_a_time_saddle(spec, seed):
 class TestSaddleJobs:
     """A saddle study's (M, instance) pairs are one job list; the worker count may not change a byte."""
 
-    def test_bytes_of_one_instance_at_a_time_at_one_and_two_workers(self, tmp_path, monkeypatch, capsys):
+    def test_bytes_of_one_instance_at_a_time_at_any_core_count(self, tmp_path, monkeypatch, capsys):
         text = (MINIMAL["saddle_study"].replace("m_grid: [2]", "m_grid: [1, 2, 3]")
                 .replace("instances: 2", "instances: 3"))
         spec = load_spec(_write(tmp_path, text))
-        job_lists = []
-        real = experiments._map_jobs
-        monkeypatch.setattr(experiments, "_map_jobs",
-                            lambda fn, jobs, most: job_lists.append(list(jobs)) or real(fn, jobs, most))
+        # instances of 10 000, 20 000 and 30 000 entries at M = 1, 2 and 3: at most one M = 3 at a time
+        monkeypatch.setattr(sim, "MAX_TRIAL_ENTRIES", 30_000)
+        spy = JobSpy(sim._map_jobs)
+        monkeypatch.setattr(experiments, "_map_jobs", spy)
         csvs = []
-        for cores in (1, 2):
+        for cores in (1, 2, 4):
             monkeypatch.setattr(sim, "_usable_cores", lambda: cores)
             [path] = [p for p in run_experiment(spec, tmp_path / f"out{cores}", seed=3) if p.suffix == ".csv"]
             csvs.append(path.read_bytes())
-        assert csvs[1] == csvs[0]
+        assert csvs[1] == csvs[0] and csvs[2] == csvs[0]
         assert csvs[0].decode().splitlines()[1:] == _one_at_a_time_saddle(spec, 3)
-        assert job_lists == [[(mi, j) for mi in range(3) for j in range(3)]] * 2
+        assert [jobs for jobs, _ in spy.calls] == [[(mi, j) for mi in range(3) for j in range(3)]] * 3
+        spy.check(sim.MAX_TRIAL_ENTRIES)
 
-    @pytest.mark.parametrize("m_grid,trials,workers", [
-        ([1, 2, 3], 10_000, MAX_TRIAL_ENTRIES // 30_000),
-        ([2, 1024], 10_000, 1),    # one (10 000, 1024) chunk takes most of the bound
-        ([64], 1_000_000, 26),     # chunks of 10 000 trials, not all the trials at once
+    @pytest.mark.parametrize("m_grid,trials,chunk_entries", [
+        ([1, 2, 3], 10_000, [10_000, 20_000, 30_000]),
+        ([2, 1024], 10_000, [20_000, 10_240_000]),  # one (10 000, 1024) chunk takes most of the bound
+        ([64], 1_000_000, [640_000]),               # chunks of 10 000 trials, not all the trials at once
     ])
-    def test_workers_hold_at_most_the_trial_bound(self, tmp_path, monkeypatch, m_grid, trials, workers):
+    def test_workers_hold_at_most_the_trial_bound(self, tmp_path, monkeypatch, m_grid, trials, chunk_entries):
         text = (MINIMAL["saddle_study"].replace("m_grid: [2]", f"m_grid: {m_grid}")
                 .replace("trials: 10000", f"trials: {trials}"))
         spec = load_spec(_write(tmp_path, text))
-        bounds = []
-        real = experiments._map_jobs
-        monkeypatch.setattr(experiments, "_map_jobs", lambda fn, jobs, most: bounds.append(most) or real(fn, jobs, most))
-        # only the bound is checked: each comparison is a constant
+        spy = JobSpy(sim._map_jobs)
+        monkeypatch.setattr(experiments, "_map_jobs", spy)
+        # only the weights and the admission are checked: each comparison is a constant
         monkeypatch.setattr(experiments, "saddle_point_error", lambda *args: SaddleComparison(1.0, 0.0, 1.0, 0.0))
         run_experiment(spec, tmp_path / "out")
-        assert bounds == [workers]
+        [(_, weights)] = spy.calls
+        assert weights == [e for e in chunk_entries for _ in range(spec.instances)]
+        spy.check(MAX_TRIAL_ENTRIES)
 
 
 class TestPlotScript:

@@ -5,11 +5,14 @@ import dataclasses
 import functools
 import math
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import JobSpy
 
 from relaypower import model, sim
 from relaypower.codebook import codeword_signs, generate_codebook
@@ -96,21 +99,34 @@ class TestPhysicalChain:
         assert abs(cov[0, 1]) / sigma2 < 0.03
         assert np.max(np.abs(pseudo)) / sigma2 < 0.03
 
-    def test_codeword_index_validated(self):
+    @pytest.mark.parametrize("index,message", [
+        (4, r"codeword index out of range \[0, 4\)"),
+        (-1, "index must be an integer >= 0, got -1"),
+        # True passes 0 <= index < 4 and 1.0 is no array index: each is rejected by name
+        (True, "index must be an integer >= 0, got True"),
+        (1.0, "index must be an integer >= 0, got 1.0"),
+    ])
+    def test_codeword_index_validated(self, index, message):
         code = generate_codebook(2, seed=0)
         cfg = _cfg()
         chan = sample_channels(cfg, 1)
         caps = amplifier_caps(cfg, chan.h)
         alloc = PowerAllocation(p=caps, caps=caps)
-        with pytest.raises(ValueError, match="index"):
-            transmit_frame(code, chan, alloc, cfg.p_s, cfg.N0, 4, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=message):
+            transmit_frame(code, chan, alloc, cfg.p_s, cfg.N0, index, np.random.default_rng(0))
 
-    def test_size_mismatch_rejected(self):
+    @pytest.mark.parametrize("decode", [False, True])
+    @pytest.mark.parametrize("chan_m,alloc_m", [(2, 2), (2, 3), (3, 2)])
+    def test_size_mismatch_rejected(self, decode, chan_m, alloc_m):
         code = generate_codebook(3, seed=0)
-        chan = ChannelRealization(h=np.ones(2, dtype=complex), g=np.ones(2, dtype=complex))
-        alloc = PowerAllocation(p=np.ones(2), caps=np.ones(2))
-        with pytest.raises(ValueError, match="match"):
-            transmit_frame(code, chan, alloc, 1.0, 1.0, 0, np.random.default_rng(0))
+        chan = ChannelRealization(h=np.ones(chan_m, dtype=complex), g=np.ones(chan_m, dtype=complex))
+        alloc = PowerAllocation(p=np.ones(alloc_m), caps=np.ones(alloc_m))
+        message = f"channel and allocation sizes {chan_m} and {alloc_m} must match the codebook's 3"
+        with pytest.raises(ValueError, match=message):
+            if decode:
+                ml_decode(code, chan, alloc, 1.0, np.ones(3, dtype=complex))
+            else:
+                transmit_frame(code, chan, alloc, 1.0, 1.0, 0, np.random.default_rng(0))
 
     def _frame(self):
         code = generate_codebook(3, seed=0)
@@ -705,7 +721,7 @@ class TestBlasPin:
     @pytest.mark.parametrize("cores", [1, 4])
     def test_jobs_run_on_one_blas_thread(self, blas, monkeypatch, cores):
         monkeypatch.setattr(sim, "_usable_cores", lambda: cores)
-        assert sim._map_jobs(lambda job, ws: blas[-1], list(range(8)), 8) == [1] * 8
+        assert sim._map_jobs(lambda job, ws: blas[-1], list(range(8))) == [1] * 8
         assert blas == [3, 1, 3]
 
     @pytest.mark.parametrize("cores", [1, 4])
@@ -718,7 +734,7 @@ class TestBlasPin:
             return job
 
         with pytest.raises(ValueError, match="job 5 failed"):
-            sim._map_jobs(fn, list(range(8)), 8)
+            sim._map_jobs(fn, list(range(8)))
         assert blas == [3, 1, 3]
 
     def test_overlapping_calls_share_one_hold(self, blas, monkeypatch):
@@ -729,7 +745,7 @@ class TestBlasPin:
         sys.setswitchinterval(1e-6)
         try:
             with concurrent.futures.ThreadPoolExecutor(8) as callers:
-                futures = [callers.submit(sim._map_jobs, lambda job, ws: blas[-1], list(range(50)), 50)
+                futures = [callers.submit(sim._map_jobs, lambda job, ws: blas[-1], list(range(50)))
                            for _ in range(8)]
                 seen = [future.result(timeout=60) for future in futures]
         finally:
@@ -761,6 +777,120 @@ class TestBlasPin:
             set_(count)
         assert all(block[0] > 0 for block, _ in pinned)
         assert threaded == pinned
+
+
+def _in_thread(fn, timeout=30.0):
+    """fn()'s result or error, from a daemon thread given timeout seconds to end, so a hang fails the test."""
+    out = {}
+
+    def call():
+        try:
+            out["result"] = fn()
+        except Exception as exc:  # raised again in the test's thread
+            out["error"] = exc
+
+    thread = threading.Thread(target=call, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "_map_jobs did not return"
+    if "error" in out:
+        raise out["error"]
+    return out["result"]
+
+
+class TestAdmission:
+    """_map_jobs starts jobs in list order, each once its weight fits the budget beside the running ones, or alone."""
+
+    @pytest.fixture(autouse=True)
+    def budget(self, monkeypatch):
+        monkeypatch.setattr(sim, "MAX_TRIAL_ENTRIES", 10)
+        monkeypatch.setattr(sim, "_usable_cores", lambda: 4)
+
+    def _map(self, weights, fn=lambda job, ws: job):
+        spy = JobSpy(sim._map_jobs)
+        results = _in_thread(lambda: spy(fn, list(range(len(weights))), weights))
+        spy.check(10)
+        return results, spy.starts[0]
+
+    def test_jobs_that_fit_run_together(self):
+        # each waits for the other: this ends only if both run at once
+        together = threading.Barrier(2, timeout=10)
+        assert self._map([5, 5], lambda job, ws: (together.wait(), job)[1])[0] == [0, 1]
+
+    def test_jobs_that_do_not_fit_take_turns(self):
+        def fn(job, ws):
+            time.sleep(0.05)  # room for job 1 to start if it were let in
+            return job
+
+        _, starts = self._map([6, 6], fn)
+        assert [running for _, running in starts] == [{0}, {1}]
+
+    def test_jobs_start_in_list_order(self):
+        # job 2 fits beside job 0, but waits behind job 1, which does not
+        overtaken = threading.Event()
+
+        def fn(job, ws):
+            if job == 0:
+                overtaken.wait(0.2)
+            else:
+                overtaken.set()
+            return job
+
+        _, starts = self._map([6, 6, 1, 1], fn)
+        assert starts[0] == (0, {0})
+        assert all(0 not in running for k, running in starts[1:])
+
+    @pytest.mark.parametrize("weights", [[3, 20, 3], [20], [20, 20], [0, 11, 0, 11]])
+    def test_a_job_over_the_budget_runs_alone(self, weights):
+        def fn(job, ws):
+            time.sleep(0.02)
+            return job
+
+        results, starts = self._map(weights, fn)
+        assert results == list(range(len(weights)))
+        # beside jobs that hold nothing at most
+        assert all(sum(weights[i] for i in running) == weights[k] for k, running in starts if weights[k] > 10)
+
+    def test_a_failing_job_raises_while_another_waits(self):
+        # jobs 1 and 2 wait for admission while job 0 fails; the error reaches the caller and nothing hangs
+        ran = []
+
+        def fn(job, ws):
+            ran.append(job)
+            if job == 0:
+                time.sleep(0.05)
+                raise ValueError("job 0 failed")
+            return job
+
+        with pytest.raises(ValueError, match="job 0 failed"):
+            self._map([6, 6, 6], fn)
+        assert ran[0] == 0
+
+    def test_results_keep_job_order(self):
+        # later jobs end first
+        def fn(job, ws):
+            time.sleep(0.01 * (8 - job))
+            return job * job
+
+        assert self._map([2] * 8, fn)[0] == [k * k for k in range(8)]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_weights_under_contention(self, seed):
+        # more workers than cores, switching threads as often as it can
+        weights = np.random.default_rng(seed).integers(0, 13, size=40).tolist()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results, _ = self._map(weights, lambda job, ws: sum(range(200)) + job)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [sum(range(200)) + k for k in range(40)]
+
+    def test_one_core_runs_the_jobs_in_order_in_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(sim, "_usable_cores", lambda: 1)
+        spy = JobSpy(sim._map_jobs)
+        assert spy(lambda job, ws: threading.get_ident(), [0, 1, 2], [20, 6, 6]) == [threading.get_ident()] * 3
+        assert spy.starts == [[(0, {0}), (1, {1}), (2, {2})]]
 
 
 class TestSchemeLabel:
@@ -900,9 +1030,10 @@ class TestShardInvariance:
         seen = []
         real = sim._map_jobs
 
-        def spy(fn, jobs, max_workers):
+        def spy(fn, jobs, weights=None):
+            assert weights is None  # Monte Carlo jobs share the cores without an entry budget
             seen.append(jobs)
-            return real(fn, jobs, max_workers)
+            return real(fn, jobs)
 
         monkeypatch.setattr(sim, "_map_jobs", spy)
         path = tmp_path / "scenario.yaml"

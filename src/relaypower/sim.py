@@ -718,7 +718,7 @@ def _usable_cores() -> int:
 
 # Channel entries the running jobs of one _map_jobs call may hold together.
 # The relay counts and the convergence run keep |h|^2 and |g|^2, 16 bytes per
-# entry in a worker's workspace (268 MB at the bound), and solve them in row
+# entry in the job's own workspace (268 MB at the bound), and solve them in row
 # blocks of model._BLOCK_ENTRIES entries; a convergence cell also holds its
 # trajectory (experiments._convergence_entries). At M = 64, 195 000 trials
 # and 10 iterations (200 MB of draws) a convergence run peaked at 901 MB
@@ -730,29 +730,31 @@ MAX_TRIAL_ENTRIES = 2**24
 def _map_jobs(fn, jobs: list, weights: list | None = None) -> list:
     """[fn(job, ws) for job in jobs] on one thread per usable core, at most one per job, BLAS on one thread.
 
-    weights[k] counts the channel entries job k holds (none without weights).
-    Jobs start in list order, each once its weight fits MAX_TRIAL_ENTRIES
-    beside the running jobs', or once they hold none: a job over the budget
-    runs without the others. Each thread makes one Workspace ws and hands it
-    to every job it runs. Results keep the order of jobs; with one worker the
+    weights[k] counts the channel entries job k holds. Weighted jobs start in
+    list order, each once its weight fits MAX_TRIAL_ENTRIES beside the running
+    jobs', or once they hold none: a job over the budget runs without the
+    others. Each gets a Workspace ws of its own, freed when it ends, so no
+    draws outlive their admission. Without weights each thread hands one ws to
+    every job it runs. Results keep the order of jobs; with one worker the
     jobs run in the calling thread. BLAS is held at one thread until the last
     job ends (_one_blas_thread), so a job's products run on the thread that
     calls them. A failing job's error is raised once the jobs no thread has
     picked up are cancelled and the others have finished.
     """
     local = threading.local()
-    weights = [0] * len(jobs) if weights is None else weights
     admit = threading.Condition()
     turn = held = 0  # the next job to start; the running jobs' weights
 
     def run(k):
         nonlocal turn, held
+        if weights is None:
+            return fn(jobs[k], vars(local).setdefault("ws", Workspace()))
         with admit:
             admit.wait_for(lambda: turn == k and (not held or held + weights[k] <= MAX_TRIAL_ENTRIES))
             turn, held = turn + 1, held + weights[k]
             admit.notify_all()
         try:
-            return fn(jobs[k], vars(local).setdefault("ws", Workspace()))
+            return fn(jobs[k], Workspace())
         finally:
             with admit:
                 held -= weights[k]

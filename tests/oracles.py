@@ -13,10 +13,11 @@ from __future__ import annotations
 import math
 import threading
 import warnings
+import weakref
 
 import numpy as np
 
-from relaypower.model import PowerAllocation, _positive_vector
+from relaypower.model import PowerAllocation, Workspace, _positive_vector
 from relaypower.objectives import PerfectCsitObjective, f0_gradient
 
 
@@ -181,12 +182,13 @@ class JobSpy:
     (k, the indices of the jobs inside their function as job k entered it,
     k included) in the order the jobs entered. The jobs run through the
     wrapped _map_jobs, on stub(job, ws) in place of their function if a
-    stub is given.
+    stub is given. With a probe, probed gets probe() at each job's start and
+    end, taken while no other job enters or leaves.
     """
 
-    def __init__(self, map_jobs, stub=None):
-        self.map_jobs, self.stub = map_jobs, stub
-        self.calls, self.starts = [], []
+    def __init__(self, map_jobs, stub=None, probe=None):
+        self.map_jobs, self.stub, self.probe = map_jobs, stub, probe
+        self.calls, self.starts, self.probed = [], [], []
 
     def __call__(self, fn, jobs, weights=None):
         fn = self.stub or fn
@@ -199,13 +201,19 @@ class JobSpy:
             with lock:
                 running.add(k)
                 starts.append((k, frozenset(running)))
+                self._take_probe()
             try:
                 return fn(job, ws)
             finally:
                 with lock:
+                    self._take_probe()
                     running.remove(k)
 
         return self.map_jobs(run, list(enumerate(jobs)), weights)
+
+    def _take_probe(self):
+        if self.probe is not None:
+            self.probed.append(self.probe())
 
     def check(self, budget):
         """Every job ran once, beside jobs whose weights fit the budget with its own, or that hold nothing."""
@@ -214,3 +222,25 @@ class JobSpy:
             for k, running in starts:
                 held = sum(weights[i] for i in running)
                 assert held <= budget or held == weights[k], (k, sorted(running))
+
+
+class DrawsAlive:
+    """Stands in for sim.Workspace as workspace; a call sums the |h|^2 and |g|^2 bytes of every one still alive.
+
+    Each workspace made is kept by weak reference only, so one counts from
+    when it is made until nothing holds it, on whatever thread.
+    """
+
+    def __init__(self):
+        made = self.made = []
+
+        class Tracked(Workspace):
+            def __init__(self):
+                super().__init__()
+                made.append(weakref.ref(self))
+
+        self.workspace = Tracked
+
+    def __call__(self) -> int:
+        alive = [ws for ws in (ref() for ref in list(self.made)) if ws is not None]
+        return sum(a.nbytes for ws in alive for a in (ws.get("h2"), ws.get("g2")) if a is not None)

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 import yaml
-from oracles import JobSpy
+from oracles import DrawsAlive, JobSpy
 
 from relaypower import experiments, model, sim
 from relaypower.cli import main
@@ -664,6 +664,21 @@ class TestRelayCountCells:
         assert len(csvs[0]) == (1 if kind == "asymptotic_study" else 4)
         assert csvs[1] == csvs[0] and csvs[2] == csvs[0]
 
+    @pytest.mark.parametrize("kind", RELAY_COUNT_KINDS)
+    @pytest.mark.parametrize("cores", [1, 2, 4])
+    def test_draws_alive_stay_within_the_budget(self, tmp_path, monkeypatch, capsys, kind, cores):
+        # an M = 32 cell fits beside the cells of M <= 3, but not beside another M = 32 cell; at
+        # each cell's start and end the draws of every workspace alive, cells that ended included,
+        # hold at most the budget's 16 B per entry
+        monkeypatch.setattr(sim, "MAX_TRIAL_ENTRIES", self.TRIALS * 40)
+        draws = DrawsAlive()
+        monkeypatch.setattr(sim, "Workspace", draws.workspace)
+        spy = JobSpy(sim._map_jobs, probe=draws)
+        monkeypatch.setattr(experiments, "_map_jobs", spy)
+        self._run(tmp_path, monkeypatch, kind, [1, 2, 3, 32], cores)
+        spy.check(sim.MAX_TRIAL_ENTRIES)
+        assert 16 * self.TRIALS * 32 <= max(spy.probed) <= 16 * sim.MAX_TRIAL_ENTRIES
+
     def test_rows_match_one_full_batch_pass(self, tmp_path, monkeypatch, capsys):
         spec, csvs = self._run(tmp_path, monkeypatch, "asymptotic_study", [2, 8, 32], 2, seed=3)
         rows = csvs["asymptotic_study.csv"].decode().splitlines()[1:]
@@ -792,6 +807,22 @@ class TestConvergenceBlocks:
         assert spy.calls[0][1] == [spec.trials * e for e in (4, 6, 7, 78)]
         assert csvs[1] == csvs[0] and csvs[2] == csvs[0]
         assert csvs[0].decode().splitlines()[1:] == _whole_array_convergence(spec, 5)
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_draws_alive_stay_within_the_budget(self, tmp_path, monkeypatch, capsys, cores):
+        # the cells weigh 16 + 6 and 32 + 9 entries per trial, so they run one after the other; the
+        # M = 16 draws kept beside the M = 32 ones (48 entries per trial) would pass the budget
+        spec = self._spec(tmp_path, [16, 32], 3000)
+        monkeypatch.setattr(sim, "MAX_TRIAL_ENTRIES", spec.trials * 41)
+        monkeypatch.setattr(sim, "_usable_cores", lambda: cores)
+        draws = DrawsAlive()
+        monkeypatch.setattr(sim, "Workspace", draws.workspace)
+        spy = JobSpy(sim._map_jobs, probe=draws)
+        monkeypatch.setattr(experiments, "_map_jobs", spy)
+        run_experiment(spec, tmp_path / "out")
+        assert spy.calls[0][1] == [spec.trials * 22, spec.trials * 41]
+        spy.check(sim.MAX_TRIAL_ENTRIES)
+        assert 16 * spec.trials * 32 <= max(spy.probed) <= 16 * sim.MAX_TRIAL_ENTRIES
 
     @pytest.mark.parametrize("m_grid,trials,iterations,entries", [
         ([1, 2, 3], 100_000, 1, [2, 3, 4]),  # M + 1 trajectory entry per trial

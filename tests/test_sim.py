@@ -1140,7 +1140,7 @@ class TestPowerBlocks:
 
 
 class TestCountWorkspace:
-    """A relay-count worker reuses one workspace from cell to cell; no cell may see another's arrays."""
+    """_relay_counts gives the same counts in a reused workspace as in fresh ones; no cell may see another's arrays."""
 
     # over one row block at M = 1, and not a multiple of the block rows at any M below
     TRIALS = model._BLOCK_ENTRIES + 1

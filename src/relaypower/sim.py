@@ -34,7 +34,7 @@ core at every T and holds BLAS at one thread while they run. A job's
 products are small: on a 2-vCPU host a T = 3 transmit of 4096 frames took
 15 ms on two OpenBLAS threads against 0.5-0.8 ms on one, and an idle BLAS
 thread spins beside the other worker. _map_jobs alone bounds a pool's
-memory: jobs start in list order, each within MAX_TRIAL_ENTRIES or alone.
+memory: the workspaces its workers keep fit MAX_TRIAL_ENTRIES, or one runs alone.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ import functools
 import math
 import os
 import threading
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,7 +110,6 @@ class SimResult:
     frames: np.ndarray
     block_errors: np.ndarray
     bit_errors: np.ndarray
-    elapsed_s: float
 
     CSV_HEADER = "scheme,snr_db,frames,block_errors,bit_errors,bler,ber,stderr_bler"
 
@@ -625,10 +623,9 @@ def run_monte_carlo(
     The allocator runs per frame under the configured CSIT mode, except
     for statistical waterfilling, whose long-term caps are the same in
     every frame: it is solved once per job and repeated. Batch b of
-    point i draws from stream (seed, i, b) wherever it runs, and every
-    job, of two batches up to T = 2 and of one above, works in its
-    worker's Workspace. The jobs run one per usable core at every T, each
-    worker with its own workspace and BLAS on its own thread (_map_jobs).
+    point i draws from stream (seed, i, b) wherever it runs. The jobs, of
+    two batches up to T = 2 and of one above, run one per usable core, each
+    in its worker's Workspace with BLAS on one thread (_map_jobs).
     The tallies are integer sums, so neither the shard count, which only
     orders the fixed batch schedule, nor the grouping of batches into jobs,
     nor the number of cores changes them. This is the one-scheme call of
@@ -666,7 +663,6 @@ def _run_schemes(runs: list[tuple[NetworkConfig, Scheme]], snr_grid_db, frames: 
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError(f"snr grid must be a non-empty 1-d array, got shape {grid.shape}")
 
-    start = time.perf_counter()
     relay = [run for run in runs if run[1] is not Scheme.DIRECT_LINK]
     if relay:  # the direct link needs no codebook
         code = generate_codebook(cfg.M, seed)
@@ -696,7 +692,6 @@ def _run_schemes(runs: list[tuple[NetworkConfig, Scheme]], snr_grid_db, frames: 
     errors = np.zeros((len(runs), grid.shape[0], 2), dtype=np.int64)
     for (pi, _), scored in zip(jobs, results):
         errors[:, pi] += scored
-    elapsed = time.perf_counter() - start
     return [SimResult(
         scheme=scheme_label(scheme, c.csit_mode),
         seed=seed,
@@ -705,7 +700,6 @@ def _run_schemes(runs: list[tuple[NetworkConfig, Scheme]], snr_grid_db, frames: 
         frames=np.full(grid.shape[0], frames, dtype=np.int64),
         block_errors=errors[ri, :, 0],
         bit_errors=errors[ri, :, 1],
-        elapsed_s=elapsed,
     ) for ri, (c, scheme) in enumerate(runs)]
 
 
@@ -716,62 +710,67 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-# Channel entries the running jobs of one _map_jobs call may hold together.
-# The relay counts and the convergence run keep |h|^2 and |g|^2, 16 bytes per
-# entry in the job's own workspace (268 MB at the bound), and solve them in row
-# blocks of model._BLOCK_ENTRIES entries; a convergence cell also holds its
-# trajectory (experiments._convergence_entries). At M = 64, 195 000 trials
-# and 10 iterations (200 MB of draws) a convergence run peaked at 901 MB
-# solving all trials at once, 268 MB in 2^18-entry blocks and 248 MB in
-# 2^15-entry ones (one fresh run each, 2-vCPU host, numpy 2.4)
+# Channel entries the workspaces of one _map_jobs call's workers may keep
+# together. The relay counts and the convergence run keep |h|^2 and |g|^2 in
+# their worker's workspace, 16 bytes per entry (268 MB at the bound), solved in
+# row blocks of model._BLOCK_ENTRIES entries; a convergence cell also holds its
+# trajectory (experiments._convergence_entries). At M = 64, 195 000 trials and
+# 10 iterations (200 MB of draws) a convergence run peaked at 901 MB solving
+# all trials at once, 268 MB in 2^18-entry blocks and 248 MB in 2^15-entry
+# ones (one fresh run each, 2-vCPU host, numpy 2.4)
 MAX_TRIAL_ENTRIES = 2**24
 
 
 def _map_jobs(fn, jobs: list, weights: list | None = None) -> list:
-    """[fn(job, ws) for job in jobs] on one thread per usable core, at most one per job, BLAS on one thread.
+    """[fn(job, ws) for job in jobs] on one worker per usable core, at most one per job, BLAS on one thread.
 
-    weights[k] counts the channel entries job k holds. Weighted jobs start in
-    list order, each once its weight fits MAX_TRIAL_ENTRIES beside the running
-    jobs', or once they hold none: a job over the budget runs without the
-    others. Each gets a Workspace ws of its own, freed when it ends, so no
-    draws outlive their admission. Without weights each thread hands one ws to
-    every job it runs. Results keep the order of jobs; with one worker the
-    jobs run in the calling thread. BLAS is held at one thread until the last
-    job ends (_one_blas_thread), so a job's products run on the thread that
-    calls them. A failing job's error is raised once the jobs no thread has
-    picked up are cancelled and the others have finished.
+    Each worker, the calling thread among them, takes the next job in list
+    order and runs it in the one Workspace ws it keeps, counted as the
+    largest weights[k] (job k's channel entries; 0 without weights) it ran.
+    It takes a job once the counts fit MAX_TRIAL_ENTRIES with its own grown
+    to the job's, or once no other worker keeps any; to wait, it drops its
+    workspace. Results keep the order of jobs. Once a job fails, or the
+    calling thread stops, no job starts, and the failed job of lowest index
+    raises once the running jobs end. BLAS stays at one thread until then.
     """
-    local = threading.local()
+    weights = weights or [0] * len(jobs)
+    results, errors, kept = [None] * len(jobs), {}, [0] * (min(_usable_cores(), len(jobs)) or 1)
     admit = threading.Condition()
-    turn = held = 0  # the next job to start; the running jobs' weights
+    taken = 0  # the jobs taken, or all of them once no job may start
 
-    def run(k):
-        nonlocal turn, held
-        if weights is None:
-            return fn(jobs[k], vars(local).setdefault("ws", Workspace()))
-        with admit:
-            admit.wait_for(lambda: turn == k and (not held or held + weights[k] <= MAX_TRIAL_ENTRIES))
-            turn, held = turn + 1, held + weights[k]
-            admit.notify_all()
-        try:
-            return fn(jobs[k], Workspace())
-        finally:
-            with admit:
-                held -= weights[k]
-                admit.notify_all()
+    def fits(w):
+        others = sum(kept) - kept[w]
+        return not others or others + max(kept[w], weights[taken]) <= MAX_TRIAL_ENTRIES
 
-    workers = min(_usable_cores(), len(jobs))
+    def work(w):
+        nonlocal taken
+        ws, k = None, len(jobs)  # k: the job taken last
+        while True:
+            try:
+                with admit:
+                    if taken == len(jobs) or not fits(w):
+                        ws, kept[w] = None, 0  # wait, or leave, holding nothing
+                        admit.notify_all()
+                        admit.wait_for(lambda: taken == len(jobs) or fits(w))
+                    if taken == len(jobs):
+                        return
+                    k, taken, kept[w] = taken, taken + 1, max(kept[w], weights[taken])
+                    admit.notify_all()
+                results[k] = fn(jobs[k], ws := Workspace() if ws is None else ws)
+            except BaseException as exc:  # job k's, or an interrupt of the calling thread's wait
+                with admit:
+                    errors[k], taken = exc, len(jobs)
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, len(kept))]
     with _one_blas_thread():
-        if workers <= 1:
-            return [run(k) for k in range(len(jobs))]
-        # imported here, not at the top: 7 ms that every run without a pool would pay
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(workers)
-        try:
-            return list(pool.map(run, range(len(jobs))))
-        finally:
-            pool.shutdown(cancel_futures=True)
+        for thread in threads:
+            thread.start()
+        work(0)
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 @functools.cache
@@ -834,7 +833,8 @@ def effective_relay_count(cfg: NetworkConfig, scheme: Scheme, r_grid, trials: in
     Distance r maps to variances gamma_h = 1/r^2 and gamma_g = 1/(1-r)^2,
     which must be positive normal floats; cfg supplies everything else.
     Max power scores exactly M, on-off the mean number of active relays.
-    Distance ri draws from channel stream (seed, ri).
+    Distance ri draws from channel stream (seed, ri), so the distances are
+    one _map_jobs list, each weighted by its trials x M channel entries.
     """
     if scheme is Scheme.DIRECT_LINK:
         raise ValueError("effective relay count is undefined for the direct link")
@@ -845,11 +845,11 @@ def effective_relay_count(cfg: NetworkConfig, scheme: Scheme, r_grid, trials: in
     if not np.all((grid > 0.0) & (grid < 1.0)):  # a NaN fails too
         raise ValueError("relay distances must lie strictly inside (0, 1)")
     _check_compat(cfg, scheme)
-    gammas = [_distance_variances(r) for r in grid.tolist()]
     label = scheme_label(scheme, cfg.csit_mode)
-    counts = np.empty(grid.shape[0])
-    ws = Workspace()
-    for ri, (gamma_h, gamma_g) in enumerate(gammas):
-        cfg_r = dataclasses.replace(cfg, gamma_h=np.full(cfg.M, gamma_h), gamma_g=np.full(cfg.M, gamma_g))
-        counts[ri] = _relay_counts(cfg_r, trials, derive_rng(seed, STREAM_CHANNELS, ri), ws, [label])[label]
-    return counts
+    cfgs = [dataclasses.replace(cfg, gamma_h=np.full(cfg.M, gamma_h), gamma_g=np.full(cfg.M, gamma_g))
+            for gamma_h, gamma_g in map(_distance_variances, grid.tolist())]
+
+    def count(ri, ws):
+        return _relay_counts(cfgs[ri], trials, derive_rng(seed, STREAM_CHANNELS, ri), ws, [label])[label]
+
+    return np.array(_map_jobs(count, list(range(len(cfgs))), [trials * cfg.M] * len(cfgs)))

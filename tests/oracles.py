@@ -10,6 +10,7 @@ pytest puts tests/ on the path and does not collect this file.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 import warnings
@@ -244,3 +245,27 @@ class DrawsAlive:
     def __call__(self) -> int:
         alive = [ws for ws in (ref() for ref in list(self.made)) if ws is not None]
         return sum(a.nbytes for ws in alive for a in (ws.get("h2"), ws.get("g2")) if a is not None)
+
+
+class PoolSizes:
+    """Counts the threads each sim._map_jobs call starts, through a patched threading.Thread.
+
+    A call of n workers starts n - 1 threads, all on its one worker loop,
+    since the calling thread works too. A call returns the worker count of
+    each _map_jobs call that started a thread, in call order: a one-worker
+    call starts none and is not listed.
+    """
+
+    def __init__(self, monkeypatch):
+        targets = self.targets = []
+
+        class Counted(threading.Thread):
+            def __init__(self, *args, target=None, **kwargs):
+                super().__init__(*args, target=target, **kwargs)
+                if "_map_jobs" in getattr(target, "__qualname__", ""):
+                    targets.append(target)
+
+        monkeypatch.setattr(threading, "Thread", Counted)
+
+    def __call__(self) -> list[int]:
+        return [1 + len(list(group)) for _, group in itertools.groupby(self.targets, key=id)]

@@ -1,6 +1,5 @@
 """Scenario files, experiment runners, and the command-line entry point."""
 
-import concurrent.futures
 import hashlib
 import re
 import sys
@@ -8,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 import yaml
-from oracles import DrawsAlive, JobSpy
+from oracles import DrawsAlive, JobSpy, PoolSizes
 
 from relaypower import experiments, model, sim
 from relaypower.cli import main
@@ -700,15 +699,13 @@ class TestRelayCountCells:
         # one worker per core, at most one per cell; each cell weighs its
         # trials x M draws, and the cells running together hold at most
         # budget M = 32 cells' worth, or one cell alone; a single worker runs
-        # the cells without a pool, in grid order
-        sizes = []
-        real_pool = concurrent.futures.ThreadPoolExecutor
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", lambda n: sizes.append(n) or real_pool(n))
+        # the cells in the calling thread, in grid order
+        sizes = PoolSizes(monkeypatch)
         monkeypatch.setattr(sim, "MAX_TRIAL_ENTRIES", int(budget * self.TRIALS * 32))
         spy = JobSpy(sim._map_jobs)
         monkeypatch.setattr(experiments, "_map_jobs", spy)
         self._run(tmp_path, monkeypatch, kind, [1, 2, 3, 32], cores)
-        assert sizes == ([workers] if workers > 1 else [])
+        assert sizes() == ([workers] if workers > 1 else [])
         [(cells, weights)] = spy.calls
         assert [(m, r) for _, m, _, r in cells] == [(m, r) for m in [1, 2, 3, 32] for r in [0.1, 0.6]]
         assert weights == [self.TRIALS * m for _, m, _, _ in cells]

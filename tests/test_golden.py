@@ -6,8 +6,9 @@ refactor of the channel, cap or allocation path that moves any output bit
 fails here. One more power-ratio scenario draws 33 001 trials per cell, so
 its relay counts span many row blocks and draw chunks at every M. Each
 scenario's CSVs at its seed (0) are stored under golden/<scenario name>/;
-a run must write the same files with the same bytes, and a mismatch names
-each moved row with each numeric field's relative change. To re-pin after a
+a run must write the same files with the same bytes, at the host's usable
+cores and at 1 and 4 patched ones, and a mismatch names each moved row with
+each numeric field's relative change. To re-pin after a
 change that is meant to move outputs, copy the CSVs that
 _outputs(tmp_path, name) writes over the scenario's directory.
 """
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from relaypower import sim
 from relaypower.experiments import _RUNNERS, SCHEME_NAMES, load_spec, run_experiment
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -161,6 +163,14 @@ def test_csv_bytes(tmp_path, name):
     assert sorted(got) == sorted(want)
     moved = {f: _moved_rows(want[f], got[f]) for f in sorted(want) if got[f] != want[f]}
     assert not moved, "\n".join(f"{f}:\n{text}" for f, text in moved.items())
+
+
+@pytest.mark.parametrize("cores", [1, 4])
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_csv_bytes_at_any_core_count(tmp_path, monkeypatch, name, cores):
+    # one worker runs every job in the calling thread; four run more workers than this host may have cores
+    monkeypatch.setattr(sim, "_usable_cores", lambda: cores)
+    test_csv_bytes(tmp_path, name)
 
 
 def test_a_mismatch_names_each_moved_field():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import JobSpy
+from oracles import DrawsAlive, JobSpy, PoolSizes
 
 from relaypower import model, sim
 from relaypower.codebook import codeword_signs, generate_codebook
@@ -679,12 +679,9 @@ class TestRelayChainOracle:
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Worker counts of the thread pools run_monte_carlo starts, on a host of 4 usable cores."""
-    sizes = []
-    real_pool = concurrent.futures.ThreadPoolExecutor
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", lambda n: sizes.append(n) or real_pool(n))
+    """Worker counts of the _map_jobs calls that start threads, on a host of 4 usable cores."""
     monkeypatch.setattr(sim, "_usable_cores", lambda: 4)
-    return sizes
+    return PoolSizes(monkeypatch)
 
 
 class TestBatchPool:
@@ -698,14 +695,14 @@ class TestBatchPool:
     def test_batches_share_the_cores_at_every_block_length(self, pool_sizes, t, grid, frames, workers):
         for scheme in (Scheme.MAX_POWER, Scheme.DIRECT_LINK):
             run_monte_carlo(_cfg(t), scheme, grid, frames, seed=0)
-        assert pool_sizes == ([] if workers is None else [workers, workers])
+        assert pool_sizes() == ([] if workers is None else [workers, workers])
 
     def test_relay_schemes_and_the_direct_link_share_one_pool(self, pool_sizes, tmp_path, capsys):
         path = tmp_path / "scenario.yaml"
         path.write_text("kind: bler_vs_snr\nschemes: [onoff, maxpower, direct]\nsnr_db: [5.0]\n"
                         "frames: 9000\nnetwork:\n  M: 2\n")
         run_experiment(load_spec(path), tmp_path / "out")
-        assert pool_sizes == [2]  # 3 batches in jobs of 2 and 1, one worker each
+        assert pool_sizes() == [2]  # 3 batches in jobs of 2 and 1, one worker each
 
 
 class TestBlasPin:
@@ -799,7 +796,7 @@ def _in_thread(fn, timeout=30.0):
 
 
 class TestAdmission:
-    """_map_jobs starts jobs in list order, each once its weight fits the budget beside the running ones, or alone."""
+    """_map_jobs's workers take jobs in list order, each once the weights they keep fit the budget, or alone."""
 
     @pytest.fixture(autouse=True)
     def budget(self, monkeypatch):
@@ -851,8 +848,9 @@ class TestAdmission:
         # beside jobs that hold nothing at most
         assert all(sum(weights[i] for i in running) == weights[k] for k, running in starts if weights[k] > 10)
 
-    def test_a_failing_job_raises_while_another_waits(self):
-        # jobs 1 and 2 wait for admission while job 0 fails; the error reaches the caller and nothing hangs
+    def test_no_job_starts_after_a_failure(self):
+        # jobs 1-5 each wait for room while job 0 fails; the error reaches the caller, nothing hangs,
+        # and none of them starts
         ran = []
 
         def fn(job, ws):
@@ -863,8 +861,87 @@ class TestAdmission:
             return job
 
         with pytest.raises(ValueError, match="job 0 failed"):
-            self._map([6, 6, 6], fn)
-        assert ran[0] == 0
+            self._map([6] * 6, fn)
+        assert ran == [0]
+
+    def test_the_failed_job_of_lowest_index_raises(self):
+        # all four run at once, and jobs 3 and 1 fail, job 3 first
+        together, first = threading.Barrier(4, timeout=10), threading.Event()
+
+        def fn(job, ws):
+            together.wait()
+            if job == 3:
+                first.set()
+                raise ValueError("job 3 failed")
+            if job == 1:
+                first.wait(10)
+                raise ValueError("job 1 failed")
+            return job
+
+        with pytest.raises(ValueError, match="job 1 failed"):
+            self._map([2] * 4, fn)
+
+    def test_a_worker_reuses_its_workspace_across_jobs_that_fit(self, monkeypatch):
+        # two workers keep at most 5 entries each: together within the budget of 10
+        monkeypatch.setattr(sim, "_usable_cores", lambda: 2)
+        weights, seen = [4, 5, 4, 5, 3, 2], {}
+
+        def fn(job, ws):
+            ws.take("h2", (weights[job],))
+            seen.setdefault(threading.get_ident(), []).append(ws)
+            time.sleep(0.01)
+            return job
+
+        assert self._map(weights, fn)[0] == list(range(6))
+        assert sum(map(len, seen.values())) == 6 and len(seen) <= 2
+        assert all(ws is kept[0] for kept in seen.values() for ws in kept)
+
+    def test_a_worker_counts_the_largest_weight_it_ran(self, monkeypatch):
+        # one worker runs jobs 0 and 1 in turn and keeps job 0's 6 entries through job 1, so job 2's 5
+        # do not fit beside them, although they would beside job 1's own 5
+        monkeypatch.setattr(sim, "_usable_cores", lambda: 2)
+        draws = DrawsAlive()
+        monkeypatch.setattr(sim, "Workspace", draws.workspace)
+        weights = [6, 5, 5]
+
+        def fn(job, ws):
+            ws.take("h2", (weights[job],))
+            ws.take("g2", (weights[job],))
+            time.sleep(0.1 if job == 1 else 0.0)  # room for job 2 to start if it were let in
+            return job
+
+        spy = JobSpy(sim._map_jobs, probe=draws)
+        assert _in_thread(lambda: spy(fn, [0, 1, 2], weights)) == [0, 1, 2]
+        spy.check(10)
+        assert [running for _, running in spy.starts[0]] == [{0}, {1}, {2}]
+        assert max(spy.probed) <= 16 * 10
+
+    def test_a_worker_drops_its_workspace_before_it_waits(self, monkeypatch):
+        # job 1 ends while job 0 runs; its worker, grown to job 2's 6 entries, does not fit beside
+        # job 0's 6, so it drops its workspace and waits, and job 0 then sees its own draws alone
+        monkeypatch.setattr(sim, "_usable_cores", lambda: 2)
+        draws = DrawsAlive()
+        monkeypatch.setattr(sim, "Workspace", draws.workspace)
+        weights, ended, seen = [6, 1, 6], threading.Event(), []
+
+        def fn(job, ws):
+            ws.take("h2", (weights[job],))
+            ws.take("g2", (weights[job],))
+            if job == 1:
+                ended.set()
+            if job == 0:
+                assert ended.wait(10)
+                deadline = time.monotonic() + 10
+                while draws() > 16 * 6 and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                seen.append(draws())
+            return job
+
+        spy = JobSpy(sim._map_jobs, probe=draws)
+        assert _in_thread(lambda: spy(fn, [0, 1, 2], weights)) == [0, 1, 2]
+        spy.check(10)
+        assert seen == [16 * 6]
+        assert max(spy.probed) <= 16 * 10
 
     def test_results_keep_job_order(self):
         # later jobs end first
@@ -905,8 +982,7 @@ class TestSimResult:
     def test_rates_and_csv(self):
         res = SimResult(scheme="onoff", seed=1, block_bits=2,
                         snr_db=np.array([10.0]), frames=np.array([1000]),
-                        block_errors=np.array([10]), bit_errors=np.array([12]),
-                        elapsed_s=0.5)
+                        block_errors=np.array([10]), bit_errors=np.array([12]))
         assert res.bler[0] == pytest.approx(0.01)
         assert res.ber[0] == pytest.approx(0.006)
         assert res.stderr_bler[0] == pytest.approx(math.sqrt(0.01 * 0.99 / 1000))

@@ -22,7 +22,7 @@ import numpy as np
 import yaml
 
 from .codebook import MAX_BLOCK
-from .model import CsitMode, NetworkConfig, _batch_caps, sample_channel_batch
+from .model import CsitMode, NetworkConfig, _abs2, _batch_caps, sample_channel_batch
 from .objectives import _MC_CHUNK, SADDLE_MIN_TRIALS, saddle_point_error
 from .onoff import MAX_ITERATIONS, solve_onoff_batch
 from .rng import STREAM_CHANNELS, STREAM_MISC, derive_rng, derive_seed
@@ -477,8 +477,8 @@ class _OutputSet:
 
     def write_text(self, name: str, text: str) -> Path:
         path = self.out_dir / name
+        self.paths.append(path)  # before the write, so a write that fails midway is discarded too
         path.write_text(text)
-        self.paths.append(path)
         return path
 
     def discard_all(self) -> None:
@@ -658,7 +658,7 @@ def _run_saddle(spec, outputs, seed, shards, frames):
         mi, j = job
         cfg = cfgs[mi]
         h = sample_channel_batch(cfg, 1, derive_rng(seed, STREAM_CHANNELS, mi, j))[0][0]
-        caps = _batch_caps(cfg, np.abs(h) ** 2, spec.p_s, spec.p_r)
+        caps = _batch_caps(cfg, _abs2(h), spec.p_s, spec.p_r)
         return saddle_point_error(h, cfg.gamma_g, caps, spec.eta, spec.trials, derive_seed(seed, STREAM_MISC, mi, j))
 
     jobs = [(mi, j) for mi in range(len(spec.m_grid)) for j in range(spec.instances)]

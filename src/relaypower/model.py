@@ -186,6 +186,15 @@ class PowerAllocation:
         return self.p > 0.0
 
 
+def _abs2(z, out: np.ndarray | None = None) -> np.ndarray:
+    """|z|^2, into out when it is given: every channel power in the package.
+
+    numpy's complex absolute rounds differently under its SIMD targets, so
+    this one rule decides which host targets a seed's bytes depend on.
+    """
+    return np.square(np.abs(z, out=out), out=out)
+
+
 def amplifier_caps(cfg: NetworkConfig, h: np.ndarray | None = None) -> np.ndarray:
     """Per-relay amplifier power caps P_i for the configured constraint.
 
@@ -200,7 +209,7 @@ def amplifier_caps(cfg: NetworkConfig, h: np.ndarray | None = None) -> np.ndarra
     h = np.asarray(h)
     if h.shape != (cfg.M,):
         raise ValueError(f"h must have shape ({cfg.M},)")
-    return _batch_caps(cfg, np.abs(h) ** 2, cfg.p_s, cfg.p_r)
+    return _batch_caps(cfg, _abs2(h), cfg.p_s, cfg.p_r)
 
 
 def _batch_caps(cfg: NetworkConfig, h2: np.ndarray, p_s: float, p_r: float,
@@ -415,7 +424,7 @@ def _sample_channel_powers(cfg: NetworkConfig, n: int, rng: np.random.Generator,
     The draw reads the same stream positions, but keeps 16 B per entry
     instead of 32: each real chunk goes into its power array, and each
     imaginary chunk joins the real parts stored there in ws's "chunk", a
-    complex buffer whose np.abs, squared, overwrites them. (np.hypot is not
+    complex buffer whose _abs2 overwrites them. (np.hypot is not
     numpy's complex absolute: its last bit differs on about a third of
     entries.) With ws, the powers are its "h2" and "g2", which the next
     draw overwrites.
@@ -431,7 +440,7 @@ def _sample_channel_powers(cfg: NetworkConfig, n: int, rng: np.random.Generator,
         both = ws.take("chunk", chunk.shape, np.complex128)
         both.real = power
         both.imag = chunk
-        np.square(np.abs(both, out=power), out=power)
+        _abs2(both, out=power)
     return out[0], out[1]
 
 
@@ -444,4 +453,4 @@ def overall_noise_variance(p: np.ndarray, g: np.ndarray, N0: float) -> float:
     p = np.asarray(p, dtype=np.float64)
     if np.any(p < 0.0):
         raise ValueError("relay powers must be non-negative")
-    return float(N0 * (1.0 + np.sum(p * np.abs(np.asarray(g)) ** 2)))
+    return float(N0 * (1.0 + np.sum(p * _abs2(g))))

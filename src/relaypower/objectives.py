@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _count, _finite_array, _finite_scalar, _positive_vector
+from .model import _abs2, _count, _finite_array, _finite_scalar, _positive_vector
 from .rng import derive_rng
 
 _EULER_GAMMA = 0.5772156649015328606
@@ -115,8 +115,8 @@ class PerfectCsitObjective:
 
     @classmethod
     def from_channels(cls, h, g, eta: float) -> "PerfectCsitObjective":
-        g2 = np.abs(np.asarray(g)) ** 2
-        return cls(alpha=np.abs(np.asarray(h)) ** 2 * g2, beta=g2, eta=eta)
+        g2 = _abs2(g)
+        return cls(alpha=_abs2(h) * g2, beta=g2, eta=eta)
 
     @property
     def M(self) -> int:
@@ -148,26 +148,16 @@ def pep_bound_perfect(obj: PerfectCsitObjective, p) -> float:
     return math.exp(-obj.eta * f0_value(obj, p))
 
 
-def _validate_rate_coeffs(obj) -> None:
-    object.__setattr__(obj, "a", _positive_vector(obj.a, None, "a", allow_zero=True))
-    object.__setattr__(obj, "gamma_g", _positive_vector(obj.gamma_g, obj.M, "gamma_g"))
-
-
 @dataclass(frozen=True)
-class PartialCsitObjective:
-    """Coefficients a_i = eta * gamma_gi * |h_i|^2 for the averaged bound."""
+class _RateObjective:
+    """Coefficients a and gamma_g of rho_i = a_i p_i / (1 + sum_j gamma_gj p_j)."""
 
     a: np.ndarray
     gamma_g: np.ndarray
 
     def __post_init__(self):
-        _validate_rate_coeffs(self)
-
-    @classmethod
-    def from_channels(cls, h, gamma_g, eta: float) -> "PartialCsitObjective":
-        _finite_scalar(eta, "eta")
-        gamma_g = np.asarray(gamma_g, dtype=np.float64)
-        return cls(a=eta * gamma_g * np.abs(np.asarray(h)) ** 2, gamma_g=gamma_g)
+        object.__setattr__(self, "a", _positive_vector(self.a, None, "a", allow_zero=True))
+        object.__setattr__(self, "gamma_g", _positive_vector(self.gamma_g, self.M, "gamma_g"))
 
     @property
     def M(self) -> int:
@@ -175,14 +165,19 @@ class PartialCsitObjective:
 
 
 @dataclass(frozen=True)
-class StatisticalCsitObjective:
+class PartialCsitObjective(_RateObjective):
+    """Coefficients a_i = eta * gamma_gi * |h_i|^2 for the averaged bound."""
+
+    @classmethod
+    def from_channels(cls, h, gamma_g, eta: float) -> "PartialCsitObjective":
+        _finite_scalar(eta, "eta")
+        gamma_g = np.asarray(gamma_g, dtype=np.float64)
+        return cls(a=eta * gamma_g * _abs2(h), gamma_g=gamma_g)
+
+
+@dataclass(frozen=True)
+class StatisticalCsitObjective(_RateObjective):
     """Same algebraic shape as the partial objective with a_i = eta*gamma_gi*gamma_hi."""
-
-    a: np.ndarray
-    gamma_g: np.ndarray
-
-    def __post_init__(self):
-        _validate_rate_coeffs(self)
 
     @classmethod
     def from_variances(cls, gamma_h, gamma_g, eta: float) -> "StatisticalCsitObjective":
@@ -190,10 +185,6 @@ class StatisticalCsitObjective:
         gamma_h = np.asarray(gamma_h, dtype=np.float64)
         gamma_g = np.asarray(gamma_g, dtype=np.float64)
         return cls(a=eta * gamma_g * gamma_h, gamma_g=gamma_g)
-
-    @property
-    def M(self) -> int:
-        return self.a.shape[0]
 
 
 def rho_values(obj, p) -> np.ndarray:
@@ -292,7 +283,7 @@ def saddle_point_error(h, gamma_g, p, eta: float, trials: int, seed: int) -> Sad
     # fewer trials leave no usable error bar
     trials = _count(trials, "trials", SADDLE_MIN_TRIALS)
 
-    h2 = np.abs(h) ** 2
+    h2 = _abs2(h)
     denom = 1.0 + float(np.dot(gamma_g, p))
     rho = eta * gamma_g * h2 * p / denom
     bound = float(np.prod(1.0 / (1.0 + rho)))
@@ -306,7 +297,7 @@ def saddle_point_error(h, gamma_g, p, eta: float, trials: int, seed: int) -> Sad
         n = min(_MC_CHUNK, trials - done)
         rng = derive_rng(seed, chunk_idx)
         g = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) * np.sqrt(gamma_g / 2.0)
-        g2 = np.abs(g) ** 2
+        g2 = _abs2(g)
         num = g2 @ (h2 * p)
         den = 1.0 + g2 @ p
         vals = np.exp(-eta * num / den)

@@ -18,17 +18,22 @@ STREAM_CHANNELS = 2
 STREAM_MISC = 3
 
 
+def _seed_sequence(seed: int, key: tuple) -> np.random.SeedSequence:
+    """The SeedSequence of stream (seed, *key), after checking both are non-negative."""
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    if any(k < 0 for k in key):
+        raise ValueError("stream key components must be non-negative")
+    return np.random.SeedSequence(entropy=seed, spawn_key=key)
+
+
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
     """Return a Generator for the stream identified by (seed, *key).
 
     The key path is folded into a SeedSequence spawn key, so any two
     distinct paths yield statistically independent streams.
     """
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
-    if any(k < 0 for k in key):
-        raise ValueError("stream key components must be non-negative")
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)))
+    return np.random.default_rng(_seed_sequence(seed, key))
 
 
 def derive_seed(seed: int, *key: int) -> int:
@@ -37,12 +42,7 @@ def derive_seed(seed: int, *key: int) -> int:
     Children with distinct key paths are independent of each other and of
     every derive_rng stream under the same master seed.
     """
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
-    if any(k < 0 for k in key):
-        raise ValueError("stream key components must be non-negative")
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
-    return int(ss.generate_state(1, np.uint64)[0])
+    return int(_seed_sequence(seed, key).generate_state(1, np.uint64)[0])
 
 
 def as_generator(seed_or_rng: int | np.random.Generator) -> np.random.Generator:

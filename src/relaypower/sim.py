@@ -59,6 +59,7 @@ from .model import (
     Workspace,
     _BLOCK_ENTRIES,
     _COLUMN_WIDTH,
+    _abs2,
     _batch_caps,
     _column_argmin,
     _count,
@@ -104,7 +105,6 @@ class SimResult:
     """Per-SNR error tallies of one scheme sweep."""
 
     scheme: str
-    seed: int
     block_bits: int
     snr_db: np.ndarray
     frames: np.ndarray
@@ -192,7 +192,7 @@ def ml_decode(
         raise ValueError(f"r must have shape ({code.T},), got {r.shape}")
     c = effective_code_matrix(code, chan.f, np.sqrt(allocation.p), p_s)
     cands = codeword_signs(code.T) @ c.T
-    d2 = np.sum(np.abs(cands - r[None, :]) ** 2, axis=1)
+    d2 = np.sum(_abs2(cands - r[None, :]), axis=1)
     return int(np.argmin(d2))
 
 
@@ -496,12 +496,10 @@ def _relay_batch_tallies(
         sample_channel_batch(cfg, size, rng, ws, out=(h[rows], g[rows]))
         k[rows] = rng.integers(0, code.n_codewords, size=size)
     noise = _draw_noise(batches, m, t, cfg.N0, ws)
-    h2 = ws.take("h2", h.shape)
-    np.square(np.abs(h, out=h2), out=h2)
+    h2 = _abs2(h, out=ws.take("h2", h.shape))
     g2 = None
     if any(scheme is Scheme.ONOFF for _, scheme in runs):
-        g2 = ws.take("g2", h.shape)
-        np.square(np.abs(g, out=g2), out=g2)
+        g2 = _abs2(g, out=ws.take("g2", h.shape))
     s = tables.signs[k]
     tallies = []
     for cfg, scheme in runs:
@@ -694,7 +692,6 @@ def _run_schemes(runs: list[tuple[NetworkConfig, Scheme]], snr_grid_db, frames: 
         errors[:, pi] += scored
     return [SimResult(
         scheme=scheme_label(scheme, c.csit_mode),
-        seed=seed,
         block_bits=cfg.M,
         snr_db=grid,
         frames=np.full(grid.shape[0], frames, dtype=np.int64),

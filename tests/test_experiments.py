@@ -1,8 +1,10 @@
 """Scenario files, experiment runners, and the command-line entry point."""
 
+import errno
 import hashlib
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -529,6 +531,24 @@ class TestRunFailures:
         with pytest.raises(ValueError, match="second scheme failed"):
             run_experiment(spec, out)
         assert not out.exists()
+
+    def test_a_write_that_fails_midway_leaves_nothing(self, tmp_path, monkeypatch):
+        spec = load_spec(_write(tmp_path, MINIMAL["bler_vs_snr"]))
+        real = Path.write_text
+        calls = []
+
+        def full_disk(path, text, *args, **kwargs):
+            calls.append(path)
+            if len(calls) == 2:  # the second CSV: a few bytes land, then the disk is full
+                real(path, text[:10], *args, **kwargs)
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real(path, text, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", full_disk)
+        out = tmp_path / "out"
+        with pytest.raises(OSError, match="No space left"):
+            run_experiment(spec, out)
+        assert len(calls) == 2 and not out.exists()
 
     def test_negative_seed_rejected_before_the_run(self, tmp_path):
         spec = load_spec(_write(tmp_path, MINIMAL["bler_vs_snr"]))

@@ -1,6 +1,8 @@
 """Configuration, channel sampling, and cap computation."""
 
+import ast
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -283,6 +285,53 @@ class TestChannelPowers:
         assert all(a.shape == (0, 3) for a in draw(_cfg(), 0, rng))
         assert rng.bit_generator.state == state
         assert all(a.shape == (4, 3) for a in draw(_cfg(), np.int64(4), rng))
+
+
+class TestAbs2:
+    """model._abs2, the one rule for |z|^2, against the squared magnitude it replaced."""
+
+    @staticmethod
+    def _parts(rng, n):
+        # signed parts from 1e-150 to 1e150, where |z|^2 nears the float range
+        return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-150, 150, n)
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+    @pytest.mark.parametrize("with_out", [False, True])
+    def test_bit_identical_to_the_squared_magnitude(self, dtype, with_out):
+        rng = np.random.default_rng(11)
+        n = 2**16
+        z = self._parts(rng, n) + (1j * self._parts(rng, n) if dtype is np.complex128 else 0.0)
+        want = (np.abs(z) ** 2).tobytes()
+        out = np.empty(n) if with_out else None
+        got = model._abs2(z, out=out)
+        assert got.dtype == np.float64 and got.tobytes() == want
+        assert out is None or got is out
+
+    def test_zero_dimensional_inputs(self):
+        rng = np.random.default_rng(12)
+        for z in self._parts(rng, 200) + 1j * self._parts(rng, 200):
+            z = np.array(z)
+            assert np.float64(model._abs2(z)).tobytes() == np.float64(np.abs(z) ** 2).tobytes()
+
+    def test_every_squared_magnitude_in_the_package_is_abs2(self):
+        def is_abs(node):
+            return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+                    and node.func.attr in ("abs", "absolute"))
+
+        sites = []
+        for path in sorted(Path(model.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            allowed = {id(node) for f in tree.body if path.name == "model.py"
+                       and isinstance(f, ast.FunctionDef) and f.name == "_abs2" for node in ast.walk(f)}
+            for node in ast.walk(tree):
+                squared = (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and is_abs(node.left)
+                           and isinstance(node.right, ast.Constant) and node.right.value == 2)
+                squared |= (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                            and node.func.attr == "square" and any(is_abs(a) for a in node.args))
+                if squared and id(node) not in allowed:
+                    sites.append(f"{path.name}:{node.lineno}")
+        assert sites == []
 
 
 class TestCount:

@@ -1,5 +1,6 @@
 """Error-probability objectives across the three CSIT regimes."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -190,6 +191,24 @@ class TestAveragedObjectives:
         a = PartialCsitObjective.from_channels(h, gamma_g, eta=1.7)
         b = StatisticalCsitObjective.from_variances(gamma_h, gamma_g, eta=1.7)
         np.testing.assert_allclose(a.a, b.a, rtol=1e-14)
+
+    @pytest.mark.parametrize("cls", [PartialCsitObjective, StatisticalCsitObjective])
+    def test_fields_repr_equality_and_frozenness(self, cls):
+        obj = cls(a=[1.0, 2.0], gamma_g=[0.5, 3.0])
+        assert [f.name for f in dataclasses.fields(obj)] == ["a", "gamma_g"] and obj.M == 2
+        assert obj.a.dtype == obj.gamma_g.dtype == np.float64
+        assert repr(obj) == f"{cls.__name__}(a=array([1., 2.]), gamma_g=array([0.5, 3. ]))"
+        assert obj == obj and obj != PerfectCsitObjective(alpha=np.ones(2), beta=np.ones(2), eta=1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            obj.a = np.ones(2)
+        with pytest.raises(ValueError, match=r"gamma_g must have shape \(2,\)"):
+            cls(a=np.ones(2), gamma_g=np.ones(3))
+
+    def test_the_two_rate_objectives_are_distinct_types(self):
+        a, g = np.ones(2), np.ones(2)
+        partial, statistical = PartialCsitObjective(a=a, gamma_g=g), StatisticalCsitObjective(a=a, gamma_g=g)
+        assert partial != statistical
+        assert not hasattr(partial, "from_variances") and not hasattr(statistical, "from_channels")
 
     def test_rho_definition(self):
         obj = PartialCsitObjective(a=np.array([2.0, 3.0]), gamma_g=np.array([1.0, 0.5]))

@@ -980,7 +980,7 @@ class TestSchemeLabel:
 
 class TestSimResult:
     def test_rates_and_csv(self):
-        res = SimResult(scheme="onoff", seed=1, block_bits=2,
+        res = SimResult(scheme="onoff", block_bits=2,
                         snr_db=np.array([10.0]), frames=np.array([1000]),
                         block_errors=np.array([10]), bit_errors=np.array([12]))
         assert res.bler[0] == pytest.approx(0.01)

@@ -11,11 +11,11 @@ byte.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import enum
 import math
 import os
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -69,19 +69,19 @@ class SpecError(ValueError):
     """Scenario file rejected; the message carries a file:line anchor."""
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ExperimentSpec:
-    """Fully resolved scenario: every default filled in."""
+    """Fully resolved scenario: every default filled in; a field the kind does not take keeps its default here."""
 
     kind: ExperimentKind
     name: str
     seed: int
-    M: int | None
-    p_s: float | None
-    p_r: float | None
-    N0: float
-    gamma_h: tuple[float, ...] | float
-    gamma_g: tuple[float, ...] | float
+    M: int | None = None
+    p_s: float | None = None
+    p_r: float | None = None
+    N0: float = 1.0
+    gamma_h: tuple[float, ...] | float = 1.0
+    gamma_g: tuple[float, ...] | float = 1.0
     schemes: tuple[str, ...] = ()
     snr_db: tuple[float, ...] = ()
     r_grid: tuple[float, ...] = ()
@@ -106,12 +106,14 @@ class ExperimentSpec:
         return seed
 
     def resolved(self) -> dict:
-        """Plain mapping of every field, defaults included, for provenance."""
-        def plain(keys):
-            return {k: list(v) if isinstance(v, tuple) else v for k in keys if (v := getattr(self, k)) is not None}
-
-        network = plain(("N0", "M", "p_s", "p_r", "gamma_h", "gamma_g"))
-        return {"kind": self.kind.value, **plain(("name", "seed", *_TOP_FIELDS[self.kind])), "network": network}
+        """Plain mapping of the kind's fields, defaults included, for provenance; load_spec reads it back."""
+        out = {"kind": self.kind.value, "network": {}}
+        for path in _FIELDS[self.kind]:
+            head, _, key = path.rpartition(".")
+            if path != "network":
+                value = getattr(self, key)
+                (out[head] if head else out)[key] = list(value) if isinstance(value, tuple) else value
+        return out
 
 
 def _gamma_vector(spec_value, m: int) -> np.ndarray:
@@ -121,56 +123,86 @@ def _gamma_vector(spec_value, m: int) -> np.ndarray:
 
 
 _REQUIRED = object()
+_FIXED_POWERS = {"network.p_s": _REQUIRED, "network.p_r": _REQUIRED}
+_VARIANCES = {"network.gamma_h": 1.0, "network.gamma_g": 1.0}
 
-# Per-kind top-level fields: each maps to _REQUIRED or to its default.
-_TOP_FIELDS: dict[ExperimentKind, dict[str, object]] = {
-    ExperimentKind.CONVERGENCE: {"m_grid": _REQUIRED, "trials": 10_000, "iterations": 10},
-    ExperimentKind.BLER_VS_SNR: {"schemes": _REQUIRED, "snr_db": _REQUIRED, "frames": _REQUIRED},
-    ExperimentKind.BER_VS_DISTANCE: {
-        "schemes": _REQUIRED, "m_grid": _REQUIRED, "r_grid": _REQUIRED,
-        "network_power_db": _REQUIRED, "frames": _REQUIRED,
-    },
-    ExperimentKind.POWER_RATIO_VS_DISTANCE: {
-        "schemes": _REQUIRED, "m_grid": _REQUIRED, "r_grid": _REQUIRED,
-        "network_power_db": _REQUIRED, "trials": 10_000,
-    },
-    ExperimentKind.BER_VS_NETWORK_POWER: {
-        "schemes": _REQUIRED, "m_grid": _REQUIRED, "snr_db": _REQUIRED, "frames": _REQUIRED,
-    },
-    ExperimentKind.ASYMPTOTIC_STUDY: {
-        "m_grid": _REQUIRED, "r_grid": _REQUIRED, "network_power_db": _REQUIRED, "trials": 10_000,
-    },
-    ExperimentKind.SADDLE_STUDY: {
-        "m_grid": _REQUIRED, "trials": 100_000, "instances": 8, "eta": 1.0,
-    },
+# Each kind's fields by path, a top-level key or network.<key>: each maps to
+# _REQUIRED or to its default. Missing fields are reported in this order.
+_FIELDS: dict[ExperimentKind, dict[str, object]] = {
+    kind: {"name": kind.value, "seed": 0, **fields, "network": _REQUIRED, "network.N0": 1.0}
+    for kind, fields in {
+        ExperimentKind.CONVERGENCE: {
+            "m_grid": _REQUIRED, "trials": 10_000, "iterations": 10, **_FIXED_POWERS, **_VARIANCES,
+        },
+        ExperimentKind.BLER_VS_SNR: {
+            "schemes": _REQUIRED, "snr_db": _REQUIRED, "frames": _REQUIRED, "network.M": _REQUIRED, **_VARIANCES,
+        },
+        ExperimentKind.BER_VS_DISTANCE: {
+            "schemes": _REQUIRED, "m_grid": _REQUIRED, "r_grid": _REQUIRED,
+            "network_power_db": _REQUIRED, "frames": _REQUIRED,
+        },
+        ExperimentKind.POWER_RATIO_VS_DISTANCE: {
+            "schemes": _REQUIRED, "m_grid": _REQUIRED, "r_grid": _REQUIRED,
+            "network_power_db": _REQUIRED, "trials": 10_000,
+        },
+        ExperimentKind.BER_VS_NETWORK_POWER: {
+            "schemes": _REQUIRED, "m_grid": _REQUIRED, "snr_db": _REQUIRED, "frames": _REQUIRED, **_VARIANCES,
+        },
+        ExperimentKind.ASYMPTOTIC_STUDY: {
+            "m_grid": _REQUIRED, "r_grid": _REQUIRED, "network_power_db": _REQUIRED, "trials": 10_000,
+        },
+        ExperimentKind.SADDLE_STUDY: {
+            "m_grid": _REQUIRED, "trials": 100_000, "instances": 8, "eta": 1.0, **_FIXED_POWERS, **_VARIANCES,
+        },
+    }.items()
+}
+
+# Why a network key that a kind does not take may not be set: the run derives it
+_DERIVED = {
+    "csit_mode": "is derived from each scheme",
+    "constraint_kind": "is derived from each scheme",
+    "T": "is M, one dispersion matrix per relay",
+    "gamma_h": "is derived from the distance sweep",
+    "gamma_g": "is derived from the distance sweep",
 }
 
 
 class _Validator:
-    """Walks one parsed scenario document with line anchors for errors."""
+    """Walks one parsed scenario document with line anchors for errors.
+
+    A field is named by its path: a top-level key, or network.<key>.
+    """
 
     def __init__(self, path: str, data, lines: dict[str, int]):
         self.path = path
         self.data = data
         self.lines = lines
-        self.n0: float | None = None  # network.N0 once checked; the dB fields read it
+        self.values: dict[str, object] = {}  # field path -> checked value or default, in walk order
 
     def fail(self, key: str, message: str):
         line = self.lines.get(key, self.lines.get("<root>", 1))
         raise SpecError(f"{self.path}:{line}: {message}")
 
-    def _scalar(self, mapping, prefix, key, kinds, message):
-        value = mapping[key]
+    def has(self, path: str) -> bool:
+        head, _, key = path.partition(".")
+        return key in self.data[head] if key else head in self.data
+
+    def get(self, path: str):
+        head, _, key = path.partition(".")
+        return self.data[head][key] if key else self.data[head]
+
+    def _scalar(self, path, kinds, message):
+        value = self.get(path)
         if not isinstance(value, kinds) or isinstance(value, bool):
-            self.fail(f"{prefix}{key}", f"{key} {message}")
+            self.fail(path, f"{_key(path)} {message}")
         return value
 
-    def integer(self, mapping, prefix, key, minimum=None, maximum=None):
-        value = self._scalar(mapping, prefix, key, int, "must be an integer")
+    def integer(self, path, minimum=None, maximum=None):
+        value = self._scalar(path, int, "must be an integer")
         if minimum is not None and value < minimum:
-            self.fail(f"{prefix}{key}", f"{key} must be at least {minimum}")
+            self.fail(path, f"{_key(path)} must be at least {minimum}")
         if maximum is not None and value > maximum:
-            self.fail(f"{prefix}{key}", f"{key} must be at most {maximum}")
+            self.fail(path, f"{_key(path)} must be at most {maximum}")
         return value
 
     def finite(self, key: str, value, message: str) -> float:
@@ -183,10 +215,10 @@ class _Validator:
             self.fail(key, message)
         return out
 
-    def number(self, mapping, prefix, key, derive=None):
-        value = self._scalar(mapping, prefix, key, (int, float), "must be a number")
-        value = self.finite(f"{prefix}{key}", value, f"{key} must be finite")
-        return self.derivable(f"{prefix}{key}", value, derive)
+    def number(self, path, derive=None):
+        value = self._scalar(path, (int, float), "must be a number")
+        value = self.finite(path, value, f"{_key(path)} must be finite")
+        return self.derivable(path, value, derive)
 
     def derivable(self, key: str, value, derive):
         """value, unless derive(value), a map the run applies to it, raises ValueError."""
@@ -197,25 +229,30 @@ class _Validator:
                 self.fail(key, f"{key}: {exc}")
         return value
 
-    def grid(self, key, *, integer=False, low=None, high=None, derive=None):
-        value = self.data[key]
+    def grid(self, path, *, integer=False, low=None, high=None, derive=None, increasing=True):
+        value, name = self.get(path), _key(path)
         if not isinstance(value, list) or not value:
-            self.fail(key, f"{key} must be a non-empty list")
+            self.fail(path, f"{name} must be a non-empty list")
         out = []
         for i, v in enumerate(value):
             if isinstance(v, bool) or not isinstance(v, (int, float) if not integer else int):
                 kind = "integers" if integer else "numbers"
-                self.fail(f"{key}[{i}]", f"{key} entries must be {kind}")
+                self.fail(f"{path}[{i}]", f"{name} entries must be {kind}")
             if not integer:
-                v = self.finite(f"{key}[{i}]", v, f"{key} entries must be finite")
+                v = self.finite(f"{path}[{i}]", v, f"{name} entries must be finite")
             if low is not None and v <= low:
-                self.fail(f"{key}[{i}]", f"{key} entries must exceed {low}")
+                self.fail(f"{path}[{i}]", f"{name} entries must exceed {low}")
             if high is not None and v >= high:
-                self.fail(f"{key}[{i}]", f"{key} entries must be below {high}")
-            out.append(self.derivable(f"{key}[{i}]", v, derive))
-        if any(b <= a for a, b in zip(out, out[1:])):
-            self.fail(key, f"{key} must be strictly increasing")
+                self.fail(f"{path}[{i}]", f"{name} entries must be below {high}")
+            out.append(self.derivable(f"{path}[{i}]", v, derive))
+        if increasing and any(b <= a for a, b in zip(out, out[1:])):
+            self.fail(path, f"{name} must be strictly increasing")
         return tuple(out)
+
+
+def _key(path: str) -> str:
+    """The key of a field path within its mapping: M for network.M."""
+    return path.rpartition(".")[2]
 
 
 def _linear(x: float) -> float:
@@ -225,7 +262,7 @@ def _linear(x: float) -> float:
 
 def _node_powers(v: _Validator, x: float) -> list[float]:
     """The power of each node at network power x dB, for every M of the checked m_grid."""
-    return [_node_power(v.n0, x, m) for m in v.data["m_grid"]]
+    return [_node_power(v.values["network.N0"], x, m) for m in v.values["m_grid"]]
 
 
 def _collect_lines(where: str, node, prefix: str, out: dict[str, int]) -> None:
@@ -256,18 +293,56 @@ def load_spec(path) -> ExperimentSpec:
         raise SpecError(f"{path}: cannot read scenario file ({exc})") from exc
     try:
         node = yaml.compose(text, Loader=yaml.SafeLoader)
+        if node is None:
+            raise SpecError(f"{path}:1: scenario file is empty")
+        lines: dict[str, int] = {}
+        _collect_lines(str(path), node, "", lines)
+        data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         line = mark.line + 1 if mark else 1
         raise SpecError(f"{path}:{line}: not valid YAML ({getattr(exc, 'problem', exc)})") from exc
-    if node is None:
-        raise SpecError(f"{path}:1: scenario file is empty")
-    lines: dict[str, int] = {}
-    _collect_lines(str(path), node, "", lines)
-    data = yaml.safe_load(text)
     if not isinstance(data, dict):
         raise SpecError(f"{path}:1: scenario must be a mapping")
     return _validate(str(path), data, lines)
+
+
+def _require(v: _Validator, kind: ExperimentKind, head: str) -> None:
+    """SpecError at head ("" for the top level) when it lacks a field that kind requires there."""
+    for p, default in _FIELDS[kind].items():
+        if default is _REQUIRED and p.rpartition(".")[0] == head and not v.has(p):
+            v.fail(head or "<root>", f"missing required field {p!r} for kind {kind.value!r}")
+
+
+def _check_network(v: _Validator, kind: ExperimentKind) -> None:
+    """SpecError at a network key the kind does not take, with the reason when the run derives it."""
+    for key in v.data["network"]:
+        if f"network.{key}" not in _FIELDS[kind]:
+            reason = _DERIVED.get(key)
+            v.fail(f"network.{key}", f"{key} {reason}; remove it" if reason else
+                   f"unknown or disallowed network field {key!r} for kind {kind.value!r}")
+    _require(v, kind, "network")
+
+
+def _check_name(v: _Validator, kind: ExperimentKind) -> str:
+    name = v.data["name"]
+    if not isinstance(name, str) or not name or "/" in name or "\0" in name:
+        v.fail("name", "name must be a non-empty string without '/' or NUL")
+    return name
+
+
+def _check_gamma(v: _Validator, path: str):
+    """A variance, or a list of one per relay covering the largest M, checked as at m_grid or network.M."""
+    value = v.get(path)
+    if isinstance(value, list):
+        out = v.grid(path, low=0.0, derive=_linear, increasing=False)
+        max_m = max(v.values.get("m_grid") or [v.values["network.M"]])
+        if len(out) < max_m:
+            v.fail(path, f"{_key(path)} lists {len(out)} values but the largest M is {max_m}")
+        return out
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        v.fail(path, f"{_key(path)} must be a number or a list of numbers")
+    return v.number(path, derive=_linear)
 
 
 def _check_schemes(v: _Validator, kind: ExperimentKind) -> tuple[str, ...]:
@@ -276,7 +351,7 @@ def _check_schemes(v: _Validator, kind: ExperimentKind) -> tuple[str, ...]:
         v.fail("schemes", "schemes must be a non-empty list")
     seen = []
     for i, token in enumerate(raw):
-        if token not in SCHEME_NAMES:
+        if not isinstance(token, str) or token not in SCHEME_NAMES:
             known = ", ".join(sorted(SCHEME_NAMES))
             v.fail(f"schemes[{i}]", f"unknown scheme {token!r}; expected one of: {known}")
         if token in seen:
@@ -291,12 +366,12 @@ def _check_trials(v: _Validator, kind: ExperimentKind) -> int:
     # the saddle study draws its trials in chunks; every other kind draws
     # all (trials, M) channel entries at once
     if kind is ExperimentKind.SADDLE_STUDY:
-        return v.integer(v.data, "", "trials", minimum=SADDLE_MIN_TRIALS, maximum=MAX_TRIAL_ENTRIES)
-    trials = v.integer(v.data, "", "trials", minimum=1)
-    m = max(v.data["m_grid"])
+        return v.integer("trials", minimum=SADDLE_MIN_TRIALS, maximum=MAX_TRIAL_ENTRIES)
+    trials = v.integer("trials", minimum=1)
+    m = max(v.values["m_grid"])
     trajectory = 0
     if kind is ExperimentKind.CONVERGENCE:
-        iterations = _check_iterations(v, kind) if "iterations" in v.data else _TOP_FIELDS[kind]["iterations"]
+        iterations = _FIELD_CHECKS["iterations"](v, kind) if "iterations" in v.data else _FIELDS[kind]["iterations"]
         trajectory = _convergence_entries(m, iterations) - m
     if trials * (m + trajectory) > MAX_TRIAL_ENTRIES:
         entries = f"(largest M + {trajectory} trajectory entries)" if trajectory else "largest M"
@@ -311,39 +386,41 @@ def _convergence_entries(m: int, iterations: int) -> int:
     return m + math.ceil((iterations + 1) * (m + 16) / 40)
 
 
-def _check_iterations(v: _Validator, kind: ExperimentKind) -> int:
-    # every row settles within MAX_ITERATIONS updates, so later iterates only repeat
-    return v.integer(v.data, "", "iterations", minimum=1, maximum=MAX_ITERATIONS)
-
-
-# Top-level field -> check(validator, kind) of its value, in the order errors are reported.
+# Field path -> check(validator, kind) of its value, in the order errors are
+# reported. A check may read the values checked before it from v.values.
 _FIELD_CHECKS = {
-    # a kind with a frame budget decodes every M it sweeps exhaustively
+    "name": _check_name,
+    "seed": lambda v, kind: v.integer("seed", minimum=0),
+    # m_grid before the network block: its gamma lists must cover the largest M.
+    # A kind with a frame budget decodes every M it sweeps exhaustively
     "m_grid": lambda v, kind: v.grid(
         "m_grid", integer=True, low=0,
-        high=(MAX_BLOCK if "frames" in _TOP_FIELDS[kind] else MAX_STUDY_RELAYS) + 1,
+        high=(MAX_BLOCK if "frames" in _FIELDS[kind] else MAX_STUDY_RELAYS) + 1,
     ),
+    "network": _check_network,
+    "network.M": lambda v, kind: v.integer("network.M", minimum=1, maximum=MAX_BLOCK),
+    "network.p_s": lambda v, kind: v.number("network.p_s", derive=_linear),
+    "network.p_r": lambda v, kind: v.number("network.p_r", derive=_linear),
+    "network.N0": lambda v, kind: v.number("network.N0", derive=_linear),
+    "network.gamma_h": lambda v, kind: _check_gamma(v, "network.gamma_h"),
+    "network.gamma_g": lambda v, kind: _check_gamma(v, "network.gamma_g"),
     "schemes": _check_schemes,
     # bler_vs_snr sweeps the power of each node, the other kinds the network power
     "snr_db": lambda v, kind: v.grid("snr_db", derive=lambda x: (
-        _db_power(v.n0, x) if kind is ExperimentKind.BLER_VS_SNR else _node_powers(v, x))),
+        _db_power(v.values["network.N0"], x) if kind is ExperimentKind.BLER_VS_SNR else _node_powers(v, x))),
     "r_grid": lambda v, kind: v.grid("r_grid", low=0.0, high=1.0, derive=_distance_variances),
-    "network_power_db": lambda v, kind: v.number(v.data, "", "network_power_db", derive=lambda x: _node_powers(v, x)),
-    "frames": lambda v, kind: v.integer(v.data, "", "frames", minimum=MIN_FRAMES),
+    "network_power_db": lambda v, kind: v.number("network_power_db", derive=lambda x: _node_powers(v, x)),
+    "frames": lambda v, kind: v.integer("frames", minimum=MIN_FRAMES),
     "trials": _check_trials,
-    "instances": lambda v, kind: v.integer(v.data, "", "instances", minimum=1),
-    "eta": lambda v, kind: v.number(v.data, "", "eta", derive=_linear),
-    "iterations": _check_iterations,
+    "instances": lambda v, kind: v.integer("instances", minimum=1),
+    "eta": lambda v, kind: v.number("eta", derive=_linear),
+    # every row settles within MAX_ITERATIONS updates, so later iterates only repeat
+    "iterations": lambda v, kind: v.integer("iterations", minimum=1, maximum=MAX_ITERATIONS),
 }
 
 
-def _top_fields(v: _Validator, kind: ExperimentKind, keys) -> dict:
-    """Checked values of kind's top-level fields among keys, defaults filled in."""
-    table = _TOP_FIELDS[kind]
-    return {key: _FIELD_CHECKS[key](v, kind) if key in v.data else table[key] for key in keys if key in table}
-
-
 def _validate(path: str, data: dict, lines: dict[str, int]) -> ExperimentSpec:
+    """The spec of a document: one walk over _FIELD_CHECKS, checking each field of the kind or taking its default."""
     v = _Validator(path, data, lines)
     if "kind" not in data:
         v.fail("<root>", "missing required field 'kind'")
@@ -354,98 +431,18 @@ def _validate(path: str, data: dict, lines: dict[str, int]) -> ExperimentSpec:
         known = ", ".join(k.value for k in ExperimentKind)
         v.fail("kind", f"unknown kind {kind_token!r}; expected one of: {known}")
 
-    allowed = {"kind", "name", "seed", "network"} | set(_TOP_FIELDS[kind])
+    fields = _FIELDS[kind]
+    top = {p.partition(".")[0] for p in fields}
     for key in data:
-        if key not in allowed:
+        if key != "kind" and key not in top:
             v.fail(key, f"unknown field {key!r} for kind {kind.value!r}")
-    for key, default in _TOP_FIELDS[kind].items():
-        if default is _REQUIRED and key not in data:
-            v.fail("<root>", f"missing required field {key!r} for kind {kind.value!r}")
-    if "network" not in data:
-        v.fail("<root>", "missing required field 'network'")
-    network = data["network"]
-    if not isinstance(network, dict):
+    _require(v, kind, "")
+    if not isinstance(data["network"], dict):
         v.fail("network", "network must be a mapping")
-
-    name = data.get("name", kind.value)
-    if not isinstance(name, str) or not name or "/" in name or "\0" in name:
-        v.fail("name", "name must be a non-empty string without '/' or NUL")
-    seed = 0
-    if "seed" in data:
-        seed = v.integer(data, "", "seed", minimum=0)
-
-    # m_grid before the network block: its gamma lists must cover the largest M
-    fields = _top_fields(v, kind, ["m_grid"])
-    # a power sweep sets p_s and p_r per point, a distance sweep sets the variances
-    swept_power = not {"snr_db", "network_power_db"}.isdisjoint(_TOP_FIELDS[kind])
-    swept_distance = "r_grid" in _TOP_FIELDS[kind]
-
-    # --- network block ---
-    net_allowed = {"N0", "gamma_h", "gamma_g"}
-    if kind is ExperimentKind.BLER_VS_SNR:
-        net_allowed |= {"M"}
-    if not swept_power:
-        net_allowed |= {"p_s", "p_r"}
-    for key in network:
-        if key in ("csit_mode", "constraint_kind"):
-            v.fail(f"network.{key}", f"{key} is derived from each scheme; remove it")
-        if key == "T":
-            v.fail("network.T", "T is M, one dispersion matrix per relay; remove it")
-        if key not in net_allowed:
-            v.fail(f"network.{key}", f"unknown or disallowed network field {key!r} for kind {kind.value!r}")
-
-    m = None
-    if kind is ExperimentKind.BLER_VS_SNR:
-        if "M" not in network:
-            v.fail("network", "network.M is required for kind 'bler_vs_snr'")
-        m = v.integer(network, "network.", "M", minimum=1, maximum=MAX_BLOCK)
-
-    p_s = p_r = None
-    if not swept_power:
-        for key in ("p_s", "p_r"):
-            if key not in network:
-                v.fail("network", f"network.{key} is required for kind {kind.value!r}")
-        p_s = v.number(network, "network.", "p_s", derive=_linear)
-        p_r = v.number(network, "network.", "p_r", derive=_linear)
-
-    n0 = v.n0 = v.number(network, "network.", "N0", derive=_linear) if "N0" in network else 1.0
-
-    if swept_distance:
-        for key in ("gamma_h", "gamma_g"):
-            if key in network:
-                v.fail(f"network.{key}", f"{key} is derived from the distance sweep; remove it")
-        gamma_h = gamma_g = 1.0
-    else:
-        max_m = max(fields["m_grid"]) if "m_grid" in fields else m
-        gamma_h = _validate_gamma(v, network, "gamma_h", max_m)
-        gamma_g = _validate_gamma(v, network, "gamma_g", max_m)
-
-    fields |= _top_fields(v, kind, [key for key in _FIELD_CHECKS if key not in fields])
-    return ExperimentSpec(
-        kind=kind, name=name, seed=seed, M=m, p_s=p_s, p_r=p_r, N0=n0,
-        gamma_h=gamma_h, gamma_g=gamma_g, **fields,
-    )
-
-
-def _validate_gamma(v: _Validator, network: dict, key: str, max_m: int | None):
-    if key not in network:
-        return 1.0
-    value = network[key]
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return v.number(network, "network.", key, derive=_linear)
-    if isinstance(value, list):
-        if not value:
-            v.fail(f"network.{key}", f"{key} list must be non-empty")
-        out = []
-        for i, item in enumerate(value):
-            if isinstance(item, bool) or not isinstance(item, (int, float)) or item <= 0:
-                v.fail(f"network.{key}[{i}]", f"{key} entries must be positive numbers")
-            item = v.finite(f"network.{key}[{i}]", item, f"{key} entries must be finite")
-            out.append(v.derivable(f"network.{key}[{i}]", item, _linear))
-        if max_m is not None and len(value) < max_m:
-            v.fail(f"network.{key}", f"{key} lists {len(value)} values but the largest M is {max_m}")
-        return tuple(out)
-    v.fail(f"network.{key}", f"{key} must be a number or a list of numbers")
+    for p, check in _FIELD_CHECKS.items():
+        if p in fields:
+            v.values[p] = check(v, kind) if v.has(p) else fields[p]
+    return ExperimentSpec(kind=kind, **{_key(p): value for p, value in v.values.items() if p != "network"})
 
 
 def _scheme_config(spec: ExperimentSpec, token: str, m: int,
@@ -497,14 +494,13 @@ def run_experiment(spec: ExperimentSpec, out_dir, *, seed: int | None = None,
     removed, and so is every directory the run created, so an output
     directory never holds a partial run.
     """
-    seed = spec.run_seed(seed)
-    frames = spec.frames
+    spec = dataclasses.replace(spec, seed=spec.run_seed(seed))
     if frames_override is not None:
-        if frames is None:
+        if spec.frames is None:
             raise SpecError(f"kind {spec.kind.value!r} takes no frame count; drop --frames-override")
         if frames_override < MIN_FRAMES:
             raise SpecError(f"--frames-override must be at least {MIN_FRAMES}")
-        frames = frames_override
+        spec = dataclasses.replace(spec, frames=frames_override)
     if shards < 1:
         raise SpecError("--shards must be at least 1")
 
@@ -512,19 +508,19 @@ def run_experiment(spec: ExperimentSpec, out_dir, *, seed: int | None = None,
     outputs = _OutputSet(Path(out_dir))
     start = time.perf_counter()
     try:
-        csv_paths = runner(spec, outputs, seed, shards, frames)
+        csv_paths = runner(spec, outputs, shards)
         script = emit_plot_script(csv_paths, spec.kind)
         outputs.write_text(f"{spec.name}_plot.py", script)
     except Exception:
         outputs.discard_all()
         raise
     elapsed = time.perf_counter() - start
-    budget = frames if frames is not None else spec.trials
-    print(f"kind={spec.kind.value} seed={seed} frames={budget} elapsed_s={elapsed:.2f}")
+    budget = spec.frames if spec.frames is not None else spec.trials
+    print(f"kind={spec.kind.value} seed={spec.seed} frames={budget} elapsed_s={elapsed:.2f}")
     return outputs.paths
 
 
-def _run_convergence(spec, outputs, seed, shards, frames):
+def _run_convergence(spec, outputs, shards):
     """Mean f0 of each on-off iterate over the optimum's, per M, from trials draws of stream (seed, mi).
 
     Every M has its own stream, so the M cells are one _map_jobs list, each
@@ -538,7 +534,7 @@ def _run_convergence(spec, outputs, seed, shards, frames):
         mi, m = cell
         cfg, _ = _scheme_config(spec, "onoff", m, *spec.gammas_for(m), spec.p_s, spec.p_r)
         ratios = np.empty((spec.trials, spec.iterations + 1))
-        for rows, h2, g2, caps in _power_blocks(cfg, spec.trials, derive_rng(seed, STREAM_CHANNELS, mi), ws):
+        for rows, h2, g2, caps in _power_blocks(cfg, spec.trials, derive_rng(spec.seed, STREAM_CHANNELS, mi), ws):
             alpha = h2 * g2
             masks, _, _, iterates = solve_onoff_batch(alpha, g2, caps, history=spec.iterations + 1)
             ac, bc = alpha * caps, g2 * caps
@@ -556,29 +552,29 @@ def _run_convergence(spec, outputs, seed, shards, frames):
     return [outputs.write(f"{spec.name}.csv", "M,iteration,mean_normalized_objective", rows)]
 
 
-def _run_bler_vs_snr(spec, outputs, seed, shards, frames):
+def _run_bler_vs_snr(spec, outputs, shards):
     runs = [_scheme_config(spec, token, spec.M, *spec.gammas_for(spec.M), 1.0, 1.0) for token in spec.schemes]
     return [outputs.write(f"{spec.name}_{token}.csv", SimResult.CSV_HEADER, res.to_csv_rows())
-            for token, res in zip(spec.schemes, _run_schemes(runs, spec.snr_db, frames, seed, shards=shards))]
+            for token, res in zip(spec.schemes, _run_schemes(runs, spec.snr_db, spec.frames, spec.seed, shards=shards))]
 
 
-def _run_ber_vs_distance(spec, outputs, seed, shards, frames):
+def _run_ber_vs_distance(spec, outputs, shards):
     def cells(mi, m):
         for ri, r in enumerate(spec.r_grid):
             gammas = (np.full(m, x) for x in _distance_variances(r))
-            yield *gammas, [spec.network_power_db], [r], derive_seed(seed, STREAM_MISC, mi, ri)
+            yield *gammas, [spec.network_power_db], [r], derive_seed(spec.seed, STREAM_MISC, mi, ri)
 
-    return _run_link_sweep(spec, outputs, shards, frames, "r", cells)
+    return _run_link_sweep(spec, outputs, shards, "r", cells)
 
 
-def _run_ber_vs_network_power(spec, outputs, seed, shards, frames):
+def _run_ber_vs_network_power(spec, outputs, shards):
     def cells(mi, m):
-        yield *spec.gammas_for(m), spec.snr_db, spec.snr_db, derive_seed(seed, STREAM_MISC, mi)
+        yield *spec.gammas_for(m), spec.snr_db, spec.snr_db, derive_seed(spec.seed, STREAM_MISC, mi)
 
-    return _run_link_sweep(spec, outputs, shards, frames, "snr_db", cells)
+    return _run_link_sweep(spec, outputs, shards, "snr_db", cells)
 
 
-def _run_link_sweep(spec, outputs, shards, frames, x_name, cells):
+def _run_link_sweep(spec, outputs, shards, x_name, cells):
     """One BER CSV per scheme over the M grid at network-power operating points.
 
     cells(mi, m) yields (gamma_h, gamma_g, snr grid, x values, seed) for
@@ -595,7 +591,7 @@ def _run_link_sweep(spec, outputs, shards, frames, x_name, cells):
         tokens = [token for token in spec.schemes if token != "direct" or mi == 0]
         for gamma_h, gamma_g, grid, x, cell_seed in cells(mi, m) if tokens else ():
             runs = [_scheme_config(spec, token, m, gamma_h, gamma_g, 1.0, 1.0) for token in tokens]
-            results = _run_schemes(runs, grid, frames, cell_seed, network_power_sweep=True, shards=shards)
+            results = _run_schemes(runs, grid, spec.frames, cell_seed, network_power_sweep=True, shards=shards)
             for token, res in zip(tokens, results):
                 rows[token] += res.to_csv_rows([f"{token},{0 if token == 'direct' else m},{_fmt(v)}" for v in x])
     return [outputs.write(f"{spec.name}_{token}.csv", header, rows[token]) for token in spec.schemes]
@@ -619,21 +615,21 @@ def _cell_counts(spec, stream, wanted) -> list:
     return _map_jobs(counts, cells, [spec.trials * m for _, m, _, _ in cells])
 
 
-def _run_power_ratio(spec, outputs, seed, shards, frames):
+def _run_power_ratio(spec, outputs, shards):
     header = "scheme,M,r,trials,effective_relay_count"
     labels = {token: scheme_label(*SCHEME_NAMES[token]) for token in spec.schemes}
-    cells = _cell_counts(spec, lambda mi, ri: derive_rng(derive_seed(seed, STREAM_MISC, mi), STREAM_CHANNELS, ri),
+    cells = _cell_counts(spec, lambda mi, ri: derive_rng(derive_seed(spec.seed, STREAM_MISC, mi), STREAM_CHANNELS, ri),
                          labels.values())
     return [outputs.write(f"{spec.name}_{token}.csv", header,
                           [f"{token},{m},{_fmt(r)},{spec.trials},{_fmt(counts[label])}" for m, r, counts in cells])
             for token, label in labels.items()]
 
 
-def _run_asymptotic(spec, outputs, seed, shards, frames):
+def _run_asymptotic(spec, outputs, shards):
     header = ("M,r,trials,count_onoff,count_waterfill_partial,count_waterfill_statistical,"
               "count_maxpower,equality_fraction,max_water_level_spread")
     labels = ("onoff", "waterfill_partial", "waterfill_statistical", "max_power", "equal")  # the count columns
-    cells = _cell_counts(spec, lambda mi, ri: derive_rng(seed, STREAM_CHANNELS, mi, ri), labels)
+    cells = _cell_counts(spec, lambda mi, ri: derive_rng(spec.seed, STREAM_CHANNELS, mi, ri), labels)
     # The spread of p_i gamma_gi over the uncapped relays is exactly 0: every
     # relay has the same gamma_g, so every uncapped one gets the same float
     # p = fl(mu / gamma_g) and the same product fl(p gamma_g); a row with no
@@ -643,7 +639,7 @@ def _run_asymptotic(spec, outputs, seed, shards, frames):
     return [outputs.write(f"{spec.name}.csv", header, rows)]
 
 
-def _run_saddle(spec, outputs, seed, shards, frames):
+def _run_saddle(spec, outputs, shards):
     """One row per M: the saddle-point bound against its Monte Carlo estimate, averaged over the instances.
 
     Instance j of M index mi draws its channel h from stream (seed, mi, j)
@@ -657,9 +653,10 @@ def _run_saddle(spec, outputs, seed, shards, frames):
     def compare(job, ws):
         mi, j = job
         cfg = cfgs[mi]
-        h = sample_channel_batch(cfg, 1, derive_rng(seed, STREAM_CHANNELS, mi, j))[0][0]
+        h = sample_channel_batch(cfg, 1, derive_rng(spec.seed, STREAM_CHANNELS, mi, j))[0][0]
         caps = _batch_caps(cfg, _abs2(h), spec.p_s, spec.p_r)
-        return saddle_point_error(h, cfg.gamma_g, caps, spec.eta, spec.trials, derive_seed(seed, STREAM_MISC, mi, j))
+        seed = derive_seed(spec.seed, STREAM_MISC, mi, j)
+        return saddle_point_error(h, cfg.gamma_g, caps, spec.eta, spec.trials, seed)
 
     jobs = [(mi, j) for mi in range(len(spec.m_grid)) for j in range(spec.instances)]
     comps = _map_jobs(compare, jobs, [min(spec.trials, _MC_CHUNK) * spec.m_grid[mi] for mi, _ in jobs])

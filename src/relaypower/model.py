@@ -118,10 +118,9 @@ class NetworkConfig:
     csit_mode: CsitMode = CsitMode.PERFECT
 
     def __post_init__(self):
-        if self.M < 1:
-            raise ValueError("M must be at least 1")
+        object.__setattr__(self, "M", _count(self.M, "M", 1))
         for name in ("p_s", "p_r", "N0"):
-            _finite_scalar(getattr(self, name), name)
+            object.__setattr__(self, name, _finite_scalar(getattr(self, name), name))
         object.__setattr__(self, "gamma_h", _positive_vector(self.gamma_h, self.M, "gamma_h"))
         object.__setattr__(self, "gamma_g", _positive_vector(self.gamma_g, self.M, "gamma_g"))
         if not isinstance(self.csit_mode, CsitMode):

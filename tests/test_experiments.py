@@ -14,6 +14,9 @@ from oracles import DrawsAlive, JobSpy, PoolSizes
 from relaypower import experiments, model, sim
 from relaypower.cli import main
 from relaypower.experiments import (
+    _FIELD_CHECKS,
+    _FIELDS,
+    _REQUIRED,
     MAX_TRIAL_ENTRIES,
     SCHEME_NAMES,
     ExperimentKind,
@@ -156,6 +159,12 @@ network:
         assert resolved["instances"] == 2
         assert resolved["network"]["p_s"] == 1.0
 
+    @pytest.mark.parametrize("kind", sorted(MINIMAL))
+    def test_resolved_loads_back_as_the_same_spec(self, tmp_path, kind):
+        # the resolved scenario holds exactly the kind's fields, so it is a scenario of its own
+        spec = load_spec(_write(tmp_path, MINIMAL[kind]))
+        assert load_spec(_write(tmp_path, yaml.safe_dump(spec.resolved()), "resolved.yaml")) == spec
+
 
 class TestValidation:
     def _err(self, tmp_path, text):
@@ -183,11 +192,6 @@ class TestValidation:
         msg = self._err(tmp_path, "kind: bler_vs_snr\nschemes: [onoff]\n"
                                   "snr_db: [10.0]\nnetwork: {M: 2}\n")
         assert "missing required field 'frames'" in msg
-
-    def test_csit_mode_rejected_as_derived(self, tmp_path):
-        text = MINIMAL["bler_vs_snr"].replace("  M: 2", "  M: 2\n  csit_mode: perfect")
-        msg = self._err(tmp_path, text)
-        assert "derived from each scheme" in msg
 
     def test_fixed_powers_rejected_for_swept_kinds(self, tmp_path):
         text = MINIMAL["bler_vs_snr"].replace("  M: 2", "  M: 2\n  p_s: 10.0")
@@ -221,11 +225,6 @@ class TestValidation:
                         MINIMAL["power_ratio_vs_distance"].replace("maxpower", "direct"))
         assert "no relays to count" in msg
 
-    def test_distance_kinds_reject_explicit_variances(self, tmp_path):
-        text = MINIMAL["ber_vs_distance"].replace("network: {}", "network:\n  gamma_h: 2.0")
-        msg = self._err(tmp_path, text)
-        assert "derived from the distance sweep" in msg
-
     def test_gamma_list_shorter_than_largest_m(self, tmp_path):
         text = """\
 kind: saddle_study
@@ -237,6 +236,40 @@ network:
 """
         msg = self._err(tmp_path, text)
         assert "lists 2 values but the largest M is 8" in msg
+
+    @pytest.mark.parametrize("entry", ["x: !foo 1", "[1]: 2"], ids=["unknown_tag", "unhashable_key"])
+    def test_yaml_that_fails_to_construct_exits_two_at_its_line(self, tmp_path, capsys, entry):
+        path = _write(tmp_path, MINIMAL["bler_vs_snr"] + entry + "\n")
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:7: not valid YAML (")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("token", ["[onoff]", "{a: 1}"])
+    def test_scheme_that_is_not_a_name_exits_two_at_its_line(self, tmp_path, capsys, token):
+        path = _write(tmp_path, MINIMAL["bler_vs_snr"].replace("[onoff, direct]", f"[onoff,\n  {token}]"))
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert f"{path}:3: unknown scheme {yaml.safe_load(token)!r}; expected one of: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind,key", [
+        *((kind, key) for kind in sorted(MINIMAL) for key in ("csit_mode", "constraint_kind", "T")),
+        *((kind, key) for kind in ("asymptotic_study", "ber_vs_distance", "power_ratio_vs_distance")
+          for key in ("gamma_h", "gamma_g")),
+    ])
+    def test_derived_network_key_rejected_at_its_line_with_its_reason(self, tmp_path, kind, key):
+        reason = {"csit_mode": "is derived from each scheme", "constraint_kind": "is derived from each scheme",
+                  "T": "is M, one dispersion matrix per relay"}.get(key, "is derived from the distance sweep")
+        text = MINIMAL[kind].replace("network: {}", "network:") + f"  {key}: 2\n"  # network comes last
+        path = _write(tmp_path, text)
+        with pytest.raises(SpecError, match=rf"^{re.escape(str(path))}:{text.count(chr(10))}: {key} {reason}; "
+                                            r"remove it$"):
+            load_spec(path)
+
+    @pytest.mark.parametrize("kind,key", [("bler_vs_snr", "M"), ("convergence", "p_s"), ("saddle_study", "p_r")])
+    def test_missing_network_field_anchored_to_the_network_block(self, tmp_path, kind, key):
+        text = re.sub(rf"(?m)^  {key}: .*$", "  N0: 1.0", MINIMAL[kind])
+        msg = self._err(tmp_path, text)
+        line = text.splitlines().index("network:") + 1
+        assert msg.endswith(f"scenario.yaml:{line}: missing required field 'network.{key}' for kind '{kind}'")
 
     def test_grid_must_increase(self, tmp_path):
         msg = self._err(tmp_path, MINIMAL["bler_vs_snr"].replace("[8.0, 12.0]", "[12.0, 8.0]"))
@@ -324,6 +357,21 @@ network:
     ])
     def test_first_error_is_reported(self, tmp_path, text, first):
         assert first in self._err(tmp_path, text)
+
+
+class TestFieldTable:
+    def test_every_field_has_a_check(self):
+        assert set(_FIELD_CHECKS) == set().union(*_FIELDS.values())
+
+    def test_readme_lists_each_kinds_required_fields(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        table = readme.split("### Scenario files", 1)[1].split("\n\n| kind |", 1)[1].split("\n\n", 1)[0]
+        rows = {re.findall(r"`([^`]+)`", row.split("|")[1])[0]: set(re.findall(r"`([^`]+)`", row.split("|")[3]))
+                for row in table.splitlines()[2:]}
+        required = {kind.value: {p for p, d in fields.items() if d is _REQUIRED} for kind, fields in _FIELDS.items()}
+        every_kind = set.intersection(*required.values())  # the network block, stated above the table
+        assert every_kind == {"network"} and "`network` mapping" in readme
+        assert rows == {kind: paths - every_kind for kind, paths in required.items()}
 
 
 # one float field per scenario, its value BAD

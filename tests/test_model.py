@@ -65,6 +65,17 @@ class TestNetworkConfig:
         with pytest.raises(ValueError):
             _cfg(**{field: value})
 
+    @pytest.mark.parametrize("m", [2.0, True, "2", np.float64(2.0)])
+    def test_rejects_a_relay_count_that_is_not_an_integer(self, m):
+        with pytest.raises(ValueError, match=re.escape(f"M must be an integer >= 1, got {m!r}")):
+            _cfg(M=m, gamma_h=np.ones(2), gamma_g=np.ones(2))
+
+    def test_stores_its_checked_values(self):
+        cfg = _cfg(M=np.int64(3), p_s="4", p_r=np.float32(2.5), N0=1)
+        assert (cfg.M, cfg.p_s, cfg.p_r, cfg.N0) == (3, 4.0, 2.5, 1.0)
+        assert type(cfg.M) is int and all(type(x) is float for x in (cfg.p_s, cfg.p_r, cfg.N0))
+        np.testing.assert_array_equal(amplifier_caps(cfg, np.ones(3)), np.full(3, 2.5 / 5.0))
+
     def test_rejects_wrong_length_variances(self):
         with pytest.raises(ValueError, match="gamma_h"):
             _cfg(gamma_h=np.ones(2))

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 from relaypower.codebook import MAX_BLOCK
 from relaypower.experiments import (
+    _FIELDS,
     _REQUIRED,
-    _TOP_FIELDS,
     MAX_STUDY_RELAYS,
     SCHEME_NAMES,
     ExperimentKind,
@@ -62,14 +62,15 @@ def _bad_grid(values, past):
 
 def _fields(kind):
     """field -> (strategy near its bounds, strategy past them)."""
-    sim_kind = "frames" in _TOP_FIELDS[kind]
+    sim_kind = "frames" in _FIELDS[kind]
     tokens = [t for t in SCHEME_NAMES if not (t == "direct" and kind is ExperimentKind.POWER_RATIO_VS_DISTANCE)]
     past_relays = st.sampled_from([-1, 0, (MAX_BLOCK if sim_kind else MAX_STUDY_RELAYS) + 1])
     return {
+        "name": (st.just("run"), st.sampled_from(["", "a/b", 7])),
         "seed": (st.sampled_from([0, 1, 2**32, 2**64]), st.just(-1)),
         "m_grid": (_grid(RELAYS), _bad_grid(RELAYS, past_relays)),
         "schemes": (st.lists(st.sampled_from(tokens), min_size=1, max_size=5, unique=True),
-                    st.sampled_from([[], ["bogus"], ["onoff", "onoff"], ["direct"], "onoff"])),
+                    st.sampled_from([[], ["bogus"], ["onoff", "onoff"], ["direct"], "onoff", [["onoff"]]])),
         "snr_db": (_grid(DB), _bad_grid(DB, PAST_DB)),
         "network_power_db": (DB, PAST_DB),
         "r_grid": (_grid(DISTANCE), _bad_grid(DISTANCE, PAST_DISTANCE)),
@@ -89,25 +90,12 @@ def _fields(kind):
     }
 
 
-def _network_keys(kind):
-    """Network fields the kind reads, and whether each is required."""
-    table = _TOP_FIELDS[kind]
-    keys = {"network.N0": False}
-    if kind is ExperimentKind.BLER_VS_SNR:
-        keys["network.M"] = True
-    if not {"snr_db", "network_power_db"} & set(table):
-        keys |= {"network.p_s": True, "network.p_r": True}
-    if "r_grid" not in table:
-        keys |= {"network.gamma_h": False, "network.gamma_g": False}
-    return keys
-
-
 @st.composite
 def scenarios(draw):
     kind = draw(st.sampled_from(list(ExperimentKind)))
     fields = _fields(kind)
     # every field the kind reads: required ones present, optional ones half the time
-    keys = {"seed": False, **{k: d is _REQUIRED for k, d in _TOP_FIELDS[kind].items()}, **_network_keys(kind)}
+    keys = {path: default is _REQUIRED for path, default in _FIELDS[kind].items() if path != "network"}
     doc = {"kind": kind.value, "network": {}}
     for key, required in keys.items():
         if not required and draw(st.booleans()):
